@@ -12,6 +12,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/servehttp"
+	"repro/internal/wire"
 )
 
 // clusterN sizes the cluster tier's instance per scale. The regime is the
@@ -79,7 +80,7 @@ func postMatch(url string, mr cluster.MatchRequest) int {
 		panic(err)
 	}
 	defer resp.Body.Close()
-	var out cluster.MatchResponse
+	var out wire.MatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		panic(err)
 	}

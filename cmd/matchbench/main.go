@@ -18,14 +18,16 @@
 // push-relabel, and the parallel MS-BFS-Graft engine at 1/2/4 workers)
 // completing one shared cheap warm start on adversarial instances.
 //
-// The perf, refine and serve experiments additionally write their records to a
-// machine-readable JSON file (-json, default BENCH_matchbench.json) so
-// the performance trajectory can be tracked across commits, and any run
-// can capture a CPU profile with -cpuprofile. serve measures per-request
-// throughput of one-shot calls vs a reused Matcher session vs MatchBatch
-// on small instances (the dispatch-bound serving regime). dyn measures
-// batched-mutation throughput of dynamic sessions: incrementally
-// maintained matchings vs a from-scratch recompute after every batch.
+// The perf, refine, serve, dyn, weighted and cluster experiments
+// additionally write their records to a machine-readable JSON file
+// (-json, default BENCH_matchbench.json) so the performance trajectory
+// can be tracked across commits, and any run can capture a CPU profile
+// with -cpuprofile. serve measures per-request throughput of one-shot
+// calls vs a reused Matcher session vs MatchBatch on small instances (the
+// dispatch-bound serving regime). dyn measures batched-mutation
+// throughput of dynamic sessions: incrementally maintained matchings vs a
+// from-scratch recompute after every batch. weighted times the auction
+// and its ensembles, and cluster a routed fleet against a direct replica.
 package main
 
 import (

@@ -356,6 +356,13 @@
 // exported from a live holder, or replayed from the retained
 // registration when the sole holder died.
 //
+// Replicas and router share one match-response codec, internal/wire: the
+// replicas stream their answers with it, and the router decodes them
+// (parsing row_mate in place, with encoding/json as the fallback for any
+// body outside the encoder's layout) and relays them with it. A relayed
+// answer is the replica's response shape with "replica" appended, byte
+// for byte what encoding/json writes for the same value.
+//
 // The router absorbs the serving contract's failure surface on the
 // client's behalf: 503/429 rejections are retried with exponential
 // backoff plus jitter, floored at the replica's own Retry-After hint;

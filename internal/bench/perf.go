@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/exact"
@@ -14,7 +16,8 @@ import (
 // PerfRecord is one machine-readable data point of the perf experiment:
 // a (instance, heuristic, worker-count) cell with its best-of wall clock,
 // the matching quality against sprank, and the speedup over the same
-// heuristic at one worker. cmd/matchbench serializes these records to
+// heuristic at one worker — absent when the worker count exceeds the
+// host's CPUs (see speedupVs1). cmd/matchbench serializes these records to
 // BENCH_matchbench.json so the performance trajectory of the codebase can
 // be compared across commits.
 type PerfRecord struct {
@@ -24,7 +27,26 @@ type PerfRecord struct {
 	Workers   int     `json:"workers"`
 	NsOp      int64   `json:"ns_op"`
 	Quality   float64 `json:"quality"`
-	Speedup   float64 `json:"speedup_vs_1"`
+	Speedup   float64 `json:"speedup_vs_1,omitempty"`
+}
+
+// speedupVs1 is anchor/best, the speedup over the 1-worker run — or 0,
+// which leaves speedup_vs_1 out of the record, when workers exceed
+// runtime.NumCPU(): a pool wider than the machine measures time slicing,
+// not parallel scaling.
+func speedupVs1(anchor, best time.Duration, workers int) float64 {
+	if workers > runtime.NumCPU() {
+		return 0
+	}
+	return float64(anchor) / float64(best)
+}
+
+// speedupCell prints a speedup for the tables, "-" where it was left out.
+func speedupCell(v float64) string {
+	if v == 0 {
+		return "-"
+	}
+	return f2(v)
 }
 
 // perfInstances is the subset of the catalog the perf experiment sweeps:
@@ -90,7 +112,7 @@ func Perf(cfg Config) []PerfRecord {
 				} else {
 					run() // one extra pass to fill in the quality
 				}
-				speedup := float64(anchor) / float64(best)
+				speedup := speedupVs1(anchor, best, th)
 				records = append(records, PerfRecord{
 					Instance:  inst.Name,
 					Edges:     a.NNZ(),
@@ -101,7 +123,7 @@ func Perf(cfg Config) []PerfRecord {
 					Speedup:   speedup,
 				})
 				tbl.AddRow(inst.Name, fmt.Sprintf("%d", a.NNZ()), h,
-					fmt.Sprintf("%d", th), ms(best), f3(quality), f2(speedup))
+					fmt.Sprintf("%d", th), ms(best), f3(quality), speedupCell(speedup))
 			}
 		}
 	}

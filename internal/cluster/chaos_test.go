@@ -7,6 +7,7 @@ import (
 
 	bipartite "repro"
 	"repro/internal/cluster"
+	"repro/internal/wire"
 )
 
 // TestClusterChaosReplicaKill is the chaos gate: a replica is killed with
@@ -36,7 +37,7 @@ func TestClusterChaosReplicaKill(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = cluster.MatchRequest{Graph: id, Algorithm: "twosided", Seed: uint64(i + 1)}
 	}
-	done := make(chan []cluster.MatchResponse, 1)
+	done := make(chan []wire.MatchResponse, 1)
 	go func() { done <- f.client.MatchBatch(ctx, reqs) }()
 	time.Sleep(30 * time.Millisecond)
 	f.kill(f.indexOf(victim))

@@ -19,6 +19,7 @@ import (
 	bipartite "repro"
 	"repro/internal/metrics"
 	"repro/internal/ring"
+	"repro/internal/wire"
 )
 
 // ErrNoReplicas is returned when no configured replica is currently a
@@ -461,12 +462,12 @@ func (e *replicaError) Error() string {
 	return fmt.Sprintf("replica status %d: %s", e.status, e.body)
 }
 
-// post sends one JSON POST and decodes a MatchResponse, classifying
+// post sends one JSON POST and decodes the replica's answer, classifying
 // failures for the retry loop: a transport error (replica unreachable —
 // the caller marks it down), or a replicaError with status and
 // Retry-After.
-func (c *Client) post(ctx context.Context, url string, body []byte) (MatchResponse, error) {
-	var out MatchResponse
+func (c *Client) post(ctx context.Context, url string, body []byte) (wire.MatchResponse, error) {
+	var out wire.MatchResponse
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return out, err
@@ -487,7 +488,7 @@ func (c *Client) post(ctx context.Context, url string, body []byte) (MatchRespon
 		}
 		return out, re
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if out, err = wire.ReadMatch(resp.Body); err != nil {
 		return out, fmt.Errorf("cluster: decode %s: %w", url, err)
 	}
 	return out, nil
@@ -544,7 +545,7 @@ func (c *Client) hedgeDelay() time.Duration {
 // eligible ensembles (best_of > 1, no refinement or target, no explicit
 // sub-range) split across the healthy replicas and reduce; everything
 // else runs as a single routed request with retry, backoff and hedging.
-func (c *Client) Match(ctx context.Context, mr MatchRequest) (MatchResponse, error) {
+func (c *Client) Match(ctx context.Context, mr MatchRequest) (wire.MatchResponse, error) {
 	if mr.fanEligible() {
 		c.mu.Lock()
 		n := len(c.ring.Nodes())
@@ -575,10 +576,10 @@ func (c *Client) route(ctx context.Context, mr *MatchRequest) (string, error) {
 // singleMatch is the routed request with the full defensive loop:
 // per-attempt routing (so a failover lands on the key's new owner),
 // hedging against a second holder, Retry-After-honoring backoff.
-func (c *Client) singleMatch(ctx context.Context, mr MatchRequest) (MatchResponse, error) {
+func (c *Client) singleMatch(ctx context.Context, mr MatchRequest) (wire.MatchResponse, error) {
 	body, err := json.Marshal(&mr)
 	if err != nil {
-		return MatchResponse{}, err
+		return wire.MatchResponse{}, err
 	}
 	var lastErr error
 	for a := 0; a <= c.opt.maxRetries(); a++ {
@@ -591,7 +592,7 @@ func (c *Client) singleMatch(ctx context.Context, mr MatchRequest) (MatchRespons
 				lastErr = err
 				continue
 			}
-			return MatchResponse{}, err
+			return wire.MatchResponse{}, err
 		}
 		start := time.Now()
 		resp, node, err := c.hedged(ctx, &mr, node, body)
@@ -605,13 +606,13 @@ func (c *Client) singleMatch(ctx context.Context, mr MatchRequest) (MatchRespons
 		switch {
 		case errors.As(err, &re):
 			if !retryableStatus(re.status) {
-				return MatchResponse{}, err
+				return wire.MatchResponse{}, err
 			}
 			if !c.backoff(ctx, a, re.retryAfter) {
-				return MatchResponse{}, ctx.Err()
+				return wire.MatchResponse{}, ctx.Err()
 			}
 		case ctx.Err() != nil:
-			return MatchResponse{}, ctx.Err()
+			return wire.MatchResponse{}, ctx.Err()
 		default:
 			// Transport failure: the replica is gone. Mark it down — the
 			// ring rebalances its keys — and retry immediately against the
@@ -620,7 +621,7 @@ func (c *Client) singleMatch(ctx context.Context, mr MatchRequest) (MatchRespons
 			c.failovers.Add(1)
 		}
 	}
-	return MatchResponse{}, fmt.Errorf("cluster: match failed after %d attempts: %w", c.opt.maxRetries()+1, lastErr)
+	return wire.MatchResponse{}, fmt.Errorf("cluster: match failed after %d attempts: %w", c.opt.maxRetries()+1, lastErr)
 }
 
 // hedged sends the request to node and, once the hedge delay passes with
@@ -628,7 +629,7 @@ func (c *Client) singleMatch(ctx context.Context, mr MatchRequest) (MatchRespons
 // graph; the first success wins and the loser is canceled. Safe because
 // /match is a pure function of (graph, spec) — both answers are
 // bit-identical, only the latency differs. Returns the answering node.
-func (c *Client) hedged(ctx context.Context, mr *MatchRequest, node string, body []byte) (MatchResponse, string, error) {
+func (c *Client) hedged(ctx context.Context, mr *MatchRequest, node string, body []byte) (wire.MatchResponse, string, error) {
 	delay := c.hedgeDelay()
 	if delay < 0 {
 		resp, err := c.post(ctx, node+"/match", body)
@@ -637,7 +638,7 @@ func (c *Client) hedged(ctx context.Context, mr *MatchRequest, node string, body
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type answer struct {
-		resp MatchResponse
+		resp wire.MatchResponse
 		node string
 		err  error
 	}
@@ -674,10 +675,10 @@ func (c *Client) hedged(ctx context.Context, mr *MatchRequest, node string, body
 				c.markDown(a.node)
 			}
 			if inflight == 0 {
-				return MatchResponse{}, node, firstErr
+				return wire.MatchResponse{}, node, firstErr
 			}
 		case <-ctx.Done():
-			return MatchResponse{}, node, ctx.Err()
+			return wire.MatchResponse{}, node, ctx.Err()
 		}
 	}
 }
@@ -718,10 +719,10 @@ func (c *Client) hedgeTarget(mr *MatchRequest, primary string) string {
 // smallest winner seed. Sub-range winners report absolute seeds and each
 // candidate is a pure function of (graph, algorithm, seed), so the
 // reduction is bit-identical to the full sweep on one replica.
-func (c *Client) fanMatch(ctx context.Context, mr MatchRequest) (MatchResponse, error) {
+func (c *Client) fanMatch(ctx context.Context, mr MatchRequest) (wire.MatchResponse, error) {
 	members := c.Members()
 	if len(members) == 0 {
-		return MatchResponse{}, ErrNoReplicas
+		return wire.MatchResponse{}, ErrNoReplicas
 	}
 	n := len(members)
 	if c.opt.FanOut > 0 && n > c.opt.FanOut {
@@ -759,7 +760,7 @@ func (c *Client) fanMatch(ctx context.Context, mr MatchRequest) (MatchResponse, 
 	K := mr.BestOf
 	per, extra := K/n, K%n
 	type part struct {
-		resp MatchResponse
+		resp wire.MatchResponse
 		err  error
 	}
 	parts := make([]part, n)
@@ -796,12 +797,12 @@ func (c *Client) fanMatch(ctx context.Context, mr MatchRequest) (MatchResponse, 
 	}
 	wg.Wait()
 	weighted := mr.weighted()
-	var out MatchResponse
+	var out wire.MatchResponse
 	have := false
 	candidates := 0
 	for p := range parts {
 		if parts[p].err != nil {
-			return MatchResponse{}, fmt.Errorf("cluster: fan-out slice %d: %w", p, parts[p].err)
+			return wire.MatchResponse{}, fmt.Errorf("cluster: fan-out slice %d: %w", p, parts[p].err)
 		}
 		r := parts[p].resp
 		candidates += r.CandidatesRun
@@ -832,8 +833,8 @@ func (c *Client) fanMatch(ctx context.Context, mr MatchRequest) (MatchResponse, 
 // never answers. In-band retryable rejections (the replica shed an entry
 // inside an otherwise successful envelope) are retried the same way.
 // Responses come back in request order.
-func (c *Client) MatchBatch(ctx context.Context, reqs []MatchRequest) []MatchResponse {
-	out := make([]MatchResponse, len(reqs))
+func (c *Client) MatchBatch(ctx context.Context, reqs []MatchRequest) []wire.MatchResponse {
+	out := make([]wire.MatchResponse, len(reqs))
 	groups := make(map[string][]int)
 	var fanIdx []int
 	for i := range reqs {
@@ -843,7 +844,7 @@ func (c *Client) MatchBatch(ctx context.Context, reqs []MatchRequest) []MatchRes
 		}
 		node, err := c.route(ctx, &reqs[i])
 		if err != nil {
-			out[i] = MatchResponse{Error: err.Error()}
+			out[i] = wire.MatchResponse{Error: err.Error()}
 			continue
 		}
 		groups[node] = append(groups[node], i)
@@ -855,7 +856,7 @@ func (c *Client) MatchBatch(ctx context.Context, reqs []MatchRequest) []MatchRes
 			defer wg.Done()
 			resp, err := c.Match(ctx, reqs[i])
 			if err != nil {
-				resp = MatchResponse{Error: err.Error()}
+				resp = wire.MatchResponse{Error: err.Error()}
 			}
 			out[i] = resp
 		}(i)
@@ -873,7 +874,7 @@ func (c *Client) MatchBatch(ctx context.Context, reqs []MatchRequest) []MatchRes
 
 // subBatch sends one per-replica sub-batch and recovers failed entries
 // individually.
-func (c *Client) subBatch(ctx context.Context, node string, reqs []MatchRequest, idxs []int, out []MatchResponse) {
+func (c *Client) subBatch(ctx context.Context, node string, reqs []MatchRequest, idxs []int, out []wire.MatchResponse) {
 	env := batchRequestEnvelope{Requests: make([]MatchRequest, len(idxs))}
 	for k, i := range idxs {
 		env.Requests[k] = reqs[i]
@@ -893,8 +894,7 @@ func (c *Client) subBatch(ctx context.Context, node string, reqs []MatchRequest,
 					c.failovers.Add(1)
 				}
 			} else {
-				var be batchResponseEnvelope
-				decodeErr := json.NewDecoder(resp.Body).Decode(&be)
+				be, decodeErr := wire.ReadBatch(resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode == http.StatusOK && decodeErr == nil && len(be.Responses) == len(idxs) {
 					redo = redo[:0]
@@ -921,7 +921,7 @@ func (c *Client) subBatch(ctx context.Context, node string, reqs []MatchRequest,
 			c.retries.Add(1)
 			resp, err := c.singleMatch(ctx, reqs[i])
 			if err != nil {
-				resp = MatchResponse{Error: err.Error()}
+				resp = wire.MatchResponse{Error: err.Error()}
 			}
 			out[i] = resp
 		}(i)

@@ -19,6 +19,7 @@ import (
 	bipartite "repro"
 	"repro/internal/cluster"
 	"repro/internal/servehttp"
+	"repro/internal/wire"
 )
 
 // engineOpts are the replica engine options; reference runs in the
@@ -215,7 +216,7 @@ func TestClusterRoutingAndRegistry(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("match %s: status %d: %s", id, code, raw)
 		}
-		var mr cluster.MatchResponse
+		var mr wire.MatchResponse
 		decodeInto(t, raw, &mr)
 		if mr.Size <= 0 || mr.Rows != 40 || mr.Cols != 40 || mr.WinnerSeed != 7 {
 			t.Fatalf("match %s: size=%d rows=%d cols=%d winner=%d", id, mr.Size, mr.Rows, mr.Cols, mr.WinnerSeed)
@@ -292,7 +293,7 @@ func TestClusterRoutingAndRegistry(t *testing.T) {
 		t.Fatalf("batch: status %d: %s", code, raw)
 	}
 	var env struct {
-		Responses []cluster.MatchResponse `json:"responses"`
+		Responses []wire.MatchResponse `json:"responses"`
 	}
 	decodeInto(t, raw, &env)
 	if len(env.Responses) != len(reqs) {

@@ -7,6 +7,7 @@ import (
 
 	bipartite "repro"
 	"repro/internal/cluster"
+	"repro/internal/wire"
 )
 
 // TestClusterFanOutBitIdentity is the acceptance gate of the fan-out
@@ -36,7 +37,7 @@ func TestClusterFanOutBitIdentity(t *testing.T) {
 			if code != http.StatusOK {
 				t.Fatalf("fanned match: status %d: %s", code, raw)
 			}
-			var got cluster.MatchResponse
+			var got wire.MatchResponse
 			decodeInto(t, raw, &got)
 
 			ref, err := g.Match(bipartite.Spec{Algorithm: alg.lib, Seed: seed, Ensemble: K}, engineOpts())
@@ -93,7 +94,7 @@ func TestClusterFanOutBitIdentityAuction(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("fanned auction: status %d: %s", code, raw)
 	}
-	var got cluster.MatchResponse
+	var got wire.MatchResponse
 	decodeInto(t, raw, &got)
 
 	ref, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgAuction, Seed: seed, Ensemble: K}, engineOpts())

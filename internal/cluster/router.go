@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Router is the HTTP front end over a Client: the same wire surface as
@@ -179,7 +181,9 @@ func (rt *Router) handleMatch(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, statusOfClientErr(err), err)
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, &resp)
+	if err := wire.WriteMatch(w, http.StatusOK, &resp); err != nil {
+		log.Printf("matchrouter: write: %v", err)
+	}
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -189,11 +193,13 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	out := rt.c.MatchBatch(r.Context(), env.Requests)
-	rt.writeJSON(w, http.StatusOK, batchResponseEnvelope{
-		Ms:        float64(time.Since(start).Microseconds()) / 1000,
-		Responses: out,
-	})
+	br := wire.BatchResponse{Responses: rt.c.MatchBatch(r.Context(), env.Requests)}
+	br.Ms = float64(time.Since(start).Microseconds()) / 1000
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err := wire.EncodeBatch(w, &br); err != nil {
+		log.Printf("matchrouter: write: %v", err)
+	}
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {

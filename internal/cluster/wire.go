@@ -74,36 +74,10 @@ func (mr *MatchRequest) weighted() bool {
 	return mr.Algorithm == "auction" || mr.Op == "auction"
 }
 
-// MatchResponse mirrors the replicas' /match response, with one
-// router-side provenance addition: Replica names the member that produced
-// the matching (for a fanned-out ensemble, the one whose sub-range won).
-type MatchResponse struct {
-	Size          int     `json:"size"`
-	Rows          int     `json:"rows"`
-	Cols          int     `json:"cols"`
-	RowMate       []int32 `json:"row_mate"`
-	WinnerSeed    uint64  `json:"winner_seed"`
-	CandidatesRun int     `json:"candidates_run"`
-	HeuristicSize int     `json:"heuristic_size"`
-	Refined       bool    `json:"refined"`
-	RefinedWith   string  `json:"refined_with,omitempty"`
-	MatchedWeight float64 `json:"matched_weight,omitempty"`
-	Epsilon       float64 `json:"epsilon,omitempty"`
-	Rounds        int     `json:"rounds,omitempty"`
-	Degraded      string  `json:"degraded,omitempty"`
-	Ms            float64 `json:"ms,omitempty"`
-	Error         string  `json:"error,omitempty"`
-	Replica       string  `json:"replica,omitempty"`
-}
-
-// batchEnvelope is the /match/batch request and response envelope.
+// batchRequestEnvelope is the /match/batch request envelope; the
+// response envelope is wire.BatchResponse.
 type batchRequestEnvelope struct {
 	Requests []MatchRequest `json:"requests"`
-}
-
-type batchResponseEnvelope struct {
-	Ms        float64         `json:"ms"`
-	Responses []MatchResponse `json:"responses"`
 }
 
 // healthzReply is the replicas' GET /healthz body.

@@ -28,6 +28,7 @@ import (
 
 	bipartite "repro"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // Config is the HTTP layer's tuning, split from cmd/matchserve's flags
@@ -220,45 +221,6 @@ func (mr *matchRequest) spec() (bipartite.Spec, error) {
 		return bipartite.Spec{}, err
 	}
 	return spec, nil
-}
-
-// matchResponse is the writer-side shape of one served matching. The
-// provenance fields surface how the engine arrived at the matching:
-// which ensemble seed won, how many candidates actually ran (a target or
-// the ensemble-aware refinement may stop the sweep early), the winner's
-// pre-refinement size, and whether a refinement stage ran at all.
-type matchResponse struct {
-	Size    int     `json:"size"`
-	Rows    int     `json:"rows"`
-	Cols    int     `json:"cols"`
-	RowMate []int32 `json:"row_mate"`
-	// Provenance: always present on successful responses (zero-valued on
-	// errors, alongside the zero size/rows/cols).
-	WinnerSeed    uint64 `json:"winner_seed"`
-	CandidatesRun int    `json:"candidates_run"`
-	HeuristicSize int    `json:"heuristic_size"`
-	Refined       bool   `json:"refined"`
-	// RefinedWith names the refinement engine that actually ran ("exact",
-	// "pushrelabel" or "graft" — "refine":"exact" auto-selects the parallel
-	// graft engine on large instances). Absent when no refinement ran.
-	RefinedWith string `json:"refined_with,omitempty"`
-	// Weighted provenance, present only on "algorithm":"auction" responses:
-	// the matched weight the auction maximized, the resolved epsilon of its
-	// (1−ε)·optimal guarantee, and the bidding rounds it ran.
-	MatchedWeight float64 `json:"matched_weight,omitempty"`
-	Epsilon       float64 `json:"epsilon,omitempty"`
-	Rounds        int     `json:"rounds,omitempty"`
-	// Degraded, when present, records the self-protection downgrades the
-	// server applied before running the Spec (e.g.
-	// "refine:exact->none,best_of:8->2"): the matching still carries the
-	// paper's heuristic quality bound, but not whatever the full Spec
-	// guaranteed. Absent when the Spec ran exactly as requested.
-	Degraded string `json:"degraded,omitempty"`
-	// Ms is the wall-clock of a single /match; batch responses omit it
-	// and report one batch-wide "ms" in the envelope instead (the
-	// requests ran concurrently, so no per-request wall-clock exists).
-	Ms    float64 `json:"ms,omitempty"`
-	Error string  `json:"error,omitempty"`
 }
 
 // lookup returns the registered graph and marks it most recently used.
@@ -551,8 +513,8 @@ func (h *Handler) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.met.Histogram(req.Spec.Algorithm.String()).Observe(elapsed)
-	wire := toWire(resp, elapsed)
-	writeMatchStream(w, http.StatusOK, &wire)
+	out := toWire(resp, elapsed)
+	writeMatchStream(w, http.StatusOK, &out)
 }
 
 // gzipBody reads decompressed bytes while Close releases both the gzip
@@ -631,7 +593,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// does not fail the batch — and only the entries that resolved are
 	// submitted, so malformed ones never occupy bounded admission-queue
 	// slots or engine dispatch.
-	out := make([]matchResponse, len(body.Requests))
+	out := make([]wire.MatchResponse, len(body.Requests))
 	reqs := make([]bipartite.Request, 0, len(body.Requests))
 	slots := make([]int, 0, len(body.Requests))
 	client := clientOf(r)
@@ -856,11 +818,11 @@ func writeErrorRetry(w http.ResponseWriter, code int, err error, retry time.Dura
 	writeError(w, code, err)
 }
 
-func toWire(resp bipartite.Response, d time.Duration) matchResponse {
+func toWire(resp bipartite.Response, d time.Duration) wire.MatchResponse {
 	if resp.Err != nil {
-		return matchResponse{Error: resp.Err.Error()}
+		return wire.MatchResponse{Error: resp.Err.Error()}
 	}
-	out := matchResponse{
+	out := wire.MatchResponse{
 		Size:          resp.Matching.Size,
 		Rows:          len(resp.Matching.RowMate),
 		Cols:          len(resp.Matching.ColMate),

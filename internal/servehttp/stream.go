@@ -1,172 +1,35 @@
 package servehttp
 
 import (
-	"bufio"
 	"compress/gzip"
-	"encoding/json"
 	"io"
 	"log"
 	"net/http"
-	"strconv"
+
+	"repro/internal/wire"
 )
 
-// This file is the writer side of the serving loop: a hand-rolled
-// streaming JSON encoder for match responses. A matching's row_mate array
-// is the bulk of every response body — up to one int per graph row — and
-// encoding/json builds the entire document in memory before the first
-// byte reaches the socket, so a handful of concurrent large responses
-// used to hold full response buffers alive at once. The streaming encoder
-// writes through one fixed-size bufio buffer instead: per-connection
-// memory is flat in the matching size, and the first bytes hit the wire
-// while the tail of the array is still being formatted.
-//
-// The output is byte-compatible with encoding/json marshaling of the same
-// matchResponse values (field order, omitempty, string escaping, the
-// Encoder's trailing newline) — pinned by TestStreamMatchesEncodingJSON —
-// so clients cannot tell the encoders apart.
-
-// streamEnc appends JSON tokens to one buffered writer, latching the
-// first write error (later writes become no-ops, the caller logs once).
-type streamEnc struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (e *streamEnc) raw(s string) {
-	if e.err == nil {
-		_, e.err = e.w.WriteString(s)
-	}
-}
-
-func (e *streamEnc) int(v int64) {
-	if e.err == nil {
-		var buf [20]byte
-		_, e.err = e.w.Write(strconv.AppendInt(buf[:0], v, 10))
-	}
-}
-
-func (e *streamEnc) uint(v uint64) {
-	if e.err == nil {
-		var buf [20]byte
-		_, e.err = e.w.Write(strconv.AppendUint(buf[:0], v, 10))
-	}
-}
-
-func (e *streamEnc) bool(v bool) {
-	if v {
-		e.raw("true")
-	} else {
-		e.raw("false")
-	}
-}
-
-// value falls back to encoding/json for the scalar types whose encoding
-// has nontrivial rules — strings (escaping, HTML-safe by default) and
-// floats (shortest-representation with exponent-range fixups). These are
-// a few bytes per response; the streaming win is the row_mate array,
-// which never comes through here.
-func (e *streamEnc) value(v any) {
-	if e.err != nil {
-		return
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		e.err = err
-		return
-	}
-	_, e.err = e.w.Write(b)
-}
-
-// mates streams a row_mate array without materializing it as JSON: nil
-// encodes as null (the error-response shape), like encoding/json.
-func (e *streamEnc) mates(v []int32) {
-	if v == nil {
-		e.raw("null")
-		return
-	}
-	e.raw("[")
-	for i, m := range v {
-		if i > 0 {
-			e.raw(",")
-		}
-		e.int(int64(m))
-	}
-	e.raw("]")
-}
-
-// matchResponse writes one response object, field-for-field the shape
-// encoding/json gives the matchResponse struct.
-func (e *streamEnc) matchResponse(mr *matchResponse) {
-	e.raw(`{"size":`)
-	e.int(int64(mr.Size))
-	e.raw(`,"rows":`)
-	e.int(int64(mr.Rows))
-	e.raw(`,"cols":`)
-	e.int(int64(mr.Cols))
-	e.raw(`,"row_mate":`)
-	e.mates(mr.RowMate)
-	e.raw(`,"winner_seed":`)
-	e.uint(mr.WinnerSeed)
-	e.raw(`,"candidates_run":`)
-	e.int(int64(mr.CandidatesRun))
-	e.raw(`,"heuristic_size":`)
-	e.int(int64(mr.HeuristicSize))
-	e.raw(`,"refined":`)
-	e.bool(mr.Refined)
-	if mr.RefinedWith != "" {
-		e.raw(`,"refined_with":`)
-		e.value(mr.RefinedWith)
-	}
-	if mr.MatchedWeight != 0 {
-		e.raw(`,"matched_weight":`)
-		e.value(mr.MatchedWeight)
-	}
-	if mr.Epsilon != 0 {
-		e.raw(`,"epsilon":`)
-		e.value(mr.Epsilon)
-	}
-	if mr.Rounds != 0 {
-		e.raw(`,"rounds":`)
-		e.int(int64(mr.Rounds))
-	}
-	if mr.Degraded != "" {
-		e.raw(`,"degraded":`)
-		e.value(mr.Degraded)
-	}
-	if mr.Ms != 0 {
-		e.raw(`,"ms":`)
-		e.value(mr.Ms)
-	}
-	if mr.Error != "" {
-		e.raw(`,"error":`)
-		e.value(mr.Error)
-	}
-	e.raw("}")
-}
+// This file is the writer side of the serving loop. The match-response
+// wire format itself — the streaming encoder, byte-compatible with
+// encoding/json — lives in internal/wire, shared with the cluster router;
+// what stays here is the HTTP around it: status, logging and the batch
+// envelope's gzip negotiation.
 
 // writeMatchStream streams one /match response. The trailing newline
 // matches json.Encoder, which writeJSON used here before.
-func writeMatchStream(w http.ResponseWriter, code int, mr *matchResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	e := &streamEnc{w: bufio.NewWriter(w)}
-	e.matchResponse(mr)
-	e.raw("\n")
-	if e.err == nil {
-		e.err = e.w.Flush()
-	}
-	if e.err != nil {
-		log.Printf("matchserve: write: %v", e.err)
+func writeMatchStream(w http.ResponseWriter, code int, mr *wire.MatchResponse) {
+	if err := wire.WriteMatch(w, code, mr); err != nil {
+		log.Printf("matchserve: write: %v", err)
 	}
 }
 
 // writeBatchStream streams a /match/batch envelope, honoring the client's
 // Accept-Encoding: batch envelopes (thousands of row_mate entries of
 // repetitive JSON) compress an order of magnitude, so gzip is offered
-// where the payloads are large. The gzip writer slots between the bufio
-// buffer and the socket, so compression composes with streaming — neither
-// path ever holds the whole document.
-func writeBatchStream(w http.ResponseWriter, r *http.Request, code int, out []matchResponse, msVal float64) {
+// where the payloads are large. The gzip writer slots between the
+// encoder's buffer and the socket, so compression composes with
+// streaming — neither path ever holds the whole document.
+func writeBatchStream(w http.ResponseWriter, r *http.Request, code int, out []wire.MatchResponse, msVal float64) {
 	w.Header().Set("Content-Type", "application/json")
 	var sink io.Writer = w
 	var zw *gzip.Writer
@@ -176,25 +39,8 @@ func writeBatchStream(w http.ResponseWriter, r *http.Request, code int, out []ma
 		sink = zw
 	}
 	w.WriteHeader(code)
-	e := &streamEnc{w: bufio.NewWriter(sink)}
-	// "ms" leads, as it did when the envelope was a map (encoding/json
-	// sorts map keys); it is already known — the batch has run by the time
-	// anything is written.
-	e.raw(`{"ms":`)
-	e.value(msVal)
-	e.raw(`,"responses":[`)
-	for i := range out {
-		if i > 0 {
-			e.raw(",")
-		}
-		e.matchResponse(&out[i])
-	}
-	e.raw("]}\n")
-	if e.err == nil {
-		e.err = e.w.Flush()
-	}
-	if e.err != nil {
-		log.Printf("matchserve: write: %v", e.err)
+	if err := wire.EncodeBatch(sink, &wire.BatchResponse{Ms: msVal, Responses: out}); err != nil {
+		log.Printf("matchserve: write: %v", err)
 	}
 	if zw != nil {
 		if err := zw.Close(); err != nil {

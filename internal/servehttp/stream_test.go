@@ -8,16 +8,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/wire"
 )
 
-// The streaming encoder's only contract is "indistinguishable from
-// encoding/json": these tests pin byte equality against json.Encoder for
-// every field-presence combination the handlers can produce, so any drift
-// in field order, omitempty behavior, escaping, or float formatting fails
-// loudly instead of silently changing the wire format.
+// The replica's write path — status, headers, and the internal/wire
+// encoder underneath — must stay indistinguishable from encoding/json:
+// these tests pin byte equality against json.Encoder for every
+// field-presence combination the handlers can produce, so any drift in
+// field order, omitempty behavior, escaping, or float formatting fails
+// loudly instead of silently changing the replicas' wire format.
 
-func streamCases() map[string]matchResponse {
-	return map[string]matchResponse{
+func streamCases() map[string]wire.MatchResponse {
+	return map[string]wire.MatchResponse{
 		"full": {
 			Size: 3, Rows: 4, Cols: 5, RowMate: []int32{0, -1, 2, 4},
 			WinnerSeed: 18446744073709551615, CandidatesRun: 8, HeuristicSize: 2,
@@ -79,7 +82,7 @@ func TestStreamMatchesEncodingJSON(t *testing.T) {
 				t.Errorf("Content-Type %q", ct)
 			}
 			// The stream must also round-trip through the decoder.
-			var back matchResponse
+			var back wire.MatchResponse
 			if err := json.Unmarshal(got, &back); err != nil {
 				t.Fatalf("stream output does not parse: %v", err)
 			}
@@ -87,27 +90,20 @@ func TestStreamMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// batchEnvelope mirrors the streamed /match/batch document for the
-// encoding/json reference bytes.
-type batchEnvelope struct {
-	Ms        float64         `json:"ms"`
-	Responses []matchResponse `json:"responses"`
-}
-
 func TestStreamBatchEnvelope(t *testing.T) {
 	cases := streamCases()
-	out := []matchResponse{cases["full"], cases["error"], cases["degraded"]}
+	out := []wire.MatchResponse{cases["full"], cases["error"], cases["degraded"]}
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/match/batch", nil)
 	writeBatchStream(rec, req, http.StatusOK, out, 12.5)
-	want := encodingJSON(t, batchEnvelope{Ms: 12.5, Responses: out})
+	want := encodingJSON(t, wire.BatchResponse{Ms: 12.5, Responses: out})
 	if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
 		t.Errorf("batch stream diverges from encoding/json\n got: %s\nwant: %s", got, want)
 	}
 }
 
 func TestStreamBatchGzip(t *testing.T) {
-	out := []matchResponse{streamCases()["full"]}
+	out := []wire.MatchResponse{streamCases()["full"]}
 
 	plainRec := httptest.NewRecorder()
 	writeBatchStream(plainRec, httptest.NewRequest(http.MethodPost, "/match/batch", nil),
