@@ -62,6 +62,17 @@
 // just reproducible sizes, run with Workers: 1 (as the batch layer below
 // does per request).
 //
+// A Karp–Sipser region that runs on one worker — every Workers: 1 call,
+// batch slot, ensemble candidate and dynamic session — takes the
+// single-worker form of the same kernel: its compare-and-swap,
+// fetch-and-add and atomic loads and stores become plain loads and stores,
+// executed in the same order, since no other thread can observe them. Its
+// matchings are bit-identical to the atomic kernel run in index order on
+// one goroutine; TestKarpSipserWidth1SampledChoiceGraphs,
+// TestKarpSipserWidth1HandBuilt and FuzzKarpSipserWidth1 in internal/core
+// hold it to that reference. Regions on more than one worker keep the
+// atomic kernel.
+//
 // # The Spec engine
 //
 // Every matching request in the library is one declarative value, Spec:

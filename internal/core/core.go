@@ -270,7 +270,9 @@ func (g *ChoiceGraph) ToCSR() *sparse.CSR {
 // result is a maximum matching of the choice graph (Lemmas 1–3). All
 // cross-thread communication happens through atomics: a compare-and-swap
 // claims a neighbor, a fetch-and-add tracks the residual degree, so the
-// heuristic needs no locks, no vertex lists and no conflict queues.
+// heuristic needs no locks, no vertex lists and no conflict queues. A
+// region that runs on one worker has no other thread to synchronize with
+// and takes the same steps with plain loads and stores (see ksCAS).
 func KarpSipserMT(g *ChoiceGraph, opt Options) []int32 {
 	nm := g.N + g.M
 	match := make([]int32, nm)
@@ -284,16 +286,61 @@ func KarpSipserMT(g *ChoiceGraph, opt Options) []int32 {
 	pool.For(nm, workers, pol, chunk, func(_, lo, hi int) {
 		ksInitRange(match, mark, deg, lo, hi)
 	})
+	shared := pool.Slots(nm, workers) > 1
 	pool.For(nm, workers, pol, chunk, func(_, lo, hi int) {
-		ksLinkRange(g.Choice, mark, deg, lo, hi)
+		ksLinkRange(g.Choice, mark, deg, shared, lo, hi)
 	})
 	pool.For(nm, workers, pol, chunk, func(_, lo, hi int) {
-		ksPhase1Range(g.Choice, match, mark, deg, lo, hi)
+		ksPhase1Range(g.Choice, match, mark, deg, shared, lo, hi)
 	})
+	colShared := pool.Slots(g.M, workers) > 1
 	pool.For(g.M, workers, pol, chunk, func(_, lo, hi int) {
-		ksPhase2Range(g.Choice, match, g.N, lo, hi)
+		ksPhase2Range(g.Choice, match, g.N, colShared, lo, hi)
 	})
 	return match
+}
+
+// Every synchronizing access of Algorithm 4 goes through ksLoad, ksStore,
+// ksAdd or ksCAS. Their shared argument is loop-invariant: true when the
+// region runs on more than one worker (par.Pool.Slots), where they are the
+// atomic operations the paper's kernel relies on; false when the region
+// runs inline on one goroutine, where they are the plain loads and stores
+// with the same effect, so a width-1 run takes the same steps in the same
+// order without a locked instruction per vertex.
+
+func ksLoad(shared bool, p *int32) int32 {
+	if shared {
+		return atomic.LoadInt32(p)
+	}
+	return *p
+}
+
+func ksStore(shared bool, p *int32, v int32) {
+	if shared {
+		atomic.StoreInt32(p, v)
+		return
+	}
+	*p = v
+}
+
+// ksAdd adds d to *p and returns the new value, like atomic.AddInt32.
+func ksAdd(shared bool, p *int32, d int32) int32 {
+	if shared {
+		return atomic.AddInt32(p, d)
+	}
+	*p += d
+	return *p
+}
+
+func ksCAS(shared bool, p *int32, old, new int32) bool {
+	if shared {
+		return atomic.CompareAndSwapInt32(p, old, new)
+	}
+	if *p != old {
+		return false
+	}
+	*p = new
+	return true
 }
 
 // ksInitRange seeds the per-vertex state of Algorithm 4.
@@ -308,15 +355,15 @@ func ksInitRange(match, mark, deg []int32, lo, hi int) {
 // ksLinkRange accounts the in-edges: vertices that were chosen by someone
 // are not out-one candidates, and each in-edge beyond the vertex's own
 // out-edge bumps its degree.
-func ksLinkRange(choice, mark, deg []int32, lo, hi int) {
+func ksLinkRange(choice, mark, deg []int32, shared bool, lo, hi int) {
 	for u := lo; u < hi; u++ {
 		v := choice[u]
 		if int(v) == u {
 			continue // isolated vertex: no edge at all
 		}
-		atomic.StoreInt32(&mark[v], 0)
+		ksStore(shared, &mark[v], 0)
 		if int(choice[v]) != u {
-			atomic.AddInt32(&deg[v], 1)
+			ksAdd(shared, &deg[v], 1)
 		}
 	}
 }
@@ -324,9 +371,9 @@ func ksLinkRange(choice, mark, deg []int32, lo, hi int) {
 // ksPhase1Range is Phase 1 of Algorithm 4: consume out-one vertices,
 // following each chain of newly created out-one vertices without any list
 // (Lemma 4: consuming an out-one vertex creates at most one new one).
-func ksPhase1Range(choice, match, mark, deg []int32, lo, hi int) {
+func ksPhase1Range(choice, match, mark, deg []int32, shared bool, lo, hi int) {
 	for u := lo; u < hi; u++ {
-		if atomic.LoadInt32(&mark[u]) != 1 || int(choice[u]) == u {
+		if ksLoad(shared, &mark[u]) != 1 || int(choice[u]) == u {
 			continue
 		}
 		curr := int32(u)
@@ -335,11 +382,11 @@ func ksPhase1Range(choice, match, mark, deg []int32, lo, hi int) {
 			if nbr == curr {
 				break // chain ran into an isolated (self-loop) vertex
 			}
-			if atomic.CompareAndSwapInt32(&match[nbr], NIL, curr) {
-				atomic.StoreInt32(&match[curr], nbr)
+			if ksCAS(shared, &match[nbr], NIL, curr) {
+				ksStore(shared, &match[curr], nbr)
 				next := choice[nbr]
-				if int(next) != int(nbr) && atomic.LoadInt32(&match[next]) == NIL &&
-					atomic.AddInt32(&deg[next], -1) == 1 {
+				if int(next) != int(nbr) && ksLoad(shared, &match[next]) == NIL &&
+					ksAdd(shared, &deg[next], -1) == 1 {
 					// We performed the last consumption before next
 					// became out-one: continue the chain with it.
 					curr = next
@@ -361,16 +408,16 @@ func ksPhase1Range(choice, match, mark, deg []int32, lo, hi int) {
 // vertices finishes the job. The CAS never fails on valid choice graphs;
 // it is kept so that adversarial inputs still yield a valid (if not
 // maximum) matching.
-func ksPhase2Range(choice, match []int32, n, lo, hi int) {
+func ksPhase2Range(choice, match []int32, n int, shared bool, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		u := int32(n + j)
 		v := choice[u]
 		if v == u {
 			continue
 		}
-		if atomic.LoadInt32(&match[u]) == NIL && atomic.LoadInt32(&match[v]) == NIL {
-			if atomic.CompareAndSwapInt32(&match[v], NIL, u) {
-				atomic.StoreInt32(&match[u], v)
+		if ksLoad(shared, &match[u]) == NIL && ksLoad(shared, &match[v]) == NIL {
+			if ksCAS(shared, &match[v], NIL, u) {
+				ksStore(shared, &match[u], v)
 			}
 		}
 	}

@@ -51,6 +51,10 @@ type Session struct {
 	twoSidedSized    bool // the six buffers above are sized for (a, at)
 	cmatch           []int32
 
+	// ksShared is the shared flag (see ksCAS) of the Karp–Sipser region
+	// about to be dispatched, set before each region from its slot count.
+	ksShared bool
+
 	// Alias-method sampling tables (Options.Alias); stale until the next
 	// ensureAlias after Rebind or SetScaling.
 	aliasA, aliasAT aliasTable
@@ -114,9 +118,9 @@ func NewSession(a, at *sparse.CSR, opt Options) *Session {
 		}
 	}
 	s.ksInit = func(_, lo, hi int) { ksInitRange(s.match, s.mark, s.deg, lo, hi) }
-	s.ksLink = func(_, lo, hi int) { ksLinkRange(s.cg.Choice, s.mark, s.deg, lo, hi) }
-	s.ksPhase1 = func(_, lo, hi int) { ksPhase1Range(s.cg.Choice, s.match, s.mark, s.deg, lo, hi) }
-	s.ksPhase2 = func(_, lo, hi int) { ksPhase2Range(s.cg.Choice, s.match, s.cg.N, lo, hi) }
+	s.ksLink = func(_, lo, hi int) { ksLinkRange(s.cg.Choice, s.mark, s.deg, s.ksShared, lo, hi) }
+	s.ksPhase1 = func(_, lo, hi int) { ksPhase1Range(s.cg.Choice, s.match, s.mark, s.deg, s.ksShared, lo, hi) }
+	s.ksPhase2 = func(_, lo, hi int) { ksPhase2Range(s.cg.Choice, s.match, s.cg.N, s.ksShared, lo, hi) }
 	s.Rebind(a, at)
 	return s
 }
@@ -206,8 +210,10 @@ func (s *Session) TwoSided(seed uint64) *Result {
 	nm := s.cg.N + s.cg.M
 	w, pol := s.opt.Workers, s.opt.KSPolicy
 	s.pool.ForCancel(nm, w, pol, s.chunk, s.cancel, s.ksInit)
+	s.ksShared = s.pool.Slots(nm, w) > 1
 	s.pool.ForCancel(nm, w, pol, s.chunk, s.cancel, s.ksLink)
 	s.pool.ForCancel(nm, w, pol, s.chunk, s.cancel, s.ksPhase1)
+	s.ksShared = s.pool.Slots(s.cg.M, w) > 1
 	s.pool.ForCancel(s.cg.M, w, pol, s.chunk, s.cancel, s.ksPhase2)
 	// One checkpoint after the kernel regions suffices: a hook that fired
 	// inside any of them left later regions partially run, so the decoded

@@ -258,6 +258,18 @@ func (p *Pool) Workers(n int) int {
 	return n
 }
 
+// Slots returns the number of worker slots a region over n iterations
+// runs on when the given worker count is requested: the normalized count,
+// clamped to n. A region of one slot runs its body inline on the calling
+// goroutine, over [0, n) in index order.
+func (p *Pool) Slots(n, workers int) int {
+	workers = p.Workers(workers)
+	if workers > n {
+		workers = n
+	}
+	return workers
+}
+
 // dispatch runs run(slot) for every slot in [0, slots), slot 0 on the
 // calling goroutine and the rest on pool workers. With no resident
 // workers the slots run inline in order, which is exactly the
@@ -340,10 +352,7 @@ func (p *Pool) ForCancel(n, workers int, policy Policy, chunk int, cancel func()
 	if n <= 0 {
 		return
 	}
-	workers = p.Workers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers = p.Slots(n, workers)
 	if chunk <= 0 {
 		chunk = DefaultChunk
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	bipartite "repro"
 	"repro/internal/wire"
 )
 
@@ -127,5 +128,71 @@ func TestStreamBatchGzip(t *testing.T) {
 	}
 	if !bytes.Equal(inflated, plainRec.Body.Bytes()) {
 		t.Errorf("gzip stream inflates to different bytes\n got: %s\nwant: %s", inflated, plainRec.Body.Bytes())
+	}
+}
+
+// discardResponse is a reusable http.ResponseWriter that drops the body,
+// so an allocation count measures the handler and not the recorder.
+type discardResponse struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) WriteHeader(code int)        { d.code = code }
+func (d *discardResponse) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+
+// TestMatchHandlerSteadyStateAllocs is the replica's allocation gate: a
+// warm /match costs the same number of allocations on a 1,000-row and a
+// 9,000-row graph, up to a small constant. The row_mate array, one entry
+// per row, must not allocate per entry anywhere between the engine and
+// the socket.
+func TestMatchHandlerSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	srv := bipartite.NewServerConfig(&bipartite.Options{ScalingIterations: 5, Workers: 1},
+		bipartite.ServerConfig{MaxBatch: 16})
+	defer srv.Close()
+	mux := NewMux(NewHandler(srv, Config{}))
+	allocs := func(n int) float64 {
+		edges := make([][2]int, 0, 2*n)
+		for i := 0; i < n; i++ {
+			edges = append(edges, [2]int{i, i}, [2]int{i, (i + 1) % n})
+		}
+		raw, err := json.Marshal(map[string]any{"rows": n, "cols": n, "edges": edges})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/graph", bytes.NewReader(raw)))
+		var reg struct{ ID string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &reg); err != nil || reg.ID == "" {
+			t.Fatalf("register %d rows: %d %s", n, rec.Code, rec.Body.Bytes())
+		}
+		body := []byte(`{"graph":"` + reg.ID + `","seed":5}`)
+		req := httptest.NewRequest(http.MethodPost, "/match", nil)
+		w := &discardResponse{header: http.Header{}}
+		var rd bytes.Reader
+		match := func() {
+			rd.Reset(body)
+			req.Body = io.NopCloser(&rd)
+			w.code, w.n = 0, 0
+			mux.ServeHTTP(w, req)
+			if w.code != http.StatusOK || w.n < n {
+				t.Fatalf("/match on %d rows: status %d, %d bytes", n, w.code, w.n)
+			}
+		}
+		for range 3 {
+			match() // warm the scaling, the session arena and the pools
+		}
+		return testing.AllocsPerRun(50, match)
+	}
+	small, big := allocs(1000), allocs(9000)
+	t.Logf("allocations per warm /match: %v at 1,000 rows, %v at 9,000 rows", small, big)
+	if d := big - small; d > 3 || d < -3 {
+		t.Fatalf("a warm /match allocates %v times at 1,000 rows and %v at 9,000 rows; want the same count within 3",
+			small, big)
 	}
 }

@@ -1,0 +1,8 @@
+//go:build race
+
+package wire
+
+// raceEnabled reports whether the race detector is compiled in; the
+// allocation gates are skipped under -race because the instrumentation
+// itself allocates.
+const raceEnabled = true

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -58,7 +60,49 @@ func streamCases() map[string]MatchResponse {
 			WinnerSeed: 5, CandidatesRun: 3, HeuristicSize: 2, Ms: 0.125,
 			Replica: "http://127.0.0.1:8481",
 		},
+		// The rest cross the encoder's 4,096-byte buffer many times, at
+		// every alignment of an entry against the buffer's end.
+		"large": *largeResponse(),
+		"widest-mates": {
+			Size: 5000, Rows: 5000, Cols: 5000, RowMate: fill(5000, func(int) int32 { return math.MaxInt32 }),
+			WinnerSeed: 2, CandidatesRun: 1, HeuristicSize: 5000, Ms: 3.5,
+		},
+		"unmatched-mates": {
+			Rows: 9000, Cols: 9000, RowMate: fill(9000, func(int) int32 { return -1 }),
+			WinnerSeed: 4, CandidatesRun: 1,
+		},
+		"mixed-widths": {
+			Size: 7001, Rows: 7001, Cols: 7001, RowMate: fill(7001, func(i int) int32 {
+				// 1 to 11 characters, cycling with a period prime to the
+				// buffer size, plus the int32 extremes.
+				switch i % 13 {
+				case 11:
+					return math.MinInt32
+				case 12:
+					return math.MaxInt32
+				}
+				v := int32(1)
+				for k := 0; k < i%10; k++ {
+					v *= 10
+				}
+				if i%3 == 0 {
+					return -v
+				}
+				return v + int32(i%7)
+			}),
+			WinnerSeed: math.MaxUint64, CandidatesRun: 8, HeuristicSize: 7000,
+			Refined: true, RefinedWith: "graft", Degraded: "best_of:8->2", Ms: 12.25,
+			Replica: "http://127.0.0.1:8482",
+		},
 	}
+}
+
+func fill(n int, f func(i int) int32) []int32 {
+	v := make([]int32, n)
+	for i := range v {
+		v[i] = f(i)
+	}
+	return v
 }
 
 func encodingJSON(t testing.TB, v any) []byte {
@@ -225,6 +269,86 @@ func largeResponse() *MatchResponse {
 		WinnerSeed: 1234567, CandidatesRun: 1, HeuristicSize: n - n/9,
 		Ms: 1.234, Replica: "http://127.0.0.1:8481",
 	}
+}
+
+// TestEncodeMatchSteadyStateAllocs is the encoder's allocation gate: an
+// answer ten times longer must not cost a single extra allocation,
+// because row_mate entries are formatted in the writer's own buffer.
+func TestEncodeMatchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	small := largeResponse()
+	big := *small
+	big.RowMate = fill(10*len(small.RowMate), func(i int) int32 { return small.RowMate[i%len(small.RowMate)] })
+	big.Rows, big.Cols = len(big.RowMate), len(big.RowMate)
+	allocs := func(mr *MatchResponse) float64 {
+		var buf bytes.Buffer
+		buf.Grow(16 << 20)
+		return testing.AllocsPerRun(50, func() {
+			buf.Reset()
+			if err := encodeMatch(&buf, mr); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a, b := allocs(small), allocs(&big)
+	t.Logf("allocations per answer: %v for %d rows, %v for %d rows", a, len(small.RowMate), b, len(big.RowMate))
+	if a != b || a > 8 {
+		t.Fatalf("encoding %d rows allocates %v times and %d rows %v times; want the same small count",
+			len(small.RowMate), a, len(big.RowMate), b)
+	}
+}
+
+// FuzzEncodeMatch is the encoder's differential oracle: for any response
+// value, single and in a batch envelope, the encoder writes exactly the
+// bytes json.Encoder writes, and fails exactly when it fails (NaN and
+// infinite floats). row_mate is built from the fuzzer's bytes, four per
+// entry, long enough to cross the write buffer.
+func FuzzEncodeMatch(f *testing.F) {
+	cases := streamCases()
+	mixed := cases["mixed-widths"]
+	mixed.RowMate = mixed.RowMate[:1200] // about 9 KB: crosses the buffer twice
+	cases["mixed-widths"] = mixed
+	for _, name := range []string{"full", "error", "auction", "empty-mates", "routed", "mixed-widths"} {
+		mr := cases[name]
+		raw := make([]byte, 4*len(mr.RowMate))
+		for i, m := range mr.RowMate {
+			binary.LittleEndian.PutUint32(raw[4*i:], uint32(m))
+		}
+		f.Add(mr.Size, mr.Rows, raw, mr.RowMate == nil, mr.WinnerSeed, mr.CandidatesRun, mr.HeuristicSize,
+			mr.Refined, mr.RefinedWith, mr.MatchedWeight, mr.Epsilon, mr.Rounds, mr.Degraded, mr.Ms, mr.Error, mr.Replica)
+	}
+	f.Add(-1, math.MaxInt, []byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0x80}, false, uint64(0), math.MinInt, 0,
+		false, "<&>\u2028\"", 1e21, 1e-7, -3, "caf\xc3\xa9 \xff", math.NaN(), "\x00\n\t", "é")
+	f.Fuzz(func(t *testing.T, size, rows int, raw []byte, nilMates bool, seed uint64, cands, heur int,
+		refined bool, refinedWith string, weight, eps float64, rounds int, degraded string, ms float64, errText, replica string) {
+		mr := MatchResponse{
+			Size: size, Rows: rows, Cols: rows, WinnerSeed: seed, CandidatesRun: cands, HeuristicSize: heur,
+			Refined: refined, RefinedWith: refinedWith, MatchedWeight: weight, Epsilon: eps, Rounds: rounds,
+			Degraded: degraded, Ms: ms, Error: errText, Replica: replica,
+		}
+		if !nilMates {
+			mr.RowMate = make([]int32, len(raw)/4)
+			for i := range mr.RowMate {
+				mr.RowMate[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+			}
+		}
+		check := func(what string, v any, encode func(*bytes.Buffer) error) {
+			var got, want bytes.Buffer
+			err := encode(&got)
+			wantErr := json.NewEncoder(&want).Encode(v)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%s: encoder error %v, encoding/json error %v", what, err, wantErr)
+			}
+			if err == nil && !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s diverges from encoding/json\n got: %s\nwant: %s", what, got.Bytes(), want.Bytes())
+			}
+		}
+		check("match", &mr, func(w *bytes.Buffer) error { return encodeMatch(w, &mr) })
+		br := BatchResponse{Ms: ms, Responses: []MatchResponse{mr, {Error: errText}, mr}}
+		check("batch", &br, func(w *bytes.Buffer) error { return EncodeBatch(w, &br) })
+	})
 }
 
 func BenchmarkDecodeMatch(b *testing.B) {
