@@ -13,67 +13,6 @@ import (
 	"repro/internal/watchdog"
 )
 
-// Op selects the heuristic a batched matching request runs.
-//
-// Deprecated: Op predates the declarative Spec type and survives as a
-// compatibility shim — set Request.Spec instead, which additionally
-// carries refinement, ensembles and early-stop targets. An Op is honored
-// only when Request.Spec.Algorithm is unset (zero).
-type Op int
-
-const (
-	// OpTwoSided runs the TwoSidedMatch heuristic (the default).
-	OpTwoSided Op = iota
-	// OpOneSided runs the OneSidedMatch heuristic.
-	OpOneSided
-	// OpKarpSipser runs the classic sequential Karp–Sipser baseline.
-	OpKarpSipser
-)
-
-// String returns the wire name of the operation, as accepted by
-// cmd/matchserve.
-func (op Op) String() string {
-	switch op {
-	case OpTwoSided:
-		return "twosided"
-	case OpOneSided:
-		return "onesided"
-	case OpKarpSipser:
-		return "karpsipser"
-	default:
-		return "unknown"
-	}
-}
-
-// Algorithm converts the deprecated Op into its Spec equivalent.
-func (op Op) Algorithm() Algorithm {
-	switch op {
-	case OpOneSided:
-		return AlgOneSided
-	case OpKarpSipser:
-		return AlgKarpSipser
-	default:
-		return AlgTwoSided
-	}
-}
-
-// ParseOp converts a wire name back into an Op.
-//
-// Deprecated: use ParseAlgorithm, which also understands the algorithms
-// Op never covered.
-func ParseOp(s string) (Op, error) {
-	switch s {
-	case "twosided", "":
-		return OpTwoSided, nil
-	case "onesided":
-		return OpOneSided, nil
-	case "karpsipser":
-		return OpKarpSipser, nil
-	default:
-		return 0, errors.New("bipartite: unknown op " + s)
-	}
-}
-
 // Request is one matching request of a batch: which graph to match, under
 // which declarative Spec (the same request type Matcher.Run, Graph.Match
 // and the cmd/matchserve wire format execute).
@@ -82,15 +21,6 @@ type Request struct {
 	// Spec is the declarative matching request: algorithm, seed (0 means
 	// the batch Options' seed), best-of-K ensemble, refinement, target.
 	Spec Spec
-	// Op is the deprecated pre-Spec algorithm selector, honored only when
-	// Spec.Algorithm is unset (zero, AlgTwoSided).
-	//
-	// Deprecated: set Spec.Algorithm.
-	Op Op
-	// Seed is the deprecated pre-Spec seed field, used when Spec.Seed is 0.
-	//
-	// Deprecated: set Spec.Seed.
-	Seed uint64
 	// Ctx, when non-nil, carries the request's deadline and cancellation:
 	// an already-expired context is answered with its error before any
 	// kernel runs, and a context that expires mid-run aborts the scaling,
@@ -104,29 +34,14 @@ type Request struct {
 	Ctx context.Context
 	// Priority ranks the request for admission when a Server's watchdog
 	// reports the process hot: PriorityLow is shed first, PriorityHigh
-	// last. The zero value is PriorityNormal. Ignored by MatchBatch,
-	// which has no admission stage.
+	// last. The zero value is PriorityNormal. Ignored by the package-level
+	// MatchBatch, which has no admission stage; Server.MatchBatch honors it.
 	Priority Priority
 	// Client identifies the submitter for the Server's per-client rate
 	// limiting; the empty string bypasses the limiter (callers that want
 	// fairness must name their clients — cmd/matchserve uses the X-Client
 	// header, falling back to the connection's remote address).
 	Client string
-}
-
-// effectiveSpec resolves the request's Spec, folding the deprecated Op and
-// Seed fields in: Op is consulted only when Spec.Algorithm is unset, and
-// Seed only when Spec.Seed is 0 — so legacy requests behave exactly as
-// before the Spec redesign and Spec-carrying requests win outright.
-func (r *Request) effectiveSpec() Spec {
-	s := r.Spec
-	if s.Algorithm == AlgTwoSided && r.Op != OpTwoSided {
-		s.Algorithm = r.Op.Algorithm()
-	}
-	if s.Seed == 0 {
-		s.Seed = r.Seed
-	}
-	return s
 }
 
 // Response is the outcome of one batched request. The Matching is owned
@@ -437,21 +352,21 @@ func (e *batchEngine) run(reqs []Request, out []Response) {
 	e.reqs, e.out = nil, nil
 }
 
-// serve runs request i on slot w's arena: the effective Spec is resolved
-// and validated first, downgraded per the watchdog's shedding level (the
-// degradation ladder trades the sprank guarantee for the heuristic bound
-// before any work is refused), an expired context is answered before any
-// kernel runs, a live one is armed as the arena's cancellation hook, the
-// scaling comes from the shared per-graph cell, and the Spec engine does
-// the rest. Completed requests feed the service-time EWMAs behind the
-// Server's would-miss admission check.
+// serve runs request i on slot w's arena: the Spec is validated first,
+// then downgraded per the watchdog's shedding level (the degradation
+// ladder trades the sprank guarantee for the heuristic bound before any
+// work is refused), an expired context is answered before any kernel runs,
+// a live one is armed as the arena's cancellation hook, the scaling comes
+// from the shared per-graph cell, and the Spec engine does the rest.
+// Completed requests feed the service-time EWMAs behind the Server's
+// would-miss admission check.
 func (e *batchEngine) serve(w, i int) {
 	req := e.reqs[i]
 	if req.Graph == nil {
 		e.out[i] = Response{Err: ErrNilGraph}
 		return
 	}
-	spec := req.effectiveSpec()
+	spec := req.Spec
 	if err := spec.Validate(); err != nil {
 		e.out[i] = Response{Err: err}
 		return

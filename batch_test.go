@@ -12,17 +12,17 @@ func batchReference(t *testing.T, req Request, opt Options) *Matching {
 	t.Helper()
 	opt.Workers = 1
 	opt.Pool = nil
-	if req.Seed != 0 {
-		opt.Seed = req.Seed
+	if req.Spec.Seed != 0 {
+		opt.Seed = req.Spec.Seed
 	}
-	switch req.Op {
-	case OpOneSided:
+	switch req.Spec.Algorithm {
+	case AlgOneSided:
 		res, err := req.Graph.OneSidedMatch(&opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Matching
-	case OpKarpSipser:
+	case AlgKarpSipser:
 		seed := opt.Seed
 		if seed == 0 {
 			seed = 1
@@ -47,12 +47,12 @@ func batchWorkload() ([]Request, []*Graph) {
 	var reqs []Request
 	for s := uint64(1); s <= 12; s++ {
 		reqs = append(reqs,
-			Request{Graph: graphs[s%3], Op: OpTwoSided, Seed: s},
-			Request{Graph: graphs[(s+1)%3], Op: OpOneSided, Seed: s},
-			Request{Graph: graphs[(s+2)%3], Op: OpKarpSipser, Seed: s},
+			Request{Graph: graphs[s%3], Spec: Spec{Algorithm: AlgTwoSided, Seed: s}},
+			Request{Graph: graphs[(s+1)%3], Spec: Spec{Algorithm: AlgOneSided, Seed: s}},
+			Request{Graph: graphs[(s+2)%3], Spec: Spec{Algorithm: AlgKarpSipser, Seed: s}},
 		)
 	}
-	reqs = append(reqs, Request{Graph: graphs[0], Op: OpTwoSided}) // seed 0 → Options.Seed
+	reqs = append(reqs, Request{Graph: graphs[0], Spec: Spec{Algorithm: AlgTwoSided}}) // seed 0 → Options.Seed
 	return reqs, graphs
 }
 
@@ -102,7 +102,7 @@ func TestMatchBatchFreshGraphs(t *testing.T) {
 	}
 	var reqs []Request
 	for s := uint64(1); s <= 16; s++ {
-		reqs = append(reqs, Request{Graph: fresh[s%2], Op: OpTwoSided, Seed: s})
+		reqs = append(reqs, Request{Graph: fresh[s%2], Spec: Spec{Algorithm: AlgTwoSided, Seed: s}})
 	}
 	out := MatchBatch(reqs, &Options{ScalingIterations: 5, Pool: pool})
 	for i, resp := range out {
@@ -127,9 +127,9 @@ func TestMatchBatchFreshGraphs(t *testing.T) {
 func TestMatchBatchNilGraph(t *testing.T) {
 	g := RandomER(200, 200, 3, 1)
 	out := MatchBatch([]Request{
-		{Graph: g, Seed: 1},
-		{Graph: nil, Seed: 2},
-		{Graph: g, Seed: 3},
+		{Graph: g, Spec: Spec{Seed: 1}},
+		{Graph: nil, Spec: Spec{Seed: 2}},
+		{Graph: g, Spec: Spec{Seed: 3}},
 	}, nil)
 	if out[1].Err == nil {
 		t.Fatal("nil graph accepted")
@@ -202,7 +202,7 @@ func TestServerConcurrentSubmitters(t *testing.T) {
 	defer pool.Close()
 	opt := base
 	opt.Pool = pool
-	srv := NewServer(&opt, 16)
+	srv := NewServerConfig(&opt, ServerConfig{MaxBatch: 16})
 	defer srv.Close()
 
 	const submitters = 8
@@ -249,7 +249,7 @@ func TestServerConcurrentSubmitters(t *testing.T) {
 // TestServerCloseIdempotent: Close twice is fine, and a server with no
 // traffic shuts down cleanly.
 func TestServerCloseIdempotent(t *testing.T) {
-	srv := NewServer(nil, 0)
+	srv := NewServerConfig(nil, ServerConfig{})
 	srv.Close()
 	srv.Close()
 }

@@ -70,7 +70,7 @@ func (f *miniFleet) close() {
 }
 
 // postMatch sends one wire match request and returns the decoded size.
-func postMatch(url string, mr cluster.MatchRequest) int {
+func postMatch(url string, mr wire.MatchRequest) int {
 	body, err := json.Marshal(&mr)
 	if err != nil {
 		panic(err)
@@ -90,7 +90,7 @@ func postMatch(url string, mr cluster.MatchRequest) int {
 	return out.Size
 }
 
-func registerOn(url string, gs cluster.GraphSpec) string {
+func registerOn(url string, gs wire.GraphSpec) string {
 	body, err := json.Marshal(&gs)
 	if err != nil {
 		panic(err)
@@ -131,7 +131,7 @@ func clusterBench(cfg bench.Config) []bench.PerfRecord {
 			edges = append(edges, [2]int{i, int(idx[p])})
 		}
 	}
-	gs := cluster.GraphSpec{Rows: n, Cols: n, Edges: edges}
+	gs := wire.GraphSpec{Rows: n, Cols: n, Edges: edges}
 	requests := 30 * cfg.Runs // 300 at the default 10 runs
 	ensRequests := requests / 32
 	if ensRequests < 1 {
@@ -146,13 +146,13 @@ func clusterBench(cfg bench.Config) []bench.PerfRecord {
 	directID := registerOn(single.urls[0], gs)
 	direct := func() {
 		for k := 0; k < requests; k++ {
-			lastSize = postMatch(single.urls[0], cluster.MatchRequest{
+			lastSize = postMatch(single.urls[0], wire.MatchRequest{
 				Graph: directID, Algorithm: "twosided", Seed: cfg.Seed + uint64(k)})
 		}
 	}
 	bestof32 := func() {
 		for k := 0; k < ensRequests; k++ {
-			lastSize = postMatch(single.urls[0], cluster.MatchRequest{
+			lastSize = postMatch(single.urls[0], wire.MatchRequest{
 				Graph: directID, Algorithm: "twosided", Seed: cfg.Seed + uint64(32*k), BestOf: 32})
 		}
 	}
@@ -166,7 +166,7 @@ func clusterBench(cfg bench.Config) []bench.PerfRecord {
 	routedID := registerOn(router3.URL, gs)
 	routed := func() {
 		for k := 0; k < requests; k++ {
-			lastSize = postMatch(router3.URL, cluster.MatchRequest{
+			lastSize = postMatch(router3.URL, wire.MatchRequest{
 				Graph: routedID, Algorithm: "twosided", Seed: cfg.Seed + uint64(k)})
 		}
 	}
@@ -180,7 +180,7 @@ func clusterBench(cfg bench.Config) []bench.PerfRecord {
 	fanID := registerOn(router4.URL, gs)
 	fan4 := func() {
 		for k := 0; k < ensRequests; k++ {
-			lastSize = postMatch(router4.URL, cluster.MatchRequest{
+			lastSize = postMatch(router4.URL, wire.MatchRequest{
 				Graph: fanID, Algorithm: "twosided", Seed: cfg.Seed + uint64(32*k), BestOf: 32})
 		}
 	}

@@ -88,8 +88,10 @@
 //
 // Match requests carry the library's declarative Spec on the wire:
 // "algorithm" selects the heuristic (twosided, onesided, karpsipser,
-// karpsipser-parallel, cheap-edge, cheap-vertex, auction; "op" survives
-// as a deprecated alias), "refine" augments the heuristic matching toward
+// karpsipser-parallel, cheap-edge, cheap-vertex, auction; the pre-Spec
+// "op" alias was removed, and a request that still carries it is refused
+// with a 400 naming "algorithm" — in-band inside a batch — rather than
+// run as the default), "refine" augments the heuristic matching toward
 // maximum cardinality ("exact" = Hopcroft–Karp jump-start, "pushrelabel" =
 // the push-relabel/auction family), "best_of":K runs a best-of-K seed
 // ensemble on one shared scaling, "target" stops the ensemble early at the

@@ -60,7 +60,12 @@
 // deterministic 1-out graph). All heuristics are free of data races at
 // any level of parallelism; callers that need reproducible matchings, not
 // just reproducible sizes, run with Workers: 1 (as the batch layer below
-// does per request).
+// does per request). TestSamplingDeterministicAcrossWorkerCounts,
+// TestTwoSidedDeterministicAcrossPoolsAndWorkers and
+// TestOneSidedSizeStableAcrossPools in internal/core and
+// TestWorkersProduceIdenticalScaling in internal/scale gate this
+// contract; CI's core-kernels step runs both packages under the race
+// detector at GOMAXPROCS 1, 2 and 4.
 //
 // A Karp–Sipser region that runs on one worker — every Workers: 1 call,
 // batch slot, ensemble candidate and dynamic session — takes the
@@ -94,20 +99,21 @@
 //     "candidates_run", "heuristic_size", "refined") in every response.
 //
 // The legacy entry points — OneSidedMatch, TwoSidedMatch, KarpSipser,
-// KarpSipserParallel, CheapRandomEdge/Vertex, and the batch layer's
-// deprecated Request.Op — survive as compatibility shims: each is a thin
-// wrapper over the equivalent Spec and returns bit-identical results at
-// the same options and seed (gated by the Spec conformance suite).
+// KarpSipserParallel and CheapRandomEdge/Vertex — survive as
+// compatibility shims: each is a thin wrapper over the equivalent Spec
+// and returns bit-identical results at the same options and seed (gated
+// by the Spec conformance suite).
 //
 // Ensemble: K consumes K candidate seeds strictly in seed order over ONE
 // shared scaling and keeps the largest matching, ties broken toward the
 // smallest seed. On a session wider than one worker the candidates fan
 // out across the pool — each candidate runs at width 1 on a per-worker
 // arena — which makes the whole ensemble deterministic at any pool width
-// and bit-identical to the sequential sweep at Workers: 1 (gated under
-// the race detector in CI); Spec.Sequential forces the old
-// one-arena-in-series schedule. Target stops the sweep as soon as the
-// best candidate reaches Target·SprankUpperBound().
+// and bit-identical to the sequential sweep at Workers: 1
+// (TestSpecEnsembleParallelBitIdentical, which CI's spec-conformance step
+// runs under the race detector at GOMAXPROCS 1, 2 and 4); Spec.Sequential
+// forces the old one-arena-in-series schedule. Target stops the sweep as
+// soon as the best candidate reaches Target·SprankUpperBound().
 //
 // Refine: RefineExact is the paper's central application (§4): the
 // heuristic matching jump-starts an exact augmenting-path engine, which
@@ -119,11 +125,13 @@
 // engine — a multi-source BFS with tree grafting in the style of Azad et
 // al.'s MS-BFS-Graft, which grows one alternating forest per exposed row
 // across the Matcher's pool and commits augmenting paths in a fixed
-// deterministic order, so its result is bit-identical at every pool
-// width (gated under the race detector in CI). RefineExact auto-selects
-// the graft engine on large instances (where refinement dominates
-// end-to-end time) and MatchResult.RefinedWith reports the engine that
-// actually ran. Inside an ensemble the refinement is ensemble-aware: it
+// deterministic order, so from a given warm start its result is
+// bit-identical at every pool width (TestGraftBitIdenticalAcrossWidths in
+// internal/exact and TestSpecGraftBitIdenticalAcrossWidths, which CI's
+// graft and spec-conformance steps run under the race detector at
+// GOMAXPROCS 1, 2 and 4). RefineExact auto-selects the graft engine on
+// large instances (where refinement dominates end-to-end time) and
+// MatchResult.RefinedWith reports the engine that actually ran. Inside an ensemble the refinement is ensemble-aware: it
 // advances incrementally (one engine phase, or one push-relabel bid
 // budget, per consumed candidate), warm-starts from the best heuristic so
 // far, and stops the ensemble the moment the refined size reaches the
@@ -177,8 +185,11 @@
 // tie-breaking, and the heaviest matching wins (ties toward the smallest
 // seed). Candidates fan out across the session pool at width 1 each, so
 // the winner is bit-identical at any pool width — the same determinism
-// contract as the cardinality ensembles, gated in CI at widths 1/2/4
-// under the race detector. Refine and Target are rejected by Validate:
+// contract as the cardinality ensembles, gated by
+// TestAuctionEnsembleDeterminismWidths and internal/auction's
+// TestAuctionDeterminismWidths, which CI's auction step runs under the
+// race detector at GOMAXPROCS 1, 2 and 4. Refine and Target are rejected
+// by Validate:
 // they speak cardinality, not weight. Dynamic sessions extend to weighted
 // graphs too: a DynSession opened with AlgAuction maintains the weighted
 // matching under ApplyWeighted batches (weighted inserts, deletions,
@@ -244,8 +255,11 @@
 // The determinism contract is strict: every internal kernel runs at
 // parallel width 1, so the maintained matching is a pure function of
 // (initial graph, Spec, Options.Seed, mutation trace) — bit-identical
-// whatever pool or worker settings the Options carry, gated under the
-// race detector at pool widths 1/2/4.
+// whatever pool or worker settings the Options carry.
+// TestDynFuzzDifferential compares pool widths 1, 2 and 4 after every
+// batch of its mutation traces, and TestAuctionDynDeterminismWidths does
+// the same for weighted sessions; CI's dyn and auction steps run them
+// under the race detector at GOMAXPROCS 1, 2 and 4.
 //
 // Snapshot() bridges back to the immutable world: it returns a cached
 // *Graph of the current adjacency, rebuilt only after a batch that
@@ -345,12 +359,9 @@
 // ServerStats counts shed, rate-limited, would-miss and degraded
 // requests.
 //
-// Callers that batch through MatchBatch without running a Server get the
-// same protection from a Batcher: NewBatcher wraps the batch engine with
-// an optional watchdog (BatcherConfig.Watchdog) and applies the
-// identical priority shed rules and degradation ladder per batch, so
-// embedding applications under mutation or query load shed and degrade
-// exactly like the serving path does.
+// Callers that batch without HTTP get the same protection from
+// Server.MatchBatch, which puts every request of the batch through the
+// admission and degradation ladders above.
 //
 // # Cluster serving
 //
@@ -392,8 +403,10 @@
 // strict-improvement/smallest-seed rule the library uses internally. The
 // reduced winner — mates, winner seed, provenance, matched weight for
 // the auction — is bit-identical to one process running the full sweep,
-// gated under the race detector in CI for the cardinality heuristics and
-// the auction alike.
+// for the cardinality heuristics and the auction alike
+// (TestClusterFanOutBitIdentity and TestClusterFanOutBitIdentityAuction,
+// which CI's cluster fleet step runs under the race detector at
+// GOMAXPROCS 1, 2 and 4).
 //
 // The quality guarantees themselves are enforced by the statistical test
 // suite (quality_test.go): OneSided ≥ (1−1/e)·sprank and TwoSided ≥

@@ -202,10 +202,10 @@ func TestDynScaleInvalidationOncePerDirtyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	scales := countScaleRuns(t)
-	srv := NewServer(&Options{ScalingIterations: 5}, 16)
+	srv := NewServerConfig(&Options{ScalingIterations: 5}, ServerConfig{MaxBatch: 16})
 	defer srv.Close()
 
-	if resp := srv.Match(Request{Graph: s.Snapshot(), Seed: 1}); resp.Err != nil {
+	if resp := srv.Match(Request{Graph: s.Snapshot(), Spec: Spec{Seed: 1}}); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
 	if n := scales.Load(); n != 1 {
@@ -224,7 +224,7 @@ func TestDynScaleInvalidationOncePerDirtyBatch(t *testing.T) {
 	}
 	srv.DropGraph(old)
 	for k := 0; k < 4; k++ {
-		if resp := srv.Match(Request{Graph: snap, Seed: uint64(k + 1)}); resp.Err != nil {
+		if resp := srv.Match(Request{Graph: snap, Spec: Spec{Seed: uint64(k + 1)}}); resp.Err != nil {
 			t.Fatal(resp.Err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestDynScaleInvalidationOncePerDirtyBatch(t *testing.T) {
 		t.Fatal("neutral batch changed the snapshot pointer")
 	}
 	for k := 0; k < 3; k++ {
-		if resp := srv.Match(Request{Graph: s.Snapshot(), Seed: uint64(10 + k)}); resp.Err != nil {
+		if resp := srv.Match(Request{Graph: s.Snapshot(), Spec: Spec{Seed: uint64(10 + k)}}); resp.Err != nil {
 			t.Fatal(resp.Err)
 		}
 	}
@@ -279,22 +279,22 @@ func TestDynScaleColdCancelRetryMutated(t *testing.T) {
 	scaleRunHook.Store(&hook)
 	t.Cleanup(func() { scaleRunHook.Store(nil) })
 
-	srv := NewServer(&Options{ScalingIterations: 5, Workers: 1}, 8)
+	srv := NewServerConfig(&Options{ScalingIterations: 5, Workers: 1}, ServerConfig{MaxBatch: 8})
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	resp := srv.Match(Request{Graph: snap, Seed: 1, Ctx: ctx})
+	resp := srv.Match(Request{Graph: snap, Spec: Spec{Seed: 1}, Ctx: ctx})
 	if !errors.Is(resp.Err, context.DeadlineExceeded) {
 		t.Fatalf("cold mutated snapshot with 1ms deadline: %v, want context.DeadlineExceeded", resp.Err)
 	}
-	resp = srv.Match(Request{Graph: snap, Seed: 1})
+	resp = srv.Match(Request{Graph: snap, Spec: Spec{Seed: 1}})
 	if resp.Err != nil {
 		t.Fatalf("retry after canceled scaling on mutated graph: %v, want served", resp.Err)
 	}
 	if n := runs.Load(); n != 2 {
 		t.Fatalf("%d scaling runs, want 2 (one aborted + one fresh)", n)
 	}
-	if resp = srv.Match(Request{Graph: snap, Seed: 2}); resp.Err != nil {
+	if resp = srv.Match(Request{Graph: snap, Spec: Spec{Seed: 2}}); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
 	if n := runs.Load(); n != 2 {

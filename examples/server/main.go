@@ -75,7 +75,8 @@ func main() {
 		go func() {
 			defer wg.Done()
 			for k := s; k < requests; k += submitters {
-				resp := srv.Match(bipartite.Request{Graph: g, Op: bipartite.OpTwoSided, Seed: uint64(k + 1)})
+				resp := srv.Match(bipartite.Request{Graph: g,
+					Spec: bipartite.Spec{Algorithm: bipartite.AlgTwoSided, Seed: uint64(k + 1)}})
 				if resp.Err != nil {
 					panic(resp.Err)
 				}

@@ -25,7 +25,7 @@ func TestClusterChaosReplicaKill(t *testing.T) {
 	// deterministic post-kill phases still exercise the failover path.
 	g := bipartite.RandomER(2500, 2500, 6, 3)
 	edges := edgesOf(g)
-	id, err := f.client.RegisterGraph(ctx, cluster.GraphSpec{Rows: 2500, Cols: 2500, Edges: edges})
+	id, err := f.client.RegisterGraph(ctx, wire.GraphSpec{Rows: 2500, Cols: 2500, Edges: edges})
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -33,9 +33,9 @@ func TestClusterChaosReplicaKill(t *testing.T) {
 	base := f.client.Stats()
 
 	const B = 32
-	reqs := make([]cluster.MatchRequest, B)
+	reqs := make([]wire.MatchRequest, B)
 	for i := range reqs {
-		reqs[i] = cluster.MatchRequest{Graph: id, Algorithm: "twosided", Seed: uint64(i + 1)}
+		reqs[i] = wire.MatchRequest{Graph: id, Algorithm: "twosided", Seed: uint64(i + 1)}
 	}
 	done := make(chan []wire.MatchResponse, 1)
 	go func() { done <- f.client.MatchBatch(ctx, reqs) }()
@@ -60,7 +60,7 @@ func TestClusterChaosReplicaKill(t *testing.T) {
 	// Deterministic failover: the victim may still be a ring member (no
 	// probe has run), so a fresh match must hit it, mark it down, migrate
 	// the graph onto the new owner and answer from there.
-	resp, err := f.client.Match(ctx, cluster.MatchRequest{Graph: id, Algorithm: "twosided", Seed: 99})
+	resp, err := f.client.Match(ctx, wire.MatchRequest{Graph: id, Algorithm: "twosided", Seed: 99})
 	if err != nil {
 		t.Fatalf("match after kill: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestClusterChaosReplicaKill(t *testing.T) {
 	}
 
 	// The degraded fleet still fans out, and still bit-identically.
-	got, err := f.client.Match(ctx, cluster.MatchRequest{Graph: id, Algorithm: "twosided", Seed: 5, BestOf: 8})
+	got, err := f.client.Match(ctx, wire.MatchRequest{Graph: id, Algorithm: "twosided", Seed: 5, BestOf: 8})
 	if err != nil {
 		t.Fatalf("fanned match on degraded fleet: %v", err)
 	}
@@ -101,11 +101,11 @@ func TestClusterChaosReplicaKill(t *testing.T) {
 	}
 
 	// New registrations keep working on the survivors.
-	id2, err := f.client.RegisterGraph(ctx, cluster.GraphSpec{Rows: 40, Cols: 40, Edges: [][2]int{{0, 0}, {1, 1}, {2, 2}}})
+	id2, err := f.client.RegisterGraph(ctx, wire.GraphSpec{Rows: 40, Cols: 40, Edges: [][2]int{{0, 0}, {1, 1}, {2, 2}}})
 	if err != nil {
 		t.Fatalf("register after kill: %v", err)
 	}
-	if resp, err := f.client.Match(ctx, cluster.MatchRequest{Graph: id2, Algorithm: "twosided"}); err != nil || resp.Size != 3 {
+	if resp, err := f.client.Match(ctx, wire.MatchRequest{Graph: id2, Algorithm: "twosided"}); err != nil || resp.Size != 3 {
 		t.Fatalf("match on post-kill registration: size=%d err=%v", resp.Size, err)
 	}
 }

@@ -267,7 +267,7 @@ func (c *Client) markDown(url string) {
 // (gs.ID when the caller chose one, a generated "c<n>" otherwise). The
 // registration body is retained as the migration fallback of last resort,
 // so the graph survives even its sole holder dying.
-func (c *Client) RegisterGraph(ctx context.Context, gs GraphSpec) (string, error) {
+func (c *Client) RegisterGraph(ctx context.Context, gs wire.GraphSpec) (string, error) {
 	id := gs.ID
 	if id == "" {
 		id = "c" + strconv.FormatInt(c.nextID.Add(1), 10)
@@ -545,8 +545,8 @@ func (c *Client) hedgeDelay() time.Duration {
 // eligible ensembles (best_of > 1, no refinement or target, no explicit
 // sub-range) split across the healthy replicas and reduce; everything
 // else runs as a single routed request with retry, backoff and hedging.
-func (c *Client) Match(ctx context.Context, mr MatchRequest) (wire.MatchResponse, error) {
-	if mr.fanEligible() {
+func (c *Client) Match(ctx context.Context, mr wire.MatchRequest) (wire.MatchResponse, error) {
+	if fanEligible(&mr) {
 		c.mu.Lock()
 		n := len(c.ring.Nodes())
 		c.mu.Unlock()
@@ -560,7 +560,7 @@ func (c *Client) Match(ctx context.Context, mr MatchRequest) (wire.MatchResponse
 // route resolves where a single request should run: the graph's owner
 // (placed there first) for registered graphs, a seed-spread member for
 // inline ones.
-func (c *Client) route(ctx context.Context, mr *MatchRequest) (string, error) {
+func (c *Client) route(ctx context.Context, mr *wire.MatchRequest) (string, error) {
 	if mr.Graph != "" {
 		return c.placeOnOwner(ctx, mr.Graph)
 	}
@@ -576,7 +576,7 @@ func (c *Client) route(ctx context.Context, mr *MatchRequest) (string, error) {
 // singleMatch is the routed request with the full defensive loop:
 // per-attempt routing (so a failover lands on the key's new owner),
 // hedging against a second holder, Retry-After-honoring backoff.
-func (c *Client) singleMatch(ctx context.Context, mr MatchRequest) (wire.MatchResponse, error) {
+func (c *Client) singleMatch(ctx context.Context, mr wire.MatchRequest) (wire.MatchResponse, error) {
 	body, err := json.Marshal(&mr)
 	if err != nil {
 		return wire.MatchResponse{}, err
@@ -629,7 +629,7 @@ func (c *Client) singleMatch(ctx context.Context, mr MatchRequest) (wire.MatchRe
 // graph; the first success wins and the loser is canceled. Safe because
 // /match is a pure function of (graph, spec) — both answers are
 // bit-identical, only the latency differs. Returns the answering node.
-func (c *Client) hedged(ctx context.Context, mr *MatchRequest, node string, body []byte) (wire.MatchResponse, string, error) {
+func (c *Client) hedged(ctx context.Context, mr *wire.MatchRequest, node string, body []byte) (wire.MatchResponse, string, error) {
 	delay := c.hedgeDelay()
 	if delay < 0 {
 		resp, err := c.post(ctx, node+"/match", body)
@@ -692,7 +692,7 @@ func isReplicaError(err error) bool {
 // graph other than the primary (replicating on the hedge path would add
 // latency exactly when we are trying to hide it), or for inline requests
 // any other member.
-func (c *Client) hedgeTarget(mr *MatchRequest, primary string) string {
+func (c *Client) hedgeTarget(mr *wire.MatchRequest, primary string) string {
 	if mr.Graph != "" {
 		for _, u := range c.liveHolders(mr.Graph) {
 			if u != primary {
@@ -719,7 +719,7 @@ func (c *Client) hedgeTarget(mr *MatchRequest, primary string) string {
 // smallest winner seed. Sub-range winners report absolute seeds and each
 // candidate is a pure function of (graph, algorithm, seed), so the
 // reduction is bit-identical to the full sweep on one replica.
-func (c *Client) fanMatch(ctx context.Context, mr MatchRequest) (wire.MatchResponse, error) {
+func (c *Client) fanMatch(ctx context.Context, mr wire.MatchRequest) (wire.MatchResponse, error) {
 	members := c.Members()
 	if len(members) == 0 {
 		return wire.MatchResponse{}, ErrNoReplicas
@@ -776,7 +776,7 @@ func (c *Client) fanMatch(ctx context.Context, mr MatchRequest) (wire.MatchRespo
 		sub.SeedOffset, sub.SeedCount = off, count
 		off += count
 		wg.Add(1)
-		go func(p int, sub MatchRequest, preferred string) {
+		go func(p int, sub wire.MatchRequest, preferred string) {
 			defer wg.Done()
 			// Prefer the replica the slice was planned for; fall back to the
 			// generic routed path (owner + failover) when it died mid-flight.
@@ -796,7 +796,8 @@ func (c *Client) fanMatch(ctx context.Context, mr MatchRequest) (wire.MatchRespo
 		}(p, sub, members[p%len(members)])
 	}
 	wg.Wait()
-	weighted := mr.weighted()
+	// The auction's winner objective is matched weight, not cardinality.
+	weighted := mr.Algorithm == "auction"
 	var out wire.MatchResponse
 	have := false
 	candidates := 0
@@ -833,12 +834,12 @@ func (c *Client) fanMatch(ctx context.Context, mr MatchRequest) (wire.MatchRespo
 // never answers. In-band retryable rejections (the replica shed an entry
 // inside an otherwise successful envelope) are retried the same way.
 // Responses come back in request order.
-func (c *Client) MatchBatch(ctx context.Context, reqs []MatchRequest) []wire.MatchResponse {
+func (c *Client) MatchBatch(ctx context.Context, reqs []wire.MatchRequest) []wire.MatchResponse {
 	out := make([]wire.MatchResponse, len(reqs))
 	groups := make(map[string][]int)
 	var fanIdx []int
 	for i := range reqs {
-		if reqs[i].fanEligible() {
+		if fanEligible(&reqs[i]) {
 			fanIdx = append(fanIdx, i)
 			continue
 		}
@@ -874,8 +875,8 @@ func (c *Client) MatchBatch(ctx context.Context, reqs []MatchRequest) []wire.Mat
 
 // subBatch sends one per-replica sub-batch and recovers failed entries
 // individually.
-func (c *Client) subBatch(ctx context.Context, node string, reqs []MatchRequest, idxs []int, out []wire.MatchResponse) {
-	env := batchRequestEnvelope{Requests: make([]MatchRequest, len(idxs))}
+func (c *Client) subBatch(ctx context.Context, node string, reqs []wire.MatchRequest, idxs []int, out []wire.MatchResponse) {
+	env := wire.BatchRequest{Requests: make([]wire.MatchRequest, len(idxs))}
 	for k, i := range idxs {
 		env.Requests[k] = reqs[i]
 	}

@@ -160,7 +160,7 @@ func decodeInto(t *testing.T, raw []byte, v any) {
 }
 
 // registerVia registers a graph through the router and returns its id.
-func registerVia(t *testing.T, routerURL string, gs cluster.GraphSpec) string {
+func registerVia(t *testing.T, routerURL string, gs wire.GraphSpec) string {
 	t.Helper()
 	code, raw := do(t, http.MethodPost, routerURL+"/graph", gs)
 	if code != http.StatusOK {
@@ -187,7 +187,7 @@ func TestClusterRoutingAndRegistry(t *testing.T) {
 	const n = 24
 	ids := make([]string, n)
 	for i := range ids {
-		ids[i] = registerVia(t, f.router.URL, cluster.GraphSpec{Rows: 40, Cols: 40, Edges: edges})
+		ids[i] = registerVia(t, f.router.URL, wire.GraphSpec{Rows: 40, Cols: 40, Edges: edges})
 	}
 
 	// Bounded-load sharding spreads 24 keys over 3 replicas: every
@@ -212,7 +212,7 @@ func TestClusterRoutingAndRegistry(t *testing.T) {
 	// Routed match: answered by the graph's ring owner, with provenance.
 	for _, id := range ids[:6] {
 		code, raw := do(t, http.MethodPost, f.router.URL+"/match",
-			cluster.MatchRequest{Graph: id, Algorithm: "twosided", Seed: 7})
+			wire.MatchRequest{Graph: id, Algorithm: "twosided", Seed: 7})
 		if code != http.StatusOK {
 			t.Fatalf("match %s: status %d: %s", id, code, raw)
 		}
@@ -231,7 +231,7 @@ func TestClusterRoutingAndRegistry(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("export: status %d: %s", code, raw)
 	}
-	var exp cluster.GraphSpec
+	var exp wire.GraphSpec
 	decodeInto(t, raw, &exp)
 	if exp.Rows != 40 || exp.Cols != 40 || len(exp.Edges) != len(edges) {
 		t.Fatalf("export: %dx%d with %d edges, want 40x40 with %d", exp.Rows, exp.Cols, len(exp.Edges), len(edges))
@@ -259,15 +259,27 @@ func TestClusterRoutingAndRegistry(t *testing.T) {
 		t.Fatalf("delete: status %d: %s", code, raw)
 	}
 	code, _ = do(t, http.MethodPost, f.router.URL+"/match",
-		cluster.MatchRequest{Graph: ids[1], Algorithm: "twosided"})
+		wire.MatchRequest{Graph: ids[1], Algorithm: "twosided"})
 	if code != http.StatusNotFound {
 		t.Fatalf("match after delete: status %d, want 404", code)
 	}
 
 	// Error surface: unknown graph 404, malformed body 400, healthz ok.
 	if code, _ = do(t, http.MethodPost, f.router.URL+"/match",
-		cluster.MatchRequest{Graph: "no-such-graph"}); code != http.StatusNotFound {
+		wire.MatchRequest{Graph: "no-such-graph"}); code != http.StatusNotFound {
 		t.Fatalf("unknown graph: status %d, want 404", code)
+	}
+	// The removed "op" selector reaches the replica, which refuses it: the
+	// router keeps the 400 on a single match and on a best_of fan-out
+	// alike, and nothing runs as the default algorithm.
+	for _, body := range []map[string]any{
+		{"graph": ids[2], "op": "karpsipser"},
+		{"graph": ids[2], "op": "karpsipser", "best_of": 4},
+	} {
+		if code, raw = do(t, http.MethodPost, f.router.URL+"/match", body); code != http.StatusBadRequest ||
+			!bytes.Contains(raw, []byte("algorithm")) {
+			t.Fatalf(`"op" body %v: status %d body %s, want a 400 naming "algorithm"`, body, code, raw)
+		}
 	}
 	resp, err := http.Post(f.router.URL+"/match", "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {
@@ -284,9 +296,9 @@ func TestClusterRoutingAndRegistry(t *testing.T) {
 
 	// Batch through the router: mixed registered entries come back in
 	// order, each answered by its owner.
-	var reqs []cluster.MatchRequest
+	var reqs []wire.MatchRequest
 	for _, id := range ids[2:8] {
-		reqs = append(reqs, cluster.MatchRequest{Graph: id, Algorithm: "twosided", Seed: 3})
+		reqs = append(reqs, wire.MatchRequest{Graph: id, Algorithm: "twosided", Seed: 3})
 	}
 	code, raw = do(t, http.MethodPost, f.router.URL+"/match/batch", map[string]any{"requests": reqs})
 	if code != http.StatusOK {
@@ -324,7 +336,7 @@ func TestClusterRebalanceMigration(t *testing.T) {
 	ids := make([]string, n)
 	ownersBefore := make(map[string]string, n)
 	for i := range ids {
-		id, err := f.client.RegisterGraph(ctx, cluster.GraphSpec{Rows: 60, Cols: 60, Edges: edges})
+		id, err := f.client.RegisterGraph(ctx, wire.GraphSpec{Rows: 60, Cols: 60, Edges: edges})
 		if err != nil {
 			t.Fatalf("register %d: %v", i, err)
 		}
@@ -368,7 +380,7 @@ func TestClusterRebalanceMigration(t *testing.T) {
 
 	// Every graph still matches; the victim's graphs migrate on first use.
 	for _, id := range ids {
-		resp, err := f.client.Match(ctx, cluster.MatchRequest{Graph: id, Algorithm: "twosided", Seed: 9})
+		resp, err := f.client.Match(ctx, wire.MatchRequest{Graph: id, Algorithm: "twosided", Seed: 9})
 		if err != nil {
 			t.Fatalf("match %s after rebalance: %v", id, err)
 		}
@@ -430,8 +442,8 @@ func TestClusterRetryAfterHonored(t *testing.T) {
 		MaxRetries: 3, RetryBase: time.Millisecond, HedgeDelay: -1,
 	})
 	start := time.Now()
-	resp, err := c.Match(context.Background(), cluster.MatchRequest{
-		GraphSpec: cluster.GraphSpec{Rows: 1, Cols: 1, Edges: [][2]int{{0, 0}}},
+	resp, err := c.Match(context.Background(), wire.MatchRequest{
+		GraphSpec: wire.GraphSpec{Rows: 1, Cols: 1, Edges: [][2]int{{0, 0}}},
 		Algorithm: "twosided",
 	})
 	if err != nil {
@@ -477,8 +489,8 @@ func TestClusterHedging(t *testing.T) {
 	// both replicas serve as primary with near certainty.
 	for seed := uint64(0); seed < 24; seed++ {
 		start := time.Now()
-		resp, err := c.Match(context.Background(), cluster.MatchRequest{
-			GraphSpec: cluster.GraphSpec{Rows: 1, Cols: 1, Edges: [][2]int{{0, 0}}},
+		resp, err := c.Match(context.Background(), wire.MatchRequest{
+			GraphSpec: wire.GraphSpec{Rows: 1, Cols: 1, Edges: [][2]int{{0, 0}}},
 			Algorithm: "twosided", Seed: seed,
 		})
 		if err != nil {

@@ -31,9 +31,9 @@ func TestClusterFanOutBitIdentity(t *testing.T) {
 		{"karpsipser", bipartite.AlgKarpSipser},
 	} {
 		t.Run(alg.wire, func(t *testing.T) {
-			id := registerVia(t, f.router.URL, cluster.GraphSpec{Rows: 400, Cols: 380, Edges: edges})
+			id := registerVia(t, f.router.URL, wire.GraphSpec{Rows: 400, Cols: 380, Edges: edges})
 			code, raw := do(t, http.MethodPost, f.router.URL+"/match",
-				cluster.MatchRequest{Graph: id, Algorithm: alg.wire, Seed: seed, BestOf: K})
+				wire.MatchRequest{Graph: id, Algorithm: alg.wire, Seed: seed, BestOf: K})
 			if code != http.StatusOK {
 				t.Fatalf("fanned match: status %d: %s", code, raw)
 			}
@@ -88,9 +88,9 @@ func TestClusterFanOutBitIdentityAuction(t *testing.T) {
 	const K = 32
 	const seed = 100
 
-	id := registerVia(t, f.router.URL, cluster.GraphSpec{Rows: 150, Cols: 150, Edges: edges, Weights: weights})
+	id := registerVia(t, f.router.URL, wire.GraphSpec{Rows: 150, Cols: 150, Edges: edges, Weights: weights})
 	code, raw := do(t, http.MethodPost, f.router.URL+"/match",
-		cluster.MatchRequest{Graph: id, Algorithm: "auction", Seed: seed, BestOf: K})
+		wire.MatchRequest{Graph: id, Algorithm: "auction", Seed: seed, BestOf: K})
 	if code != http.StatusOK {
 		t.Fatalf("fanned auction: status %d: %s", code, raw)
 	}

@@ -103,7 +103,7 @@ func statusOfClientErr(err error) int {
 
 func (rt *Router) handleGraph(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
-	var gs GraphSpec
+	var gs wire.GraphSpec
 	if !rt.decode(w, r, &gs) {
 		return
 	}
@@ -172,7 +172,7 @@ func (rt *Router) handleGraphPatch(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleMatch(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
-	var mr MatchRequest
+	var mr wire.MatchRequest
 	if !rt.decode(w, r, &mr) {
 		return
 	}
@@ -188,7 +188,7 @@ func (rt *Router) handleMatch(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
-	var env batchRequestEnvelope
+	var env wire.BatchRequest
 	if !rt.decode(w, r, &env) {
 		return
 	}

@@ -67,8 +67,8 @@ func replayReplica(t *testing.T, body []byte, delay time.Duration) string {
 
 func TestRouterWireIdentity(t *testing.T) {
 	g := bipartite.RandomER(300, 280, 4, 21)
-	gs := cluster.GraphSpec{Rows: 300, Cols: 280, Edges: edgesOf(g)}
-	inline := cluster.MatchRequest{GraphSpec: gs, Algorithm: "twosided", Seed: 5}
+	gs := wire.GraphSpec{Rows: 300, Cols: 280, Edges: edgesOf(g)}
+	inline := wire.MatchRequest{GraphSpec: gs, Algorithm: "twosided", Seed: 5}
 
 	// A real replica body, captured once and replayed by stand-ins below so
 	// the relayed bytes can be compared exactly (a live replica's "ms"
@@ -121,7 +121,7 @@ func TestRouterWireIdentity(t *testing.T) {
 		id := registerVia(t, f.router.URL, gs)
 		before := f.client.Stats().FanOuts
 		code, raw := do(t, http.MethodPost, f.router.URL+"/match",
-			cluster.MatchRequest{Graph: id, Algorithm: "twosided", Seed: 9, BestOf: 8})
+			wire.MatchRequest{Graph: id, Algorithm: "twosided", Seed: 9, BestOf: 8})
 		if code != http.StatusOK {
 			t.Fatalf("status %d: %s", code, raw)
 		}
@@ -133,7 +133,7 @@ func TestRouterWireIdentity(t *testing.T) {
 
 	t.Run("batch", func(t *testing.T) {
 		id := registerVia(t, f.router.URL, gs)
-		reqs := []cluster.MatchRequest{
+		reqs := []wire.MatchRequest{
 			{Graph: id, Algorithm: "twosided", Seed: 1},
 			{Graph: id, Algorithm: "onesided", Seed: 2},
 			{Graph: "no-such-graph"},

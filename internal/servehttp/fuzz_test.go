@@ -108,6 +108,7 @@ func FuzzMatchServeMatchDecode(f *testing.F) {
 	f.Add([]byte(`{"rows":1000000000,"cols":1,"edges":[]}`))
 	f.Add([]byte(`{"graph":"nope"}`))
 	f.Add([]byte(`{"algorithm":"magic"}`))
+	f.Add([]byte(`{"graph":"` + id + `","op":"karpsipser"}`))
 	f.Add([]byte(`{"best_of":-3}`))
 	f.Add([]byte(`{"graph":"` + id + `","timeout_ms":1}`))
 	f.Add([]byte(`[]`))

@@ -83,7 +83,7 @@ func TestMatchServeEndToEnd(t *testing.T) {
 	// Single match by registered id. Karp–Sipser is exact on the ring
 	// (degree ≤ 2 everywhere), so the size must be the full 64.
 	resp, body := postJSON(t, ts.URL+"/match", map[string]any{
-		"graph": id, "op": "karpsipser", "seed": 7,
+		"graph": id, "algorithm": "karpsipser", "seed": 7,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/match: status %d body %v", resp.StatusCode, body)
@@ -97,7 +97,7 @@ func TestMatchServeEndToEnd(t *testing.T) {
 	// The TwoSided heuristic on the same graph: valid but not necessarily
 	// perfect — assert the conjectured quality floor instead.
 	resp, body = postJSON(t, ts.URL+"/match", map[string]any{
-		"graph": id, "op": "twosided", "seed": 7,
+		"graph": id, "algorithm": "twosided", "seed": 7,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/match twosided: status %d body %v", resp.StatusCode, body)
@@ -109,8 +109,8 @@ func TestMatchServeEndToEnd(t *testing.T) {
 	// Inline graph, one-sided.
 	resp, body = postJSON(t, ts.URL+"/match", map[string]any{
 		"rows": 3, "cols": 3,
-		"edges": [][2]int{{0, 0}, {1, 1}, {2, 2}},
-		"op":    "onesided", "seed": 1,
+		"edges":     [][2]int{{0, 0}, {1, 1}, {2, 2}},
+		"algorithm": "onesided", "seed": 1,
 	})
 	if resp.StatusCode != http.StatusOK || int(body["size"].(float64)) != 3 {
 		t.Fatalf("inline /match: status %d body %v", resp.StatusCode, body)
@@ -119,9 +119,9 @@ func TestMatchServeEndToEnd(t *testing.T) {
 	// Batch: mixed ops, one bad entry reported in-band.
 	resp, body = postJSON(t, ts.URL+"/match/batch", map[string]any{
 		"requests": []map[string]any{
-			{"graph": id, "op": "karpsipser", "seed": 1},
-			{"graph": "nope", "op": "twosided"},
-			{"graph": id, "op": "karpsipser", "seed": 2},
+			{"graph": id, "algorithm": "karpsipser", "seed": 1},
+			{"graph": "nope", "algorithm": "twosided"},
+			{"graph": id, "algorithm": "karpsipser", "seed": 2},
 		},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -196,7 +196,7 @@ func TestMatchServeOversizeBodyRejected(t *testing.T) {
 	}
 	// /match is capped too.
 	resp, _ = postJSON(t, ts.URL+"/match", map[string]any{
-		"rows": 20, "cols": 20, "edges": edges, "op": "twosided",
+		"rows": 20, "cols": 20, "edges": edges, "algorithm": "twosided",
 	})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize /match: status %d, want 413", resp.StatusCode)
@@ -273,7 +273,7 @@ func TestMatchServeDeadline(t *testing.T) {
 		edges = append(edges, [2]int{i, i}, [2]int{i, (i + 1) % n}, [2]int{i, (i + 7919) % n})
 	}
 	resp, body := postJSON(t, ts.URL+"/match", map[string]any{
-		"rows": n, "cols": n, "edges": edges, "op": "twosided", "timeout_ms": 1,
+		"rows": n, "cols": n, "edges": edges, "algorithm": "twosided", "timeout_ms": 1,
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("deadline-doomed /match: status %d body %v, want 504", resp.StatusCode, body)
@@ -287,9 +287,9 @@ func TestMatchServeDeadline(t *testing.T) {
 func TestMatchServeUnknownOpAndBadJSON(t *testing.T) {
 	ts, _ := newTestServer(t, Config{MaxGraphs: 4, MaxBody: 1 << 20})
 	id := registerRing(t, ts, 8)
-	resp, _ := postJSON(t, ts.URL+"/match", map[string]any{"graph": id, "op": "magic"})
+	resp, _ := postJSON(t, ts.URL+"/match", map[string]any{"graph": id, "algorithm": "magic"})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown op: status %d, want 400", resp.StatusCode)
+		t.Fatalf("unknown algorithm: status %d, want 400", resp.StatusCode)
 	}
 	raw, err := http.Post(ts.URL+"/match", "application/json", strings.NewReader("{not json"))
 	if err != nil {

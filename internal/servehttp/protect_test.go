@@ -13,6 +13,7 @@ import (
 	"time"
 
 	bipartite "repro"
+	"repro/internal/par"
 )
 
 // postJSONHeaders is postJSON with extra request headers (X-Client).
@@ -86,6 +87,10 @@ func newProtectedServer(t *testing.T, busyMilli *atomic.Int64, cfg bipartite.Ser
 // on the wire), and once the load clears it serves everything at full
 // quality again — without leaking goroutines.
 func TestProtectHTTPShedAndRecover(t *testing.T) {
+	// The process-wide default pool, which the engine dispatches to,
+	// parks its workers for the life of the process: start it before the
+	// baseline so that only the server's own goroutines are counted.
+	par.Default()
 	baseline := runtime.NumGoroutine()
 	var busy atomic.Int64
 	ts, srv := newProtectedServer(t, &busy, bipartite.ServerConfig{

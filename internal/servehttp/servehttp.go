@@ -1,5 +1,5 @@
 // Package servehttp is the HTTP/JSON layer of the matching service: the
-// handler, routes, wire types, graph registry and metrics behind
+// handler, routes, request validation, graph registry and metrics behind
 // cmd/matchserve. It lives in an importable package (rather than in the
 // command) so the cluster integration suite and cmd/matchrouter's tests
 // can boot real replicas in-process with net/http/httptest — the exact
@@ -130,16 +130,6 @@ func (h *Handler) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool
 	return true
 }
 
-// graphSpec is an inline graph definition. Weights, when present, must
-// carry one strictly positive finite value per edge; the graph is then
-// weighted and AlgAuction maximizes the matched weight on it.
-type graphSpec struct {
-	Rows    int       `json:"rows"`
-	Cols    int       `json:"cols"`
-	Edges   [][2]int  `json:"edges"`
-	Weights []float64 `json:"weights,omitempty"`
-}
-
 // maxWireDim caps a wire graph's rows/cols. Graph construction allocates
 // O(rows) regardless of the edge count, so without a cap a tiny body like
 // {"rows":1000000000,"cols":1,"edges":[]} forces a multi-gigabyte
@@ -147,7 +137,8 @@ type graphSpec struct {
 // decoder fuzz targets).
 const maxWireDim = 4 << 20
 
-func (s *graphSpec) build() (*bipartite.Graph, error) {
+// buildGraph validates an inline wire graph and builds it.
+func buildGraph(s *wire.GraphSpec) (*bipartite.Graph, error) {
 	if s.Rows <= 0 || s.Cols <= 0 {
 		return nil, fmt.Errorf("rows and cols must be positive, got %dx%d", s.Rows, s.Cols)
 	}
@@ -160,45 +151,14 @@ func (s *graphSpec) build() (*bipartite.Graph, error) {
 	return bipartite.FromEdges(s.Rows, s.Cols, s.Edges)
 }
 
-// matchRequest is one /match body: a registered graph id or an inline
-// graph, plus the declarative spec fields (algorithm, seed, refinement,
-// ensemble, target) and an optional per-request deadline. "op" is the
-// deprecated pre-Spec alias of "algorithm".
-type matchRequest struct {
-	graphSpec
-	GraphID    string  `json:"graph"`
-	Op         string  `json:"op"` // deprecated alias of Algorithm
-	Algorithm  string  `json:"algorithm"`
-	Seed       uint64  `json:"seed"`
-	Refine     string  `json:"refine"`
-	BestOf     int     `json:"best_of"`
-	Target     float64 `json:"target"`
-	Sequential bool    `json:"sequential"`
-	// SeedOffset/SeedCount restrict a best_of ensemble to a sub-range of
-	// its seed interval — the cluster router's fan-out primitive (see
-	// Spec.SeedOffset). Validated with the rest of the Spec.
-	SeedOffset int `json:"seed_offset"`
-	SeedCount  int `json:"seed_count"`
-	// Epsilon is AlgAuction's relative slack: matched weight within
-	// (1−ε)·optimal. 0 means the library default; only valid with
-	// "algorithm":"auction".
-	Epsilon   float64 `json:"epsilon"`
-	TimeoutMs int64   `json:"timeout_ms"`
-	// Priority ranks the request for admission under load: "low" is shed
-	// first when the watchdog reports the process hot, "high" last; ""
-	// means "normal".
-	Priority string `json:"priority"`
-}
-
-// spec translates the wire fields into a validated bipartite.Spec.
-func (mr *matchRequest) spec() (bipartite.Spec, error) {
-	algName := mr.Algorithm
-	if algName == "" {
-		algName = mr.Op
-	} else if mr.Op != "" && mr.Op != mr.Algorithm {
-		return bipartite.Spec{}, fmt.Errorf("op %q and algorithm %q disagree (op is the deprecated alias; set only algorithm)", mr.Op, mr.Algorithm)
+// specOf translates the wire fields into a validated bipartite.Spec. The
+// removed "op" selector is refused rather than ignored: ignoring it would
+// silently run the default algorithm instead of the one the client named.
+func specOf(mr *wire.MatchRequest) (bipartite.Spec, error) {
+	if mr.LegacyOp != nil {
+		return bipartite.Spec{}, fmt.Errorf(`"op" was removed: name the algorithm with "algorithm" (got "op":%q)`, *mr.LegacyOp)
 	}
-	alg, err := bipartite.ParseAlgorithm(algName)
+	alg, err := bipartite.ParseAlgorithm(mr.Algorithm)
 	if err != nil {
 		return bipartite.Spec{}, err
 	}
@@ -239,9 +199,9 @@ func (h *Handler) lookup(id string) *bipartite.Graph {
 // the request's own deadline, if any), the parsed priority and the
 // submitting client's identity. It returns the context's cancel (never
 // nil) which the caller must invoke once the response is written.
-func (h *Handler) resolve(ctx context.Context, mr *matchRequest, client string) (bipartite.Request, context.CancelFunc, error) {
+func (h *Handler) resolve(ctx context.Context, mr *wire.MatchRequest, client string) (bipartite.Request, context.CancelFunc, error) {
 	nop := context.CancelFunc(func() {})
-	spec, err := mr.spec()
+	spec, err := specOf(mr)
 	if err != nil {
 		return bipartite.Request{}, nop, err
 	}
@@ -250,12 +210,12 @@ func (h *Handler) resolve(ctx context.Context, mr *matchRequest, client string) 
 		return bipartite.Request{}, nop, err
 	}
 	var g *bipartite.Graph
-	if mr.GraphID != "" {
-		if g = h.lookup(mr.GraphID); g == nil {
-			return bipartite.Request{}, nop, fmt.Errorf("unknown graph %q", mr.GraphID)
+	if mr.Graph != "" {
+		if g = h.lookup(mr.Graph); g == nil {
+			return bipartite.Request{}, nop, fmt.Errorf("unknown graph %q", mr.Graph)
 		}
 	} else {
-		if g, err = mr.build(); err != nil {
+		if g, err = buildGraph(&mr.GraphSpec); err != nil {
 			return bipartite.Request{}, nop, err
 		}
 	}
@@ -290,17 +250,14 @@ func clientOf(r *http.Request) string {
 const maxWireID = 128
 
 func (h *Handler) handleGraph(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		graphSpec
-		// ID, when set, registers (or replaces — the upsert is what lets a
-		// cluster router migrate and replicate graphs under stable ids) the
-		// graph under the client's name instead of a server-generated one.
-		ID string `json:"id"`
-	}
+	// body.ID, when set, registers (or replaces — the upsert is what lets a
+	// cluster router migrate and replicate graphs under stable ids) the
+	// graph under the client's name instead of a server-generated one.
+	var body wire.GraphSpec
 	if !h.decodeBody(w, r, &body) {
 		return
 	}
-	g, err := body.build()
+	g, err := buildGraph(&body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -490,7 +447,7 @@ func (h *Handler) handleGraphPatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) handleMatch(w http.ResponseWriter, r *http.Request) {
-	var mr matchRequest
+	var mr wire.MatchRequest
 	if !h.decodeBody(w, r, &mr) {
 		return
 	}
@@ -583,9 +540,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		r.Body = gzipBody{zr: zr, body: r.Body}
 	}
-	var body struct {
-		Requests []matchRequest `json:"requests"`
-	}
+	var body wire.BatchRequest
 	if !h.decodeBody(w, r, &body) {
 		return
 	}

@@ -96,7 +96,9 @@ func TestMatchServeSpecFields(t *testing.T) {
 		}
 	}
 
-	// "op" still works as a deprecated alias, including in batches.
+	// The removed "op" selector is refused in a batch too: its entry gets
+	// an in-band error naming "algorithm" (never a silent TwoSided run),
+	// and its neighbour is answered normally.
 	resp, body = postJSON(t, ts.URL+"/match/batch", map[string]any{
 		"requests": []map[string]any{
 			{"graph": id, "op": "karpsipser", "seed": 7},
@@ -109,6 +111,13 @@ func TestMatchServeSpecFields(t *testing.T) {
 	rs := body["responses"].([]any)
 	if len(rs) != 2 {
 		t.Fatalf("batch responses %d, want 2", len(rs))
+	}
+	op := rs[0].(map[string]any)
+	if errMsg, _ := op["error"].(string); !strings.Contains(errMsg, `"algorithm"`) {
+		t.Fatalf("batched \"op\" entry: %v, want an in-band error naming \"algorithm\"", op)
+	}
+	if op["row_mate"] != nil {
+		t.Fatalf("batched \"op\" entry was answered: %v", op)
 	}
 	if size := int(rs[1].(map[string]any)["size"].(float64)); size != 64 {
 		t.Fatalf("batched refined size %d, want 64", size)
@@ -131,7 +140,7 @@ func TestMatchServeSpecInvalid(t *testing.T) {
 		{"negative best_of", map[string]any{"graph": id, "best_of": -3}},
 		{"target above 1", map[string]any{"graph": id, "target": 1.5}},
 		{"negative target", map[string]any{"graph": id, "target": -0.1}},
-		{"op/algorithm conflict", map[string]any{"graph": id, "op": "onesided", "algorithm": "twosided"}},
+		{"op", map[string]any{"graph": id, "op": "karpsipser"}},
 		{"unknown graph", map[string]any{"graph": "g999", "algorithm": "twosided"}},
 	}
 	for _, tc := range cases {
@@ -142,6 +151,12 @@ func TestMatchServeSpecInvalid(t *testing.T) {
 		if body["error"] == nil || body["error"].(string) == "" {
 			t.Fatalf("%s: 400 without an error body: %v", tc.name, body)
 		}
+	}
+	// The removed "op" selector is refused, never run as TwoSided, and the
+	// 400 points the client at "algorithm".
+	_, opBody := postJSON(t, ts.URL+"/match", map[string]any{"graph": id, "op": "karpsipser"})
+	if msg, _ := opBody["error"].(string); !strings.Contains(msg, `"algorithm"`) {
+		t.Fatalf(`"op" error %q, want it to name "algorithm"`, msg)
 	}
 
 	// In a batch, a bad spec fails only its own slot.

@@ -1,15 +1,21 @@
-// Package wire is the /match response wire format, shared by the
-// matchserve replicas (internal/servehttp) and the cluster router
-// (internal/cluster): the MatchResponse and BatchResponse types, a
-// streaming encoder and a direct decoder.
+// Package wire is the /match wire format, shared by the matchserve
+// replicas (internal/servehttp) and the cluster router (internal/cluster):
+// the request types (GraphSpec, MatchRequest and the BatchRequest
+// envelope), the response types (MatchResponse and BatchResponse), a
+// streaming response encoder and a direct response decoder. Each shape is
+// declared once, so a field the replica accepts is a field the router
+// forwards.
 //
-// Both directions are exact stand-ins for encoding/json. The encoder
-// writes the bytes json.NewEncoder(w).Encode writes for the same value
-// (field order, omitempty, string escaping, float formatting, the
+// Requests go through encoding/json on both sides: the replica decodes
+// and validates them (internal/servehttp), the router decodes them and
+// re-encodes them for the replica. Responses have a codec of their own,
+// and both of its directions are exact stand-ins for encoding/json. The
+// encoder writes the bytes json.NewEncoder(w).Encode writes for the same
+// value (field order, omitempty, string escaping, float formatting, the
 // trailing newline), and the decoder returns what json.Unmarshal returns
 // for the same bytes — so a client, a replica and the router can each use
-// either side without the other noticing. The point of the package is the
-// row_mate array, one int per graph row and the bulk of every body:
+// either side without the other noticing. The point of the response codec
+// is the row_mate array, one int per graph row and the bulk of every body:
 // encoding/json builds the whole document in memory before the first byte
 // is written and decodes the array by reflection, element by element,
 // while this package streams it out through one fixed-size buffer and

@@ -45,23 +45,23 @@ func qualityGraphs() []struct {
 	}
 }
 
-// meanQuality runs op over the seed range on one warm Matcher and returns
+// meanQuality runs alg over the seed range on one warm Matcher and returns
 // mean(size)/sprank along with the worst single seed.
-func meanQuality(t *testing.T, g *Graph, op Op, seeds int) (mean, worst float64) {
+func meanQuality(t *testing.T, g *Graph, alg Algorithm, seeds int) (mean, worst float64) {
 	t.Helper()
 	sprank := g.Sprank()
 	m := g.NewMatcher(&Options{ScalingIterations: 5})
 	sum, worstSize := 0, g.Rows()+1
 	for s := 1; s <= seeds; s++ {
 		var size int
-		switch op {
-		case OpOneSided:
+		switch alg {
+		case AlgOneSided:
 			res, err := m.OneSided(uint64(s))
 			if err != nil {
 				t.Fatalf("OneSided seed %d: %v", s, err)
 			}
 			size = res.Matching.Size
-		case OpTwoSided:
+		case AlgTwoSided:
 			res, err := m.TwoSided(uint64(s))
 			if err != nil {
 				t.Fatalf("TwoSided seed %d: %v", s, err)
@@ -88,7 +88,7 @@ func TestQualityOneSidedGuarantee(t *testing.T) {
 	threshold := bound - 0.02
 	for _, tc := range qualityGraphs() {
 		t.Run(tc.name, func(t *testing.T) {
-			mean, worst := meanQuality(t, tc.g, OpOneSided, seeds)
+			mean, worst := meanQuality(t, tc.g, AlgOneSided, seeds)
 			t.Logf("onesided %s: mean %.4f worst %.4f (bound %.4f, %d seeds)",
 				tc.name, mean, worst, bound, seeds)
 			if mean < threshold {
@@ -109,7 +109,7 @@ func TestQualityTwoSidedConjecture(t *testing.T) {
 	threshold := 0.86 * (1 - 0.012)
 	for _, tc := range qualityGraphs() {
 		t.Run(tc.name, func(t *testing.T) {
-			mean, worst := meanQuality(t, tc.g, OpTwoSided, seeds)
+			mean, worst := meanQuality(t, tc.g, AlgTwoSided, seeds)
 			t.Logf("twosided %s: mean %.4f worst %.4f (conjecture %.4f, %d seeds)",
 				tc.name, mean, worst, bound, seeds)
 			if mean < threshold {
@@ -174,11 +174,11 @@ func TestQualityServedResponsesMatchGuarantee(t *testing.T) {
 	seeds := qualitySeeds()
 	g := FullyIndecomposable(1200, 2, 3)
 	sprank := g.Sprank()
-	srv := NewServer(&Options{ScalingIterations: 5}, 64)
+	srv := NewServerConfig(&Options{ScalingIterations: 5}, ServerConfig{MaxBatch: 64})
 	defer srv.Close()
 	reqs := make([]Request, seeds)
 	for s := range reqs {
-		reqs[s] = Request{Graph: g, Op: OpTwoSided, Seed: uint64(s + 1)}
+		reqs[s] = Request{Graph: g, Spec: Spec{Algorithm: AlgTwoSided, Seed: uint64(s + 1)}}
 	}
 	sum := 0
 	for i, resp := range srv.MatchBatch(reqs) {

@@ -112,16 +112,9 @@ type ServerConfig struct {
 	RateBurst int
 }
 
-// NewServer starts a serving loop with the given options (nil follows the
-// one-shot defaults). maxBatch bounds how many queued requests one batch
-// may drain; <= 0 means 256. The admission queue defaults to 4×maxBatch;
-// use NewServerConfig to size it explicitly.
-func NewServer(opt *Options, maxBatch int) *Server {
-	return NewServerConfig(opt, ServerConfig{MaxBatch: maxBatch})
-}
-
-// NewServerConfig starts a serving loop with explicit batch and admission
-// sizing; see ServerConfig.
+// NewServerConfig starts a serving loop with the given options (nil
+// follows the one-shot defaults) and batch and admission sizing; see
+// ServerConfig.
 func NewServerConfig(opt *Options, cfg ServerConfig) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 256
@@ -235,7 +228,7 @@ func (s *Server) wouldMissDeadline(req Request) error {
 	if !ok {
 		return nil
 	}
-	est, ok := s.engine.svc.estimate(req.Graph, req.effectiveSpec())
+	est, ok := s.engine.svc.estimate(req.Graph, req.Spec)
 	if !ok {
 		return nil
 	}
@@ -255,10 +248,14 @@ func (s *Server) wouldMissDeadline(req Request) error {
 // MatchBatch submits many requests at once and blocks until all admitted
 // responses are ready, returned in request order. The requests enter the
 // shared queue together, so under low contention they execute as one
-// batch on the warm arenas. Requests that do not fit the admission queue
-// are answered ErrOverloaded in place — size the queue at least as large
-// as the biggest burst one caller submits. Safe for concurrent use,
-// including with Close, like Match.
+// batch on the warm arenas. Each request passes the same admission ladder
+// as Match, and a refused one is answered in place with its typed error:
+// under a watchdog, priority shedding (*ShedError) and Spec degradation
+// apply per request, and requests that do not fit the admission queue get
+// ErrOverloaded — size the queue at least as large as the biggest burst
+// one caller submits. This is the protected form of the package-level
+// MatchBatch for callers that batch without HTTP. Safe for concurrent
+// use, including with Close, like Match.
 func (s *Server) MatchBatch(reqs []Request) []Response {
 	jobs := make([]serverJob, len(reqs))
 	out := make([]Response, len(reqs))

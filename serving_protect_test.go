@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/par"
 	"repro/internal/watchdog"
 )
 
@@ -91,6 +92,10 @@ func (f *fakeLoad) heat(t *testing.T, srv *Server, busy float64, want ShedLevel)
 // serves everything at full quality again — leaving no goroutines behind.
 func TestProtectShedThenRecover(t *testing.T) {
 	g := RandomER(300, 300, 3, 1)
+	// The process-wide default pool, which the engine dispatches to,
+	// parks its workers for the life of the process: start it before the
+	// baseline so that only the server's own goroutines are counted.
+	par.Default()
 	baseline := runtime.NumGoroutine()
 
 	f := newFakeLoad()
@@ -98,7 +103,7 @@ func TestProtectShedThenRecover(t *testing.T) {
 		ServerConfig{MaxBatch: 8, Watchdog: f.config(0.5)})
 
 	// Nominal: full service, no degradation marker.
-	resp := srv.Match(Request{Graph: g, Seed: 1, Spec: Spec{Refine: RefineExact}})
+	resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 1, Refine: RefineExact}})
 	if resp.Err != nil || resp.Degraded != "" {
 		t.Fatalf("nominal request: err=%v degraded=%q, want served undegraded", resp.Err, resp.Degraded)
 	}
@@ -113,7 +118,7 @@ func TestProtectShedThenRecover(t *testing.T) {
 
 	// Normal and low priority are shed with the typed error.
 	for _, prio := range []Priority{PriorityNormal, PriorityLow} {
-		resp = srv.Match(Request{Graph: g, Seed: 2, Priority: prio})
+		resp = srv.Match(Request{Graph: g, Spec: Spec{Seed: 2}, Priority: prio})
 		if !errors.Is(resp.Err, ErrShed) {
 			t.Fatalf("priority %v under critical: %v, want ErrShed", prio, resp.Err)
 		}
@@ -131,7 +136,7 @@ func TestProtectShedThenRecover(t *testing.T) {
 
 	// High priority is still served — degraded, not refused: the exact
 	// refinement is dropped and the marker says so.
-	resp = srv.Match(Request{Graph: g, Seed: 3, Priority: PriorityHigh, Spec: Spec{Refine: RefineExact}})
+	resp = srv.Match(Request{Graph: g, Priority: PriorityHigh, Spec: Spec{Seed: 3, Refine: RefineExact}})
 	if resp.Err != nil {
 		t.Fatalf("high priority under critical: %v, want served", resp.Err)
 	}
@@ -153,7 +158,7 @@ func TestProtectShedThenRecover(t *testing.T) {
 	if lvl := srv.Health().Level; lvl != ShedNominal {
 		t.Fatalf("level after 9 calm samples: %v, want nominal", lvl)
 	}
-	resp = srv.Match(Request{Graph: g, Seed: 4, Spec: Spec{Refine: RefineExact}})
+	resp = srv.Match(Request{Graph: g, Spec: Spec{Seed: 4, Refine: RefineExact}})
 	if resp.Err != nil || resp.Degraded != "" || !resp.Refined {
 		t.Fatalf("post-recovery request: err=%v degraded=%q refined=%v, want full service",
 			resp.Err, resp.Degraded, resp.Refined)
@@ -186,19 +191,19 @@ func TestProtectPriorityShedOrder(t *testing.T) {
 
 	// busy 0.6 / limit 0.5 = utilization 1.2 — Shedding, not Critical.
 	f.heat(t, srv, 0.6, ShedShedding)
-	if resp := srv.Match(Request{Graph: g, Seed: 1, Priority: PriorityLow}); !errors.Is(resp.Err, ErrShed) {
+	if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 1}, Priority: PriorityLow}); !errors.Is(resp.Err, ErrShed) {
 		t.Fatalf("low at shedding: %v, want ErrShed", resp.Err)
 	}
-	if resp := srv.Match(Request{Graph: g, Seed: 1}); resp.Err != nil {
+	if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 1}}); resp.Err != nil {
 		t.Fatalf("normal at shedding: %v, want served", resp.Err)
 	}
 
 	// busy 0.7 = utilization 1.4 — Critical.
 	f.heat(t, srv, 0.7, ShedCritical)
-	if resp := srv.Match(Request{Graph: g, Seed: 2}); !errors.Is(resp.Err, ErrShed) {
+	if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 2}}); !errors.Is(resp.Err, ErrShed) {
 		t.Fatalf("normal at critical: %v, want ErrShed", resp.Err)
 	}
-	if resp := srv.Match(Request{Graph: g, Seed: 2, Priority: PriorityHigh}); resp.Err != nil {
+	if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 2}, Priority: PriorityHigh}); resp.Err != nil {
 		t.Fatalf("high at critical: %v, want served", resp.Err)
 	}
 }
@@ -226,8 +231,8 @@ func TestProtectDegradedQualityBound(t *testing.T) {
 	// served, everything expensive is downgraded.
 	f.heat(t, srv, 0.52, ShedDegraded)
 
-	resp := srv.Match(Request{Graph: g, Seed: 7,
-		Spec: Spec{Refine: RefineExact, Ensemble: 8}})
+	resp := srv.Match(Request{Graph: g,
+		Spec: Spec{Seed: 7, Refine: RefineExact, Ensemble: 8}})
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
@@ -282,7 +287,7 @@ func TestProtectDegradeSpecLadder(t *testing.T) {
 // unaffected.
 func TestProtectWouldMissDeadline(t *testing.T) {
 	g := RandomER(300, 300, 3, 1)
-	srv := NewServer(&Options{ScalingIterations: 2, Workers: 1}, 8)
+	srv := NewServerConfig(&Options{ScalingIterations: 2, Workers: 1}, ServerConfig{MaxBatch: 8})
 	defer srv.Close()
 
 	// Cold server: no history, nothing defensible to reject on — even a
@@ -290,7 +295,7 @@ func TestProtectWouldMissDeadline(t *testing.T) {
 	// the 504 path, not the 429 path).
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if resp := srv.Match(Request{Graph: g, Seed: 1, Ctx: ctx}); resp.Err != nil {
+	if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 1}, Ctx: ctx}); resp.Err != nil {
 		t.Fatalf("cold-server request: %v, want served", resp.Err)
 	}
 
@@ -302,7 +307,7 @@ func TestProtectWouldMissDeadline(t *testing.T) {
 
 	tight, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel2()
-	resp := srv.Match(Request{Graph: g, Seed: 2, Ctx: tight})
+	resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 2}, Ctx: tight})
 	if !errors.Is(resp.Err, ErrWouldMiss) {
 		t.Fatalf("doomed deadline: %v, want ErrWouldMiss", resp.Err)
 	}
@@ -320,11 +325,11 @@ func TestProtectWouldMissDeadline(t *testing.T) {
 	// A feasible deadline on the same class is admitted and served.
 	roomy, cancel3 := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel3()
-	if resp := srv.Match(Request{Graph: g, Seed: 3, Ctx: roomy}); resp.Err != nil {
+	if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 3}, Ctx: roomy}); resp.Err != nil {
 		t.Fatalf("feasible deadline: %v, want served", resp.Err)
 	}
 	// No deadline: never would-miss rejected.
-	if resp := srv.Match(Request{Graph: g, Seed: 4}); resp.Err != nil {
+	if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 4}}); resp.Err != nil {
 		t.Fatalf("no deadline: %v, want served", resp.Err)
 	}
 	if st := srv.Stats(); st.WouldMiss != 1 {
@@ -344,10 +349,10 @@ func TestProtectRateLimited(t *testing.T) {
 		ServerConfig{RatePerClient: 1, RateBurst: 1, Watchdog: WatchdogConfig{Now: now}})
 	defer srv.Close()
 
-	if resp := srv.Match(Request{Graph: g, Seed: 1, Client: "alice"}); resp.Err != nil {
+	if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 1}, Client: "alice"}); resp.Err != nil {
 		t.Fatalf("first alice request: %v, want served", resp.Err)
 	}
-	resp := srv.Match(Request{Graph: g, Seed: 2, Client: "alice"})
+	resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 2}, Client: "alice"})
 	if !errors.Is(resp.Err, ErrRateLimited) {
 		t.Fatalf("second alice request: %v, want ErrRateLimited", resp.Err)
 	}
@@ -355,11 +360,11 @@ func TestProtectRateLimited(t *testing.T) {
 	if !errors.As(resp.Err, &rl) || rl.Client != "alice" || rl.RetryAfter <= 0 {
 		t.Fatalf("rate-limit error %#v, want *RateLimitError{Client: alice, RetryAfter > 0}", resp.Err)
 	}
-	if resp := srv.Match(Request{Graph: g, Seed: 3, Client: "bob"}); resp.Err != nil {
+	if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 3}, Client: "bob"}); resp.Err != nil {
 		t.Fatalf("bob is limited by alice's bucket: %v", resp.Err)
 	}
 	for i := 0; i < 3; i++ {
-		if resp := srv.Match(Request{Graph: g, Seed: uint64(4 + i)}); resp.Err != nil {
+		if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: uint64(4 + i)}}); resp.Err != nil {
 			t.Fatalf("anonymous request %d hit the limiter: %v", i, resp.Err)
 		}
 	}
@@ -367,7 +372,7 @@ func TestProtectRateLimited(t *testing.T) {
 	mu.Lock()
 	clock = clock.Add(rl.RetryAfter)
 	mu.Unlock()
-	if resp := srv.Match(Request{Graph: g, Seed: 9, Client: "alice"}); resp.Err != nil {
+	if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 9}, Client: "alice"}); resp.Err != nil {
 		t.Fatalf("alice after waiting Retry-After: %v, want served", resp.Err)
 	}
 	if st := srv.Stats(); st.RateLimited != 1 {
@@ -393,19 +398,19 @@ func TestProtectColdScalingCancelRetry(t *testing.T) {
 	scaleRunHook.Store(&hook)
 	t.Cleanup(func() { scaleRunHook.Store(nil) })
 
-	srv := NewServer(&Options{ScalingIterations: 5, Workers: 1}, 8)
+	srv := NewServerConfig(&Options{ScalingIterations: 5, Workers: 1}, ServerConfig{MaxBatch: 8})
 	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	resp := srv.Match(Request{Graph: g, Op: OpTwoSided, Seed: 1, Ctx: ctx})
+	resp := srv.Match(Request{Graph: g, Spec: Spec{Algorithm: AlgTwoSided, Seed: 1}, Ctx: ctx})
 	if !errors.Is(resp.Err, context.DeadlineExceeded) {
 		t.Fatalf("cold request with 1ms deadline: %v, want context.DeadlineExceeded", resp.Err)
 	}
 
 	// Retry without a deadline: the cell must not be poisoned — the
 	// scaling reruns (exactly once) and the request succeeds.
-	resp = srv.Match(Request{Graph: g, Op: OpTwoSided, Seed: 1})
+	resp = srv.Match(Request{Graph: g, Spec: Spec{Algorithm: AlgTwoSided, Seed: 1}})
 	if resp.Err != nil {
 		t.Fatalf("retry after canceled scaling: %v, want served", resp.Err)
 	}
@@ -413,7 +418,7 @@ func TestProtectColdScalingCancelRetry(t *testing.T) {
 		t.Fatalf("%d scaling runs, want 2 (one aborted + one fresh)", n)
 	}
 	// The fresh run latched: further requests share it.
-	if resp = srv.Match(Request{Graph: g, Op: OpOneSided, Seed: 2}); resp.Err != nil {
+	if resp = srv.Match(Request{Graph: g, Spec: Spec{Algorithm: AlgOneSided, Seed: 2}}); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
 	if n := runs.Load(); n != 2 {
@@ -441,5 +446,127 @@ func TestProtectErrorUnwrap(t *testing.T) {
 	}
 	if _, err := ParsePriority("urgent"); err == nil {
 		t.Error("unknown priority accepted")
+	}
+}
+
+// TestProtectMatchBatchShedUnderMutationLoad gates the watchdog on
+// Server.MatchBatch, the batch surface for callers that do not go through
+// HTTP: mixed-priority batches against a DynSession's evolving snapshots
+// must, under injected overload, shed low/normal priority in place with
+// the typed ShedError while still serving high priority (degraded) — and
+// recover to full undegraded service once the load clears. The mutation
+// workload churns snapshots (DropGraph on each stale one) concurrently
+// with serving, so under -race this also gates the snapshot-swap pattern
+// itself.
+func TestProtectMatchBatchShedUnderMutationLoad(t *testing.T) {
+	g := RandomER(200, 200, 3, 1)
+	sess, err := g.NewDynSession(Spec{Algorithm: AlgTwoSided, Refine: RefineExact}, &Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f := newFakeLoad()
+	srv := NewServerConfig(&Options{ScalingIterations: 2, Workers: 1},
+		ServerConfig{MaxBatch: 8, Watchdog: f.config(0.5)})
+	defer srv.Close()
+
+	// The mutation workload: a background goroutine folds batches into the
+	// session and republishes the snapshot, evicting the stale one from the
+	// server's scale cache — the registry pattern serving layers use.
+	var snap atomic.Pointer[Graph]
+	snap.Store(sess.Snapshot())
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		row, col := 0, 0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			old := snap.Load()
+			if _, err := sess.Apply([][2]int{{row % sess.Rows(), col % sess.Cols()}},
+				[][2]int{{(row + 7) % sess.Rows(), (col + 3) % sess.Cols()}}); err != nil {
+				t.Error(err)
+				return
+			}
+			row += 13
+			col += 11
+			snap.Store(sess.Snapshot())
+			srv.DropGraph(old)
+		}
+	}()
+
+	batch := func(prio Priority) []Response {
+		cur := snap.Load()
+		return srv.MatchBatch([]Request{
+			{Graph: cur, Spec: Spec{Seed: 1, Refine: RefineExact}, Priority: prio},
+			{Graph: cur, Spec: Spec{Seed: 2}, Priority: prio},
+		})
+	}
+
+	// Nominal: everything served, nothing degraded.
+	for _, r := range batch(PriorityLow) {
+		if r.Err != nil || r.Degraded != "" {
+			t.Fatalf("nominal: err=%v degraded=%q, want full service", r.Err, r.Degraded)
+		}
+	}
+
+	// Overload to Critical: low and normal are shed in place with the
+	// typed error; high is served but degraded (exact refine dropped).
+	f.heat(t, srv, 0.7, ShedCritical)
+	for _, prio := range []Priority{PriorityLow, PriorityNormal} {
+		for _, r := range batch(prio) {
+			if !errors.Is(r.Err, ErrShed) {
+				t.Fatalf("priority %v under critical: err=%v, want ErrShed", prio, r.Err)
+			}
+			var shed *ShedError
+			if !errors.As(r.Err, &shed) || shed.Level != ShedCritical || shed.RetryAfter <= 0 {
+				t.Fatalf("priority %v shed error %v, want ShedError{Critical, >0}", prio, r.Err)
+			}
+		}
+	}
+	high := batch(PriorityHigh)
+	for _, r := range high {
+		if r.Err != nil {
+			t.Fatalf("high priority under critical: %v, want served", r.Err)
+		}
+	}
+	if high[0].Degraded == "" || high[0].Refined {
+		t.Fatalf("critical high-priority exact request: degraded=%q refined=%v, want degraded heuristic",
+			high[0].Degraded, high[0].Refined)
+	}
+
+	// Recovery: load clears, level decays, full service resumes.
+	f.setBusy(0.0)
+	for i := 0; i < 10 && srv.Health().Level != ShedNominal; i++ {
+		f.tick(srv)
+	}
+	if lvl := srv.Health().Level; lvl != ShedNominal {
+		t.Fatalf("level %v after cooldown, want nominal", lvl)
+	}
+	for _, r := range batch(PriorityLow) {
+		if r.Err != nil || r.Degraded != "" {
+			t.Fatalf("post-recovery: err=%v degraded=%q, want full service", r.Err, r.Degraded)
+		}
+	}
+
+	close(stop)
+	wg.Wait()
+
+	st := srv.Stats()
+	if st.Shed < 4 || st.Requests == 0 || st.Degraded == 0 {
+		t.Fatalf("stats %+v, want shed>=4, requests>0, degraded>0", st)
+	}
+
+	// The maintained matching stayed coherent under the concurrent churn.
+	if err := sess.Snapshot().ValidateMatching(sess.Matching()); err != nil {
+		t.Fatal(err)
+	}
+	if want := sess.Snapshot().Sprank(); sess.Size() != want {
+		t.Fatalf("maintained size %d, want sprank %d", sess.Size(), want)
 	}
 }

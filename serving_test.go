@@ -40,7 +40,7 @@ func TestServerSharedScalingOncePerGraph(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	scales := countScaleRuns(t)
-	srv := NewServer(&Options{ScalingIterations: 5, Pool: pool}, 64)
+	srv := NewServerConfig(&Options{ScalingIterations: 5, Pool: pool}, ServerConfig{MaxBatch: 64})
 	defer srv.Close()
 
 	const submitters, perSubmitter = 8, 8
@@ -52,11 +52,11 @@ func TestServerSharedScalingOncePerGraph(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < perSubmitter; k++ {
-				op := OpTwoSided
+				alg := AlgTwoSided
 				if k%2 == 1 {
-					op = OpOneSided
+					alg = AlgOneSided
 				}
-				resp := srv.Match(Request{Graph: g, Op: op, Seed: uint64(s*perSubmitter + k + 1)})
+				resp := srv.Match(Request{Graph: g, Spec: Spec{Algorithm: alg, Seed: uint64(s*perSubmitter + k + 1)}})
 				if resp.Err != nil {
 					errs <- fmt.Errorf("submitter %d req %d: %w", s, k, resp.Err)
 					return
@@ -75,7 +75,7 @@ func TestServerSharedScalingOncePerGraph(t *testing.T) {
 	}
 	// The shared scaling must not perturb results: one more request
 	// reproduces the one-shot width-1 reference bit for bit.
-	resp := srv.Match(Request{Graph: g, Op: OpTwoSided, Seed: 9})
+	resp := srv.Match(Request{Graph: g, Spec: Spec{Algorithm: AlgTwoSided, Seed: 9}})
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
@@ -93,9 +93,9 @@ func TestMatchBatchSharedScalingPerGraph(t *testing.T) {
 	var reqs []Request
 	for s := uint64(1); s <= 24; s++ {
 		reqs = append(reqs,
-			Request{Graph: g1, Op: OpTwoSided, Seed: s},
-			Request{Graph: g2, Op: OpOneSided, Seed: s},
-			Request{Graph: g1, Op: OpKarpSipser, Seed: s}, // no scaling needed
+			Request{Graph: g1, Spec: Spec{Algorithm: AlgTwoSided, Seed: s}},
+			Request{Graph: g2, Spec: Spec{Algorithm: AlgOneSided, Seed: s}},
+			Request{Graph: g1, Spec: Spec{Algorithm: AlgKarpSipser, Seed: s}}, // no scaling needed
 		)
 	}
 	for i, resp := range MatchBatch(reqs, &Options{ScalingIterations: 5, Pool: pool}) {
@@ -128,18 +128,18 @@ func TestServerOverloadedWhenQueueFull(t *testing.T) {
 
 	// First request: admitted, drained into a batch, stalled in the hook.
 	first := make(chan Response, 1)
-	go func() { first <- srv.Match(Request{Graph: g, Seed: 1}) }()
+	go func() { first <- srv.Match(Request{Graph: g, Spec: Spec{Seed: 1}}) }()
 	<-entered
 
 	// Second request: admitted, fills the queue (depth 1).
 	second := make(chan Response, 1)
-	go func() { second <- srv.Match(Request{Graph: g, Seed: 2}) }()
+	go func() { second <- srv.Match(Request{Graph: g, Spec: Spec{Seed: 2}}) }()
 	waitFor(t, "queue to fill", func() bool { return len(srv.jobs) == 1 })
 
 	// Third request: the queue is full — rejected immediately, from the
 	// submitting goroutine, with no kernel work and no new goroutine.
 	start := time.Now()
-	resp := srv.Match(Request{Graph: g, Seed: 3})
+	resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 3}})
 	if !errors.Is(resp.Err, ErrOverloaded) {
 		t.Fatalf("overflow submission returned %v, want ErrOverloaded", resp.Err)
 	}
@@ -195,19 +195,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestServerExpiredContextSkipsKernels(t *testing.T) {
 	g := RandomER(2000, 2000, 4, 3)
 	scales := countScaleRuns(t)
-	srv := NewServer(&Options{ScalingIterations: 5, Workers: 1}, 16)
+	srv := NewServerConfig(&Options{ScalingIterations: 5, Workers: 1}, ServerConfig{MaxBatch: 16})
 	defer srv.Close()
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	resp := srv.Match(Request{Graph: g, Op: OpTwoSided, Seed: 1, Ctx: canceled})
+	resp := srv.Match(Request{Graph: g, Spec: Spec{Algorithm: AlgTwoSided, Seed: 1}, Ctx: canceled})
 	if !errors.Is(resp.Err, context.Canceled) {
 		t.Fatalf("canceled request returned %v, want context.Canceled", resp.Err)
 	}
 
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel2()
-	resp = srv.Match(Request{Graph: g, Op: OpTwoSided, Seed: 1, Ctx: expired})
+	resp = srv.Match(Request{Graph: g, Spec: Spec{Algorithm: AlgTwoSided, Seed: 1}, Ctx: expired})
 	if !errors.Is(resp.Err, context.DeadlineExceeded) {
 		t.Fatalf("expired request returned %v, want context.DeadlineExceeded", resp.Err)
 	}
@@ -225,9 +225,9 @@ func TestMatchBatchExpiredContextInBatch(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	out := MatchBatch([]Request{
-		{Graph: g, Seed: 1},
-		{Graph: g, Seed: 2, Ctx: canceled},
-		{Graph: g, Seed: 3, Ctx: context.Background()},
+		{Graph: g, Spec: Spec{Seed: 1}},
+		{Graph: g, Spec: Spec{Seed: 2}, Ctx: canceled},
+		{Graph: g, Spec: Spec{Seed: 3}, Ctx: context.Background()},
 	}, &Options{ScalingIterations: 5})
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Fatalf("live requests failed: %v %v", out[0].Err, out[2].Err)
@@ -298,12 +298,12 @@ func TestServerCancelWhileQueued(t *testing.T) {
 		}
 	}
 	first := make(chan Response, 1)
-	go func() { first <- srv.Match(Request{Graph: g, Seed: 1}) }()
+	go func() { first <- srv.Match(Request{Graph: g, Spec: Spec{Seed: 1}}) }()
 	<-entered
 
 	ctx, cancel := context.WithCancel(context.Background())
 	queued := make(chan Response, 1)
-	go func() { queued <- srv.Match(Request{Graph: g, Seed: 2, Ctx: ctx}) }()
+	go func() { queued <- srv.Match(Request{Graph: g, Spec: Spec{Seed: 2}, Ctx: ctx}) }()
 	waitFor(t, "queue to fill", func() bool { return len(srv.jobs) == 1 })
 	cancel()
 	select {
@@ -327,9 +327,9 @@ func TestServerCancelWhileQueued(t *testing.T) {
 // concurrent with Match remains documented as disallowed; this covers the
 // sequential after-Close case.)
 func TestServerClosedRejects(t *testing.T) {
-	srv := NewServer(nil, 4)
+	srv := NewServerConfig(nil, ServerConfig{MaxBatch: 4})
 	srv.Close()
-	resp := srv.Match(Request{Graph: RandomER(50, 50, 2, 1), Seed: 1})
+	resp := srv.Match(Request{Graph: RandomER(50, 50, 2, 1), Spec: Spec{Seed: 1}})
 	if !errors.Is(resp.Err, ErrServerClosed) {
 		t.Fatalf("post-Close Match returned %v, want ErrServerClosed", resp.Err)
 	}
@@ -343,7 +343,7 @@ func TestServerClosedRejects(t *testing.T) {
 func TestServerCloseConcurrentWithMatch(t *testing.T) {
 	g := RandomER(400, 400, 3, 1)
 	for round := 0; round < 4; round++ {
-		srv := NewServer(&Options{ScalingIterations: 2, Workers: 1}, 8)
+		srv := NewServerConfig(&Options{ScalingIterations: 2, Workers: 1}, ServerConfig{MaxBatch: 8})
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
 		for s := 0; s < 4; s++ {
@@ -351,7 +351,7 @@ func TestServerCloseConcurrentWithMatch(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for seed := uint64(1); ; seed++ {
-					resp := srv.Match(Request{Graph: g, Seed: seed})
+					resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: seed}})
 					switch {
 					case resp.Err == nil, errors.Is(resp.Err, ErrOverloaded):
 					case errors.Is(resp.Err, ErrServerClosed):
@@ -394,7 +394,7 @@ func TestMatchBatchHeterogeneousShapes(t *testing.T) {
 	var reqs []Request
 	for round := 0; round < 3; round++ {
 		for i, g := range shapes {
-			reqs = append(reqs, Request{Graph: g, Op: OpTwoSided, Seed: uint64(round*len(shapes) + i + 1)})
+			reqs = append(reqs, Request{Graph: g, Spec: Spec{Algorithm: AlgTwoSided, Seed: uint64(round*len(shapes) + i + 1)}})
 		}
 	}
 	want := make([]*Matching, len(reqs))
@@ -433,12 +433,12 @@ func TestServerMatchBatchPartialOverload(t *testing.T) {
 	// Stall the collector on a first request so the burst below meets a
 	// full, static queue.
 	first := make(chan Response, 1)
-	go func() { first <- srv.Match(Request{Graph: g, Seed: 99}) }()
+	go func() { first <- srv.Match(Request{Graph: g, Spec: Spec{Seed: 99}}) }()
 	<-entered
 
 	burst := make([]Request, 10)
 	for i := range burst {
-		burst[i] = Request{Graph: g, Seed: uint64(i + 1)}
+		burst[i] = Request{Graph: g, Spec: Spec{Seed: uint64(i + 1)}}
 	}
 	done := make(chan []Response, 1)
 	go func() { done <- srv.MatchBatch(burst) }()

@@ -12,7 +12,7 @@ import (
 // wrappers against their Spec equivalents at fixed seeds, (b) the
 // RefineExact guarantee |M| == Sprank on the quality-suite families,
 // (c) the one-scaling-per-ensemble economy and deterministic winners, and
-// (d) the Op→Spec shim of the batch layer plus scale-cache eviction.
+// (d) full Specs through the batch layer plus scale-cache eviction.
 
 // specConformanceGraphs are small instances spanning structure classes:
 // random with total support, complete (dense), mesh, and rank-deficient.
@@ -279,38 +279,6 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestSpecBatchOpShim: the deprecated Request.Op/Seed fields resolve to
-// the same responses as their Spec equivalents, and an explicit
-// Spec.Algorithm wins over a stale Op.
-func TestSpecBatchOpShim(t *testing.T) {
-	g := RandomER(700, 700, 4, 31)
-	ops := []Op{OpTwoSided, OpOneSided, OpKarpSipser}
-	legacy := make([]Request, 0, 3*len(ops))
-	speced := make([]Request, 0, 3*len(ops))
-	for _, op := range ops {
-		for s := uint64(1); s <= 3; s++ {
-			legacy = append(legacy, Request{Graph: g, Op: op, Seed: s})
-			speced = append(speced, Request{Graph: g, Spec: Spec{Algorithm: op.Algorithm(), Seed: s}})
-		}
-	}
-	opt := &Options{ScalingIterations: 5}
-	outLegacy := MatchBatch(legacy, opt)
-	outSpec := MatchBatch(speced, opt)
-	for i := range outLegacy {
-		if outLegacy[i].Err != nil || outSpec[i].Err != nil {
-			t.Fatalf("req %d: errs %v / %v", i, outLegacy[i].Err, outSpec[i].Err)
-		}
-		cmpMates(t, "op shim", outSpec[i].Matching, outLegacy[i].Matching)
-	}
-	// Precedence: a set Spec.Algorithm silences Op entirely.
-	mixed := MatchBatch([]Request{{Graph: g, Op: OpKarpSipser, Spec: Spec{Algorithm: AlgOneSided, Seed: 2}}}, opt)
-	pure := MatchBatch([]Request{{Graph: g, Spec: Spec{Algorithm: AlgOneSided, Seed: 2}}}, opt)
-	if mixed[0].Err != nil || pure[0].Err != nil {
-		t.Fatal(mixed[0].Err, pure[0].Err)
-	}
-	cmpMates(t, "spec wins over op", mixed[0].Matching, pure[0].Matching)
-}
-
 // TestSpecBatchEnsembleRefine: full specs ride the batch layer — a
 // best-of-4 refined request comes back maximum, and ensembles still share
 // the per-graph scaling cell (1 run per graph however many candidates).
@@ -364,7 +332,7 @@ func TestSpecBatchEnsembleRefine(t *testing.T) {
 func TestSpecServerDropGraph(t *testing.T) {
 	g := RandomER(600, 600, 4, 51)
 	scales := countScaleRuns(t)
-	srv := NewServer(&Options{ScalingIterations: 5}, 16)
+	srv := NewServerConfig(&Options{ScalingIterations: 5}, ServerConfig{MaxBatch: 16})
 	defer srv.Close()
 
 	for s := uint64(1); s <= 3; s++ {
