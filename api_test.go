@@ -8,7 +8,7 @@ import (
 
 func TestQuickstartFlow(t *testing.T) {
 	g := RandomER(5000, 5000, 4, 42)
-	res, err := g.TwoSidedMatch(nil)
+	res, err := g.Match(Spec{Algorithm: AlgTwoSided}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if q := g.Quality(res.Matching); q < 0.85 {
 		t.Fatalf("two-sided quality %v below expectations", q)
 	}
-	one, err := g.OneSidedMatch(nil)
+	one, err := g.Match(Spec{Algorithm: AlgOneSided}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSprankCached(t *testing.T) {
 
 func TestJumpStartReducesWork(t *testing.T) {
 	g := FullyIndecomposable(3000, 2, 5)
-	res, err := g.TwoSidedMatch(&Options{ScalingIterations: 5, Seed: 3})
+	res, err := g.Match(Spec{Algorithm: AlgTwoSided}, &Options{ScalingIterations: 5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestScaleDirect(t *testing.T) {
 	g := FullyIndecomposable(500, 2, 9)
-	sc, err := g.Scale(&Options{ScalingIterations: 20})
+	sc, err := g.NewMatcher(&Options{ScalingIterations: 20}).Scale()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestScaleDirect(t *testing.T) {
 	if sc.Error >= sc.History[0] {
 		t.Fatal("scaling error did not decrease")
 	}
-	ruiz, err := g.Scale(&Options{ScalingIterations: 20, UseRuiz: true})
+	ruiz, err := g.NewMatcher(&Options{ScalingIterations: 20, UseRuiz: true}).Scale()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,11 @@ func TestScaleDirect(t *testing.T) {
 
 func TestKarpSipserBaseline(t *testing.T) {
 	g := HardForKarpSipser(320, 16)
-	mt, st := g.KarpSipser(1)
+	ksRes, err := g.Match(Spec{Algorithm: AlgKarpSipser, Seed: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt, st := ksRes.Matching, ksRes.KSStats
 	if err := g.ValidateMatching(mt); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +169,7 @@ func TestKarpSipserBaseline(t *testing.T) {
 	if g.Quality(mt) > 0.95 {
 		t.Fatalf("KS quality %v suspiciously high on k=16 bad case", g.Quality(mt))
 	}
-	res, err := g.TwoSidedMatch(&Options{ScalingIterations: 10})
+	res, err := g.Match(Spec{Algorithm: AlgTwoSided}, &Options{ScalingIterations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,16 +181,17 @@ func TestKarpSipserBaseline(t *testing.T) {
 func TestCheapBaselines(t *testing.T) {
 	g := RandomER(1000, 1000, 3, 11)
 	sp := g.Sprank()
-	e := g.CheapRandomEdge(3)
-	v := g.CheapRandomVertex(3)
-	if err := g.ValidateMatching(e); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.ValidateMatching(v); err != nil {
-		t.Fatal(err)
-	}
-	if 2*e.Size < sp || 2*v.Size < sp {
-		t.Fatal("cheap heuristics below half guarantee")
+	for _, alg := range []Algorithm{AlgCheapEdge, AlgCheapVertex} {
+		res, err := g.Match(Spec{Algorithm: alg, Seed: 3}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.ValidateMatching(res.Matching); err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if 2*res.Matching.Size < sp {
+			t.Fatalf("%s: below half guarantee", alg)
+		}
 	}
 }
 
@@ -243,11 +248,11 @@ func TestValidateMatchingRejectsCorrupt(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	g := RandomER(2000, 2000, 4, 23)
-	a, err := g.TwoSidedMatch(&Options{Seed: 9, ScalingIterations: 3})
+	a, err := g.Match(Spec{Algorithm: AlgTwoSided}, &Options{Seed: 9, ScalingIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := g.TwoSidedMatch(&Options{Seed: 9, ScalingIterations: 3})
+	b, err := g.Match(Spec{Algorithm: AlgTwoSided}, &Options{Seed: 9, ScalingIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +262,8 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	// One-sided: the set of chosen columns (hence the size) is
 	// deterministic; the winning row for a contended column is not (the
 	// paper's last-write-wins semantics).
-	one1, _ := g.OneSidedMatch(&Options{Seed: 9})
-	one2, _ := g.OneSidedMatch(&Options{Seed: 9})
+	one1, _ := g.Match(Spec{Algorithm: AlgOneSided}, &Options{Seed: 9})
+	one2, _ := g.Match(Spec{Algorithm: AlgOneSided}, &Options{Seed: 9})
 	if one1.Matching.Size != one2.Matching.Size {
 		t.Fatalf("one-sided size not deterministic: %d vs %d",
 			one1.Matching.Size, one2.Matching.Size)
@@ -297,7 +302,7 @@ func TestGeneratorsViaAPI(t *testing.T) {
 func TestHeuristicsQualityProperty(t *testing.T) {
 	f := func(seed uint64, d uint8) bool {
 		g := RandomER(400, 400, float64(d%4)+2, seed)
-		res, err := g.TwoSidedMatch(&Options{ScalingIterations: 5, Seed: seed + 1})
+		res, err := g.Match(Spec{Algorithm: AlgTwoSided}, &Options{ScalingIterations: 5, Seed: seed + 1})
 		if err != nil {
 			return false
 		}

@@ -15,27 +15,11 @@ func batchReference(t *testing.T, req Request, opt Options) *Matching {
 	if req.Spec.Seed != 0 {
 		opt.Seed = req.Spec.Seed
 	}
-	switch req.Spec.Algorithm {
-	case AlgOneSided:
-		res, err := req.Graph.OneSidedMatch(&opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Matching
-	case AlgKarpSipser:
-		seed := opt.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		mt, _ := req.Graph.KarpSipser(seed)
-		return mt
-	default:
-		res, err := req.Graph.TwoSidedMatch(&opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Matching
+	res, err := req.Graph.Match(Spec{Algorithm: req.Spec.Algorithm}, &opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res.Matching
 }
 
 func batchWorkload() ([]Request, []*Graph) {
@@ -115,7 +99,7 @@ func TestMatchBatchFreshGraphs(t *testing.T) {
 	}
 	// The responses for equal (graph, seed) must agree with a post-hoc
 	// one-shot reference.
-	ref, err := fresh[1].TwoSidedMatch(&Options{ScalingIterations: 5, Seed: 1, Workers: 1})
+	ref, err := fresh[1].Match(Spec{Algorithm: AlgTwoSided, Seed: 1}, &Options{ScalingIterations: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Benchmarks regenerating the kernels behind every table and figure of the
-// paper's evaluation. Each benchmark is named after the experiment it
-// backs (see DESIGN.md §5); the full reports are produced by
-// cmd/matchbench, these benchmarks measure the kernels with testing.B and
-// record quality via b.ReportMetric where it is the point of the table.
+// paper's evaluation. Each benchmark is named after the table or figure it
+// backs; the full reports are produced by cmd/matchbench, these benchmarks
+// measure the kernels with testing.B and record quality via
+// b.ReportMetric where it is the point of the table.
 //
 // Run with: go test -bench=. -benchmem
 package bipartite

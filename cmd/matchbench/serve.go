@@ -55,11 +55,12 @@ func serve(cfg bench.Config) []bench.PerfRecord {
 		g.Sprank() // warm the cache so Quality inside the timed runs is free
 		var quality float64
 
+		twoSided := func(k int) bipartite.Spec {
+			return bipartite.Spec{Algorithm: bipartite.AlgTwoSided, Seed: cfg.Seed + uint64(k)}
+		}
 		oneshot := func() {
 			for k := 0; k < requests; k++ {
-				o := *opt
-				o.Seed = cfg.Seed + uint64(k)
-				res, err := g.TwoSidedMatch(&o)
+				res, err := g.Match(twoSided(k), opt)
 				if err != nil {
 					panic(err)
 				}
@@ -69,7 +70,7 @@ func serve(cfg bench.Config) []bench.PerfRecord {
 		matcher := func() {
 			m := g.NewMatcher(opt)
 			for k := 0; k < requests; k++ {
-				res, err := m.TwoSided(cfg.Seed + uint64(k))
+				res, err := m.Run(twoSided(k))
 				if err != nil {
 					panic(err)
 				}

@@ -10,10 +10,11 @@
 // scale the adjacency matrix to doubly stochastic form (Sinkhorn–Knopp)
 // and use the scaled entries as sampling densities:
 //
-//   - OneSidedMatch: every row samples one column; no synchronization at
-//     all; guaranteed ≥ (1 − 1/e) ≈ 0.632 of the maximum matching.
-//   - TwoSidedMatch: rows and columns both sample, and the resulting
-//     "1-out" graph is matched exactly by a specialized parallel
+//   - OneSidedMatch (AlgOneSided): every row samples one column; no
+//     synchronization at all; guaranteed ≥ (1 − 1/e) ≈ 0.632 of the
+//     maximum matching on matrices with total support.
+//   - TwoSidedMatch (AlgTwoSided): rows and columns both sample, and the
+//     resulting "1-out" graph is matched exactly by a specialized parallel
 //     Karp–Sipser kernel; conjectured (and experimentally confirmed)
 //     ≥ 2(1 − ρ) ≈ 0.866 of the maximum, where ρ solves x·eˣ = 1.
 //
@@ -25,7 +26,8 @@
 // # Quick start
 //
 //	g := bipartite.RandomER(100000, 100000, 4.0, 42)
-//	res, _ := g.TwoSidedMatch(nil)          // defaults: 5 scaling iters, all cores
+//	spec := bipartite.Spec{Algorithm: bipartite.AlgTwoSided}
+//	res, _ := g.Match(spec, nil)            // defaults: 5 scaling iters, all cores
 //	max := g.Sprank()                       // exact maximum for comparison
 //	fmt.Printf("matched %d of %d (quality %.3f)\n",
 //		res.Matching.Size, max, float64(res.Matching.Size)/float64(max))
@@ -98,11 +100,10 @@
 //     /match/batch, and reports the result's provenance ("winner_seed",
 //     "candidates_run", "heuristic_size", "refined") in every response.
 //
-// The legacy entry points — OneSidedMatch, TwoSidedMatch, KarpSipser,
-// KarpSipserParallel and CheapRandomEdge/Vertex — survive as
-// compatibility shims: each is a thin wrapper over the equivalent Spec
-// and returns bit-identical results at the same options and seed (gated
-// by the Spec conformance suite).
+// Every Algorithm is requested through a Spec; TestSpecRunsItsKernel
+// checks that each cardinality Algorithm runs its own kernel, bit for bit
+// against that kernel called directly. Scaling-only workflows call
+// Matcher.Scale.
 //
 // Ensemble: K consumes K candidate seeds strictly in seed order over ONE
 // shared scaling and keeps the largest matching, ties broken toward the
@@ -131,12 +132,13 @@
 // graft and spec-conformance steps run under the race detector at
 // GOMAXPROCS 1, 2 and 4). RefineExact auto-selects the graft engine on
 // large instances (where refinement dominates end-to-end time) and
-// MatchResult.RefinedWith reports the engine that actually ran. Inside an ensemble the refinement is ensemble-aware: it
-// advances incrementally (one engine phase, or one push-relabel bid
-// budget, per consumed candidate), warm-starts from the best heuristic so
-// far, and stops the ensemble the moment the refined size reaches the
-// Target or structural sprank bound — jump-start workloads stop paying
-// for candidates the refinement has already made redundant:
+// MatchResult.RefinedWith reports the engine that actually ran. Inside an
+// ensemble the refinement is ensemble-aware: it advances incrementally
+// (one engine phase, or one push-relabel bid budget, per consumed
+// candidate), warm-starts from the best heuristic so far, and stops the
+// ensemble the moment the refined size reaches the Target or structural
+// sprank bound — jump-start workloads stop paying for candidates the
+// refinement has already made redundant:
 //
 //	res, _ := g.Match(bipartite.Spec{
 //		Algorithm: bipartite.AlgTwoSided,
@@ -204,34 +206,33 @@
 //
 // # Sessions and serving
 //
-// The one-shot calls are thin wrappers over a Matcher, a reusable session
+// Graph.Match runs its Spec on a throwaway Matcher, a reusable session
 // bound to one graph. A Matcher caches the transpose and the
 // (seed-independent) scaling and owns preallocated workspaces for every
-// pipeline stage, so repeated calls on the same graph — seed sweeps,
+// pipeline stage, so repeated Runs on the same graph — seed sweeps,
 // jump-start ensembles, servers — skip the scaling stage entirely and run
-// the kernels with near-zero allocations, bit-identical to the one-shot
-// results:
+// the kernels with near-zero allocations, bit-identical to Graph.Match:
 //
 //	m := g.NewMatcher(&bipartite.Options{ScalingIterations: 5})
 //	for seed := uint64(1); seed <= 100; seed++ {
-//		res, _ := m.TwoSided(seed)   // no rescaling, no reallocation
-//		consume(res.Matching)        // valid until the next call on m
+//		res, _ := m.Run(bipartite.Spec{Seed: seed}) // no rescaling, no reallocation
+//		consume(res.Matching)                       // valid until the next call on m
 //	}
-//	m.Reset(next)                        // rebind, reusing the buffers
+//	m.Reset(next)                                       // rebind, reusing the buffers
 //
-// Prefer a Matcher over one-shot calls whenever the same graph (or a
-// stream of same-shaped graphs) is matched more than once; results alias
-// the session and must be copied if retained across calls (RefineExact
-// results are the exception: they are freshly allocated).
+// Prefer a Matcher over Graph.Match whenever the same graph (or a stream
+// of same-shaped graphs) is matched more than once. Results alias the
+// session and must be copied if retained across calls; refined results
+// are no exception, since they live on the session's refinement
+// workspace.
 //
 // # Dynamic sessions
 //
 // A DynSession is the online form of a Matcher: a mutable graph session
 // that absorbs batched edge mutations and maintains its matching
 // incrementally instead of recomputing it. Open one with
-// Graph.NewDynSession(spec, opt) or Matcher.Dyn(spec) — the Spec runs
-// once to establish the initial matching — then feed it
-// Apply(inserts, deletes) batches:
+// Graph.NewDynSession(spec, opt) — the Spec runs once to establish the
+// initial matching — then feed it Apply(inserts, deletes) batches:
 //
 //	sess, _ := g.NewDynSession(bipartite.Spec{Refine: bipartite.RefineExact}, nil)
 //	res, _ := sess.Apply([][2]int{{3, 7}}, [][2]int{{0, 0}})
@@ -290,14 +291,15 @@
 //     ServerStats.Rejected.
 //   - Deadlines: Request.Ctx carries per-request cancellation. An
 //     already-expired context is answered with its error before any
-//     kernel runs; one that expires mid-run aborts the sampling and
-//     Karp–Sipser stages at their next cooperative checkpoint (chunk
-//     granularity) and the response carries ctx.Err(). One exception is
-//     deliberate: the shared per-graph scaling below is not cancellable —
-//     it is bounded work (a fixed handful of sweeps) owned by every
-//     future request of the graph, so a request whose deadline expires
-//     during a cold graph's scaling waits that scaling out before being
-//     answered with its context error. A nil Ctx never cancels.
+//     kernel runs; one that expires mid-run aborts the scaling (the
+//     shared per-graph scaling below included), sampling and Karp–Sipser
+//     stages at their next cooperative checkpoint (a scaling sweep or a
+//     chunk) and the response carries ctx.Err(). Two waits are not
+//     interruptible: a request parked on another request's computation of
+//     the same cold scaling waits for it (the computing request's own
+//     deadline bounds that wait), and the sequential refiners finish
+//     their bounded warm-start work before the expiry is reported. A nil
+//     Ctx never cancels.
 //   - Shared scaling: the engine computes one scaling per *Graph in a
 //     per-graph once-cell shared by all W batch slots — not one per slot —
 //     and recycles per-slot arenas by graph shape under heterogeneous

@@ -235,13 +235,6 @@ func (g *Graph) newDynAuction(spec Spec, v Options) (*DynSession, error) {
 
 func edgeKey(i, j int) int64 { return int64(i)<<32 | int64(j) }
 
-// Dyn opens a dynamic session on the Matcher's graph under the
-// Matcher's options; see Graph.NewDynSession. The Matcher itself is not
-// retained — the session owns an independent mutable copy.
-func (m *Matcher) Dyn(spec Spec) (*DynSession, error) {
-	return m.g.NewDynSession(spec, &m.opt)
-}
-
 // Rows returns the session's row-vertex count (fixed at creation;
 // vertex arrival/departure is expressed as its edge set).
 func (s *DynSession) Rows() int { return s.dg.Rows() }

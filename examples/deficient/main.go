@@ -38,11 +38,11 @@ func main() {
 	fmt.Printf("%6s %12s %12s %14s\n", "iters", "one-sided", "two-sided", "scaling error")
 	for _, iters := range []int{0, 1, 5, 10} {
 		opt := &bipartite.Options{ScalingIterations: iters, Seed: 9}
-		one, err := g.OneSidedMatch(opt)
+		one, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgOneSided}, opt)
 		if err != nil {
 			panic(err)
 		}
-		two, err := g.TwoSidedMatch(opt)
+		two, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgTwoSided}, opt)
 		if err != nil {
 			panic(err)
 		}

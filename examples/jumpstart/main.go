@@ -28,24 +28,25 @@ func main() {
 	// Cold exact solve: every row needs an augmenting-path search.
 	run(g, "cold MC21", nil)
 
-	// Warm starts of increasing quality.
-	cheap := g.CheapRandomVertex(7)
-	run(g, "cheap-vertex + MC21", cheap)
-
-	ksMt, _ := g.KarpSipser(7)
-	run(g, "karp-sipser + MC21", ksMt)
-
-	one, err := g.OneSidedMatch(&bipartite.Options{ScalingIterations: 5, Seed: 7})
-	if err != nil {
-		panic(err)
+	// Warm starts of increasing quality, each one Spec run on a shared
+	// session (the two scaled heuristics share one scaling). A result
+	// aliases the session, so each is used before the next Run.
+	m := g.NewMatcher(&bipartite.Options{ScalingIterations: 5, Seed: 7})
+	for _, h := range []struct {
+		name string
+		alg  bipartite.Algorithm
+	}{
+		{"cheap-vertex + MC21", bipartite.AlgCheapVertex},
+		{"karp-sipser + MC21", bipartite.AlgKarpSipser},
+		{"one-sided + MC21", bipartite.AlgOneSided},
+		{"two-sided + MC21", bipartite.AlgTwoSided},
+	} {
+		res, err := m.Run(bipartite.Spec{Algorithm: h.alg})
+		if err != nil {
+			panic(err)
+		}
+		run(g, h.name, res.Matching)
 	}
-	run(g, "one-sided + MC21", one.Matching)
-
-	two, err := g.TwoSidedMatch(&bipartite.Options{ScalingIterations: 5, Seed: 7})
-	if err != nil {
-		panic(err)
-	}
-	run(g, "two-sided + MC21", two.Matching)
 
 	// The declarative form of the whole pipeline: one Spec asks for a
 	// best-of-4 TwoSided ensemble (one shared scaling) refined to maximum

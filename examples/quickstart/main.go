@@ -18,9 +18,13 @@ func main() {
 	g := bipartite.RandomER(200000, 200000, 4, 42)
 	fmt.Printf("graph: %d + %d vertices, %d edges\n", g.Rows(), g.Cols(), g.Edges())
 
+	// Each heuristic is one Spec run by Graph.Match on a fresh session, so
+	// both timings include their own Sinkhorn–Knopp scaling.
+	opt := &bipartite.Options{ScalingIterations: 5, Seed: 1}
+
 	// OneSidedMatch: zero-synchronization heuristic, >= 0.632 guarantee.
 	start := time.Now()
-	one, err := g.OneSidedMatch(&bipartite.Options{ScalingIterations: 5, Seed: 1})
+	one, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgOneSided}, opt)
 	if err != nil {
 		panic(err)
 	}
@@ -28,7 +32,7 @@ func main() {
 
 	// TwoSidedMatch: 1-out sampling + exact parallel Karp-Sipser, ≈0.866.
 	start = time.Now()
-	two, err := g.TwoSidedMatch(&bipartite.Options{ScalingIterations: 5, Seed: 1})
+	two, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgTwoSided}, opt)
 	if err != nil {
 		panic(err)
 	}

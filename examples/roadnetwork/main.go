@@ -29,13 +29,13 @@ func main() {
 	for _, w := range []int{1, 2, 4, 8, 16} {
 		opt := &bipartite.Options{ScalingIterations: 1, Workers: w, Seed: 5}
 		start := time.Now()
-		one, err := g.OneSidedMatch(opt)
+		one, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgOneSided}, opt)
 		if err != nil {
 			panic(err)
 		}
 		t1 := time.Since(start)
 		start = time.Now()
-		two, err := g.TwoSidedMatch(opt)
+		two, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgTwoSided}, opt)
 		if err != nil {
 			panic(err)
 		}

@@ -32,9 +32,7 @@ func main() {
 	start := time.Now()
 	size := 0
 	for seed := uint64(1); seed <= requests; seed++ {
-		o := *opt
-		o.Seed = seed
-		res, err := g.TwoSidedMatch(&o)
+		res, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgTwoSided, Seed: seed}, opt)
 		if err != nil {
 			panic(err)
 		}
@@ -48,7 +46,7 @@ func main() {
 	m := g.NewMatcher(opt)
 	start = time.Now()
 	for seed := uint64(1); seed <= requests; seed++ {
-		res, err := m.TwoSided(seed)
+		res, err := m.Run(bipartite.Spec{Algorithm: bipartite.AlgTwoSided, Seed: seed})
 		if err != nil {
 			panic(err)
 		}
@@ -59,7 +57,7 @@ func main() {
 	// Tier 3: the batching Server under concurrent load. Requests from
 	// many submitters ride shared pool-wide batches on warm per-slot
 	// arenas (one shared scaling per graph); each response is still
-	// deterministic per (graph, op, seed). The admission queue is bounded:
+	// deterministic per (graph, Spec). The admission queue is bounded:
 	// were the submitters to outrun it, the overflow would fail fast with
 	// bipartite.ErrOverloaded instead of queueing without bound, and
 	// Request.Ctx would let each call carry a deadline.

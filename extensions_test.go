@@ -49,7 +49,7 @@ func TestPushRelabelAPI(t *testing.T) {
 		t.Fatalf("push-relabel %d != sprank %d", pr.Size, g.Sprank())
 	}
 	// Warm-started from a heuristic: same size, fewer free rows to fix.
-	two, err := g.TwoSidedMatch(nil)
+	two, err := g.Match(Spec{Algorithm: AlgTwoSided}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,22 +61,25 @@ func TestPushRelabelAPI(t *testing.T) {
 
 func TestKarpSipserParallelAPI(t *testing.T) {
 	g := RandomER(10000, 10000, 3, 9)
-	mt := g.KarpSipserParallel(3, 8)
-	if err := g.ValidateMatching(mt); err != nil {
+	res, err := g.Match(Spec{Algorithm: AlgKarpSipserParallel, Seed: 3}, &Options{Workers: 8})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if 2*mt.Size < g.Sprank() {
+	if err := g.ValidateMatching(res.Matching); err != nil {
+		t.Fatal(err)
+	}
+	if 2*res.Matching.Size < g.Sprank() {
 		t.Fatal("below half guarantee")
 	}
 }
 
 func TestSkewAwareScalingOption(t *testing.T) {
 	g := PowerLaw(5000, 10, 1.5, 2000, 3)
-	std, err := g.Scale(&Options{ScalingIterations: 5})
+	std, err := g.NewMatcher(&Options{ScalingIterations: 5}).Scale()
 	if err != nil {
 		t.Fatal(err)
 	}
-	skew, err := g.Scale(&Options{ScalingIterations: 5, SkewAware: true})
+	skew, err := g.NewMatcher(&Options{ScalingIterations: 5, SkewAware: true}).Scale()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +135,7 @@ func TestCertificateAPI(t *testing.T) {
 		t.Fatal("cover size miscounted")
 	}
 	// A heuristic matching must NOT certify unless it happens to be max.
-	two, err := g.TwoSidedMatch(nil)
+	two, err := g.Match(Spec{Algorithm: AlgTwoSided}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,16 +148,17 @@ func TestHeuristicHierarchyOnHardInstance(t *testing.T) {
 	// The paper's headline comparison on one instance: cheap < KS-family
 	// < TwoSided on the adversarial family, with exact on top.
 	g := HardForKarpSipser(640, 16)
-	sp := g.Sprank()
-	cheapQ := float64(g.CheapRandomEdge(1).Size) / float64(sp)
-	ksMt, _ := g.KarpSipser(1)
-	ksQ := float64(ksMt.Size) / float64(sp)
-	ksParQ := float64(g.KarpSipserParallel(1, 8).Size) / float64(sp)
-	two, err := g.TwoSidedMatch(&Options{ScalingIterations: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	quality := func(alg Algorithm, opt *Options) float64 {
+		res, err := g.Match(Spec{Algorithm: alg, Seed: 1}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.Quality(res.Matching)
 	}
-	twoQ := g.Quality(two.Matching)
+	cheapQ := quality(AlgCheapEdge, nil)
+	ksQ := quality(AlgKarpSipser, nil)
+	ksParQ := quality(AlgKarpSipserParallel, &Options{Workers: 8})
+	twoQ := quality(AlgTwoSided, &Options{ScalingIterations: 10})
 	if twoQ <= ksQ || twoQ <= cheapQ || twoQ <= ksParQ {
 		t.Fatalf("hierarchy violated: cheap=%.3f ks=%.3f kspar=%.3f two=%.3f",
 			cheapQ, ksQ, ksParQ, twoQ)

@@ -11,8 +11,8 @@ import (
 // Instance is a synthetic analog of one of the twelve SuiteSparse matrices
 // used in Table 3 and Figures 3–5. The analogs match the structural class
 // (mesh / road network / power-law / banded / saddle-point), the average
-// degree, the degree skew and the sprank deficiency of the originals; see
-// DESIGN.md §4 for the substitution rationale.
+// degree, the degree skew and the sprank deficiency of the originals,
+// which cannot be shipped with an offline reproduction (see package gen).
 type Instance struct {
 	Name      string // analog name used in reports
 	PaperName string // the SuiteSparse matrix it stands in for

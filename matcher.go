@@ -17,17 +17,17 @@ import (
 // into the request context's own error.
 var ErrCanceled = errors.New("bipartite: matching canceled")
 
-// Matcher is a reusable matching session bound to one graph. It caches the
-// transpose and the scaling of the bound graph and owns preallocated
-// workspaces for every pipeline stage — scaling vectors and sums, row and
-// column choice buffers, the 1-out choice graph, the Karp–Sipser match and
-// degree arrays — so repeated OneSided / TwoSided / Scale / KarpSipser
-// calls perform near-zero allocations (a reused TwoSided call stays within
-// two allocations at one worker) and reproduce the one-shot API exactly:
-// the one-shot functions are in fact thin wrappers over a throwaway
-// Matcher, so the session introduces no drift anywhere the pipeline is
-// deterministic (see the package-level determinism contract — everything
-// at Workers: 1; choices, scalings and sizes at any width).
+// Matcher is a reusable matching session bound to one graph; Run executes
+// Specs on it. It caches the transpose and the scaling of the bound graph
+// and owns preallocated workspaces for every pipeline stage — scaling
+// vectors and sums, row and column choice buffers, the 1-out choice graph,
+// the Karp–Sipser match and degree arrays, the refinement buffers — so
+// repeated Run and Scale calls perform near-zero allocations (a reused
+// TwoSided Run stays within two allocations at one worker). Graph.Match is
+// Run on a throwaway Matcher, so a reused session reproduces the one-shot
+// call exactly wherever the pipeline is deterministic (see the
+// package-level determinism contract — everything at Workers: 1; choices,
+// scalings and sizes at any width).
 //
 // The scaling of a graph is seed-independent, so it is computed once per
 // binding and shared by every subsequent call — the second and later calls
@@ -39,15 +39,16 @@ var ErrCanceled = errors.New("bipartite: matching canceled")
 // (or Reset). Callers that retain results across calls copy them first.
 // A Matcher is not safe for concurrent use; for concurrent serving run one
 // Matcher per worker slot (see MatchBatch and Server, which do exactly
-// that) or one-shot calls, which are safe because each builds its own.
+// that) or one-shot Graph.Match calls, which are safe because each builds
+// its own.
 type Matcher struct {
 	g   *Graph
 	opt Options // normalized
 
 	sess     *core.Session
 	scaleWs  *scale.Workspace
-	ksWs     *ks.Workspace     // lazily created by KarpSipser
-	ksApprox *ks.ApproxSession // lazily created by KarpSipserParallel
+	ksWs     *ks.Workspace     // lazily created by AlgKarpSipser runs
+	ksApprox *ks.ApproxSession // lazily created by AlgKarpSipserParallel runs
 	refWs    *exact.Workspace  // lazily created by refining Specs
 
 	sc      *Scaling // cached scaling of the bound graph; nil until computed
@@ -84,8 +85,8 @@ type Matcher struct {
 }
 
 // NewMatcher creates a matching session on g. opt follows the same
-// defaulting rules as the one-shot calls; opt.Seed is the default seed for
-// calls that pass seed 0. The session pins its pool and parallel width at
+// defaulting rules as Graph.Match; opt.Seed is the default seed for Specs
+// whose Seed is 0. The session pins its pool and parallel width at
 // construction. The sampling workspaces (and the graph transpose) are
 // built lazily on the first call that needs them, so a Matcher used only
 // for the cheap baselines never pays for either.
@@ -130,10 +131,9 @@ func (m *Matcher) Graph() *Graph { return m.g }
 // setCancel installs (or clears, with nil) the session's cooperative
 // cancellation hook; the scaling, sampling and Karp–Sipser stages all poll
 // it at chunk granularity. The hook must be cheap, concurrency-safe and
-// monotone (once true, always true — a context's Err is). A canceled call
-// returns ErrCanceled (or a nil matching from KarpSipser) and leaves the
-// session reusable; the batch engine arms this per request from the
-// request's context.
+// monotone (once true, always true — a context's Err is). A canceled Run
+// returns ErrCanceled and leaves the session reusable; the batch engine
+// arms this per request from the request's context.
 func (m *Matcher) setCancel(cancel func() bool) {
 	m.cancel = cancel
 	if m.sess != nil {
@@ -202,7 +202,8 @@ func (m *Matcher) seed(s uint64) uint64 {
 }
 
 // Scale returns the scaling of the bound graph, computing it on first use
-// and serving it from the session cache afterwards. The result aliases the
+// and serving it from the session cache afterwards; Run scales through it,
+// and scaling-only workflows call it directly. The result aliases the
 // session workspace (see the Matcher aliasing contract).
 func (m *Matcher) Scale() (*Scaling, error) {
 	if m.sc != nil || m.scErr != nil {
@@ -225,45 +226,4 @@ func (m *Matcher) Scale() (*Scaling, error) {
 		m.sess.SetScaling(res.DR, res.DC, res.RSum, res.CSum)
 	}
 	return m.sc, nil
-}
-
-// OneSided runs the OneSidedMatch heuristic with the given seed (0 means
-// Options.Seed) on the bound graph — a compatibility wrapper over
-// Run(Spec{Algorithm: AlgOneSided}), bit-identical to the one-shot
-// OneSidedMatch under the same options and seed.
-func (m *Matcher) OneSided(seed uint64) (*MatchResult, error) {
-	return m.Run(Spec{Algorithm: AlgOneSided, Seed: seed})
-}
-
-// TwoSided runs the TwoSidedMatch heuristic with the given seed (0 means
-// Options.Seed) on the bound graph — a compatibility wrapper over
-// Run(Spec{Algorithm: AlgTwoSided}), bit-identical to the one-shot
-// TwoSidedMatch under the same options and seed.
-func (m *Matcher) TwoSided(seed uint64) (*MatchResult, error) {
-	return m.Run(Spec{Algorithm: AlgTwoSided, Seed: seed})
-}
-
-// KarpSipser runs the classic sequential Karp–Sipser heuristic with the
-// given seed (0 means Options.Seed), reusing the session's queue and
-// live-edge buffers across calls — a compatibility wrapper over
-// Run(Spec{Algorithm: AlgKarpSipser}). A canceled session call returns a
-// nil matching with the statistics accumulated so far.
-func (m *Matcher) KarpSipser(seed uint64) (*Matching, KarpSipserStats) {
-	res, err := m.Run(Spec{Algorithm: AlgKarpSipser, Seed: seed})
-	if err != nil {
-		return nil, m.ksStats
-	}
-	return res.Matching, *res.KSStats
-}
-
-// KarpSipserParallel runs the multithreaded Karp–Sipser baseline with the
-// given seed (0 means Options.Seed) on the session's pool and width,
-// reusing the session's matching buffers across calls — a compatibility
-// wrapper over Run(Spec{Algorithm: AlgKarpSipserParallel}).
-func (m *Matcher) KarpSipserParallel(seed uint64) *Matching {
-	res, err := m.Run(Spec{Algorithm: AlgKarpSipserParallel, Seed: seed})
-	if err != nil {
-		return nil
-	}
-	return res.Matching
 }

@@ -46,8 +46,8 @@ func cmpScalings(t *testing.T, what string, got, want *Scaling) {
 }
 
 // TestMatcherBitIdenticalToOneShot is the session-vs-one-shot oracle:
-// repeated TwoSided/OneSided/Scale calls on one Matcher — interleaved
-// seeds, repeated seeds, several option sets — reproduce the one-shot API.
+// repeated TwoSided/OneSided Runs on one Matcher — interleaved seeds,
+// repeated seeds, several option sets — reproduce a fresh Graph.Match.
 // At one worker the comparison is the full matching bit for bit; at
 // parallel widths the per-edge pairing of the Karp–Sipser kernel is
 // scheduling-dependent (in the one-shot path too — CAS claim order), so
@@ -71,11 +71,11 @@ func TestMatcherBitIdenticalToOneShot(t *testing.T) {
 			for _, seed := range []uint64{1, 7, 7, 42, 1} {
 				opt := base
 				opt.Seed = seed
-				want, err := g.TwoSidedMatch(&opt)
+				want, err := g.Match(Spec{Algorithm: AlgTwoSided}, &opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := m.TwoSided(seed)
+				got, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,11 +93,11 @@ func TestMatcherBitIdenticalToOneShot(t *testing.T) {
 				// OneSided's winners are scheduling-dependent above one
 				// worker too; its size is pinned by the deterministic
 				// chosen-column set.
-				gotOne, err := m.OneSided(seed)
+				gotOne, err := m.Run(Spec{Algorithm: AlgOneSided, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantOne, err := g.OneSidedMatch(&opt)
+				wantOne, err := g.Match(Spec{Algorithm: AlgOneSided}, &opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,16 +112,16 @@ func TestMatcherBitIdenticalToOneShot(t *testing.T) {
 	}
 }
 
-// TestMatcherSeedZeroDefaults: seed 0 on a session call means
-// Options.Seed, exactly like the one-shot API.
+// TestMatcherSeedZeroDefaults: a Spec with Seed 0 on a session runs with
+// Options.Seed — exactly what Graph.Match returns for that seed named
+// explicitly.
 func TestMatcherSeedZeroDefaults(t *testing.T) {
 	g := RandomER(800, 800, 4, 5)
-	opt := &Options{ScalingIterations: 3, Seed: 99, Workers: 1}
-	want, err := g.TwoSidedMatch(opt)
+	want, err := g.Match(Spec{Seed: 99}, &Options{ScalingIterations: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.NewMatcher(opt).TwoSided(0)
+	got, err := g.NewMatcher(&Options{ScalingIterations: 3, Seed: 99, Workers: 1}).Run(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestMatcherResetReuse(t *testing.T) {
 			if m.Graph() != g {
 				t.Fatal("Graph() does not track Reset")
 			}
-			want, err := g.TwoSidedMatch(opt)
+			want, err := g.Match(Spec{Algorithm: AlgTwoSided}, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := m.TwoSided(0)
+			got, err := m.Run(Spec{Algorithm: AlgTwoSided})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,23 +181,33 @@ func TestMatcherScaleCachedAcrossCalls(t *testing.T) {
 	if sc1 != sc2 {
 		t.Fatal("Scale() recomputed instead of serving the cache")
 	}
-	want, err := g.Scale(&Options{ScalingIterations: 5})
+	want, err := g.NewMatcher(&Options{ScalingIterations: 5}).Scale()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cmpScalings(t, "cached scaling", sc1, want)
 
 	// Karp–Sipser variants on a session: deterministic and valid.
-	mt1, st1 := m.KarpSipser(3)
-	if err := g.ValidateMatching(mt1); err != nil {
+	wantKS, err := g.Match(Spec{Algorithm: AlgKarpSipser, Seed: 3}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantKS, wantSt := g.KarpSipser(3)
-	if mt1.Size != wantKS.Size || st1 != wantSt {
-		t.Fatalf("session KS (%d, %+v) want (%d, %+v)", mt1.Size, st1, wantKS.Size, wantSt)
+	ks1, err := m.Run(Spec{Algorithm: AlgKarpSipser, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mtp := m.KarpSipserParallel(3)
-	if err := g.ValidateMatching(mtp); err != nil {
+	if err := g.ValidateMatching(ks1.Matching); err != nil {
+		t.Fatal(err)
+	}
+	if ks1.Matching.Size != wantKS.Matching.Size || *ks1.KSStats != *wantKS.KSStats {
+		t.Fatalf("session KS (%d, %+v) want (%d, %+v)",
+			ks1.Matching.Size, *ks1.KSStats, wantKS.Matching.Size, *wantKS.KSStats)
+	}
+	ksp, err := m.Run(Spec{Algorithm: AlgKarpSipserParallel, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.ValidateMatching(ksp.Matching); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -214,63 +224,39 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 	pool := NewPool(1)
 	defer pool.Close()
 	m := g.NewMatcher(&Options{ScalingIterations: 5, Workers: 1, Pool: pool})
-	if _, err := m.TwoSided(1); err != nil { // warm: scaling + first growth
-		t.Fatal(err)
-	}
 
+	// Each Spec's first Run warms what it uses: the scaling and sampling
+	// buffers, the Karp–Sipser workspace and approx session, and the
+	// refinement workspace (refineWs) — so repeated jump-start runs,
+	// including the ensemble+refine serving pattern, meet the same budget
+	// as the bare heuristics.
 	seed := uint64(0)
-	gate := func(name string, f func()) {
-		t.Helper()
-		if allocs := testing.AllocsPerRun(20, f); allocs > 2 {
-			t.Errorf("%s: %.1f allocs per reused call, want <= 2", name, allocs)
-		}
-	}
-	gate("TwoSided", func() {
-		seed++
-		if _, err := m.TwoSided(seed); err != nil {
-			t.Fatal(err)
-		}
-	})
-	gate("OneSided", func() {
-		seed++
-		if _, err := m.OneSided(seed); err != nil {
-			t.Fatal(err)
-		}
-	})
-	m.KarpSipser(1) // warm the sequential workspace
-	gate("KarpSipser", func() {
-		seed++
-		m.KarpSipser(seed)
-	})
-	m.KarpSipserParallel(1) // warm the approx session
-	gate("KarpSipserParallel", func() {
-		seed++
-		m.KarpSipserParallel(seed)
-	})
-
-	// Refining Specs ride the session's refinement workspace (refineWs), so
-	// repeated jump-start runs — including the ensemble+refine serving
-	// pattern — meet the same budget once the workspace is warm.
 	for _, tc := range []struct {
 		name string
 		spec Spec
 	}{
+		{"TwoSided", Spec{Algorithm: AlgTwoSided}},
+		{"OneSided", Spec{Algorithm: AlgOneSided}},
+		{"KarpSipser", Spec{Algorithm: AlgKarpSipser}},
+		{"KarpSipserParallel", Spec{Algorithm: AlgKarpSipserParallel}},
 		{"RefineExact", Spec{Refine: RefineExact}},
 		{"RefineGraft", Spec{Refine: RefineGraft}},
 		{"EnsembleRefineGraft", Spec{Ensemble: 4, Refine: RefineGraft, Sequential: true}},
 	} {
 		spec := tc.spec
 		spec.Seed = 1
-		if _, err := m.Run(spec); err != nil { // warm the refinement workspace
+		if _, err := m.Run(spec); err != nil {
 			t.Fatal(err)
 		}
-		gate(tc.name, func() {
+		if allocs := testing.AllocsPerRun(20, func() {
 			seed++
 			spec.Seed = seed
 			if _, err := m.Run(spec); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}); allocs > 2 {
+			t.Errorf("%s: %.1f allocs per reused call, want <= 2", tc.name, allocs)
+		}
 	}
 }
 
@@ -286,13 +272,13 @@ func TestMatcherSteadyStateAllocsParallel(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	m := g.NewMatcher(&Options{ScalingIterations: 5, Workers: 4, Pool: pool})
-	if _, err := m.TwoSided(1); err != nil {
+	if _, err := m.Run(Spec{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	seed := uint64(0)
 	if allocs := testing.AllocsPerRun(20, func() {
 		seed++
-		if _, err := m.TwoSided(seed); err != nil {
+		if _, err := m.Run(Spec{Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 2 {

@@ -48,8 +48,8 @@ type Options struct {
 
 // Pool is a handle to a persistent set of parallel workers that matching
 // calls can share; see Options.Pool. It wraps the internal loop runtime's
-// pool so one warm worker set serves any number of Scale / OneSidedMatch /
-// TwoSidedMatch / KarpSipserParallel calls, concurrently if desired.
+// pool so one warm worker set serves any number of Graph.Match,
+// Matcher.Run and batch calls, concurrently if desired.
 type Pool struct {
 	p *par.Pool
 }
@@ -162,21 +162,8 @@ func (g *Graph) scaleRaw(v Options, ws *scale.Workspace, cancel func() bool) (*s
 	}
 }
 
-// Scale runs the configured scaling method and returns the scaling
-// vectors. Most callers use OneSidedMatch / TwoSidedMatch directly, which
-// scale internally; Scale is exposed for scaling-only workflows and the
-// experiments.
-func (g *Graph) Scale(opt *Options) (*Scaling, error) {
-	res, err := g.scaleRaw(opt.normalized(), nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Scaling{DR: res.DR, DC: res.DC, Iterations: res.Iters, Error: res.Err,
-		History: res.History, RowSums: res.RSum, ColSums: res.CSum}, nil
-}
-
-// MatchResult is the outcome of a heuristic matching run executed by the
-// Spec engine (Matcher.Run and everything delegating to it).
+// MatchResult is the outcome of a matching run executed by the Spec
+// engine (Matcher.Run, and Graph.Match and the batch layer over it).
 type MatchResult struct {
 	// Matching is the computed matching (always valid).
 	Matching *Matching
@@ -233,76 +220,6 @@ type MatchResult struct {
 	// exact solve (it is ≥ 1−Epsilon by the termination invariants, and
 	// typically much closer to 1). 0 for the cardinality algorithms.
 	DualBound float64
-}
-
-// OneSidedMatch runs the OneSidedMatch heuristic (Algorithm 2):
-// Sinkhorn–Knopp scaling followed by one random column choice per row,
-// with last-write-wins conflict semantics. Guaranteed expected quality
-// ≥ 1 − 1/e ≈ 0.632 on matrices with total support.
-//
-// It is a compatibility wrapper over Graph.Match with
-// Spec{Algorithm: AlgOneSided}; callers that match the same graph
-// repeatedly (ensembles, servers) create a Matcher and reuse it.
-func (g *Graph) OneSidedMatch(opt *Options) (*MatchResult, error) {
-	return g.Match(Spec{Algorithm: AlgOneSided}, opt)
-}
-
-// TwoSidedMatch runs the TwoSidedMatch heuristic (Algorithm 3): both
-// sides sample one neighbor each, and the specialized parallel
-// Karp–Sipser kernel (Algorithm 4) matches the sampled 1-out graph
-// exactly. Conjectured quality ≥ 2(1 − ρ) ≈ 0.866 on matrices with total
-// support.
-//
-// It is a compatibility wrapper over Graph.Match with
-// Spec{Algorithm: AlgTwoSided}; callers that match the same graph
-// repeatedly (ensembles, servers) create a Matcher and reuse it.
-func (g *Graph) TwoSidedMatch(opt *Options) (*MatchResult, error) {
-	return g.Match(Spec{Algorithm: AlgTwoSided}, opt)
-}
-
-// KarpSipser runs the classic sequential Karp–Sipser heuristic (the
-// Table 1 baseline) and reports its phase statistics. A compatibility
-// wrapper over the Spec engine (Spec{Algorithm: AlgKarpSipser}).
-func (g *Graph) KarpSipser(seed uint64) (*Matching, KarpSipserStats) {
-	return g.NewMatcher(&Options{Seed: seed}).KarpSipser(0)
-}
-
-// KarpSipserParallel runs an Azad-et-al-style multithreaded Karp–Sipser
-// on the full graph (the paper's reference [4]): fast and lock-free but
-// without a quality guarantee, since newly arising degree-one vertices are
-// not tracked. Provided as the parallel baseline that TwoSidedMatch's
-// exact-on-1-out kernel is designed to improve upon.
-func (g *Graph) KarpSipserParallel(seed uint64, workers int) *Matching {
-	return g.KarpSipserParallelPool(seed, workers, nil)
-}
-
-// KarpSipserParallelPool is KarpSipserParallel running on a caller-owned
-// worker pool (nil means the default pool). A compatibility wrapper over
-// the Spec engine (Spec{Algorithm: AlgKarpSipserParallel}).
-func (g *Graph) KarpSipserParallelPool(seed uint64, workers int, pool *Pool) *Matching {
-	m := g.NewMatcher(&Options{Seed: seed, Workers: workers, Pool: pool})
-	return m.KarpSipserParallel(0)
-}
-
-// CheapRandomEdge runs the §2.1 random-edge-visit 1/2-approximation.
-// A compatibility wrapper over the Spec engine (AlgCheapEdge).
-func (g *Graph) CheapRandomEdge(seed uint64) *Matching {
-	res, err := g.Match(Spec{Algorithm: AlgCheapEdge, Seed: seed}, nil)
-	if err != nil { // unreachable: the spec is valid and the path cannot cancel
-		panic(err)
-	}
-	return res.Matching
-}
-
-// CheapRandomVertex runs the §2.1 random-vertex-random-neighbor
-// 1/2-approximation. A compatibility wrapper over the Spec engine
-// (AlgCheapVertex).
-func (g *Graph) CheapRandomVertex(seed uint64) *Matching {
-	res, err := g.Match(Spec{Algorithm: AlgCheapVertex, Seed: seed}, nil)
-	if err != nil { // unreachable: the spec is valid and the path cannot cancel
-		panic(err)
-	}
-	return res.Matching
 }
 
 // OneSidedGuarantee returns the OneSidedMatch approximation bound implied

@@ -53,24 +53,11 @@ func meanQuality(t *testing.T, g *Graph, alg Algorithm, seeds int) (mean, worst 
 	m := g.NewMatcher(&Options{ScalingIterations: 5})
 	sum, worstSize := 0, g.Rows()+1
 	for s := 1; s <= seeds; s++ {
-		var size int
-		switch alg {
-		case AlgOneSided:
-			res, err := m.OneSided(uint64(s))
-			if err != nil {
-				t.Fatalf("OneSided seed %d: %v", s, err)
-			}
-			size = res.Matching.Size
-		case AlgTwoSided:
-			res, err := m.TwoSided(uint64(s))
-			if err != nil {
-				t.Fatalf("TwoSided seed %d: %v", s, err)
-			}
-			size = res.Matching.Size
-		default:
-			mt, _ := m.KarpSipser(uint64(s))
-			size = mt.Size
+		res, err := m.Run(Spec{Algorithm: alg, Seed: uint64(s)})
+		if err != nil {
+			t.Fatalf("%s seed %d: %v", alg, s, err)
 		}
+		size := res.Matching.Size
 		sum += size
 		if size < worstSize {
 			worstSize = size
@@ -152,8 +139,13 @@ func TestQualityKarpSipserExactOnDegreeTwoFamilies(t *testing.T) {
 	for _, tc := range families {
 		t.Run(tc.name, func(t *testing.T) {
 			sprank := tc.g.Sprank()
+			m := tc.g.NewMatcher(nil)
 			for s := 1; s <= seeds; s++ {
-				mt, _ := tc.g.KarpSipser(uint64(s))
+				res, err := m.Run(Spec{Algorithm: AlgKarpSipser, Seed: uint64(s)})
+				if err != nil {
+					t.Fatalf("seed %d: %v", s, err)
+				}
+				mt := res.Matching
 				if err := tc.g.ValidateMatching(mt); err != nil {
 					t.Fatalf("seed %d: %v", s, err)
 				}

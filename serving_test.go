@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/par"
 )
 
 // countScaleRuns installs the scaling counter hook for the duration of the
@@ -32,7 +34,7 @@ func countScaleRuns(t *testing.T) *atomic.Int64 {
 func TestServerSharedScalingOncePerGraph(t *testing.T) {
 	g := RandomER(1200, 1200, 4, 77)
 	// Reference first, outside the counter's scope.
-	ref, err := g.TwoSidedMatch(&Options{ScalingIterations: 5, Seed: 9, Workers: 1})
+	ref, err := g.Match(Spec{Algorithm: AlgTwoSided, Seed: 9}, &Options{ScalingIterations: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +117,10 @@ func TestMatchBatchSharedScalingPerGraph(t *testing.T) {
 // goroutine, so rejected and served requests alike leave none behind.
 func TestServerOverloadedWhenQueueFull(t *testing.T) {
 	g := RandomER(300, 300, 3, 1)
+	// The process-wide default pool, which the engine dispatches to,
+	// parks its workers for the life of the process: start it before the
+	// baseline so that only the server's own goroutines are counted.
+	par.Default()
 	baseline := runtime.NumGoroutine()
 
 	srv := NewServerConfig(&Options{ScalingIterations: 2, Workers: 1},
@@ -242,11 +248,11 @@ func TestMatchBatchExpiredContextInBatch(t *testing.T) {
 
 // TestMatcherCancelMidRun arms the session cancellation hook so it fires
 // after a few checkpoint polls — mid-pipeline, deterministically — and
-// checks every op aborts with ErrCanceled (nil matching for KarpSipser)
-// and that the session serves correct results again afterwards.
+// checks each algorithm's Run aborts with ErrCanceled and that the
+// session serves correct results again afterwards.
 func TestMatcherCancelMidRun(t *testing.T) {
 	g := RandomER(3000, 3000, 4, 21)
-	want, err := g.TwoSidedMatch(&Options{ScalingIterations: 5, Seed: 5, Workers: 1})
+	want, err := g.Match(Spec{Algorithm: AlgTwoSided, Seed: 5}, &Options{ScalingIterations: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,23 +264,20 @@ func TestMatcherCancelMidRun(t *testing.T) {
 		return func() bool { return polls.Add(1) > n }
 	}
 
-	m.setCancel(fireAfter(3))
-	if _, err := m.TwoSided(5); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("TwoSided under mid-run cancel: %v, want ErrCanceled", err)
-	}
-	m.setCancel(fireAfter(2))
-	if _, err := m.OneSided(5); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("OneSided under mid-run cancel: %v, want ErrCanceled", err)
-	}
-	m.setCancel(fireAfter(1))
-	if mt, _ := m.KarpSipser(5); mt != nil {
-		t.Fatal("KarpSipser under cancel returned a matching, want nil")
+	for _, c := range []struct {
+		alg   Algorithm
+		polls int64
+	}{{AlgTwoSided, 3}, {AlgOneSided, 2}, {AlgKarpSipser, 1}} {
+		m.setCancel(fireAfter(c.polls))
+		if _, err := m.Run(Spec{Algorithm: c.alg, Seed: 5}); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s under mid-run cancel: %v, want ErrCanceled", c.alg, err)
+		}
 	}
 
 	// Cancellation must not poison the session: cleared hook, correct
 	// (reference-identical) result.
 	m.setCancel(nil)
-	res, err := m.TwoSided(5)
+	res, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,16 +19,23 @@ type Algorithm int
 
 const (
 	// AlgTwoSided runs the TwoSidedMatch heuristic (Algorithm 3): both
-	// sides sample one neighbor from the scaled matrix and the 1-out graph
-	// is matched exactly; conjectured quality ≥ 2(1−ρ) ≈ 0.866.
+	// sides sample one neighbor from the scaled matrix and the specialized
+	// parallel Karp–Sipser kernel (Algorithm 4) matches the sampled 1-out
+	// graph exactly; conjectured quality ≥ 2(1−ρ) ≈ 0.866 on matrices with
+	// total support.
 	AlgTwoSided Algorithm = iota
 	// AlgOneSided runs the OneSidedMatch heuristic (Algorithm 2):
-	// scaling-weighted column choice per row; guaranteed ≥ 1−1/e ≈ 0.632.
+	// Sinkhorn–Knopp scaling, then one scaling-weighted column choice per
+	// row with last-write-wins conflicts; guaranteed expected quality ≥
+	// 1−1/e ≈ 0.632 on matrices with total support.
 	AlgOneSided
-	// AlgKarpSipser runs the classic sequential Karp–Sipser baseline.
+	// AlgKarpSipser runs the classic sequential Karp–Sipser baseline (the
+	// Table 1 baseline); MatchResult.KSStats reports its phase statistics.
 	AlgKarpSipser
-	// AlgKarpSipserParallel runs the multithreaded Karp–Sipser baseline
-	// (no quality guarantee; newly arising degree-one vertices are missed).
+	// AlgKarpSipserParallel runs the Azad-et-al-style multithreaded
+	// Karp–Sipser baseline on the full graph (the paper's reference [4]):
+	// lock-free but without a quality guarantee, since newly arising
+	// degree-one vertices are not tracked.
 	AlgKarpSipserParallel
 	// AlgCheapEdge runs the §2.1 random-edge-visit 1/2-approximation.
 	AlgCheapEdge
@@ -178,9 +185,7 @@ func ParseRefinement(s string) (Refinement, error) {
 // execution surface understands: Matcher.Run executes it on a session,
 // Graph.Match one-shot, the batch layer and Server run it per Request, and
 // cmd/matchserve accepts its fields on the wire. The zero value is a
-// single TwoSided run with the session's default seed, which makes every
-// legacy entry point expressible as a Spec (and since this redesign they
-// are implemented exactly that way).
+// single TwoSided run with the session's default seed.
 type Spec struct {
 	// Algorithm selects the heuristic. Zero value: AlgTwoSided.
 	Algorithm Algorithm
@@ -309,14 +314,14 @@ func (s Spec) Validate() error {
 }
 
 // Run executes one declarative matching request on the session — the
-// single engine behind every other entry point: the legacy one-shot and
-// session calls (OneSidedMatch, TwoSidedMatch, KarpSipser*, Cheap*), the
-// batch layer, Server and cmd/matchserve all delegate here, so Run is the
-// only code path that dispatches matching kernels.
+// single engine behind every other entry point: Graph.Match, the batch
+// layer, Server and cmd/matchserve all delegate here, so Run is the only
+// code path that dispatches matching kernels.
 //
-// Single runs (Ensemble <= 1, Refine: None) are bit-identical to the
-// legacy entry points at the same options and seed, and reuse the cached
-// scaling and workspaces like any session call.
+// A single run (Ensemble <= 1) calls the Algorithm's kernel once with the
+// resolved seed, reusing the cached scaling and workspaces, so it is
+// bit-identical to Graph.Match at the same options and seed wherever the
+// kernel is deterministic (everything at Workers: 1).
 //
 // Ensembles consume their K candidates strictly in seed order over one
 // shared scaling. On a session whose pool is wider than one worker (and

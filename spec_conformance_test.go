@@ -4,15 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/cheap"
+	"repro/internal/core"
+	"repro/internal/ks"
+	"repro/internal/scale"
 )
 
 // The Spec conformance suite: the declarative engine (Matcher.Run) is the
-// only code path that dispatches matching kernels, and every legacy entry
-// point is a thin wrapper over it. These tests pin (a) bit-identity of the
-// wrappers against their Spec equivalents at fixed seeds, (b) the
-// RefineExact guarantee |M| == Sprank on the quality-suite families,
-// (c) the one-scaling-per-ensemble economy and deterministic winners, and
-// (d) full Specs through the batch layer plus scale-cache eviction.
+// only code path that dispatches matching kernels. These tests pin (a)
+// that each Algorithm runs its kernel, bit for bit against the kernel
+// called directly at fixed seeds, (b) the RefineExact guarantee
+// |M| == Sprank on the quality-suite families, (c) the
+// one-scaling-per-ensemble economy and deterministic winners, and (d)
+// full Specs through the batch layer plus scale-cache eviction.
 
 // specConformanceGraphs are small instances spanning structure classes:
 // random with total support, complete (dense), mesh, and rank-deficient.
@@ -30,75 +35,66 @@ func specConformanceGraphs() []struct {
 	}
 }
 
-// TestSpecLegacyWrappersBitIdentical gates the api_redesign acceptance
-// criterion: every legacy entry point returns exactly what its Spec
-// equivalent returns at a fixed seed — same mates, same sizes, same
-// scaling vectors, same Karp–Sipser phase statistics. Workers: 1 keeps
-// the comparison bitwise (the package determinism contract).
-func TestSpecLegacyWrappersBitIdentical(t *testing.T) {
+// TestSpecRunsItsKernel gates the engine's dispatch: Graph.Match with each
+// cardinality Algorithm returns exactly what the internal kernel that
+// Algorithm names returns when called directly — same mates, same scaling
+// vectors, same Karp–Sipser phase statistics, a nil Scaling for the
+// algorithms that do not scale, and single-run provenance. Workers: 1
+// keeps the comparison bitwise (the package determinism contract). The
+// references never go through Matcher.Run, so a case of runOnce that runs
+// the wrong kernel fails here.
+func TestSpecRunsItsKernel(t *testing.T) {
+	opt := &Options{ScalingIterations: 5, Workers: 1}
 	for _, tc := range specConformanceGraphs() {
-		g := tc.g
+		a, at := tc.g.a, tc.g.transpose()
+		sk, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 5, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSc := &Scaling{DR: sk.DR, DC: sk.DC, Iterations: sk.Iters, Error: sk.Err}
 		for _, seed := range []uint64{1, 7, 42} {
-			opt := &Options{ScalingIterations: 5, Workers: 1, Seed: seed}
-
-			want, err := g.TwoSidedMatch(opt)
-			if err != nil {
-				t.Fatal(err)
+			co := coreOpts(1)
+			co.Seed, co.RowTotals, co.ColTotals = seed, sk.RSum, sk.CSum
+			cmatch, _ := core.OneSided(a, sk.DR, sk.DC, co)
+			ksMt, ksSt := ks.Run(a, at, seed)
+			for _, c := range []struct {
+				alg    Algorithm
+				want   *Matching
+				scaled bool
+				stats  *KarpSipserStats
+			}{
+				{AlgTwoSided, core.TwoSided(a, at, sk.DR, sk.DC, co).Matching, true, nil},
+				{AlgOneSided, core.CMatchToMatching(a.RowsN, cmatch), true, nil},
+				{AlgKarpSipser, ksMt, false, &ksSt},
+				{AlgKarpSipserParallel, ks.RunApprox(a, at, seed, 1), false, nil},
+				{AlgCheapEdge, cheap.RandomEdge(a, seed), false, nil},
+				{AlgCheapVertex, cheap.RandomVertex(a, seed), false, nil},
+			} {
+				name := fmt.Sprintf("%s seed %d %s", tc.name, seed, c.alg)
+				got, err := tc.g.Match(Spec{Algorithm: c.alg, Seed: seed}, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				cmpMates(t, name, got.Matching, c.want)
+				if c.scaled {
+					cmpScalings(t, name+" scaling", got.Scaling, wantSc)
+				} else if got.Scaling != nil {
+					t.Fatalf("%s: unexpected scaling in result", name)
+				}
+				if c.stats == nil {
+					if got.KSStats != nil {
+						t.Fatalf("%s: unexpected Karp–Sipser stats %+v", name, *got.KSStats)
+					}
+				} else if got.KSStats == nil || *got.KSStats != *c.stats {
+					t.Fatalf("%s: Karp–Sipser stats %+v want %+v", name, got.KSStats, *c.stats)
+				}
+				if got.Candidates != 1 || got.WinnerSeed != seed || got.HeuristicSize != got.Matching.Size ||
+					got.Refined || got.RefinedWith != RefineNone {
+					t.Fatalf("%s: provenance (%d, %d, %d, %v, %s) want (1, %d, %d, false, none)", name,
+						got.Candidates, got.WinnerSeed, got.HeuristicSize, got.Refined, got.RefinedWith,
+						seed, got.Matching.Size)
+				}
 			}
-			got, err := g.Match(Spec{Algorithm: AlgTwoSided, Seed: seed}, &Options{ScalingIterations: 5, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmpMates(t, tc.name+" twosided", got.Matching, want.Matching)
-			cmpScalings(t, tc.name+" twosided scaling", got.Scaling, want.Scaling)
-			if got.Candidates != 1 || got.WinnerSeed != seed || got.HeuristicSize != got.Matching.Size {
-				t.Fatalf("%s twosided: provenance (%d, %d, %d) want (1, %d, %d)", tc.name,
-					got.Candidates, got.WinnerSeed, got.HeuristicSize, seed, got.Matching.Size)
-			}
-
-			wantOne, err := g.OneSidedMatch(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotOne, err := g.Match(Spec{Algorithm: AlgOneSided, Seed: seed}, &Options{ScalingIterations: 5, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmpMates(t, tc.name+" onesided", gotOne.Matching, wantOne.Matching)
-
-			wantKS, wantSt := g.KarpSipser(seed)
-			resKS, err := g.Match(Spec{Algorithm: AlgKarpSipser, Seed: seed}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmpMates(t, tc.name+" karpsipser", resKS.Matching, wantKS)
-			if resKS.KSStats == nil || *resKS.KSStats != wantSt {
-				t.Fatalf("%s karpsipser stats %+v want %+v", tc.name, resKS.KSStats, wantSt)
-			}
-			if resKS.Scaling != nil {
-				t.Fatalf("%s karpsipser: unexpected scaling in result", tc.name)
-			}
-
-			wantKSP := g.KarpSipserParallel(seed, 1)
-			gotKSP, err := g.Match(Spec{Algorithm: AlgKarpSipserParallel, Seed: seed}, &Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmpMates(t, tc.name+" karpsipser-parallel", gotKSP.Matching, wantKSP)
-
-			wantCE := g.CheapRandomEdge(seed)
-			gotCE, err := g.Match(Spec{Algorithm: AlgCheapEdge, Seed: seed}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmpMates(t, tc.name+" cheap-edge", gotCE.Matching, wantCE)
-
-			wantCV := g.CheapRandomVertex(seed)
-			gotCV, err := g.Match(Spec{Algorithm: AlgCheapVertex, Seed: seed}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmpMates(t, tc.name+" cheap-vertex", gotCV.Matching, wantCV)
 		}
 	}
 }
@@ -171,7 +167,7 @@ func TestSpecEnsembleSingleScalingDeterministicWinner(t *testing.T) {
 	m := g.NewMatcher(&Options{ScalingIterations: 5, Workers: 1})
 	bestSize, bestSeed := -1, uint64(0)
 	for s := uint64(1); s <= 8; s++ {
-		res, err := m.TwoSided(s)
+		res, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +196,7 @@ func TestSpecEnsembleSingleScalingDeterministicWinner(t *testing.T) {
 	// Warm-matcher follow-up ensemble on the same session: still no
 	// rescale.
 	mm := g.NewMatcher(&Options{ScalingIterations: 5, Workers: 1})
-	if _, err := mm.TwoSided(1); err != nil { // warm the scaling
+	if _, err := mm.Run(Spec{Seed: 1}); err != nil { // warm the scaling
 		t.Fatal(err)
 	}
 	before := scales.Load()
@@ -432,9 +428,12 @@ func TestSpecEnsembleParallelWinnerStats(t *testing.T) {
 	bestSize, bestSeed := -1, uint64(0)
 	var wantStats KarpSipserStats
 	for s := uint64(1); s <= k; s++ {
-		mt, st := g.KarpSipser(s)
-		if mt.Size > bestSize {
-			bestSize, bestSeed, wantStats = mt.Size, s, st
+		res, err := g.Match(Spec{Algorithm: AlgKarpSipser, Seed: s}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Matching.Size > bestSize {
+			bestSize, bestSeed, wantStats = res.Matching.Size, s, *res.KSStats
 		}
 	}
 

@@ -382,14 +382,14 @@ func TestAuctionMatchBatch(t *testing.T) {
 func TestAuctionAliasSampling(t *testing.T) {
 	g := RandomER(500, 500, 5, 9).RandomWeights(WeightUniform, 9)
 	m := g.NewMatcher(&Options{Workers: 2, AliasSampling: true})
-	res, err := m.TwoSided(3)
+	res, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := g.ValidateMatching(res.Matching); err != nil {
 		t.Fatal(err)
 	}
-	base, err := g.TwoSidedMatch(&Options{Workers: 2, Seed: 3})
+	base, err := g.Match(Spec{Algorithm: AlgTwoSided, Seed: 3}, &Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
