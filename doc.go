@@ -51,10 +51,21 @@
 // is exact: reported errors, scaling vectors and sampled choices are
 // bit-identical to the textbook formulation.
 //
+// TwoSided's sampling walks each side's rows grouped by degree, in an
+// order the Graph builds once next to its transpose (4 bytes a vertex,
+// freed with the Graph). A row of degree 2 to 16 draws with a fixed trip
+// count and selects its entry by counting the prefix sums below the draw
+// instead of stopping at the first one above it, which removes the
+// mispredicted loop exit; longer rows, graphs with edge values and
+// unscaled draws keep the early-exit walk. Each row draws from its own
+// RNG stream, so the order changes no choice; FuzzSampleGrouped in
+// internal/core holds the counting draw to the walk row by row.
+//
 // Determinism contract, for a fixed Options.Seed: the sampled choices
 // (hence TwoSidedMatch's 1-out graph), the scaling vectors and the
 // matching size are identical for every worker count, scheduling policy
-// and pool width. With Workers: 1 the entire matching is deterministic,
+// and pool width — except under Options.SkewAware, whose scaling vectors
+// agree across widths only to round-off. With Workers: 1 the entire matching is deterministic,
 // bit for bit. At parallel widths the specific pairing may vary between
 // runs — OneSidedMatch's last-write-wins winner and the Karp–Sipser
 // kernel's CAS claim order are scheduling-dependent — while the size
@@ -69,16 +80,21 @@
 // contract; CI's core-kernels step runs both packages under the race
 // detector at GOMAXPROCS 1, 2 and 4.
 //
-// A Karp–Sipser region that runs on one worker — every Workers: 1 call,
-// batch slot, ensemble candidate and dynamic session — takes the
-// single-worker form of the same kernel: its compare-and-swap,
-// fetch-and-add and atomic loads and stores become plain loads and stores,
-// executed in the same order, since no other thread can observe them. Its
-// matchings are bit-identical to the atomic kernel run in index order on
-// one goroutine; TestKarpSipserWidth1SampledChoiceGraphs,
+// A Karp–Sipser run whose regions get one worker — every Workers: 1
+// call, batch slot, ensemble candidate and dynamic session — takes the
+// single-worker form of the kernel. No other thread can observe it, so
+// its atomics become plain loads and stores, and its vertex loops lose
+// their data-dependent branches: the link pass marks and counts every
+// vertex unconditionally, Phase 1 runs its chains from the out-one
+// vertices compacted into a list in index order, and Phase 2 writes both
+// mates through a select. The chains consume the same vertices in the
+// same order, so its matchings are bit-identical to the atomic kernel run
+// in index order on one goroutine; TestKarpSipserWidth1SampledChoiceGraphs,
 // TestKarpSipserWidth1HandBuilt and FuzzKarpSipserWidth1 in internal/core
-// hold it to that reference. Regions on more than one worker keep the
-// atomic kernel.
+// hold it to that reference, and TestSessionWidth1CancelMidKarpSipser
+// checks that it still polls the cancellation hook every chunk (512
+// vertices by default). Runs on more than one worker keep the atomic
+// kernel.
 //
 // # The Spec engine
 //
@@ -297,13 +313,16 @@
 //     chunk) and the response carries ctx.Err(). Two waits are not
 //     interruptible: a request parked on another request's computation of
 //     the same cold scaling waits for it (the computing request's own
-//     deadline bounds that wait), and the sequential refiners finish
-//     their bounded warm-start work before the expiry is reported. A nil
-//     Ctx never cancels.
+//     deadline bounds that wait). Refinement polls the deadline between
+//     Hopcroft–Karp and graft phases and between push-relabel steps, so
+//     a refinement past its deadline frees its slot within one unit of
+//     work (TestServerRefinementStopsAtDeadline). A nil Ctx never
+//     cancels.
 //   - Shared scaling: the engine computes one scaling per *Graph in a
 //     per-graph once-cell shared by all W batch slots — not one per slot —
 //     and recycles per-slot arenas by graph shape under heterogeneous
-//     traffic. Scalings are seed-independent and width-independent, so
+//     traffic. Scalings are seed-independent and width-independent
+//     (except under Options.SkewAware, see the determinism contract), so
 //     sharing is invisible in the responses; ensemble requests reuse the
 //     same cell for every candidate. Server.DropGraph evicts a graph's
 //     cached scaling when an upstream registry evicts the graph, tying

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/dm"
 	"repro/internal/exact"
 	"repro/internal/gen"
@@ -34,12 +35,16 @@ const Unmatched = exact.NIL
 // Graph is a bipartite graph stored as the sparse pattern of its
 // biadjacency matrix. The zero value is not usable; construct with one of
 // the constructors or generators. A Graph is immutable after construction;
-// all methods are safe for concurrent use (the lazy transpose and sprank
-// caches are synchronized — batch serving builds them from pool workers).
+// all methods are safe for concurrent use (the lazy transpose, degree
+// order and sprank caches are synchronized — batch serving builds them
+// from pool workers).
 type Graph struct {
 	a      *sparse.CSR
 	atOnce sync.Once
 	at     *sparse.CSR // transpose, built lazily under atOnce
+
+	ordOnce        sync.Once
+	rowOrd, colOrd *core.DegreeOrder // degree orders, built lazily under ordOnce
 
 	sprank   atomic.Int64 // cached maximum matching size + 1; 0 until computed
 	sprankUB atomic.Int64 // cached structural upper bound + 1; 0 until computed
@@ -180,6 +185,25 @@ func (g *Graph) CSR() (rows, cols int, ptr []int, idx []int32) {
 func (g *Graph) transpose() *sparse.CSR {
 	g.atOnce.Do(func() { g.at = g.a.Transpose() })
 	return g.at
+}
+
+// orderBuildHook, when set, is invoked once per degree-order build — the
+// test seam that proves the orders are built once per Graph.
+var orderBuildHook atomic.Pointer[func()]
+
+// degreeOrders returns the degree orders of the rows and of the columns
+// that TwoSided's sampling walks (see core.DegreeOrder). They are built
+// lazily and once per Graph, like the transpose, at 4 bytes per vertex,
+// and are freed with the Graph.
+func (g *Graph) degreeOrders() (rows, cols *core.DegreeOrder) {
+	g.ordOnce.Do(func() {
+		if hook := orderBuildHook.Load(); hook != nil {
+			(*hook)()
+		}
+		g.rowOrd = core.NewDegreeOrder(g.a)
+		g.colOrd = core.NewDegreeOrder(g.transpose())
+	})
+	return g.rowOrd, g.colOrd
 }
 
 // --- exact matching and analysis -------------------------------------------

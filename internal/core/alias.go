@@ -110,13 +110,18 @@ func sampleRowAlias(a *sparse.CSR, t *aliasTable, i int, rng *xrand.SplitMix64) 
 	return a.Idx[t.alt[p]]
 }
 
-// aliasSampleRange is sampleRange's alias-table counterpart: per-row
-// indexed RNG streams keep the draws bit-identical at any worker count.
-func aliasSampleRange(a *sparse.CSR, t *aliasTable, base uint64, choice []int32, lo, hi int) {
+// aliasRange draws rows [lo, hi) of the side, in index order, from the
+// side's alias table t: per-row indexed RNG streams keep the draws
+// bit-identical at any worker count.
+func (d *drawSide) aliasRange(t *aliasTable, base uint64, lo, hi int) {
 	var rng xrand.SplitMix64
 	for i := lo; i < hi; i++ {
 		rng.SetIndexed(base, i)
-		choice[i] = sampleRowAlias(a, t, i, &rng)
+		if j := sampleRowAlias(d.a, t, i, &rng); j == NIL {
+			d.out[i] = d.empty(int32(i))
+		} else {
+			d.out[i] = d.off + j
+		}
 	}
 }
 

@@ -58,14 +58,14 @@ func TestAliasDeterministicAcrossWorkerCounts(t *testing.T) {
 		opt := Options{Workers: w, Policy: par.Dynamic, KSPolicy: par.Guided, Alias: true}
 		s := NewSession(a, at, opt)
 		s.TwoSided(7)
-		choices := append([]int32(nil), s.rchoice[:a.RowsN]...)
+		choices := append([]int32(nil), s.cg.Choice[:a.RowsN]...)
 		if w == 1 {
 			ref = choices
 			continue
 		}
 		for i := range ref {
 			if choices[i] != ref[i] {
-				t.Fatalf("w=%d: rchoice[%d] differs from width 1", w, i)
+				t.Fatalf("w=%d: row %d's choice differs from width 1", w, i)
 			}
 		}
 	}

@@ -11,6 +11,21 @@
 //   - KarpSipserMT (Algorithm 4): the two-phase parallel Karp–Sipser for
 //     1-out graphs, synchronizing only through compare-and-swap on the
 //     match array and fetch-and-add on the degree array.
+//
+// Two forms of these kernels avoid data-dependent branches, and each is
+// bit-identical to the plain one:
+//
+//   - TwoSided and the public samplers visit each side's rows in a
+//     DegreeOrder, and rows of degree 2 to 16 draw with a fixed trip count
+//     (drawFixed). Every row keeps its own RNG stream, so each choice is
+//     sampleRow's; FuzzSampleGrouped checks it row by row, and
+//     TestSamplingDeterministicAcrossWorkerCounts across widths.
+//   - A Karp–Sipser run on one worker takes ksSerial: Algorithm 4 with
+//     plain loads and stores, and no data-dependent branches in its link,
+//     start and Phase 2 sweeps. Its matchings are those of the atomic
+//     kernel run in index order on one goroutine;
+//     TestKarpSipserWidth1SampledChoiceGraphs, TestKarpSipserWidth1HandBuilt
+//     and FuzzKarpSipserWidth1 hold it to that reference.
 package core
 
 import (
@@ -77,42 +92,30 @@ func (o Options) chunk() int {
 // colSeedSalt decorrelates the column-side RNG streams from the row side.
 const colSeedSalt = 0x5DEECE66D
 
-// sampleRange draws the choices of rows [lo, hi): per-row RNG streams
-// keyed by the row index mean no shared state, and the sampled choices are
-// identical for any worker count and scheduling policy under a fixed seed.
-// It is the shared loop body of the one-shot samplers and the Session.
-func sampleRange(a *sparse.CSR, d, tot []float64, base uint64, choice []int32, lo, hi int) {
-	var rng xrand.SplitMix64
-	for i := lo; i < hi; i++ {
-		rng.SetIndexed(base, i)
-		choice[i] = sampleRow(a, d, i, tot, &rng)
-	}
-}
-
 // SampleRowChoices draws, for every row i of a, a column j ∈ A_i* with
 // probability s_ij / Σ_k s_ik where s_ij = dr[i]·a_ij·dc[j] (the paper's
 // probability density function in Algorithms 2 and 3). Rows with no
 // entries get NIL. dr or dc may be nil for uniform sampling (the
-// "0 scaling iterations" configuration).
+// "0 scaling iterations" configuration). Like TwoSided it visits the rows
+// in degree order (see DegreeOrder), which it builds for the call.
 func SampleRowChoices(a *sparse.CSR, dr, dc []float64, opt Options) []int32 {
-	choice := make([]int32, a.RowsN)
-	base := xrand.Base(opt.Seed)
-	tot := opt.RowTotals
-	opt.pool().For(a.RowsN, opt.Workers, opt.Policy, opt.chunk(), func(_, lo, hi int) {
-		sampleRange(a, dc, tot, base, choice, lo, hi)
-	})
-	return choice
+	return sampleChoices(a, dc, opt.RowTotals, xrand.Base(opt.Seed), opt)
 }
 
 // SampleColChoices is the column-side counterpart operating on the
 // transpose at: for every column j it draws a row i ∈ A_*j with probability
 // s_ij / Σ_k s_kj.
 func SampleColChoices(at *sparse.CSR, dr, dc []float64, opt Options) []int32 {
-	choice := make([]int32, at.RowsN)
-	base := xrand.Base(opt.Seed ^ colSeedSalt)
-	tot := opt.ColTotals
-	opt.pool().For(at.RowsN, opt.Workers, opt.Policy, opt.chunk(), func(_, lo, hi int) {
-		sampleRange(at, dr, tot, base, choice, lo, hi)
+	return sampleChoices(at, dr, opt.ColTotals, xrand.Base(opt.Seed^colSeedSalt), opt)
+}
+
+// sampleChoices draws one column for every row of a under the weights w,
+// over a degree order built for the call.
+func sampleChoices(a *sparse.CSR, w, tot []float64, base uint64, opt Options) []int32 {
+	choice := make([]int32, a.RowsN)
+	d := drawSide{a: a, w: w, tot: tot, ord: NewDegreeOrder(a), out: choice, loop: NIL}
+	opt.pool().For(a.RowsN, opt.Workers, opt.Policy, opt.chunk(), func(_, lo, hi int) {
+		d.draw(base, lo, hi)
 	})
 	return choice
 }
@@ -216,14 +219,6 @@ type ChoiceGraph struct {
 // KarpSipserMT treats as isolated.
 func NewChoiceGraph(n, m int, rchoice, cchoice []int32) *ChoiceGraph {
 	g := &ChoiceGraph{N: n, M: m, Choice: make([]int32, n+m)}
-	buildChoiceInto(g, rchoice, cchoice)
-	return g
-}
-
-// buildChoiceInto fills g.Choice (already sized N+M) from the per-side
-// choice arrays; the reusable half of NewChoiceGraph.
-func buildChoiceInto(g *ChoiceGraph, rchoice, cchoice []int32) {
-	n, m := g.N, g.M
 	for i := 0; i < n; i++ {
 		if rchoice[i] == NIL {
 			g.Choice[i] = int32(i) // self loop = isolated
@@ -238,6 +233,7 @@ func buildChoiceInto(g *ChoiceGraph, rchoice, cchoice []int32) {
 			g.Choice[n+j] = cchoice[j]
 		}
 	}
+	return g
 }
 
 // ToCSR materializes the choice graph as a bipartite CSR (rows × cols)
@@ -271,8 +267,8 @@ func (g *ChoiceGraph) ToCSR() *sparse.CSR {
 // cross-thread communication happens through atomics: a compare-and-swap
 // claims a neighbor, a fetch-and-add tracks the residual degree, so the
 // heuristic needs no locks, no vertex lists and no conflict queues. A
-// region that runs on one worker has no other thread to synchronize with
-// and takes the same steps with plain loads and stores (see ksCAS).
+// run whose regions get one worker has no other thread to synchronize
+// with and takes the branch-free serial form instead (see ksSerial).
 func KarpSipserMT(g *ChoiceGraph, opt Options) []int32 {
 	nm := g.N + g.M
 	match := make([]int32, nm)
@@ -282,65 +278,23 @@ func KarpSipserMT(g *ChoiceGraph, opt Options) []int32 {
 	workers := opt.Workers
 	pol := opt.KSPolicy
 	chunk := opt.chunk()
-
+	if pool.Slots(nm, workers) <= 1 {
+		ksSerial(g.Choice, match, mark, deg, g.N, chunk, nil)
+		return match
+	}
 	pool.For(nm, workers, pol, chunk, func(_, lo, hi int) {
 		ksInitRange(match, mark, deg, lo, hi)
 	})
-	shared := pool.Slots(nm, workers) > 1
 	pool.For(nm, workers, pol, chunk, func(_, lo, hi int) {
-		ksLinkRange(g.Choice, mark, deg, shared, lo, hi)
+		ksLinkRange(g.Choice, mark, deg, lo, hi)
 	})
 	pool.For(nm, workers, pol, chunk, func(_, lo, hi int) {
-		ksPhase1Range(g.Choice, match, mark, deg, shared, lo, hi)
+		ksPhase1Range(g.Choice, match, mark, deg, lo, hi)
 	})
-	colShared := pool.Slots(g.M, workers) > 1
 	pool.For(g.M, workers, pol, chunk, func(_, lo, hi int) {
-		ksPhase2Range(g.Choice, match, g.N, colShared, lo, hi)
+		ksPhase2Range(g.Choice, match, g.N, lo, hi)
 	})
 	return match
-}
-
-// Every synchronizing access of Algorithm 4 goes through ksLoad, ksStore,
-// ksAdd or ksCAS. Their shared argument is loop-invariant: true when the
-// region runs on more than one worker (par.Pool.Slots), where they are the
-// atomic operations the paper's kernel relies on; false when the region
-// runs inline on one goroutine, where they are the plain loads and stores
-// with the same effect, so a width-1 run takes the same steps in the same
-// order without a locked instruction per vertex.
-
-func ksLoad(shared bool, p *int32) int32 {
-	if shared {
-		return atomic.LoadInt32(p)
-	}
-	return *p
-}
-
-func ksStore(shared bool, p *int32, v int32) {
-	if shared {
-		atomic.StoreInt32(p, v)
-		return
-	}
-	*p = v
-}
-
-// ksAdd adds d to *p and returns the new value, like atomic.AddInt32.
-func ksAdd(shared bool, p *int32, d int32) int32 {
-	if shared {
-		return atomic.AddInt32(p, d)
-	}
-	*p += d
-	return *p
-}
-
-func ksCAS(shared bool, p *int32, old, new int32) bool {
-	if shared {
-		return atomic.CompareAndSwapInt32(p, old, new)
-	}
-	if *p != old {
-		return false
-	}
-	*p = new
-	return true
 }
 
 // ksInitRange seeds the per-vertex state of Algorithm 4.
@@ -355,15 +309,15 @@ func ksInitRange(match, mark, deg []int32, lo, hi int) {
 // ksLinkRange accounts the in-edges: vertices that were chosen by someone
 // are not out-one candidates, and each in-edge beyond the vertex's own
 // out-edge bumps its degree.
-func ksLinkRange(choice, mark, deg []int32, shared bool, lo, hi int) {
+func ksLinkRange(choice, mark, deg []int32, lo, hi int) {
 	for u := lo; u < hi; u++ {
 		v := choice[u]
 		if int(v) == u {
 			continue // isolated vertex: no edge at all
 		}
-		ksStore(shared, &mark[v], 0)
+		atomic.StoreInt32(&mark[v], 0)
 		if int(choice[v]) != u {
-			ksAdd(shared, &deg[v], 1)
+			atomic.AddInt32(&deg[v], 1)
 		}
 	}
 }
@@ -371,9 +325,9 @@ func ksLinkRange(choice, mark, deg []int32, shared bool, lo, hi int) {
 // ksPhase1Range is Phase 1 of Algorithm 4: consume out-one vertices,
 // following each chain of newly created out-one vertices without any list
 // (Lemma 4: consuming an out-one vertex creates at most one new one).
-func ksPhase1Range(choice, match, mark, deg []int32, shared bool, lo, hi int) {
+func ksPhase1Range(choice, match, mark, deg []int32, lo, hi int) {
 	for u := lo; u < hi; u++ {
-		if ksLoad(shared, &mark[u]) != 1 || int(choice[u]) == u {
+		if atomic.LoadInt32(&mark[u]) != 1 || int(choice[u]) == u {
 			continue
 		}
 		curr := int32(u)
@@ -382,11 +336,11 @@ func ksPhase1Range(choice, match, mark, deg []int32, shared bool, lo, hi int) {
 			if nbr == curr {
 				break // chain ran into an isolated (self-loop) vertex
 			}
-			if ksCAS(shared, &match[nbr], NIL, curr) {
-				ksStore(shared, &match[curr], nbr)
+			if atomic.CompareAndSwapInt32(&match[nbr], NIL, curr) {
+				atomic.StoreInt32(&match[curr], nbr)
 				next := choice[nbr]
-				if int(next) != int(nbr) && ksLoad(shared, &match[next]) == NIL &&
-					ksAdd(shared, &deg[next], -1) == 1 {
+				if int(next) != int(nbr) && atomic.LoadInt32(&match[next]) == NIL &&
+					atomic.AddInt32(&deg[next], -1) == 1 {
 					// We performed the last consumption before next
 					// became out-one: continue the chain with it.
 					curr = next
@@ -408,18 +362,123 @@ func ksPhase1Range(choice, match, mark, deg []int32, shared bool, lo, hi int) {
 // vertices finishes the job. The CAS never fails on valid choice graphs;
 // it is kept so that adversarial inputs still yield a valid (if not
 // maximum) matching.
-func ksPhase2Range(choice, match []int32, n int, shared bool, lo, hi int) {
+func ksPhase2Range(choice, match []int32, n int, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		u := int32(n + j)
 		v := choice[u]
 		if v == u {
 			continue
 		}
-		if ksLoad(shared, &match[u]) == NIL && ksLoad(shared, &match[v]) == NIL {
-			if ksCAS(shared, &match[v], NIL, u) {
-				ksStore(shared, &match[u], v)
+		if atomic.LoadInt32(&match[u]) == NIL && atomic.LoadInt32(&match[v]) == NIL {
+			if atomic.CompareAndSwapInt32(&match[v], NIL, u) {
+				atomic.StoreInt32(&match[u], v)
 			}
 		}
+	}
+}
+
+// ksSerial runs Algorithm 4 on the calling goroutine, from ksInitRange's
+// state to the final match array, polling cancel (when non-nil) before
+// every chunk of vertices like a one-worker par.Pool.ForCancel region. It
+// reports false when cancel fired; match is then partial.
+//
+// With no other thread to synchronize with, every atomic becomes a plain
+// load or store, and the data-dependent branches of the vertex loops
+// become arithmetic:
+//
+//   - The link pass marks and counts unconditionally. An isolated vertex u
+//     marks itself, and choice[u] == u adds nothing to its degree.
+//   - The marked vertices are then exactly the out-one starts of Phase 1
+//     (a self-loop vertex has marked itself), and Phase 1 never writes
+//     mark, so their list is compacted into mark itself, in index order,
+//     before the chains run.
+//   - Phase 2 writes both mates through a select.
+//
+// The chains consume the same vertices in the same order as the atomic
+// kernel run in index order on one goroutine, so the matching is bit for
+// bit that kernel's; TestKarpSipserWidth1SampledChoiceGraphs,
+// TestKarpSipserWidth1HandBuilt and FuzzKarpSipserWidth1 hold it to it.
+func ksSerial(choice, match, mark, deg []int32, n, chunk int, cancel func() bool) bool {
+	nm := len(choice)
+	starts := 0
+	return serialChunks(nm, chunk, cancel, func(lo, hi int) { ksInitRange(match, mark, deg, lo, hi) }) &&
+		serialChunks(nm, chunk, cancel, func(lo, hi int) { ksLinkSerial(choice, mark, deg, lo, hi) }) &&
+		serialChunks(nm, chunk, cancel, func(lo, hi int) { starts = ksCompactStarts(mark, starts, lo, hi) }) &&
+		serialChunks(starts, chunk, cancel, func(lo, hi int) { ksPhase1Serial(choice, match, deg, mark[lo:hi]) }) &&
+		serialChunks(nm-n, chunk, cancel, func(lo, hi int) { ksPhase2Serial(choice, match, n+lo, n+hi) })
+}
+
+// serialChunks calls body over [0, n) in chunks, in index order on the
+// calling goroutine, polling cancel (when non-nil) before each chunk. It
+// reports whether every chunk ran.
+func serialChunks(n, chunk int, cancel func() bool, body func(lo, hi int)) bool {
+	for lo := 0; lo < n; lo += chunk {
+		if cancel != nil && cancel() {
+			return false
+		}
+		body(lo, min(lo+chunk, n))
+	}
+	return true
+}
+
+// ksLinkSerial is ksLinkRange on one goroutine, without branches.
+func ksLinkSerial(choice, mark, deg []int32, lo, hi int) {
+	for u := lo; u < hi; u++ {
+		v := choice[u]
+		mark[v] = 0
+		deg[v] += int32(b2i(choice[v] != int32(u)))
+	}
+}
+
+// ksCompactStarts appends the marked vertices of [lo, hi) to the start list
+// held in mark[:k] and returns its new length. k <= lo, so every write
+// lands on a slot whose mark was read already.
+func ksCompactStarts(mark []int32, k, lo, hi int) int {
+	for u := lo; u < hi; u++ {
+		keep := int(mark[u])
+		mark[k] = int32(u)
+		k += keep
+	}
+	return k
+}
+
+// ksPhase1Serial is ksPhase1Range on one goroutine over a list of out-one
+// starts.
+func ksPhase1Serial(choice, match, deg, starts []int32) {
+	for _, curr := range starts {
+		for {
+			nbr := choice[curr]
+			if nbr == curr || match[nbr] != NIL {
+				break
+			}
+			match[nbr] = curr
+			match[curr] = nbr
+			next := choice[nbr]
+			if next == nbr || match[next] != NIL {
+				break
+			}
+			deg[next]--
+			if deg[next] != 1 {
+				break
+			}
+			curr = next
+		}
+	}
+}
+
+// ksPhase2Serial is ksPhase2Range on one goroutine over the column vertices
+// [lo, hi): a column u and its choice v take each other exactly when u is
+// not isolated and both are free.
+func ksPhase2Serial(choice, match []int32, lo, hi int) {
+	for u := lo; u < hi; u++ {
+		v := choice[u]
+		mu, mv := match[u], match[v]
+		take := b2i(v != int32(u)) & b2i(mu == NIL) & b2i(mv == NIL)
+		if take != 0 {
+			mu, mv = v, int32(u)
+		}
+		match[v] = mv
+		match[u] = mu
 	}
 }
 

@@ -10,17 +10,27 @@ import (
 
 // Session is the reusable-workspace form of the matching pipeline: it is
 // bound to one matrix (and its transpose) and owns every buffer the
-// OneSided and TwoSided kernels touch — choice arrays, the ChoiceGraph,
-// the match/mark/deg arrays of Algorithm 4, the cmatch array and the
-// decoded matching — plus the parallel loop bodies themselves, built once
-// at construction. Repeated calls therefore perform no steady-state
-// allocations: a call sets the per-call RNG bases, dispatches the prebuilt
-// bodies on the (recycled) loop runtime, and decodes into the resident
-// matching. Results are bit-identical to the one-shot functions — which
-// are themselves thin wrappers over a throwaway Session — wherever those
-// are deterministic: everywhere at one worker; choices, sizes and
-// scaling-derived state at any width (the parallel kernels' per-edge
-// pairing depends on CAS claim order, session or not).
+// OneSided and TwoSided kernels touch — the ChoiceGraph the sampling
+// region writes vertex ids into, the match/mark/deg arrays of Algorithm 4,
+// the cmatch array and the decoded matching — plus the parallel loop
+// bodies themselves, built once at construction. Repeated calls therefore
+// perform no steady-state allocations: a call sets the per-call RNG bases,
+// dispatches the prebuilt bodies on the (recycled) loop runtime, and
+// decodes into the resident matching. Results are bit-identical to the
+// one-shot functions — which are themselves thin wrappers over a
+// throwaway Session — wherever those are deterministic: everywhere at one
+// worker; choices, sizes and scaling-derived state at any width (the
+// parallel kernels' per-edge pairing depends on CAS claim order, session
+// or not). TestSessionReuseBitIdentical gates that.
+//
+// TwoSided samples each side in its degree order at every width (see
+// DegreeOrder): SetDegreeOrders installs orders the caller keeps, and a
+// session without them builds its own on its first TwoSided call after
+// NewSession or Rebind. A TwoSided call whose Karp–Sipser regions get one
+// worker runs the branch-free serial kernel, ksSerial, which polls the
+// cancellation hook every chunk like any region
+// (TestSessionWidth1CancelMidKarpSipser); wider calls run the atomic
+// kernel.
 //
 // The returned Result/Matching/choice slices alias the session and are
 // only valid until the next call on the same Session (or Rebind); callers
@@ -45,15 +55,15 @@ type Session struct {
 	// pipeline polls it between regions. See SetCancel.
 	cancel func() bool
 
-	rchoice, cchoice []int32
+	// Degree orders of a and at; see SetDegreeOrders.
+	rord, cord *DegreeOrder
+	// The two sides of the sampling region, set up by each TwoSided call.
+	rside, cside drawSide
+
 	cg               ChoiceGraph
 	match, mark, deg []int32
-	twoSidedSized    bool // the six buffers above are sized for (a, at)
+	twoSidedSized    bool // the four buffers above are sized for (a, at)
 	cmatch           []int32
-
-	// ksShared is the shared flag (see ksCAS) of the Karp–Sipser region
-	// about to be dispatched, set before each region from its slot count.
-	ksShared bool
 
 	// Alias-method sampling tables (Options.Alias); stale until the next
 	// ensureAlias after Rebind or SetScaling.
@@ -88,25 +98,17 @@ func NewSession(a, at *sparse.CSR, opt Options) *Session {
 	s.sampleBoth = func(_, lo, hi int) {
 		n := s.a.RowsN
 		if lo < n {
-			rhi := hi
-			if rhi > n {
-				rhi = n
-			}
 			if s.aliasBuilt {
-				aliasSampleRange(s.a, &s.aliasA, s.rbase, s.rchoice, lo, rhi)
+				s.rside.aliasRange(&s.aliasA, s.rbase, lo, min(hi, n))
 			} else {
-				sampleRange(s.a, s.dc, s.rtot, s.rbase, s.rchoice, lo, rhi)
+				s.rside.draw(s.rbase, lo, min(hi, n))
 			}
 		}
 		if hi > n {
-			clo := lo - n
-			if clo < 0 {
-				clo = 0
-			}
 			if s.aliasBuilt {
-				aliasSampleRange(s.at, &s.aliasAT, s.cbase, s.cchoice, clo, hi-n)
+				s.cside.aliasRange(&s.aliasAT, s.cbase, max(lo-n, 0), hi-n)
 			} else {
-				sampleRange(s.at, s.dr, s.ctot, s.cbase, s.cchoice, clo, hi-n)
+				s.cside.draw(s.cbase, max(lo-n, 0), hi-n)
 			}
 		}
 	}
@@ -118,9 +120,9 @@ func NewSession(a, at *sparse.CSR, opt Options) *Session {
 		}
 	}
 	s.ksInit = func(_, lo, hi int) { ksInitRange(s.match, s.mark, s.deg, lo, hi) }
-	s.ksLink = func(_, lo, hi int) { ksLinkRange(s.cg.Choice, s.mark, s.deg, s.ksShared, lo, hi) }
-	s.ksPhase1 = func(_, lo, hi int) { ksPhase1Range(s.cg.Choice, s.match, s.mark, s.deg, s.ksShared, lo, hi) }
-	s.ksPhase2 = func(_, lo, hi int) { ksPhase2Range(s.cg.Choice, s.match, s.cg.N, s.ksShared, lo, hi) }
+	s.ksLink = func(_, lo, hi int) { ksLinkRange(s.cg.Choice, s.mark, s.deg, lo, hi) }
+	s.ksPhase1 = func(_, lo, hi int) { ksPhase1Range(s.cg.Choice, s.match, s.mark, s.deg, lo, hi) }
+	s.ksPhase2 = func(_, lo, hi int) { ksPhase2Range(s.cg.Choice, s.match, s.cg.N, lo, hi) }
 	s.Rebind(a, at)
 	return s
 }
@@ -128,13 +130,14 @@ func NewSession(a, at *sparse.CSR, opt Options) *Session {
 // Rebind points the session at a different matrix, growing the workspaces
 // as needed (shrinking never reallocates, so cycling through same-shaped
 // graphs is allocation-free after the first). The TwoSided-only buffers
-// (choice arrays, choice graph, match/mark/deg) are sized lazily on the
-// first TwoSided call, so a session used only for OneSided — including the
-// one inside the one-shot wrapper — never pays the ~4·(n+m) words they
-// cost. Scaling state is cleared; call SetScaling before the next matching
-// call that needs it.
+// (choice graph, match/mark/deg) are sized lazily on the first TwoSided
+// call, so a session used only for OneSided — including the one inside the
+// one-shot wrapper — never pays the ~4·(n+m) words they cost. Scaling
+// state and degree orders are cleared; call SetScaling (and
+// SetDegreeOrders) before the next matching call that needs them.
 func (s *Session) Rebind(a, at *sparse.CSR) {
 	s.a, s.at = a, at
+	s.rord, s.cord = nil, nil
 	n, m := a.RowsN, a.ColsN
 	s.cg.N, s.cg.M = n, m
 	s.twoSidedSized = false
@@ -145,14 +148,19 @@ func (s *Session) Rebind(a, at *sparse.CSR) {
 	s.SetScaling(nil, nil, nil, nil)
 }
 
-// ensureTwoSided sizes the TwoSided-only workspaces for the bound matrix.
+// ensureTwoSided sizes the TwoSided-only workspaces for the bound matrix
+// and builds the degree orders the caller did not install.
 func (s *Session) ensureTwoSided() {
+	if s.rord == nil {
+		s.rord = NewDegreeOrder(s.a)
+	}
+	if s.cord == nil {
+		s.cord = NewDegreeOrder(s.at)
+	}
 	if s.twoSidedSized {
 		return
 	}
 	n, m := s.a.RowsN, s.a.ColsN
-	s.rchoice = buf.Grow(s.rchoice, n)
-	s.cchoice = buf.Grow(s.cchoice, m)
 	s.cg.Choice = buf.Grow(s.cg.Choice, n+m)
 	s.match = buf.Grow(s.match, n+m)
 	s.mark = buf.Grow(s.mark, n+m)
@@ -185,6 +193,11 @@ func (s *Session) SetScaling(dr, dc, rowTotals, colTotals []float64) {
 	s.aliasBuilt = false // tables bake the scaling in; rebuild on next use
 }
 
+// SetDegreeOrders installs the degree orders of the bound matrix (rows)
+// and of its transpose (cols) for TwoSided's sampling region to walk. The
+// orders are retained, not copied; Rebind clears them.
+func (s *Session) SetDegreeOrders(rows, cols *DegreeOrder) { s.rord, s.cord = rows, cols }
+
 // Matrix returns the matrix the session is currently bound to.
 func (s *Session) Matrix() *sparse.CSR { return s.a }
 
@@ -199,25 +212,26 @@ func (s *Session) TwoSided(seed uint64) *Result {
 	}
 	s.ensureTwoSided()
 	s.ensureAlias()
+	n, m := s.cg.N, s.cg.M
 	s.rbase = xrand.Base(seed)
 	s.cbase = xrand.Base(seed ^ colSeedSalt)
-	s.pool.ForCancel(s.a.RowsN+s.at.RowsN, s.opt.Workers, s.opt.Policy, s.chunk, s.cancel, s.sampleBoth)
-	if s.canceled() {
-		return nil
-	}
-	buildChoiceInto(&s.cg, s.rchoice, s.cchoice)
+	s.rside = drawSide{a: s.a, w: s.dc, tot: s.rtot, ord: s.rord, out: s.cg.Choice[:n], off: int32(n)}
+	s.cside = drawSide{a: s.at, w: s.dr, tot: s.ctot, ord: s.cord, out: s.cg.Choice[n:], loop: int32(n)}
+	s.pool.ForCancel(n+m, s.opt.Workers, s.opt.Policy, s.chunk, s.cancel, s.sampleBoth)
 
-	nm := s.cg.N + s.cg.M
+	nm := n + m
 	w, pol := s.opt.Workers, s.opt.KSPolicy
-	s.pool.ForCancel(nm, w, pol, s.chunk, s.cancel, s.ksInit)
-	s.ksShared = s.pool.Slots(nm, w) > 1
-	s.pool.ForCancel(nm, w, pol, s.chunk, s.cancel, s.ksLink)
-	s.pool.ForCancel(nm, w, pol, s.chunk, s.cancel, s.ksPhase1)
-	s.ksShared = s.pool.Slots(s.cg.M, w) > 1
-	s.pool.ForCancel(s.cg.M, w, pol, s.chunk, s.cancel, s.ksPhase2)
-	// One checkpoint after the kernel regions suffices: a hook that fired
-	// inside any of them left later regions partially run, so the decoded
-	// state below would be garbage either way.
+	if s.pool.Slots(nm, w) <= 1 {
+		ksSerial(s.cg.Choice, s.match, s.mark, s.deg, n, s.chunk, s.cancel)
+	} else {
+		s.pool.ForCancel(nm, w, pol, s.chunk, s.cancel, s.ksInit)
+		s.pool.ForCancel(nm, w, pol, s.chunk, s.cancel, s.ksLink)
+		s.pool.ForCancel(nm, w, pol, s.chunk, s.cancel, s.ksPhase1)
+		s.pool.ForCancel(m, w, pol, s.chunk, s.cancel, s.ksPhase2)
+	}
+	// One checkpoint after the sampling and kernel regions suffices: a hook
+	// that fired inside any of them left later regions unrun, so the
+	// decoded state below would be garbage either way.
 	if s.canceled() {
 		return nil
 	}

@@ -10,12 +10,11 @@ import (
 	"repro/internal/sparse"
 )
 
-// The width-1 Karp–Sipser kernel is Algorithm 4 with its atomic sites
-// replaced by plain loads and stores (ksCAS and friends with shared
-// false). Its contract is bit-identity with the atomic kernel run in index
-// order on one goroutine, the schedule of a Workers: 1 run.
-// ksAtomicReference is that schedule; the tests below hold every width-1
-// entry point to it.
+// The width-1 Karp–Sipser kernel is Algorithm 4 on one goroutine, with
+// plain loads and stores and branch-free vertex loops (ksSerial). Its
+// contract is bit-identity with the atomic kernel run in index order on
+// one goroutine, the schedule of a Workers: 1 run. ksAtomicReference is
+// that schedule; the tests below hold every width-1 entry point to it.
 
 // ksAtomicReference runs the atomic range bodies over the whole vertex
 // range, in index order, on the calling goroutine.
@@ -23,9 +22,9 @@ func ksAtomicReference(g *ChoiceGraph) []int32 {
 	nm := g.N + g.M
 	match, mark, deg := make([]int32, nm), make([]int32, nm), make([]int32, nm)
 	ksInitRange(match, mark, deg, 0, nm)
-	ksLinkRange(g.Choice, mark, deg, true, 0, nm)
-	ksPhase1Range(g.Choice, match, mark, deg, true, 0, nm)
-	ksPhase2Range(g.Choice, match, g.N, true, 0, g.M)
+	ksLinkRange(g.Choice, mark, deg, 0, nm)
+	ksPhase1Range(g.Choice, match, mark, deg, 0, nm)
+	ksPhase2Range(g.Choice, match, g.N, 0, g.M)
 	return match
 }
 
@@ -261,8 +260,8 @@ func TestSessionWidth1CancelMidKarpSipser(t *testing.T) {
 	want := append([]int32(nil), s.TwoSided(seed).Match...)
 
 	// Count the polls of one full run. The Karp–Sipser regions start
-	// after the entry check, one poll per sampling chunk and the
-	// checkpoint after sampling.
+	// after the entry check and one poll per sampling chunk; the first
+	// Karp–Sipser poll is the one after those.
 	polls := 0
 	s.SetCancel(func() bool { polls++; return false })
 	if s.TwoSided(seed) == nil {
@@ -270,7 +269,7 @@ func TestSessionWidth1CancelMidKarpSipser(t *testing.T) {
 	}
 	chunk := opts(1, 0).Chunk
 	nm := a.RowsN + a.ColsN
-	firstKS := 1 + (nm+chunk-1)/chunk + 1 + 1
+	firstKS := 1 + (nm+chunk-1)/chunk + 1
 	if firstKS >= polls {
 		t.Fatalf("poll count %d leaves no Karp–Sipser polls (first at %d)", polls, firstKS)
 	}

@@ -18,10 +18,14 @@ import (
 // with a nested parallel reduction.
 const HeavyThreshold = 1 << 15
 
-// SinkhornKnoppSkewAware behaves exactly like SinkhornKnopp (same
-// results, bit for bit) but splits very heavy rows and columns across all
-// workers, which removes the load-imbalance tail on power-law instances
-// like torso1.
+// SinkhornKnoppSkewAware computes SinkhornKnopp's scaling but splits very
+// heavy rows and columns across all workers, which removes the
+// load-imbalance tail on power-law instances like torso1. A split row is
+// summed in pieces whose boundaries depend on the worker count, so its
+// vectors agree with SinkhornKnopp's, and with each other across worker
+// counts, only up to round-off: TestSkewAwareHeavyRowCorrectness and
+// TestSkewAwareDeterministicAcrossWorkers check a relative 1e-9. At a
+// fixed worker count the vectors are deterministic.
 func SinkhornKnoppSkewAware(a, at *sparse.CSR, opt Options) (*Result, error) {
 	if a.RowsN != at.ColsN || a.ColsN != at.RowsN {
 		return nil, ErrShape

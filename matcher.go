@@ -95,12 +95,13 @@ func (g *Graph) NewMatcher(opt *Options) *Matcher {
 }
 
 // session returns the sampling-kernel session, building it on first use:
-// the pending cancellation hook and any already-cached scaling are
-// installed into the fresh session so lazy construction is invisible to
-// the callers.
+// the graph's degree orders, the pending cancellation hook and any
+// already-cached scaling are installed into the fresh session so lazy
+// construction is invisible to the callers.
 func (m *Matcher) session() *core.Session {
 	if m.sess == nil {
 		m.sess = core.NewSession(m.g.a, m.g.transpose(), m.opt.coreOptions(nil))
+		m.sess.SetDegreeOrders(m.g.degreeOrders())
 		m.sess.SetCancel(m.cancel)
 		if m.sc != nil {
 			m.sess.SetScaling(m.sc.DR, m.sc.DC, m.sc.RowSums, m.sc.ColSums)
@@ -118,6 +119,7 @@ func (m *Matcher) Reset(g *Graph) {
 	m.g = g
 	if m.sess != nil {
 		m.sess.Rebind(g.a, g.transpose())
+		m.sess.SetDegreeOrders(g.degreeOrders())
 	}
 	if m.ksApprox != nil {
 		m.ksApprox.Rebind(g.a, g.transpose())
@@ -140,6 +142,9 @@ func (m *Matcher) setCancel(cancel func() bool) {
 		m.sess.SetCancel(cancel)
 	}
 }
+
+// canceled reports whether the session's cancellation hook has fired.
+func (m *Matcher) canceled() bool { return m.cancel != nil && m.cancel() }
 
 // installScaling hands the session a precomputed scaling of the bound
 // graph — the shared per-graph once-cell of the batch engine — so the slot

@@ -27,8 +27,12 @@ type Options struct {
 	// equilibration (the §2.2 alternative; converges more slowly).
 	UseRuiz bool
 	// SkewAware splits rows/columns with enormous degree across all
-	// workers during scaling (the §2.2 load-balance remark); results are
-	// numerically equal up to round-off reassociation.
+	// workers during scaling (the §2.2 load-balance remark). The pieces
+	// of a split row depend on the worker count, so the scaling vectors
+	// (and hence the sampled choices) may differ between widths by
+	// round-off; TestSkewAwareDeterministicAcrossWorkers checks only that
+	// they agree to a relative 1e-9. At a fixed width they are
+	// deterministic.
 	SkewAware bool
 	// Pool, when non-nil, is the worker pool every parallel stage of the
 	// call dispatches to — scaling sweeps, sampling and both Karp–Sipser

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gen"
 	"repro/internal/par"
 )
 
@@ -282,6 +283,45 @@ func TestMatcherCancelMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmpMates(t, "post-cancel reuse", res.Matching, want.Matching)
+}
+
+// TestServerRefinementStopsAtDeadline: a refinement whose deadline expires
+// mid-run gives its batch slot back within one refinement unit. A
+// push-relabel refinement of RankDeficient(8000, 2400, 6) runs for
+// seconds. With a 100 ms deadline, on a Server that runs one request per
+// batch, it must fail with its deadline error, and a TwoSided request on a
+// 1,000-row graph sent after it must be answered within 1 s.
+func TestServerRefinementStopsAtDeadline(t *testing.T) {
+	big := newGraph(gen.RankDeficient(8000, 2400, 6, 1))
+	small := RandomER(1000, 1000, 4, 2)
+	srv := NewServerConfig(&Options{ScalingIterations: 5}, ServerConfig{MaxBatch: 1})
+	defer srv.Close()
+	entered := make(chan struct{}, 1)
+	srv.testHookBatch = func(int) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	first := make(chan Response, 1)
+	go func() {
+		first <- srv.Match(Request{Graph: big, Spec: Spec{Refine: RefinePushRelabel, Seed: 1}, Ctx: ctx})
+	}()
+	<-entered
+
+	start := time.Now()
+	resp := srv.Match(Request{Graph: small, Spec: Spec{Seed: 3}})
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("TwoSided request behind an expired refinement took %v, want <= 1s", elapsed)
+	}
+	if resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	if r := <-first; !errors.Is(r.Err, context.DeadlineExceeded) {
+		t.Fatalf("refinement past its deadline returned %v, want context.DeadlineExceeded", r.Err)
+	}
 }
 
 // TestServerCancelWhileQueued: a caller whose context dies while its

@@ -351,9 +351,9 @@ func (s Spec) Validate() error {
 //
 // Cancellation (the batch layer's per-request deadlines) is honored
 // between and inside candidate runs at the kernels' usual checkpoints,
-// and inside graft refinement between frontier chunks; the sequential
-// refiners are not interruptible — they are bounded warm-start work — so
-// a deadline expiring mid-refinement is reported right after them.
+// between refinement units (Hopcroft–Karp and graft phases, push-relabel
+// steps) and inside graft phases between frontier chunks: a canceled Run
+// returns ErrCanceled at most one unit after the hook fires.
 func (m *Matcher) Run(spec Spec) (*MatchResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -384,20 +384,22 @@ func (m *Matcher) runSingle(spec Spec, seed uint64, sc *Scaling) (*MatchResult, 
 	}
 	heuristic := best.Size
 	ref := m.resolveRefine(spec.Refine)
-	switch ref {
-	case RefineExact:
-		best = exact.NewHKRefinerWs(m.g.a, best, m.refineWs()).Run()
-	case RefinePushRelabel:
-		best = exact.NewPRRefinerWs(m.g.a, best, m.refineWs()).Run()
-	case RefineGraft:
-		gr := exact.NewGraftRefinerWs(m.g.a, best, m.refineWs())
-		gr.SetTranspose(m.g.transpose())
-		gr.SetParallel(m.refineWidth())
-		gr.SetCancel(m.cancel)
-		best = gr.Run()
-		if m.cancel != nil && m.cancel() {
-			return nil, ErrCanceled
+	if ref != RefineNone {
+		r := m.newSpecRefiner(ref, best)
+		if gr, ok := r.(graftSpecRefiner); ok {
+			gr.r.SetParallel(m.refineWidth())
+			gr.r.SetCancel(m.cancel)
 		}
+		// Advance returns false only once the matching is maximum, so a
+		// poll between advances — Hopcroft–Karp and graft phases,
+		// push-relabel steps — bounds the overrun past a deadline by one
+		// unit; graft also polls inside its phases.
+		for r.Advance() {
+			if m.canceled() {
+				return nil, ErrCanceled
+			}
+		}
+		best = r.Result()
 	}
 	m.result = MatchResult{
 		Matching:      best,
@@ -468,6 +470,9 @@ func (m *Matcher) runEnsemble(spec Spec, base uint64, sc *Scaling) (*MatchResult
 			// already at the structural bound is provably maximum, so the
 			// loop never pays a fruitless final sweep for it.
 			for e.refiner.Size() < e.ub && (e.targetR == 0 || e.refiner.Size() < e.targetR) && e.refiner.Advance() {
+				if m.canceled() {
+					return nil, ErrCanceled
+				}
 			}
 		}
 		final = e.refiner.Result()
@@ -726,8 +731,9 @@ func (m *Matcher) resolveRefine(ref Refinement) Refinement {
 // sweep of work per unit, the granularity a Hopcroft–Karp phase has
 // naturally. A graft refiner built here starts at width 1: consume runs
 // inside the parallel schedule's pool region, where nested pool dispatch
-// would deadlock; runEnsemble re-widens it for the completion loop, which
-// the engine's any-width bit-identity makes safe.
+// would deadlock; runSingle, and runEnsemble for its completion loop,
+// widen it to the session's width, which the engine's any-width
+// bit-identity makes safe.
 func (m *Matcher) newSpecRefiner(ref Refinement, init *Matching) specRefiner {
 	a, ws := m.g.a, m.refineWs()
 	switch ref {

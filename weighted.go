@@ -157,7 +157,7 @@ func (m *Matcher) runAuction(spec Spec) (*MatchResult, error) {
 	base := m.seed(spec.Seed)
 	pool, width := m.refineWidth()
 	ws := m.aucWorkspace()
-	if m.cancel != nil && m.cancel() {
+	if m.canceled() {
 		return nil, ErrCanceled
 	}
 
@@ -196,7 +196,7 @@ func (m *Matcher) runAuction(spec Spec) (*MatchResult, error) {
 	errs := make([]error, k)
 	if spec.Sequential || width <= 1 {
 		for c := 0; c < k; c++ {
-			if m.cancel != nil && m.cancel() {
+			if m.canceled() {
 				return nil, ErrCanceled
 			}
 			cw := &auction.Workspace{}
@@ -213,7 +213,7 @@ func (m *Matcher) runAuction(spec Spec) (*MatchResult, error) {
 				results[c], errs[c] = auction.Finish(a, at, copt, base+uint64(c), epsAbs, st.Clone(), cw)
 			}
 		})
-		if m.cancel != nil && m.cancel() {
+		if m.canceled() {
 			return nil, ErrCanceled
 		}
 	}
