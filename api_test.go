@@ -4,6 +4,9 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/exact"
+	"repro/internal/gen"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -88,7 +91,7 @@ func TestSprankCached(t *testing.T) {
 	if s1 != s2 {
 		t.Fatal("sprank changed between calls")
 	}
-	max := g.MaximumMatching()
+	max := g.MaximumMatching(nil)
 	if max.Size != s1 {
 		t.Fatal("MaximumMatching size != Sprank")
 	}
@@ -103,10 +106,17 @@ func TestJumpStartReducesWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, freeCold := g.MaximumMatchingFrom(nil)
-	warm, freeWarm := g.MaximumMatchingFrom(res.Matching)
+	full := g.MaximumMatching(nil)
+	warm := g.MaximumMatching(res.Matching)
 	if full.Size != warm.Size {
 		t.Fatalf("warm-start result %d != cold %d", warm.Size, full.Size)
+	}
+	// A cold solve starts with every row free.
+	freeCold, freeWarm := g.Rows(), 0
+	for _, j := range res.Matching.RowMate {
+		if j == Unmatched {
+			freeWarm++
+		}
 	}
 	if freeWarm >= freeCold {
 		t.Fatalf("jump-start should reduce free rows: warm %d cold %d", freeWarm, freeCold)
@@ -114,6 +124,69 @@ func TestJumpStartReducesWork(t *testing.T) {
 	if err := g.ValidateMatching(warm); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMaximumMatchingEngine pins the one exact entry point. From a cold
+// start and from each cardinality Algorithm's warm start, MaximumMatching
+// returns a valid, König-certified matching of size Sprank(), leaves init
+// untouched, and returns the mates of the engine RefineExact picks run
+// from the same init: Hopcroft–Karp below graftAutoEdges, the graft
+// engine at or above it.
+func TestMaximumMatchingEngine(t *testing.T) {
+	type instance = struct {
+		name string
+		g    *Graph
+	}
+	graphs := append(specConformanceGraphs(),
+		instance{"rankdef-600", newGraph(gen.RankDeficient(600, 90, 4, 3))},
+		instance{"grid3d-12", Grid3D(12, 12, 12, false)},
+	)
+	algs := []Algorithm{AlgTwoSided, AlgOneSided, AlgKarpSipser, AlgKarpSipserParallel, AlgCheapEdge, AlgCheapVertex}
+	check := func(graft bool) {
+		for _, tc := range graphs {
+			g := tc.g
+			inits := []*Matching{nil}
+			for _, alg := range algs {
+				res, err := g.Match(Spec{Algorithm: alg, Seed: 3}, &Options{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				inits = append(inits, res.Matching)
+			}
+			for k, init := range inits {
+				label := tc.name + " cold"
+				var before *Matching
+				if init != nil {
+					label = tc.name + " " + algs[k-1].String()
+					before = cloneMatching(init)
+				}
+				got := g.MaximumMatching(init)
+				if err := g.ValidateMatching(got); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !g.CertifyMaximum(got) || got.Size != g.Sprank() {
+					t.Fatalf("%s: size %d, certified %v, want certified sprank %d",
+						label, got.Size, g.CertifyMaximum(got), g.Sprank())
+				}
+				if init != nil {
+					cmpMates(t, label+" init", init, before)
+				}
+				var want *Matching
+				if graft {
+					r := exact.NewGraftRefiner(g.a, init)
+					r.SetTranspose(g.transpose())
+					want = r.Run()
+				} else {
+					want = exact.HopcroftKarp(g.a, init)
+				}
+				cmpMates(t, label, got, want)
+			}
+		}
+	}
+	check(false)
+	defer func(old int) { graftAutoEdges = old }(graftAutoEdges)
+	graftAutoEdges = 1 // every instance now takes the graft engine
+	check(true)
 }
 
 func TestOptionsDefaults(t *testing.T) {
@@ -143,13 +216,6 @@ func TestScaleDirect(t *testing.T) {
 	}
 	if sc.Error >= sc.History[0] {
 		t.Fatal("scaling error did not decrease")
-	}
-	ruiz, err := g.NewMatcher(&Options{ScalingIterations: 20, UseRuiz: true}).Scale()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ruiz.Error <= 0 && sc.Error <= 0 {
-		t.Fatal("degenerate errors")
 	}
 }
 
@@ -221,7 +287,7 @@ func TestMatrixMarketRoundTripAPI(t *testing.T) {
 
 func TestValidateMatchingRejectsCorrupt(t *testing.T) {
 	g := RandomER(50, 50, 3, 19)
-	mt := g.MaximumMatching()
+	mt := g.MaximumMatching(nil)
 	good := *mt
 	if err := g.ValidateMatching(&good); err != nil {
 		t.Fatal(err)
@@ -292,7 +358,7 @@ func TestGeneratorsViaAPI(t *testing.T) {
 		if g.Rows() <= 0 || g.Edges() <= 0 {
 			t.Errorf("%s: degenerate graph", name)
 		}
-		mt := g.MaximumMatching()
+		mt := g.MaximumMatching(nil)
 		if err := g.ValidateMatching(mt); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}

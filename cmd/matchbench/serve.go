@@ -34,7 +34,7 @@ func serveInstances(scale string) []struct {
 }
 
 // serve measures per-request throughput of the TwoSided heuristic served
-// six ways — one-shot calls, a reused Matcher session, sequential and
+// six ways — one-shot calls, a reused Matcher session, width-1 and
 // candidate-parallel best-of-8 ensembles, MatchBatch, and the long-lived
 // Server under concurrent submitters (admission control and shared
 // per-graph scaling included) — and returns perf-style records (ns_op is
@@ -80,38 +80,13 @@ func serve(cfg bench.Config) []bench.PerfRecord {
 		// The ensemble tiers run the same number of TwoSided candidates as
 		// the other tiers, but grouped into best-of-8 Specs on one warm
 		// session — the jump-start-ensemble shape: one scaling, K kernels
-		// per returned (best) matching. ensemble8 keeps the candidates
-		// sequential on one arena; ensemble8par fans them out across the
-		// pool (one width-1 arena per worker), the candidate-parallel
-		// schedule whose speedup over ensemble8 this experiment records.
-		ensembleSpec := func(k int, sequential bool) bipartite.Spec {
-			return bipartite.Spec{
-				Algorithm:  bipartite.AlgTwoSided,
-				Seed:       cfg.Seed + uint64(8*k),
-				Ensemble:   8,
-				Sequential: sequential,
-			}
-		}
-		ensemble := func() {
-			m := g.NewMatcher(opt)
-			for k := 0; k < requests/8; k++ {
-				res, err := m.Run(ensembleSpec(k, true))
-				if err != nil {
-					panic(err)
-				}
-				quality = g.Quality(res.Matching)
-			}
-		}
-		ensemblePar := func() {
-			m := g.NewMatcher(opt)
-			for k := 0; k < requests/8; k++ {
-				res, err := m.Run(ensembleSpec(k, false))
-				if err != nil {
-					panic(err)
-				}
-				quality = g.Quality(res.Matching)
-			}
-		}
+		// per returned (best) matching. ensemble8 runs on a Workers: 1
+		// session, whose candidates run one after another on its arena;
+		// ensemble8par fans them out across the pool (one width-1 arena
+		// per worker), the candidate-parallel schedule whose speedup over
+		// ensemble8 this experiment records.
+		width1 := *opt
+		width1.Workers = 1
 		reqs := make([]bipartite.Request, requests)
 		for k := range reqs {
 			reqs[k] = bipartite.Request{Graph: g, Spec: bipartite.Spec{Seed: cfg.Seed + uint64(k)}}
@@ -159,8 +134,8 @@ func serve(cfg bench.Config) []bench.PerfRecord {
 		}{
 			{"serve/oneshot", poolWidth, oneshot},
 			{"serve/matcher", poolWidth, matcher},
-			{"serve/ensemble8", poolWidth, ensemble},
-			{"serve/ensemble8par", poolWidth, ensemblePar},
+			{"serve/ensemble8", 1, bestOf8(g, &width1, cfg.Seed, requests, &quality)},
+			{"serve/ensemble8par", poolWidth, bestOf8(g, opt, cfg.Seed, requests, &quality)},
 			{"serve/batch", poolWidth, batched},
 			{"serve/server", poolWidth, server},
 		} {
@@ -173,7 +148,7 @@ func serve(cfg bench.Config) []bench.PerfRecord {
 			}
 			perReq := best / time.Duration(requests)
 			// Speedups are versus the one-shot tier — except ensemble8par,
-			// whose speedup is versus the sequential ensemble8 tier: that
+			// whose speedup is versus the width-1 ensemble8 tier: that
 			// ratio is the candidate-parallel fan-out's win, the number this
 			// experiment exists to track.
 			speedup := float64(anchor) / float64(best)
@@ -201,7 +176,7 @@ func serve(cfg bench.Config) []bench.PerfRecord {
 }
 
 // poolSweep (the -pool flag) measures the candidate-parallel best-of-8
-// ensemble at each requested pool width against the sequential baseline,
+// ensemble at each requested pool width against a Workers: 1 session,
 // isolating the fan-out schedule's scaling curve: where the curve
 // flattens is the width past which extra ensemble workers only burn
 // cores. Each width gets its own dedicated Pool (built and closed around
@@ -219,24 +194,6 @@ func poolSweep(cfg bench.Config, widths []int) []bench.PerfRecord {
 		g := inst.g
 		g.Sprank() // warm the cache so Quality inside the timed runs is free
 		var quality float64
-
-		ensembles := func(opt *bipartite.Options, sequential bool) func() {
-			return func() {
-				m := g.NewMatcher(opt)
-				for k := 0; k < requests/8; k++ {
-					res, err := m.Run(bipartite.Spec{
-						Algorithm:  bipartite.AlgTwoSided,
-						Seed:       cfg.Seed + uint64(8*k),
-						Ensemble:   8,
-						Sequential: sequential,
-					})
-					if err != nil {
-						panic(err)
-					}
-					quality = g.Quality(res.Matching)
-				}
-			}
-		}
 		var anchor time.Duration
 		emit := func(name string, workers int, best time.Duration) {
 			perReq := best / time.Duration(requests)
@@ -257,17 +214,37 @@ func poolSweep(cfg bench.Config, widths []int) []bench.PerfRecord {
 				fmt.Sprintf("%.2f", speedup))
 		}
 
-		opt := &bipartite.Options{ScalingIterations: 5, Seed: cfg.Seed}
-		anchor = bench.TimeBest(3, ensembles(opt, true))
+		width1 := &bipartite.Options{ScalingIterations: 5, Seed: cfg.Seed, Workers: 1}
+		anchor = bench.TimeBest(3, bestOf8(g, width1, cfg.Seed, requests, &quality))
 		emit("serve/ensemble8/seq", 1, anchor)
 		for _, w := range widths {
 			pool := bipartite.NewPool(w)
 			wopt := &bipartite.Options{ScalingIterations: 5, Seed: cfg.Seed, Pool: pool}
-			best := bench.TimeBest(3, ensembles(wopt, false))
+			best := bench.TimeBest(3, bestOf8(g, wopt, cfg.Seed, requests, &quality))
 			pool.Close()
 			emit(fmt.Sprintf("serve/ensemble8/pool%d", w), w, best)
 		}
 	}
 	tbl.Write(cfg.Out)
 	return records
+}
+
+// bestOf8 returns one timed run of the ensemble tiers: requests/8
+// best-of-8 TwoSided Specs, seeds seed+8k onward, on one session with the
+// given options. Each Spec's quality is stored in *quality.
+func bestOf8(g *bipartite.Graph, opt *bipartite.Options, seed uint64, requests int, quality *float64) func() {
+	return func() {
+		m := g.NewMatcher(opt)
+		for k := 0; k < requests/8; k++ {
+			res, err := m.Run(bipartite.Spec{
+				Algorithm: bipartite.AlgTwoSided,
+				Seed:      seed + uint64(8*k),
+				Ensemble:  8,
+			})
+			if err != nil {
+				panic(err)
+			}
+			*quality = g.Quality(res.Matching)
+		}
+	}
 }

@@ -59,7 +59,7 @@
 //	                   weight on the mutated graph)
 //	POST /match        match once: {"graph":"g1","algorithm":"twosided",
 //	                   "seed":7,"refine":"exact","best_of":8,"target":0.95,
-//	                   "sequential":false,"timeout_ms":50,"priority":"low"}
+//	                   "timeout_ms":50,"priority":"low"}
 //	                   or with an inline graph:
 //	                   {"rows":..,"cols":..,"edges":..,"algorithm":..}
 //	                   → {"size":S,"rows":R,"cols":C,"row_mate":[...],
@@ -94,12 +94,10 @@
 // run as the default), "refine" augments the heuristic matching toward
 // maximum cardinality ("exact" = Hopcroft–Karp jump-start, "pushrelabel" =
 // the push-relabel/auction family), "best_of":K runs a best-of-K seed
-// ensemble on one shared scaling, "target" stops the ensemble early at the
-// given quality fraction, and "sequential":true forces the ensemble's
-// candidates onto one arena (inside the batch engine's width-1 slots the
-// candidates run sequentially either way; a standalone Matcher fans them
-// out across the pool). Invalid specs are answered with precise 400s
-// before any kernel runs.
+// ensemble on one shared scaling (inside the batch engine's width-1 slots
+// its candidates run one after another), and "target" stops the ensemble
+// early at the given quality fraction. Invalid specs are answered with
+// precise 400s before any kernel runs.
 //
 // "algorithm":"auction" is the weighted objective: the ε-scaling auction
 // maximizes the matched weight, guaranteed ≥ (1−ε)·optimal with

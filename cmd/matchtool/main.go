@@ -9,10 +9,9 @@
 //	matchtool -in graph.mtx -alg twosided -refine graft   # parallel MS-BFS-Graft refinement
 //	matchtool -in graph.mtx -alg twosided -best-of 8      # best-of-8 seed ensemble, one scaling,
 //	                                                      # candidates fanned out across the pool
-//	matchtool -in graph.mtx -best-of 8 -sequential        # same ensemble, candidates in series
 //	matchtool -in graph.mtx -alg auction -epsilon 0.05    # weighted: matched weight
 //	                                                      # within (1-eps) of optimal
-//	matchtool -in graph.mtx -alg hk                       # exact maximum
+//	matchtool -in graph.mtx -alg exact                    # exact maximum (cold solve)
 //	matchtool -in graph.mtx -alg ks -seed 7
 //	matchtool dyn -in graph.mtx -trace mutations.txt      # replay a mutation trace on a
 //	                                                      # dynamic session (see dyn.go)
@@ -21,10 +20,10 @@
 // (multithreaded Karp-Sipser), cheap-edge, cheap-vertex, auction (the
 // weighted ε-scaling auction; reads the MatrixMarket values as edge
 // weights, pattern files weigh every edge 1.0) — all served by the
-// declarative Spec engine and composable with
-// -refine/-best-of/-target/-sequential (the auction takes -best-of but
-// rejects -refine/-target: its objective is weight, not cardinality) —
-// plus the direct exact solvers hk (Hopcroft-Karp) and mc21.
+// declarative Spec engine and composable with -refine/-best-of/-target
+// (the auction takes -best-of but rejects -refine/-target: its objective
+// is weight, not cardinality) — plus exact, a cold maximum-matching solve
+// with the engine -refine exact runs (Graph.MaximumMatching).
 package main
 
 import (
@@ -43,14 +42,13 @@ func main() {
 	}
 	var (
 		in      = flag.String("in", "", "input MatrixMarket file (required)")
-		alg     = flag.String("alg", "twosided", "algorithm: onesided|twosided|ks|ksp|cheap-edge|cheap-vertex|auction|hk|mc21")
+		alg     = flag.String("alg", "twosided", "algorithm: onesided|twosided|ks|ksp|cheap-edge|cheap-vertex|auction|exact")
 		iters   = flag.Int("iters", 5, "Sinkhorn-Knopp scaling iterations (one/two-sided)")
 		workers = flag.Int("workers", 0, "worker count; 0 = all CPUs")
 		seed    = flag.Uint64("seed", 1, "RNG seed")
 		refine  = flag.String("refine", "none", "refinement: none|exact|pushrelabel|graft (augment the heuristic matching to maximum cardinality; exact auto-selects graft on large instances)")
 		bestOf  = flag.Int("best-of", 1, "ensemble size: run seeds seed..seed+K-1 on one shared scaling and keep the largest matching")
 		target  = flag.Float64("target", 0, "ensemble early-stop: halt once size reaches target*sprank-upper-bound, in (0,1]")
-		seq     = flag.Bool("sequential", false, "run ensemble candidates sequentially on one arena instead of fanning out across the pool")
 		epsilon = flag.Float64("epsilon", 0, "auction approximation slack in (0,1): matched weight >= (1-eps)*optimal; 0 = library default (-alg auction only)")
 		quality = flag.Bool("quality", false, "also compute sprank and report quality (costs an exact run)")
 	)
@@ -72,17 +70,13 @@ func main() {
 	var mt *bipartite.Matching
 	start := time.Now()
 	switch *alg {
-	case "hk", "mc21":
-		// Direct exact solvers: no spec fields apply.
-		if *refine != "none" || *bestOf > 1 || *target != 0 || *seq {
-			fmt.Fprintf(os.Stderr, "matchtool: -refine/-best-of/-target/-sequential do not apply to %s (already exact)\n", *alg)
+	case "exact":
+		// A cold exact solve: no spec fields apply.
+		if *refine != "none" || *bestOf > 1 || *target != 0 {
+			fmt.Fprintln(os.Stderr, "matchtool: -refine/-best-of/-target do not apply to exact (already maximum)")
 			os.Exit(2)
 		}
-		if *alg == "hk" {
-			mt = g.MaximumMatching()
-		} else {
-			mt, _ = g.MaximumMatchingFrom(nil)
-		}
+		mt = g.MaximumMatching(nil)
 	default:
 		algorithm, err := bipartite.ParseAlgorithm(canonicalAlg(*alg))
 		if err != nil {
@@ -94,12 +88,11 @@ func main() {
 			fail(err)
 		}
 		spec := bipartite.Spec{
-			Algorithm:  algorithm,
-			Refine:     refinement,
-			Ensemble:   *bestOf,
-			Target:     *target,
-			Sequential: *seq,
-			Epsilon:    *epsilon,
+			Algorithm: algorithm,
+			Refine:    refinement,
+			Ensemble:  *bestOf,
+			Target:    *target,
+			Epsilon:   *epsilon,
 		}
 		res, err := g.Match(spec, opt)
 		fail(err)
@@ -111,12 +104,8 @@ func main() {
 			fmt.Printf("karp-sipser stats: %+v\n", *res.KSStats)
 		}
 		if spec.Ensemble > 1 {
-			schedule := "parallel"
-			if spec.Sequential {
-				schedule = "sequential"
-			}
-			fmt.Printf("ensemble (%s): %d candidates run, winner seed %d (size %d)\n",
-				schedule, res.Candidates, res.WinnerSeed, res.HeuristicSize)
+			fmt.Printf("ensemble: %d candidates run, winner seed %d (size %d)\n",
+				res.Candidates, res.WinnerSeed, res.HeuristicSize)
 		}
 		if res.Refined {
 			fmt.Printf("refinement (%s): heuristic %d -> %d (+%d augmenting rows)\n",

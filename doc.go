@@ -18,7 +18,8 @@
 //     Karp–Sipser kernel; conjectured (and experimentally confirmed)
 //     ≥ 2(1 − ρ) ≈ 0.866 of the maximum, where ρ solves x·eˣ = 1.
 //
-// Exact algorithms (Hopcroft–Karp, MC21), the classic Karp–Sipser
+// Graph.MaximumMatching (an exact maximum matching, solved cold or
+// completed from a heuristic warm start), the classic Karp–Sipser
 // heuristic, cheap 1/2-approximation baselines, Dulmage–Mendelsohn
 // decomposition, Matrix Market I/O and a collection of workload
 // generators round out the toolkit.
@@ -64,8 +65,7 @@
 // Determinism contract, for a fixed Options.Seed: the sampled choices
 // (hence TwoSidedMatch's 1-out graph), the scaling vectors and the
 // matching size are identical for every worker count, scheduling policy
-// and pool width — except under Options.SkewAware, whose scaling vectors
-// agree across widths only to round-off. With Workers: 1 the entire matching is deterministic,
+// and pool width. With Workers: 1 the entire matching is deterministic,
 // bit for bit. At parallel widths the specific pairing may vary between
 // runs — OneSidedMatch's last-write-wins winner and the Karp–Sipser
 // kernel's CAS claim order are scheduling-dependent — while the size
@@ -101,8 +101,7 @@
 // Every matching request in the library is one declarative value, Spec:
 // which Algorithm to run (TwoSided, OneSided, the Karp–Sipser variants,
 // the cheap baselines), under which Seed, whether to run a best-of-K
-// Ensemble of seeds (and whether its candidates fan out across the pool
-// or run Sequentially), whether to Refine the heuristic result toward a
+// Ensemble of seeds, whether to Refine the heuristic result toward a
 // maximum matching, and an optional early-stop Target. One engine —
 // Matcher.Run — executes Specs; it is the only code path in the package
 // that dispatches matching kernels. Everything else is a surface over it:
@@ -112,7 +111,7 @@
 //     resident workspaces).
 //   - Request.Spec carries Specs through MatchBatch and Server.
 //   - cmd/matchserve accepts the spec fields ("algorithm", "seed",
-//     "refine", "best_of", "target", "sequential") on /match and
+//     "refine", "best_of", "target") on /match and
 //     /match/batch, and reports the result's provenance ("winner_seed",
 //     "candidates_run", "heuristic_size", "refined") in every response.
 //
@@ -126,11 +125,11 @@
 // smallest seed. On a session wider than one worker the candidates fan
 // out across the pool — each candidate runs at width 1 on a per-worker
 // arena — which makes the whole ensemble deterministic at any pool width
-// and bit-identical to the sequential sweep at Workers: 1
-// (TestSpecEnsembleParallelBitIdentical, which CI's spec-conformance step
-// runs under the race detector at GOMAXPROCS 1, 2 and 4); Spec.Sequential
-// forces the old one-arena-in-series schedule. Target stops the sweep as
-// soon as the best candidate reaches Target·SprankUpperBound().
+// and bit-identical to the serial sweep a Workers: 1 session runs on its
+// own arena (TestSpecEnsembleParallelBitIdentical, which CI's
+// spec-conformance step runs under the race detector at GOMAXPROCS 1, 2
+// and 4). Target stops the sweep as soon as the best candidate reaches
+// Target·SprankUpperBound().
 //
 // Refine: RefineExact is the paper's central application (§4): the
 // heuristic matching jump-starts an exact augmenting-path engine, which
@@ -148,7 +147,9 @@
 // graft and spec-conformance steps run under the race detector at
 // GOMAXPROCS 1, 2 and 4). RefineExact auto-selects the graft engine on
 // large instances (where refinement dominates end-to-end time) and
-// MatchResult.RefinedWith reports the engine that actually ran. Inside an
+// MatchResult.RefinedWith reports the engine that actually ran.
+// Graph.MaximumMatching(init) runs that same engine choice and refinement
+// loop outside a Spec, completing any warm start (nil for a cold solve). Inside an
 // ensemble the refinement is ensemble-aware: it advances incrementally
 // (one engine phase, or one push-relabel bid budget, per consumed
 // candidate), warm-starts from the best heuristic so far, and stops the
@@ -321,8 +322,7 @@
 //   - Shared scaling: the engine computes one scaling per *Graph in a
 //     per-graph once-cell shared by all W batch slots — not one per slot —
 //     and recycles per-slot arenas by graph shape under heterogeneous
-//     traffic. Scalings are seed-independent and width-independent
-//     (except under Options.SkewAware, see the determinism contract), so
+//     traffic. Scalings are seed-independent and width-independent, so
 //     sharing is invisible in the responses; ensemble requests reuse the
 //     same cell for every candidate. Server.DropGraph evicts a graph's
 //     cached scaling when an upstream registry evicts the graph, tying

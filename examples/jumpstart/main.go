@@ -1,6 +1,14 @@
 // Jumpstart: the use case that motivates cheap matching heuristics in the
 // paper's introduction — initializing an exact maximum-matching solver.
-// A good warm start removes most augmenting-path searches.
+// Each line completes one warm start to a maximum matching with
+// Graph.MaximumMatching and prints how many rows the warm start left free
+// (the rows the exact solver still has to match) and how long the
+// completion took; the first line is the cold solve.
+//
+// A good warm start leaves few rows free, yet on this mesh completing it
+// still costs more than the cold solve: 0.22–1.39 s per warm start against
+// 7–13 ms cold, on a 2-vCPU Xeon with Go 1.24. When a warm start pays for
+// itself, and which engine should complete it, is still open.
 //
 //	go run ./examples/jumpstart
 package main
@@ -13,11 +21,15 @@ import (
 )
 
 func run(g *bipartite.Graph, name string, warm *bipartite.Matching) {
+	free := g.Rows()
+	if warm != nil {
+		free -= warm.Size
+	}
 	start := time.Now()
-	mt, freeRows := g.MaximumMatchingFrom(warm)
+	mt := g.MaximumMatching(warm)
 	elapsed := time.Since(start)
-	fmt.Printf("%-22s searches=%8d  matched=%8d  time=%8v\n",
-		name, freeRows, mt.Size, elapsed.Round(time.Millisecond))
+	fmt.Printf("%-26s free rows=%8d  matched=%8d  time=%8v\n",
+		name, free, mt.Size, elapsed.Round(time.Millisecond))
 }
 
 func main() {
@@ -25,8 +37,8 @@ func main() {
 	g := bipartite.Grid3D(60, 60, 60, false)
 	fmt.Printf("graph: %d vertices per side, %d edges\n\n", g.Rows(), g.Edges())
 
-	// Cold exact solve: every row needs an augmenting-path search.
-	run(g, "cold MC21", nil)
+	// Cold exact solve: every row starts free.
+	run(g, "cold", nil)
 
 	// Warm starts of increasing quality, each one Spec run on a shared
 	// session (the two scaled heuristics share one scaling). A result
@@ -36,10 +48,10 @@ func main() {
 		name string
 		alg  bipartite.Algorithm
 	}{
-		{"cheap-vertex + MC21", bipartite.AlgCheapVertex},
-		{"karp-sipser + MC21", bipartite.AlgKarpSipser},
-		{"one-sided + MC21", bipartite.AlgOneSided},
-		{"two-sided + MC21", bipartite.AlgTwoSided},
+		{"cheap-vertex + exact", bipartite.AlgCheapVertex},
+		{"karp-sipser + exact", bipartite.AlgKarpSipser},
+		{"one-sided + exact", bipartite.AlgOneSided},
+		{"two-sided + exact", bipartite.AlgTwoSided},
 	} {
 		res, err := m.Run(bipartite.Spec{Algorithm: h.alg})
 		if err != nil {

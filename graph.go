@@ -208,23 +208,19 @@ func (g *Graph) degreeOrders() (rows, cols *core.DegreeOrder) {
 
 // --- exact matching and analysis -------------------------------------------
 
-// MaximumMatching computes a maximum-cardinality matching with
-// Hopcroft–Karp.
-func (g *Graph) MaximumMatching() *Matching { return exact.HopcroftKarp(g.a, nil) }
-
-// MaximumMatchingPushRelabel computes a maximum matching with the
-// push-relabel/auction scheme (the algorithm family of the GPU and
-// multicore maximum-transversal codes the paper cites). init may be nil
-// or a warm-start matching.
-func (g *Graph) MaximumMatchingPushRelabel(init *Matching) *Matching {
-	return exact.PushRelabel(g.a, init)
-}
-
-// MaximumMatchingFrom completes the given partial matching to a maximum
-// one (MC21 augmentation) and reports how many rows the warm start had
-// left free — the jump-start metric of the introduction.
-func (g *Graph) MaximumMatchingFrom(init *Matching) (*Matching, int) {
-	return exact.Augment(g.a, init)
+// MaximumMatching completes init to a maximum-cardinality matching, so
+// its size is Sprank(); nil init means a cold solve. This is the
+// jump-start of the paper's introduction: a heuristic matching passed as
+// init leaves the exact solver only the rows it left free. The engine is
+// the one Spec{Refine: RefineExact} runs — Hopcroft–Karp, or the parallel
+// graft engine on large instances — through the same refinement loop, on
+// all CPUs of the process-wide pool. init is copied, not modified; the
+// result is owned by the caller.
+func (g *Graph) MaximumMatching(init *Matching) *Matching {
+	m := g.NewMatcher(nil)
+	// A session without a cancellation hook never fails to refine.
+	mt, _ := m.refine(m.resolveRefine(RefineExact), init)
+	return mt
 }
 
 // Sprank returns the maximum matching cardinality (structural rank),

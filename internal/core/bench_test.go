@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
@@ -9,15 +10,15 @@ import (
 	"repro/internal/sparse"
 )
 
-// BenchmarkSessionTwoSidedWidth1 times one width-1 Session.TwoSided call
-// on a warm five-iteration scaling with its exported totals — the call a
-// batch slot makes for every serving read. The instances span the degree
-// mixes the sampling and Karp–Sipser loops see: Erdős–Rényi and
-// power-law rows of small, mixed degree, a road network of degree ≈ 2,
-// and e2ebench's heavytail, whose rows are mostly longer than the
-// fixed-trip-count groups.
-func BenchmarkSessionTwoSidedWidth1(b *testing.B) {
-	for _, inst := range []struct {
+// width1Instances span the degree mixes the sampling and Karp–Sipser
+// loops see: Erdős–Rényi and power-law rows of small, mixed degree, a
+// road network of degree ≈ 2, and e2ebench's heavytail, whose rows are
+// mostly longer than the fixed-trip-count groups.
+func width1Instances() []struct {
+	name string
+	a    *sparse.CSR
+} {
+	return []struct {
 		name string
 		a    *sparse.CSR
 	}{
@@ -25,16 +26,29 @@ func BenchmarkSessionTwoSidedWidth1(b *testing.B) {
 		{"powerlaw20k", gen.PowerLaw(20000, 2, 2.0, 1000, 1)},
 		{"roadlike200k", gen.RoadLike(200000, 2.1, 1)},
 		{"heavytail", gen.PowerLaw(20000, 15, 1.35, 10000, 1)},
-	} {
+	}
+}
+
+// width1Session returns a width-1 session on a with a warm five-iteration
+// scaling and its exported totals installed, the state a batch slot
+// serves reads from.
+func width1Session(b *testing.B, a *sparse.CSR, alias bool) *Session {
+	at := a.Transpose()
+	sc, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 5, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewSession(a, at, Options{Workers: 1, Policy: par.Dynamic, KSPolicy: par.Guided, Alias: alias})
+	s.SetScaling(sc.DR, sc.DC, sc.RSum, sc.CSum)
+	return s
+}
+
+// BenchmarkSessionTwoSidedWidth1 times one width-1 Session.TwoSided call
+// on a warm scaling — the call a batch slot makes for every serving read.
+func BenchmarkSessionTwoSidedWidth1(b *testing.B) {
+	for _, inst := range width1Instances() {
 		b.Run(inst.name, func(b *testing.B) {
-			a := inst.a
-			at := a.Transpose()
-			sc, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 5, Workers: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := NewSession(a, at, Options{Workers: 1, Policy: par.Dynamic, KSPolicy: par.Guided})
-			s.SetScaling(sc.DR, sc.DC, sc.RSum, sc.CSum)
+			s := width1Session(b, inst.a, false)
 			s.TwoSided(1)
 			seed := uint64(2)
 			for b.Loop() {
@@ -42,5 +56,33 @@ func BenchmarkSessionTwoSidedWidth1(b *testing.B) {
 				seed++
 			}
 		})
+	}
+}
+
+// BenchmarkSessionAliasWidth1 times width-1 Session.TwoSided and
+// Session.OneSided calls on a warm scaling with the alias-table draw off
+// and on. The first, untimed call builds the tables, as a serving session
+// does once per graph. Neither draw wins everywhere, which is why
+// Options.AliasSampling still exists: the choice belongs to the
+// algorithm, and making it there changes seeded outputs.
+func BenchmarkSessionAliasWidth1(b *testing.B) {
+	for _, inst := range width1Instances() {
+		for _, alg := range []string{"TwoSided", "OneSided"} {
+			for _, alias := range []bool{false, true} {
+				b.Run(fmt.Sprintf("%s/%s/alias=%v", inst.name, alg, alias), func(b *testing.B) {
+					s := width1Session(b, inst.a, alias)
+					run := func(seed uint64) { s.TwoSided(seed) }
+					if alg == "OneSided" {
+						run = func(seed uint64) { s.OneSided(seed) }
+					}
+					run(1)
+					seed := uint64(2)
+					for b.Loop() {
+						run(seed)
+						seed++
+					}
+				})
+			}
+		}
 	}
 }

@@ -179,27 +179,6 @@ func TestWarmStartCannotLowerResult(t *testing.T) {
 	}
 }
 
-func TestAugmentCountsFreeRows(t *testing.T) {
-	a := gen.Identity(10)
-	init := NewMatching(10, 10)
-	for i := 0; i < 4; i++ {
-		init.RowMate[i] = int32(i)
-		init.ColMate[i] = int32(i)
-		init.Size++
-	}
-	mt, free := Augment(a, init)
-	if free != 6 {
-		t.Fatalf("free rows %d want 6", free)
-	}
-	if mt.Size != 10 {
-		t.Fatalf("augmented size %d want 10", mt.Size)
-	}
-	mt2, free2 := Augment(a, nil)
-	if free2 != 10 || mt2.Size != 10 {
-		t.Fatalf("nil-init augment: free %d size %d", free2, mt2.Size)
-	}
-}
-
 func TestFromRowMate(t *testing.T) {
 	rm := []int32{2, NIL, 0}
 	mt := FromRowMate(rm, 3)

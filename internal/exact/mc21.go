@@ -104,19 +104,3 @@ func MC21(a *sparse.CSR, init *Matching) *Matching {
 	}
 	return mt
 }
-
-// Augment completes an arbitrary (possibly partial) matching to a maximum
-// one using MC21 and reports how many augmenting-path searches were needed
-// (the number of rows that were still free). This quantifies the value of
-// a heuristic jump-start.
-func Augment(a *sparse.CSR, init *Matching) (mt *Matching, freeRows int) {
-	if init == nil {
-		init = NewMatching(a.RowsN, a.ColsN)
-	}
-	for i := 0; i < a.RowsN; i++ {
-		if init.RowMate[i] == NIL {
-			freeRows++
-		}
-	}
-	return MC21(a, init), freeRows
-}

@@ -172,7 +172,6 @@ func specOf(mr *wire.MatchRequest) (bipartite.Spec, error) {
 		Ensemble:   mr.BestOf,
 		Refine:     ref,
 		Target:     mr.Target,
-		Sequential: mr.Sequential,
 		SeedOffset: mr.SeedOffset,
 		SeedCount:  mr.SeedCount,
 		Epsilon:    mr.Epsilon,

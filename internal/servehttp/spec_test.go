@@ -54,8 +54,9 @@ func TestMatchServeSpecFields(t *testing.T) {
 	}
 
 	// A best-of-8 ensemble with a target: valid request, sane response,
-	// ensemble provenance on the wire. The sequential variant must agree
-	// exactly (the library gates bit-identity; here we pin the wire).
+	// ensemble provenance on the wire. A body that still carries the
+	// removed "sequential" key is decoded like any other unknown key, so
+	// its answer must not change.
 	ensembleReq := map[string]any{
 		"graph": id, "algorithm": "twosided", "seed": 1, "best_of": 8, "target": 0.9,
 	}
@@ -83,7 +84,7 @@ func TestMatchServeSpecFields(t *testing.T) {
 	}
 	if seqBody["size"] != body["size"] || seqBody["winner_seed"] != body["winner_seed"] ||
 		seqBody["candidates_run"] != body["candidates_run"] {
-		t.Fatalf("sequential ensemble drifted from the default: %v vs %v", seqBody, body)
+		t.Fatalf("\"sequential\" body drifted from the default: %v vs %v", seqBody, body)
 	}
 
 	// The extended algorithms are reachable over the wire.

@@ -25,13 +25,12 @@ type MatchRequest struct {
 	// decoded only so that a body still carrying it is refused (a 400
 	// naming "algorithm") instead of silently running the default
 	// algorithm; the router forwards it to the replica that refuses it.
-	LegacyOp   *string `json:"op,omitempty"`
-	Algorithm  string  `json:"algorithm,omitempty"`
-	Seed       uint64  `json:"seed,omitempty"`
-	Refine     string  `json:"refine,omitempty"`
-	BestOf     int     `json:"best_of,omitempty"`
-	Target     float64 `json:"target,omitempty"`
-	Sequential bool    `json:"sequential,omitempty"`
+	LegacyOp  *string `json:"op,omitempty"`
+	Algorithm string  `json:"algorithm,omitempty"`
+	Seed      uint64  `json:"seed,omitempty"`
+	Refine    string  `json:"refine,omitempty"`
+	BestOf    int     `json:"best_of,omitempty"`
+	Target    float64 `json:"target,omitempty"`
 	// SeedOffset/SeedCount restrict a best_of ensemble to a sub-range of
 	// its seed interval — the router's fan-out primitive (see
 	// Spec.SeedOffset in the root package).

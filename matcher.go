@@ -173,10 +173,10 @@ func (m *Matcher) refineWs() *exact.Workspace {
 	return m.refWs
 }
 
-// refineWidth resolves the pool and width a graft refinement fans out
-// across: the session's pool at the session's parallel width — the
-// ensemble fan-out width without its candidate-count cap, since graft
-// phases parallelize over the frontier, not over candidates.
+// refineWidth resolves the session's pool (or the process default) and
+// its parallel width, Options.Workers capped by the pool's width. Graft
+// phases and auction candidates fan out across it; ensembleWidth caps it
+// further by the candidate count.
 func (m *Matcher) refineWidth() (*par.Pool, int) {
 	pool := m.opt.Pool.inner()
 	if pool == nil {

@@ -62,8 +62,6 @@ func TestMatcherBitIdenticalToOneShot(t *testing.T) {
 		{ScalingIterations: 5, Workers: 1},
 		{ScalingIterations: 5, Workers: 4},
 		{ScalingIterations: 0, Workers: 2}, // uniform sampling path
-		{ScalingIterations: -1, UseRuiz: true, Workers: 2},
-		{ScalingIterations: 5, Workers: 1, SkewAware: true},
 	}
 	for name, g := range graphs {
 		for oi, base := range optSets {
@@ -241,7 +239,7 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 		{"KarpSipserParallel", Spec{Algorithm: AlgKarpSipserParallel}},
 		{"RefineExact", Spec{Refine: RefineExact}},
 		{"RefineGraft", Spec{Refine: RefineGraft}},
-		{"EnsembleRefineGraft", Spec{Ensemble: 4, Refine: RefineGraft, Sequential: true}},
+		{"EnsembleRefineGraft", Spec{Ensemble: 4, Refine: RefineGraft}},
 	} {
 		spec := tc.spec
 		spec.Seed = 1

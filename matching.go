@@ -10,8 +10,10 @@ import (
 )
 
 // Options configures the randomized heuristics. The zero value (or a nil
-// pointer) means: 5 Sinkhorn–Knopp scaling iterations, all CPUs, seed 1,
-// the paper's scheduling policies.
+// pointer) means: 5 Sinkhorn–Knopp scaling iterations, all CPUs of the
+// process-wide pool, seed 1, the paper's scheduling policies. Scaling is
+// always Sinkhorn–Knopp; the §2.2 alternatives (Ruiz, skew-aware row
+// splitting) live in internal/scale for the ablation benchmarks.
 type Options struct {
 	// ScalingIterations is the number of Sinkhorn–Knopp iterations run
 	// before sampling. 0 means uniform (unscaled) sampling, as in the
@@ -23,17 +25,6 @@ type Options struct {
 	Workers int
 	// Seed makes runs reproducible; 0 is replaced by 1.
 	Seed uint64
-	// UseRuiz switches the scaling method from Sinkhorn–Knopp to Ruiz
-	// equilibration (the §2.2 alternative; converges more slowly).
-	UseRuiz bool
-	// SkewAware splits rows/columns with enormous degree across all
-	// workers during scaling (the §2.2 load-balance remark). The pieces
-	// of a split row depend on the worker count, so the scaling vectors
-	// (and hence the sampled choices) may differ between widths by
-	// round-off; TestSkewAwareDeterministicAcrossWorkers checks only that
-	// they agree to a relative 1e-9. At a fixed width they are
-	// deterministic.
-	SkewAware bool
 	// Pool, when non-nil, is the worker pool every parallel stage of the
 	// call dispatches to — scaling sweeps, sampling and both Karp–Sipser
 	// phases reuse its resident workers. Nil uses the process-wide
@@ -126,44 +117,33 @@ type Scaling struct {
 	History []float64
 	// RowSums and ColSums are the raw scaled row/column sums of the final
 	// vectors (the sampling denominators of Algorithms 2 and 3), exported
-	// by the fused Sinkhorn–Knopp sweeps. They may be nil (Ruiz,
-	// skew-aware and tolerance-checked runs); the sampling stage then
-	// computes totals on the fly.
+	// by the fused Sinkhorn–Knopp sweeps. RowSums is nil after zero
+	// iterations; the sampling stage then computes row totals on the fly.
 	RowSums, ColSums []float64
 }
 
 // scaleRunHook, when set, is called at the start of every scaling run —
-// the test seam that counts how many Sinkhorn–Knopp (or Ruiz) executions a
-// serving workload actually performs (the shared per-graph scaling
-// guarantee is asserted through it). Loaded atomically because batch slots
-// scale from pool workers.
+// the test seam that counts how many Sinkhorn–Knopp executions a serving
+// workload actually performs (the shared per-graph scaling guarantee is
+// asserted through it). Loaded atomically because batch slots scale from
+// pool workers.
 var scaleRunHook atomic.Pointer[func()]
 
-// scaleRaw runs the configured scaling method on g, drawing buffers from
-// ws when non-nil and the method supports it (the fused Sinkhorn–Knopp
-// path; Ruiz and skew-aware runs always allocate). cancel, when non-nil,
-// is the cooperative cancellation hook polled between sweeps; a canceled
-// run fails with scale.ErrCanceled.
+// scaleRaw runs the fused Sinkhorn–Knopp sweeps on g, drawing buffers from
+// ws when non-nil. cancel, when non-nil, is the cooperative cancellation
+// hook polled between sweeps; a canceled run fails with scale.ErrCanceled.
 func (g *Graph) scaleRaw(v Options, ws *scale.Workspace, cancel func() bool) (*scale.Result, error) {
 	if hook := scaleRunHook.Load(); hook != nil {
 		(*hook)()
 	}
-	sopt := scale.Options{
+	return scale.SinkhornKnopp(g.a, g.transpose(), scale.Options{
 		MaxIters: v.ScalingIterations,
 		Workers:  v.Workers,
 		Policy:   par.Dynamic,
 		Pool:     v.Pool.inner(),
 		Ws:       ws,
 		Cancel:   cancel,
-	}
-	switch {
-	case v.UseRuiz:
-		return scale.Ruiz(g.a, g.transpose(), sopt)
-	case v.SkewAware:
-		return scale.SinkhornKnoppSkewAware(g.a, g.transpose(), sopt)
-	default:
-		return scale.SinkhornKnopp(g.a, g.transpose(), sopt)
-	}
+	})
 }
 
 // MatchResult is the outcome of a matching run executed by the Spec

@@ -197,11 +197,12 @@ type Spec struct {
 	// Ensemble, when > 1, runs a best-of-K ensemble: K candidates with
 	// seeds Seed..Seed+K-1 share one scaling and the largest matching
 	// wins, ties broken toward the smallest seed. On a session whose pool
-	// is wider than one worker the candidates fan out across the pool
-	// (each runs at width 1 on its own arena) unless Sequential is set;
-	// either way the candidates are consumed in seed order, so the winner
-	// — and, at Workers: 1 (or on the parallel path, at any width), the
-	// full matching — is deterministic. 0 or 1 means a single run.
+	// is wider than one worker the candidates fan out across the pool,
+	// each at width 1 on its own arena; otherwise they run one after
+	// another on the session's arena. Either way they are consumed in
+	// seed order, so the winner is deterministic, and so is its full
+	// matching wherever the candidates run at width 1 — the fan-out, and
+	// every Workers: 1 session. 0 or 1 means a single run.
 	Ensemble int
 
 	// Refine post-processes the winning heuristic matching; see
@@ -219,13 +220,6 @@ type Spec struct {
 	// returned matching may stop short of maximum once the target is met.
 	// Must lie in (0, 1]. Ignored for single runs.
 	Target float64
-
-	// Sequential, when true, forces an ensemble's candidates to run one
-	// after another on the session's own arena (at the session's full
-	// parallel width) instead of fanning out across the pool — the
-	// pre-fan-out behaviour, useful for benchmarking the two schedules
-	// against each other. Single runs ignore it.
-	Sequential bool
 
 	// SeedOffset and SeedCount, when SeedCount > 0, restrict an ensemble
 	// to the sub-range of its seed interval [Seed+SeedOffset,
@@ -324,15 +318,13 @@ func (s Spec) Validate() error {
 // kernel is deterministic (everything at Workers: 1).
 //
 // Ensembles consume their K candidates strictly in seed order over one
-// shared scaling. On a session whose pool is wider than one worker (and
-// with Spec.Sequential unset) the candidates fan out across the pool —
-// one width-1 run per candidate on per-worker shape-keyed arenas — and the
-// consumption order still makes the winner (size-then-seed) bit-identical
-// to the sequential sweep; because every candidate runs at width 1, the
-// parallel path's full matchings are deterministic at any pool width,
-// matching the sequential sweep at Workers: 1. MatchResult reports the
-// winner's provenance (WinnerSeed, Candidates, HeuristicSize) and, for
-// AlgKarpSipser, the winner's phase statistics.
+// shared scaling. On a session whose pool is wider than one worker the
+// candidates fan out across the pool — one width-1 run per candidate on
+// per-worker shape-keyed arenas — and the consumption order makes the
+// winner (size-then-seed) and its full matching bit-identical to the
+// serial sweep a Workers: 1 session runs on its own arena. MatchResult
+// reports the winner's provenance (WinnerSeed, Candidates, HeuristicSize)
+// and, for AlgKarpSipser, the winner's phase statistics.
 //
 // Refinement completes the winner toward maximum cardinality with
 // Hopcroft–Karp (RefineExact), push-relabel (RefinePushRelabel) or the
@@ -385,21 +377,9 @@ func (m *Matcher) runSingle(spec Spec, seed uint64, sc *Scaling) (*MatchResult, 
 	heuristic := best.Size
 	ref := m.resolveRefine(spec.Refine)
 	if ref != RefineNone {
-		r := m.newSpecRefiner(ref, best)
-		if gr, ok := r.(graftSpecRefiner); ok {
-			gr.r.SetParallel(m.refineWidth())
-			gr.r.SetCancel(m.cancel)
+		if best, err = m.refine(ref, best); err != nil {
+			return nil, err
 		}
-		// Advance returns false only once the matching is maximum, so a
-		// poll between advances — Hopcroft–Karp and graft phases,
-		// push-relabel steps — bounds the overrun past a deadline by one
-		// unit; graft also polls inside its phases.
-		for r.Advance() {
-			if m.canceled() {
-				return nil, ErrCanceled
-			}
-		}
-		best = r.Result()
 	}
 	m.result = MatchResult{
 		Matching:      best,
@@ -416,10 +396,32 @@ func (m *Matcher) runSingle(spec Spec, seed uint64, sc *Scaling) (*MatchResult, 
 	return &m.result, nil
 }
 
-// runEnsemble executes a best-of-K Spec: the candidates run sequentially
-// on the session arena or fan out across the pool, and either way their
-// results are consumed strictly in seed order by one ensembleRun state
-// machine — which is what makes the two schedules agree bit for bit.
+// refine completes init to a maximum matching with the (resolved) engine
+// ref, on the session's refinement workspace: runSingle's refinement and
+// Graph.MaximumMatching both run this loop. A graft engine fans out across
+// the session's pool and polls the cancellation hook inside its phases.
+func (m *Matcher) refine(ref Refinement, init *Matching) (*Matching, error) {
+	r := m.newSpecRefiner(ref, init)
+	if gr, ok := r.(graftSpecRefiner); ok {
+		gr.r.SetParallel(m.refineWidth())
+		gr.r.SetCancel(m.cancel)
+	}
+	// Advance returns false only once the matching is maximum, so a poll
+	// between advances — Hopcroft–Karp and graft phases, push-relabel
+	// steps — bounds the overrun past a deadline by one unit.
+	for r.Advance() {
+		if m.canceled() {
+			return nil, ErrCanceled
+		}
+	}
+	return r.Result(), nil
+}
+
+// runEnsemble executes a best-of-K Spec: the candidates run one after
+// another on the session arena when the fan-out width is 1, and fan out
+// across the pool otherwise; either way their results are consumed
+// strictly in seed order by one ensembleRun state machine — which is what
+// makes the two schedules agree bit for bit.
 // A seed sub-range (SeedCount > 0) consumes only the candidates
 // [SeedOffset, SeedOffset+SeedCount) of the interval; the winner seed it
 // reports stays absolute, so a cluster router can reduce disjoint
@@ -445,7 +447,7 @@ func (m *Matcher) runEnsemble(spec Spec, base uint64, sc *Scaling) (*MatchResult
 		}
 	}
 	pool, width := m.ensembleWidth(e.k)
-	if spec.Sequential || width <= 1 {
+	if width <= 1 {
 		e.runSequential()
 	} else {
 		e.runParallel(pool, width, sc)
@@ -496,18 +498,10 @@ func (m *Matcher) runEnsemble(spec Spec, base uint64, sc *Scaling) (*MatchResult
 }
 
 // ensembleWidth resolves the pool and fan-out width of an ensemble run:
-// the session's pool (or the process default), its width capped by
-// Options.Workers and the candidate count. Width 1 means the candidates
-// run sequentially on the session arena.
+// the session's refineWidth, capped by the candidate count. Width 1 means
+// the candidates run one after another on the session arena.
 func (m *Matcher) ensembleWidth(k int) (*par.Pool, int) {
-	pool := m.opt.Pool.inner()
-	if pool == nil {
-		pool = par.Default()
-	}
-	width := pool.Workers(m.opt.Workers)
-	if width > pool.Width() {
-		width = pool.Width()
-	}
+	pool, width := m.refineWidth()
 	if width > k {
 		width = k
 	}
@@ -631,8 +625,8 @@ func (e *ensembleRun) consume(res candResult) {
 }
 
 // runSequential drives the candidates one after another on the session's
-// own arena, at the session's full parallel width — the pre-fan-out
-// schedule, and the one batch slots (width 1) always use.
+// own arena: the schedule of a width-1 session (every batch slot) and of a
+// one-candidate seed sub-range.
 func (e *ensembleRun) runSequential() {
 	m := e.m
 	for c := 0; c < e.k && !e.stop.Load(); c++ {

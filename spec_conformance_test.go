@@ -385,9 +385,7 @@ func TestSpecEnsembleParallelBitIdentical(t *testing.T) {
 		{Algorithm: AlgCheapVertex, Seed: 9, Ensemble: 8, Target: 0.6},
 	}
 	for _, spec := range specs {
-		seq := spec
-		seq.Sequential = true
-		want, err := g.NewMatcher(&Options{ScalingIterations: 5, Workers: 1}).Run(seq)
+		want, err := g.NewMatcher(&Options{ScalingIterations: 5, Workers: 1}).Run(spec)
 		if err != nil {
 			t.Fatalf("%+v sequential: %v", spec, err)
 		}

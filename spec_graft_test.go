@@ -122,9 +122,7 @@ func TestSpecGraftBitIdenticalAcrossWidths(t *testing.T) {
 	for _, tc := range graphs {
 		for _, c := range cases {
 			spec := c.spec
-			seq := spec
-			seq.Sequential = true
-			want, err := tc.g.NewMatcher(&Options{ScalingIterations: 5, Workers: 1}).Run(seq)
+			want, err := tc.g.NewMatcher(&Options{ScalingIterations: 5, Workers: 1}).Run(spec)
 			if err != nil {
 				t.Fatalf("%s %+v sequential: %v", tc.name, spec, err)
 			}

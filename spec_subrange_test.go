@@ -148,18 +148,16 @@ func TestSeedSubRangeAuction(t *testing.T) {
 }
 
 // TestSeedSubRangeSequentialParity: the sub-range winner is schedule
-// independent — Sequential and pooled fan-out agree, as do different
-// worker widths.
+// independent — the serial sweep of a Workers: 1 session and the pooled
+// fan-out agree.
 func TestSeedSubRangeSequentialParity(t *testing.T) {
 	g := RandomER(300, 300, 4, 5)
 	sub := Spec{Algorithm: AlgTwoSided, Seed: 7, Ensemble: 16, SeedOffset: 4, SeedCount: 8}
-	seq := sub
-	seq.Sequential = true
 	a, err := g.Match(sub, &Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := g.Match(seq, &Options{Workers: 1})
+	b, err := g.Match(sub, &Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,9 +145,10 @@ func (m *Matcher) aucWorkspace() *auction.Workspace {
 // scaling phases and final-phase normalization run once — and each
 // candidate finishes from a clone of it with its own seed; the winner is
 // the heaviest matching, ties broken toward the smallest seed. Candidates
-// fan out across the session pool (each at width 1) unless
-// Spec.Sequential is set; every candidate always runs, so the winner is
-// bit-identical at any pool width.
+// fan out across the session pool, each at width 1; a width-1 pool runs
+// them inline, one after another, polling the cancellation hook before
+// each. Every candidate always runs, so the winner is bit-identical at
+// any pool width.
 func (m *Matcher) runAuction(spec Spec) (*MatchResult, error) {
 	eps := spec.Epsilon
 	if eps == 0 {
@@ -194,28 +195,13 @@ func (m *Matcher) runAuction(spec Spec) (*MatchResult, error) {
 	copt := auction.Options{Epsilon: eps, Workers: 1}
 	results := make([]auction.Result, k)
 	errs := make([]error, k)
-	if spec.Sequential || width <= 1 {
-		for c := 0; c < k; c++ {
-			if m.canceled() {
-				return nil, ErrCanceled
-			}
-			cw := &auction.Workspace{}
-			results[c], errs[c] = auction.Finish(a, at, copt, base+uint64(c), epsAbs, st.Clone(), cw)
+	pool.ForCancel(k, width, par.Dynamic, 1, m.cancel, func(_, lo, hi int) {
+		for c := lo; c < hi; c++ {
+			results[c], errs[c] = auction.Finish(a, at, copt, base+uint64(c), epsAbs, st.Clone(), &auction.Workspace{})
 		}
-	} else {
-		cancel := m.cancel
-		if cancel == nil {
-			cancel = func() bool { return false }
-		}
-		pool.ForCancel(k, width, par.Dynamic, 1, cancel, func(_, lo, hi int) {
-			cw := &auction.Workspace{}
-			for c := lo; c < hi; c++ {
-				results[c], errs[c] = auction.Finish(a, at, copt, base+uint64(c), epsAbs, st.Clone(), cw)
-			}
-		})
-		if m.canceled() {
-			return nil, ErrCanceled
-		}
+	})
+	if m.canceled() {
+		return nil, ErrCanceled
 	}
 	best := -1
 	for c := 0; c < k; c++ {
