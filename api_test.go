@@ -98,6 +98,11 @@ func TestSprankCached(t *testing.T) {
 	if err := g.ValidateMatching(max); err != nil {
 		t.Fatal(err)
 	}
+	// Sprank is MaximumMatching's size; the oracle is a separate
+	// Hopcroft–Karp run.
+	if want := exact.Sprank(g.a); s1 != want {
+		t.Fatalf("Sprank %d, exact.Sprank %d", s1, want)
+	}
 }
 
 func TestJumpStartReducesWork(t *testing.T) {

@@ -46,11 +46,24 @@
 //
 // The Sinkhorn–Knopp stage runs a fused loop that touches the matrix
 // twice per iteration instead of three times (the convergence-error sweep
-// is folded into the next column pass) and hands its final row/column
-// sums to the sampling stage, which therefore draws each edge with a
-// single prefix walk instead of a sum pass plus a walk pass. The fusion
-// is exact: reported errors, scaling vectors and sampled choices are
-// bit-identical to the textbook formulation.
+// is folded into the next column pass, and on a graph without edge values
+// the first column pass reads only the column degrees, so 5 iterations
+// make 10 sweeps) and hands its final row/column sums to the sampling
+// stage, which therefore draws each edge with a single prefix walk
+// instead of a sum pass plus a walk pass. The fusion is exact: reported
+// errors, scaling vectors and sampled choices are bit-identical to the
+// textbook formulation.
+//
+// From a Graph's second scaling run on, the sweeps of a graph without
+// edge values walk its sweep layouts: for each side, the rows of degree 1
+// to 16 grouped by degree, their column indices copied back to back, so a
+// group runs one fixed trip count with no row pointer loads (longer rows
+// read the CSR). The layouts cost 4 bytes per packed index, are built
+// once per Graph on its second scaling, serially, and are freed with the
+// Graph. A graph scaled once never builds them; that covers every read a
+// Server answers from a cached scaling. Each row is still summed left to
+// right in CSR order, so every output is bit-identical to the CSR sweeps;
+// FuzzSinkhornKnoppLayout in internal/scale checks it at widths 1 to 3.
 //
 // TwoSided's sampling walks each side's rows grouped by degree, in an
 // order the Graph builds once next to its transpose (4 bytes a vertex,

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/dm"
 	"repro/internal/exact"
 	"repro/internal/gen"
@@ -35,16 +34,29 @@ const Unmatched = exact.NIL
 // Graph is a bipartite graph stored as the sparse pattern of its
 // biadjacency matrix. The zero value is not usable; construct with one of
 // the constructors or generators. A Graph is immutable after construction;
-// all methods are safe for concurrent use (the lazy transpose, degree
-// order and sprank caches are synchronized — batch serving builds them
-// from pool workers).
+// all methods are safe for concurrent use. Its lazy caches are
+// synchronized, because batch serving builds them from pool workers, and
+// are freed with the Graph:
+//
+//   - the transpose, built on first use;
+//   - the degree orders of rows and columns, built on the first TwoSided
+//     run (4 bytes per vertex);
+//   - the sweep layouts, packed copies of the short rows and columns that
+//     Sinkhorn–Knopp walks, built on the Graph's second scaling run
+//     (4 bytes per packed index), so a graph scaled once never pays for
+//     them;
+//   - the structural rank and its cheap upper bound.
 type Graph struct {
 	a      *sparse.CSR
 	atOnce sync.Once
 	at     *sparse.CSR // transpose, built lazily under atOnce
 
 	ordOnce        sync.Once
-	rowOrd, colOrd *core.DegreeOrder // degree orders, built lazily under ordOnce
+	rowOrd, colOrd *sparse.DegreeOrder // degree orders, built lazily under ordOnce
+
+	scaleRuns      atomic.Int64 // scaling runs with at least one iteration so far
+	layOnce        sync.Once
+	rowLay, colLay *sparse.Layout // sweep layouts, built lazily under layOnce
 
 	sprank   atomic.Int64 // cached maximum matching size + 1; 0 until computed
 	sprankUB atomic.Int64 // cached structural upper bound + 1; 0 until computed
@@ -192,18 +204,42 @@ func (g *Graph) transpose() *sparse.CSR {
 var orderBuildHook atomic.Pointer[func()]
 
 // degreeOrders returns the degree orders of the rows and of the columns
-// that TwoSided's sampling walks (see core.DegreeOrder). They are built
+// that TwoSided's sampling walks (see sparse.DegreeOrder). They are built
 // lazily and once per Graph, like the transpose, at 4 bytes per vertex,
 // and are freed with the Graph.
-func (g *Graph) degreeOrders() (rows, cols *core.DegreeOrder) {
+func (g *Graph) degreeOrders() (rows, cols *sparse.DegreeOrder) {
 	g.ordOnce.Do(func() {
 		if hook := orderBuildHook.Load(); hook != nil {
 			(*hook)()
 		}
-		g.rowOrd = core.NewDegreeOrder(g.a)
-		g.colOrd = core.NewDegreeOrder(g.transpose())
+		g.rowOrd = sparse.NewDegreeOrder(g.a)
+		g.colOrd = sparse.NewDegreeOrder(g.transpose())
 	})
 	return g.rowOrd, g.colOrd
+}
+
+// layoutBuildHook, when set, is invoked once per sweep-layout build — the
+// test seam that proves the layouts are built on a Graph's second scaling
+// run and never for a graph scaled once.
+var layoutBuildHook atomic.Pointer[func()]
+
+// sweepLayouts returns the packed degree orders of the rows and of the
+// columns that the Sinkhorn–Knopp sweeps walk (see sparse.Layout), built
+// once per Graph at 4 bytes per packed index and freed with the Graph.
+// The build is serial and never dispatches to a pool: the batch engine
+// scales under its per-graph cell lock (batchEngine.sharedScaling), where
+// a nested region could steal back a batch-slot task that waits on that
+// very cell.
+func (g *Graph) sweepLayouts() (rows, cols *sparse.Layout) {
+	g.layOnce.Do(func() {
+		if hook := layoutBuildHook.Load(); hook != nil {
+			(*hook)()
+		}
+		ro, co := g.degreeOrders()
+		g.rowLay = ro.Pack(g.a)
+		g.colLay = co.Pack(g.transpose())
+	})
+	return g.rowLay, g.colLay
 }
 
 // --- exact matching and analysis -------------------------------------------
@@ -223,14 +259,14 @@ func (g *Graph) MaximumMatching(init *Matching) *Matching {
 	return mt
 }
 
-// Sprank returns the maximum matching cardinality (structural rank),
-// caching the result. Concurrent first calls may each compute it; they
-// agree, and later calls hit the cache.
+// Sprank returns the maximum matching cardinality (structural rank): the
+// size of MaximumMatching(nil), cached. Concurrent first calls may each
+// compute it; they agree, and later calls hit the cache.
 func (g *Graph) Sprank() int {
 	if v := g.sprank.Load(); v > 0 {
 		return int(v - 1)
 	}
-	s := exact.Sprank(g.a)
+	s := g.MaximumMatching(nil).Size
 	g.sprank.Store(int64(s) + 1)
 	return s
 }

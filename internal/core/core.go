@@ -16,9 +16,9 @@
 // bit-identical to the plain one:
 //
 //   - TwoSided and the public samplers visit each side's rows in a
-//     DegreeOrder, and rows of degree 2 to 16 draw with a fixed trip count
-//     (drawFixed). Every row keeps its own RNG stream, so each choice is
-//     sampleRow's; FuzzSampleGrouped checks it row by row, and
+//     sparse.DegreeOrder, and rows of degree 2 to 16 draw with a fixed
+//     trip count (drawFixed). Every row keeps its own RNG stream, so each
+//     choice is sampleRow's; FuzzSampleGrouped checks it row by row, and
 //     TestSamplingDeterministicAcrossWorkerCounts across widths.
 //   - A Karp–Sipser run on one worker takes ksSerial: Algorithm 4 with
 //     plain loads and stores, and no data-dependent branches in its link,
@@ -97,7 +97,7 @@ const colSeedSalt = 0x5DEECE66D
 // probability density function in Algorithms 2 and 3). Rows with no
 // entries get NIL. dr or dc may be nil for uniform sampling (the
 // "0 scaling iterations" configuration). Like TwoSided it visits the rows
-// in degree order (see DegreeOrder), which it builds for the call.
+// in degree order (see sparse.DegreeOrder), which it builds for the call.
 func SampleRowChoices(a *sparse.CSR, dr, dc []float64, opt Options) []int32 {
 	return sampleChoices(a, dc, opt.RowTotals, xrand.Base(opt.Seed), opt)
 }
@@ -113,7 +113,7 @@ func SampleColChoices(at *sparse.CSR, dr, dc []float64, opt Options) []int32 {
 // over a degree order built for the call.
 func sampleChoices(a *sparse.CSR, w, tot []float64, base uint64, opt Options) []int32 {
 	choice := make([]int32, a.RowsN)
-	d := drawSide{a: a, w: w, tot: tot, ord: NewDegreeOrder(a), out: choice, loop: NIL}
+	d := drawSide{a: a, w: w, tot: tot, ord: sparse.NewDegreeOrder(a), out: choice, loop: NIL}
 	opt.pool().For(a.RowsN, opt.Workers, opt.Policy, opt.chunk(), func(_, lo, hi int) {
 		d.draw(base, lo, hi)
 	})

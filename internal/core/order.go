@@ -5,57 +5,15 @@ import (
 	"repro/internal/xrand"
 )
 
-// TwoSided's sampling visits the rows of each side grouped by degree. The
-// prefix walk of sampleRow stops at the first prefix sum that reaches the
-// draw, after a data-dependent number of steps, so its loop exit
-// mispredicts about once per row; on graphs of small, mixed degrees
-// (road networks, Erdős–Rényi) that misprediction, not memory, bounds
-// sampling. The rows of one group share their degree, so walking a group
-// runs one fixed trip count and selects the drawn entry by counting
-// instead of exiting. The idea is the one behind degree-sorted sliced
-// formats such as SELL-C-σ (Kreutzer et al., SIAM J. Sci. Comput. 2014).
-// Every row still draws from its own indexed RNG stream, so the visit
-// order changes no choice, and FuzzSampleGrouped holds the counting draw
-// to sampleRow's walk row by row.
-
-// maxFixedDegree is the largest degree drawn with a fixed trip count.
-// Longer rows keep sampleRow's early-exit walk, whose one misprediction
-// is small next to the walk itself.
-const maxFixedDegree = 16
-
-// degreeGroups counts the groups of a DegreeOrder: one per degree from 0
-// to maxFixedDegree, and one for all longer rows.
-const degreeGroups = maxFixedDegree + 2
-
-// DegreeOrder lists the rows of a matrix grouped by degree: group d holds
-// the rows of degree d for d <= maxFixedDegree, and the last group every
-// longer row, each group in ascending row order. It costs 4 bytes per row.
-type DegreeOrder struct {
-	rows  []int32
-	start [degreeGroups + 1]int // group d is rows[start[d]:start[d+1]]
-}
-
-// degreeGroup returns the group of a row of degree d.
-func degreeGroup(d int) int { return min(d, degreeGroups-1) }
-
-// NewDegreeOrder builds the degree order of a's rows with a stable
-// counting sort, in O(rows) time.
-func NewDegreeOrder(a *sparse.CSR) *DegreeOrder {
-	o := &DegreeOrder{rows: make([]int32, a.RowsN)}
-	for i := 0; i < a.RowsN; i++ {
-		o.start[degreeGroup(a.Degree(i))+1]++
-	}
-	for g := 0; g < degreeGroups; g++ {
-		o.start[g+1] += o.start[g]
-	}
-	next := o.start
-	for i := 0; i < a.RowsN; i++ {
-		g := degreeGroup(a.Degree(i))
-		o.rows[next[g]] = int32(i)
-		next[g]++
-	}
-	return o
-}
+// TwoSided's sampling visits the rows of each side in their degree order
+// (sparse.DegreeOrder). The prefix walk of sampleRow stops at the first
+// prefix sum that reaches the draw, after a data-dependent number of
+// steps, so its loop exit mispredicts about once per row. The rows of one
+// group share their degree, so walking a group runs one fixed trip count
+// and selects the drawn entry by counting instead of exiting. Every row
+// still draws from its own indexed RNG stream, so the visit order changes
+// no choice, and FuzzSampleGrouped holds the counting draw to sampleRow's
+// walk row by row.
 
 // drawSide is one side of a sampling region: the rows of a, visited in
 // ord, each drawing one column weighted by w (the other side's scaling
@@ -65,7 +23,7 @@ func NewDegreeOrder(a *sparse.CSR) *DegreeOrder {
 type drawSide struct {
 	a         *sparse.CSR
 	w, tot    []float64
-	ord       *DegreeOrder
+	ord       *sparse.DegreeOrder
 	out       []int32
 	off, loop int32
 }
@@ -81,18 +39,18 @@ func (d *drawSide) empty(i int32) int32 {
 // draw samples the rows at positions [lo, hi) of the degree order. Empty
 // rows take no draw. A row of degree 1 takes its one entry, which is what
 // every branch of sampleRow returns for it. Rows of degree 2 to
-// maxFixedDegree draw with drawFixed when the matrix has no edge values
-// and the draw is scaled; every other row calls sampleRow.
+// sparse.MaxFixedDegree draw with drawFixed when the matrix has no edge
+// values and the draw is scaled; every other row calls sampleRow.
 func (d *drawSide) draw(base uint64, lo, hi int) {
 	a, o := d.a, d.ord
 	fixed := a.Val == nil && d.w != nil
 	var rng xrand.SplitMix64
-	for g := 0; g < degreeGroups; g++ {
-		glo, ghi := max(lo, o.start[g]), min(hi, o.start[g+1])
+	for g := 0; g < sparse.DegreeGroups; g++ {
+		glo, ghi := max(lo, o.Start[g]), min(hi, o.Start[g+1])
 		if glo >= ghi {
 			continue
 		}
-		rows := o.rows[glo:ghi]
+		rows := o.Rows[glo:ghi]
 		switch {
 		case g == 0:
 			for _, i := range rows {
@@ -102,7 +60,7 @@ func (d *drawSide) draw(base uint64, lo, hi int) {
 			for _, i := range rows {
 				d.out[i] = d.off + a.Idx[a.Ptr[i]]
 			}
-		case g <= maxFixedDegree && fixed:
+		case g <= sparse.MaxFixedDegree && fixed:
 			drawFixed(a, d.w, d.tot, base, rows, g, d.out, d.off)
 		default:
 			for _, i := range rows {

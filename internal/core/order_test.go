@@ -4,41 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/gen"
 	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
-
-// TestDegreeOrderGroups checks the order's layout: every row once, groups
-// by min(degree, maxFixedDegree+1), ascending within a group.
-func TestDegreeOrderGroups(t *testing.T) {
-	for name, a := range map[string]*sparse.CSR{
-		"powerlaw": gen.PowerLaw(3000, 1, 1.6, 200, 3),
-		"road":     gen.RoadLike(2000, 2.1, 4),
-		"empty":    sparse.FromDense([][]int{{0, 0}, {0, 0}}),
-	} {
-		o := NewDegreeOrder(a)
-		seen := make([]bool, a.RowsN)
-		if o.start[0] != 0 || o.start[degreeGroups] != a.RowsN {
-			t.Fatalf("%s: groups span [%d, %d), want [0, %d)", name, o.start[0], o.start[degreeGroups], a.RowsN)
-		}
-		for g := 0; g < degreeGroups; g++ {
-			for p := o.start[g]; p < o.start[g+1]; p++ {
-				i := int(o.rows[p])
-				if seen[i] {
-					t.Fatalf("%s: row %d listed twice", name, i)
-				}
-				seen[i] = true
-				if degreeGroup(a.Degree(i)) != g {
-					t.Fatalf("%s: row %d of degree %d in group %d", name, i, a.Degree(i), g)
-				}
-				if p > o.start[g] && o.rows[p-1] >= o.rows[p] {
-					t.Fatalf("%s: group %d not ascending at position %d", name, g, p)
-				}
-			}
-		}
-	}
-}
 
 // FuzzSampleGrouped holds the degree-ordered sampler to sampleRow, row by
 // row. The seed drives the random weights and the draws. The first byte

@@ -24,9 +24,9 @@ import (
 // or not). TestSessionReuseBitIdentical gates that.
 //
 // TwoSided samples each side in its degree order at every width (see
-// DegreeOrder): SetDegreeOrders installs orders the caller keeps, and a
-// session without them builds its own on its first TwoSided call after
-// NewSession or Rebind. A TwoSided call whose Karp–Sipser regions get one
+// sparse.DegreeOrder): SetDegreeOrders installs orders the caller keeps,
+// and a session without them builds its own on its first TwoSided call
+// after NewSession or Rebind. A TwoSided call whose Karp–Sipser regions get one
 // worker runs the branch-free serial kernel, ksSerial, which polls the
 // cancellation hook every chunk like any region
 // (TestSessionWidth1CancelMidKarpSipser); wider calls run the atomic
@@ -56,7 +56,7 @@ type Session struct {
 	cancel func() bool
 
 	// Degree orders of a and at; see SetDegreeOrders.
-	rord, cord *DegreeOrder
+	rord, cord *sparse.DegreeOrder
 	// The two sides of the sampling region, set up by each TwoSided call.
 	rside, cside drawSide
 
@@ -152,10 +152,10 @@ func (s *Session) Rebind(a, at *sparse.CSR) {
 // and builds the degree orders the caller did not install.
 func (s *Session) ensureTwoSided() {
 	if s.rord == nil {
-		s.rord = NewDegreeOrder(s.a)
+		s.rord = sparse.NewDegreeOrder(s.a)
 	}
 	if s.cord == nil {
-		s.cord = NewDegreeOrder(s.at)
+		s.cord = sparse.NewDegreeOrder(s.at)
 	}
 	if s.twoSidedSized {
 		return
@@ -196,7 +196,7 @@ func (s *Session) SetScaling(dr, dc, rowTotals, colTotals []float64) {
 // SetDegreeOrders installs the degree orders of the bound matrix (rows)
 // and of its transpose (cols) for TwoSided's sampling region to walk. The
 // orders are retained, not copied; Rebind clears them.
-func (s *Session) SetDegreeOrders(rows, cols *DegreeOrder) { s.rord, s.cord = rows, cols }
+func (s *Session) SetDegreeOrders(rows, cols *sparse.DegreeOrder) { s.rord, s.cord = rows, cols }
 
 // Matrix returns the matrix the session is currently bound to.
 func (s *Session) Matrix() *sparse.CSR { return s.a }

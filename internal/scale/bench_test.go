@@ -1,0 +1,50 @@
+package scale
+
+import (
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/par"
+	"repro/internal/sparse"
+)
+
+// BenchmarkSinkhornKnoppLayout times one 5-iteration fused scaling, on a
+// reused workspace, over the CSR and over the sweep layouts, at widths 1
+// and 2. The instances are a road network of degree ≈ 2 (the
+// offline-heuristic workload's roadnet21 shape), Erdős–Rényi rows of small
+// mixed degree, e2ebench's heavytail, whose rows are mostly longer than
+// the packed groups, and the offline-exact workload's rankdef.
+func BenchmarkSinkhornKnoppLayout(b *testing.B) {
+	insts := []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"roadlike200k", gen.RoadLike(200000, 2.1, 1)},
+		{"er20k", gen.ERAvgDeg(20000, 20000, 4, 1)},
+		{"heavytail", gen.PowerLaw(20000, 15, 1.35, 10000, 1)},
+		{"rankdef", gen.RankDeficient(40000, 12000, 6, 1)},
+	}
+	pool := par.NewPool(2)
+	defer pool.Close()
+	for _, inst := range insts {
+		a := inst.a
+		at := a.Transpose()
+		rows := sparse.NewDegreeOrder(a).Pack(a)
+		cols := sparse.NewDegreeOrder(at).Pack(at)
+		for _, w := range []int{1, 2} {
+			for _, path := range []string{"csr", "layout"} {
+				opt := Options{MaxIters: 5, Workers: w, Policy: par.Dynamic, Pool: pool, Ws: &Workspace{}}
+				if path == "layout" {
+					opt.RowLayout, opt.ColLayout = rows, cols
+				}
+				b.Run(inst.name+"/w"+string(rune('0'+w))+"/"+path, func(b *testing.B) {
+					for b.Loop() {
+						if _, err := SinkhornKnopp(a, at, opt); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}

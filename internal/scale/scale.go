@@ -13,13 +13,24 @@
 // the next iteration's column pass (the column sums it needs are the same
 // sums the error is defined over), the initial error sweep doubles as the
 // first column pass, and one deferred sweep after the loop settles the
-// final error. The fused loop reports the exact same Err and History
-// values, measured at the same points, as the classic
-// column/row/error-sweep formulation — only the number of passes over the
-// matrix changes. It also exports the per-row and per-column scaled sums
-// of the final vectors (Result.RSum, Result.CSum), which are precisely the
-// sampling denominators Algorithms 2 and 3 need, so sampling can skip its
-// own sum pass over the matrix.
+// final error. On a matrix without edge values the initial sweep reads
+// only the column degrees, which are its exact sums, so a 5-iteration
+// run makes 10 sweeps over the matrix. The fused loop reports the exact
+// same Err and History values, measured at the same points, as the
+// classic column/row/error-sweep formulation — only the number of passes
+// over the matrix changes. It also exports the per-row and per-column
+// scaled sums of the final vectors (Result.RSum, Result.CSum), which are
+// precisely the sampling denominators Algorithms 2 and 3 need, so sampling
+// can skip its own sum pass over the matrix.
+//
+// Given the sweep layouts of a matrix without edge values
+// (Options.RowLayout and ColLayout, see sparse.Layout), every row and
+// column pass walks the rows grouped by degree, the rows of degree 1 to
+// 16 over their packed indices with a fixed trip count and no row pointer
+// loads, and the longer rows over the CSR. Each row is still summed left
+// to right in CSR order, so every output keeps its bits;
+// FuzzSinkhornKnoppLayout holds the layout path to the CSR path and to
+// the classic reference.
 package scale
 
 import (
@@ -64,6 +75,12 @@ type Options struct {
 	// so far is discarded. The serving layer derives it from the request's
 	// context deadline.
 	Cancel func() bool
+	// RowLayout and ColLayout, when non-nil, are the sweep layouts of the
+	// matrix and of its transpose (sparse.Layout, built from their degree
+	// orders): the Sinkhorn–Knopp row and column passes then walk them
+	// instead of the CSR, with the same results bit for bit. A matrix with
+	// edge values ignores them, and Ruiz and the skew-aware path do too.
+	RowLayout, ColLayout *sparse.Layout
 }
 
 // canceled reports whether the run's cancellation hook has fired.
@@ -150,28 +167,37 @@ var ErrShape = errors.New("scale: transpose shape mismatch")
 // sums walk rows). Val == nil treats entries as 1. Rows or columns with no
 // entries keep their scaling factor (their sums are reported as 0 and the
 // error reflects it), matching the paper's treatment of structurally
-// deficient matrices where irrelevant entries drift to zero.
+// deficient matrices where irrelevant entries drift to zero. A layout in
+// opt whose row count is not its matrix's fails with ErrShape.
 func SinkhornKnopp(a, at *sparse.CSR, opt Options) (*Result, error) {
 	if a.RowsN != at.ColsN || a.ColsN != at.RowsN {
 		return nil, ErrShape
+	}
+	rows, err := layoutFor(a, opt.RowLayout)
+	if err != nil {
+		return nil, err
+	}
+	cols, err := layoutFor(at, opt.ColLayout)
+	if err != nil {
+		return nil, err
 	}
 	n, m := a.RowsN, a.ColsN
 	if opt.canceled() {
 		return nil, ErrCanceled
 	}
+	sw := sweeps{a: a, at: at, rows: rows, cols: cols,
+		p: opt.pool(), workers: opt.Workers, policy: opt.Policy, chunk: opt.chunkOrDefault()}
 	if opt.Tol > 0 {
 		// The convergence check needs the error of an iteration before
 		// deciding whether to run the next one, which forces the classic
 		// dedicated error sweep per iteration.
 		res := &Result{DR: ones(n), DC: ones(m)}
-		if err := sinkhornKnoppTol(a, at, opt, res); err != nil {
+		if err := sinkhornKnoppTol(sw, opt, res); err != nil {
 			return nil, err
 		}
 		return res, nil
 	}
 
-	p := opt.pool()
-	chunk := opt.chunkOrDefault()
 	var res *Result
 	var csum, rsum []float64
 	if opt.Ws != nil {
@@ -185,9 +211,14 @@ func SinkhornKnopp(a, at *sparse.CSR, opt Options) (*Result, error) {
 	}
 
 	// The initial error sweep already computes Σ_i dr[i]·a_ij for every
-	// column — the exact sums the first column pass needs — so the first
-	// column pass degenerates to inverting them.
-	res.Err = colSumsAndError(at, res.DR, res.DC, csum, false, p, opt.Workers, opt.Policy, chunk)
+	// column — the exact sums the first column pass needs — so it also
+	// serves as the first column pass: dc[j] <- 1/csum[j]. The sums are
+	// kept only when no iteration runs, as the column sampling totals.
+	first := csum
+	if opt.MaxIters > 0 {
+		first = nil
+	}
+	res.Err = sw.firstCol(res.DR, res.DC, first, opt.MaxIters > 0)
 	res.History = append(res.History, res.Err)
 	if opt.MaxIters <= 0 {
 		res.CSum = csum
@@ -196,45 +227,7 @@ func SinkhornKnopp(a, at *sparse.CSR, opt Options) (*Result, error) {
 
 	// Row pass: dr[i] <- 1 / Σ_{j in Ai*} a_ij*dc[j]. The last iteration
 	// keeps the raw sums: they are the row sampling totals.
-	rowPass := func(rsumOut []float64) {
-		p.For(n, opt.Workers, opt.Policy, chunk, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s, e := a.Ptr[i], a.Ptr[i+1]
-				sum := 0.0
-				if a.Val == nil {
-					for q := s; q < e; q++ {
-						sum += res.DC[a.Idx[q]]
-					}
-				} else {
-					for q := s; q < e; q++ {
-						sum += res.DC[a.Idx[q]] * a.Val[q]
-					}
-				}
-				if rsumOut != nil {
-					rsumOut[i] = sum
-				}
-				if sum > 0 {
-					res.DR[i] = 1.0 / sum
-				}
-			}
-		})
-	}
-	rsumIfLast := func(it int) []float64 {
-		if it == opt.MaxIters-1 {
-			return rsum
-		}
-		return nil
-	}
-	// Iteration 0: the column pass reuses the sums of the initial sweep,
-	// so it degenerates to inverting them: dc[j] <- 1/csum[j].
-	p.For(m, opt.Workers, opt.Policy, chunk, func(_, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			if csum[j] > 0 {
-				res.DC[j] = 1.0 / csum[j]
-			}
-		}
-	})
-	rowPass(rsumIfLast(0))
+	sw.row(res.DC, res.DR, rsumIfLast(rsum, 0, opt.MaxIters))
 	res.Iters++
 	for it := 1; it < opt.MaxIters; it++ {
 		if opt.canceled() {
@@ -244,29 +237,47 @@ func SinkhornKnopp(a, at *sparse.CSR, opt Options) (*Result, error) {
 		// error of the state entering this iteration (the previous
 		// iteration's result, measured against the not-yet-updated dc)
 		// and the new dc.
-		err := colSumsAndError(at, res.DR, res.DC, nil, true, p, opt.Workers, opt.Policy, chunk)
+		err := sw.col(res.DR, res.DC, nil, true)
 		res.History = append(res.History, err)
-		rowPass(rsumIfLast(it))
+		sw.row(res.DC, res.DR, rsumIfLast(rsum, it, opt.MaxIters))
 		res.Iters++
 	}
 	// Deferred final sweep: the error of the last iteration, and the
 	// column sampling totals of the final vectors.
-	res.Err = colSumsAndError(at, res.DR, res.DC, csum, false, p, opt.Workers, opt.Policy, chunk)
+	res.Err = sw.col(res.DR, res.DC, csum, false)
 	res.History = append(res.History, res.Err)
 	res.RSum = rsum
 	res.CSum = csum
 	return res, nil
 }
 
+// rsumIfLast returns the row-sum output of iteration it of iters: rsum on
+// the last iteration, nil before it.
+func rsumIfLast(rsum []float64, it, iters int) []float64 {
+	if it == iters-1 {
+		return rsum
+	}
+	return nil
+}
+
+// layoutFor returns the layout a pass over x's rows may walk: l, or nil
+// when there is none or x has edge values. A layout of another row count
+// is an error.
+func layoutFor(x *sparse.CSR, l *sparse.Layout) (*sparse.Layout, error) {
+	if l == nil || x.Val != nil {
+		return nil, nil
+	}
+	if len(l.Rows) != x.RowsN {
+		return nil, ErrShape
+	}
+	return l, nil
+}
+
 // sinkhornKnoppTol is the classic three-sweep loop used when a convergence
 // tolerance is set. It reports the same Err/History as the fused loop for
 // the iterations it runs, but leaves RSum/CSum nil.
-func sinkhornKnoppTol(a, at *sparse.CSR, opt Options, res *Result) error {
-	p := opt.pool()
-	chunk := opt.chunkOrDefault()
-	n, m := a.RowsN, a.ColsN
-
-	res.Err = colSumsAndError(at, res.DR, res.DC, nil, false, p, opt.Workers, opt.Policy, chunk)
+func sinkhornKnoppTol(sw sweeps, opt Options, res *Result) error {
+	res.Err = sw.col(res.DR, res.DC, nil, false)
 	res.History = append(res.History, res.Err)
 	for it := 0; it < opt.MaxIters; it++ {
 		if res.Err <= opt.Tol {
@@ -276,45 +287,11 @@ func sinkhornKnoppTol(a, at *sparse.CSR, opt Options, res *Result) error {
 			return ErrCanceled
 		}
 		// Column pass: dc[j] <- 1 / sum_{i in A*j} dr[i]*a_ij.
-		p.For(m, opt.Workers, opt.Policy, chunk, func(_, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				csum := 0.0
-				s, e := at.Ptr[j], at.Ptr[j+1]
-				if at.Val == nil {
-					for q := s; q < e; q++ {
-						csum += res.DR[at.Idx[q]]
-					}
-				} else {
-					for q := s; q < e; q++ {
-						csum += res.DR[at.Idx[q]] * at.Val[q]
-					}
-				}
-				if csum > 0 {
-					res.DC[j] = 1.0 / csum
-				}
-			}
-		})
+		sw.col(res.DR, res.DC, nil, true)
 		// Row pass: dr[i] <- 1 / sum_{j in Ai*} a_ij*dc[j].
-		p.For(n, opt.Workers, opt.Policy, chunk, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				rsum := 0.0
-				s, e := a.Ptr[i], a.Ptr[i+1]
-				if a.Val == nil {
-					for q := s; q < e; q++ {
-						rsum += res.DC[a.Idx[q]]
-					}
-				} else {
-					for q := s; q < e; q++ {
-						rsum += res.DC[a.Idx[q]] * a.Val[q]
-					}
-				}
-				if rsum > 0 {
-					res.DR[i] = 1.0 / rsum
-				}
-			}
-		})
+		sw.row(res.DC, res.DR, nil)
 		res.Iters++
-		res.Err = colSumsAndError(at, res.DR, res.DC, nil, false, p, opt.Workers, opt.Policy, chunk)
+		res.Err = sw.col(res.DR, res.DC, nil, false)
 		res.History = append(res.History, res.Err)
 	}
 	return nil
@@ -336,7 +313,7 @@ func Ruiz(a, at *sparse.CSR, opt Options) (*Result, error) {
 	rsum := make([]float64, n)
 	csum := make([]float64, m)
 
-	res.Err = colSumsAndError(at, res.DR, res.DC, nil, false, p, opt.Workers, opt.Policy, chunk)
+	res.Err = colSumsAndError(at, nil, res.DR, res.DC, nil, false, p, opt.Workers, opt.Policy, chunk)
 	res.History = append(res.History, res.Err)
 	for it := 0; it < opt.MaxIters; it++ {
 		if opt.Tol > 0 && res.Err <= opt.Tol {
@@ -386,7 +363,7 @@ func Ruiz(a, at *sparse.CSR, opt Options) (*Result, error) {
 			}
 		})
 		res.Iters++
-		res.Err = colSumsAndError(at, res.DR, res.DC, nil, false, p, opt.Workers, opt.Policy, chunk)
+		res.Err = colSumsAndError(at, nil, res.DR, res.DC, nil, false, p, opt.Workers, opt.Policy, chunk)
 		res.History = append(res.History, res.Err)
 	}
 	return res, nil
@@ -396,13 +373,58 @@ func Ruiz(a, at *sparse.CSR, opt Options) (*Result, error) {
 // transpose at: max over columns of |sum_i dr[i]*a_ij*dc[j] - 1|. This is
 // the quantity reported in Tables 1 and 3.
 func ColError(at *sparse.CSR, dr, dc []float64, workers int) float64 {
-	return colSumsAndError(at, dr, dc, nil, false, par.Default(), workers, par.Dynamic, par.DefaultChunk)
+	return colSumsAndError(at, nil, dr, dc, nil, false, par.Default(), workers, par.Dynamic, par.DefaultChunk)
 }
 
 // RowError is the row-side counterpart of ColError (max |rowsum-1|),
 // computed on the matrix itself.
 func RowError(a *sparse.CSR, dr, dc []float64, workers int) float64 {
-	return colSumsAndError(a, dc, dr, nil, false, par.Default(), workers, par.Dynamic, par.DefaultChunk)
+	return colSumsAndError(a, nil, dc, dr, nil, false, par.Default(), workers, par.Dynamic, par.DefaultChunk)
+}
+
+// sweeps holds what every pass of one scaling run needs: the matrix, its
+// transpose, their layouts (nil: walk the CSR in row order) and the
+// parallel schedule.
+type sweeps struct {
+	a, at      *sparse.CSR
+	rows, cols *sparse.Layout
+	p          *par.Pool
+	workers    int
+	policy     par.Policy
+	chunk      int
+}
+
+// col is one column pass; see colSumsAndError.
+func (sw sweeps) col(dr, dc, sums []float64, invert bool) float64 {
+	return colSumsAndError(sw.at, sw.cols, dr, dc, sums, invert, sw.p, sw.workers, sw.policy, sw.chunk)
+}
+
+// row is one row pass: dr[i] <- 1/Σ_j a_ij·dc[j] for every row with a
+// positive sum, storing the raw sums in sums when non-nil.
+func (sw sweeps) row(dc, dr, sums []float64) {
+	a, l := sw.a, sw.rows
+	sw.p.For(a.RowsN, sw.workers, sw.policy, sw.chunk, func(_, lo, hi int) {
+		passRange(a, l, dc, dr, sums, true, false, lo, hi, 0)
+	})
+}
+
+// firstCol is the column pass of the first iteration, which starts from
+// dr = 1: see colSumsAndError. Without edge values every column sum is
+// then the column's degree, exact in float64, so the pass reads the
+// column pointers and no index: a 5-iteration run makes 10 sweeps over
+// the matrix, not 11, and History[0] keeps its bits.
+func (sw sweeps) firstCol(dr, dc, sums []float64, invert bool) float64 {
+	at := sw.at
+	if at.Val != nil {
+		return sw.col(dr, dc, sums, invert)
+	}
+	return sw.p.ReduceFloat64(at.RowsN, sw.workers, sw.policy, sw.chunk, 0,
+		func(_, lo, hi int, acc float64) float64 {
+			for j := lo; j < hi; j++ {
+				acc = finish(dc, sums, j, float64(at.Ptr[j+1]-at.Ptr[j]), invert, true, acc)
+			}
+			return acc
+		}, math.Max)
 }
 
 // colSumsAndError walks the columns once and returns
@@ -416,37 +438,147 @@ func RowError(a *sparse.CSR, dr, dc []float64, workers int) float64 {
 // result, because it is measured before dc is touched). One kernel thus
 // serves the error measurement, the totals export and the fused column
 // pass; the bit-identity between the fused and classic paths holds because
-// every caller accumulates through this single body, and
-// TestFusedMatchesClassicReference fails if the order ever drifts.
-func colSumsAndError(at *sparse.CSR, dr, dc []float64, sums []float64, invert bool,
+// every caller accumulates through passRange, and
+// TestFusedMatchesClassicReference fails if the order ever drifts. l, when
+// non-nil, is the layout of at the pass walks.
+func colSumsAndError(at *sparse.CSR, l *sparse.Layout, dr, dc []float64, sums []float64, invert bool,
 	p *par.Pool, workers int, policy par.Policy, chunk int) float64 {
-	m := at.RowsN
-	return p.ReduceFloat64(m, workers, policy, chunk, 0,
+	return p.ReduceFloat64(at.RowsN, workers, policy, chunk, 0,
 		func(_, lo, hi int, acc float64) float64 {
-			for j := lo; j < hi; j++ {
-				csum := 0.0
-				s, e := at.Ptr[j], at.Ptr[j+1]
-				if at.Val == nil {
-					for q := s; q < e; q++ {
-						csum += dr[at.Idx[q]]
-					}
-				} else {
-					for q := s; q < e; q++ {
-						csum += dr[at.Idx[q]] * at.Val[q]
-					}
-				}
-				if sums != nil {
-					sums[j] = csum
-				}
-				if d := math.Abs(csum*dc[j] - 1.0); d > acc {
-					acc = d
-				}
-				if invert && csum > 0 {
-					dc[j] = 1.0 / csum
-				}
-			}
-			return acc
+			return passRange(at, l, dr, dc, sums, invert, true, lo, hi, acc)
 		}, math.Max)
+}
+
+// passRange is the body of every Sinkhorn–Knopp pass. It sums w over the
+// entries of rows [lo, hi) of x — positions [lo, hi) of the layout l when
+// l is non-nil — each row left to right in CSR order, and finishes each
+// row with its sum (see finish). The rows of a pass are independent and
+// the error is a maximum, so neither the visit order nor the chunking
+// changes a bit of the outputs. Over a layout, each group of rows of one
+// degree up to sparse.MaxFixedDegree runs a fixed trip count over packed
+// indices, with no row pointer loads; longer rows read the CSR. Each loop
+// is a function of its own, so its alignment does not depend on the code
+// around it: on a 2-vCPU Xeon, moving the long-row loop within one larger
+// function changed the pass's time by a third.
+func passRange(x *sparse.CSR, l *sparse.Layout, w, d, sums []float64, invert, measure bool,
+	lo, hi int, acc float64) float64 {
+	if l == nil {
+		return csrRange(x, w, d, sums, invert, measure, lo, hi, acc)
+	}
+	for g := 0; g < sparse.DegreeGroups; g++ {
+		glo, ghi := max(lo, l.Start[g]), min(hi, l.Start[g+1])
+		if glo >= ghi {
+			continue
+		}
+		rows, idx := l.Group(g, glo, ghi)
+		switch {
+		case idx != nil:
+			acc = packedRows(rows, idx, g, w, d, sums, invert, measure, acc)
+		case g == 0:
+			for _, i := range rows {
+				acc = finish(d, sums, int(i), 0, invert, measure, acc)
+			}
+		default:
+			acc = csrRows(x, rows, w, d, sums, invert, measure, acc)
+		}
+	}
+	return acc
+}
+
+// csrRange runs a pass over rows [lo, hi) of x in index order.
+func csrRange(x *sparse.CSR, w, d, sums []float64, invert, measure bool, lo, hi int, acc float64) float64 {
+	for i := lo; i < hi; i++ {
+		acc = finish(d, sums, i, rowSum(x, w, i), invert, measure, acc)
+	}
+	return acc
+}
+
+// csrRows runs a pass over the listed rows of x.
+func csrRows(x *sparse.CSR, rows []int32, w, d, sums []float64, invert, measure bool, acc float64) float64 {
+	for _, i := range rows {
+		acc = finish(d, sums, int(i), rowSum(x, w, int(i)), invert, measure, acc)
+	}
+	return acc
+}
+
+// packedRows runs a pass over the listed rows, all of degree deg, whose
+// entries idx holds back to back. Degrees 1 to 4, most rows of road
+// networks and sparse random graphs, run unrolled; each unrolled sum
+// still adds to 0 from left to right, the same operations in the same
+// order as the loop.
+func packedRows(rows, idx []int32, deg int, w, d, sums []float64, invert, measure bool, acc float64) float64 {
+	switch deg {
+	case 1:
+		for k, i := range rows {
+			acc = finish(d, sums, int(i), 0.0+w[idx[k]], invert, measure, acc)
+		}
+		return acc
+	case 2:
+		for _, i := range rows {
+			e := idx[:2:2]
+			idx = idx[2:]
+			acc = finish(d, sums, int(i), 0.0+w[e[0]]+w[e[1]], invert, measure, acc)
+		}
+		return acc
+	case 3:
+		for _, i := range rows {
+			e := idx[:3:3]
+			idx = idx[3:]
+			acc = finish(d, sums, int(i), 0.0+w[e[0]]+w[e[1]]+w[e[2]], invert, measure, acc)
+		}
+		return acc
+	case 4:
+		for _, i := range rows {
+			e := idx[:4:4]
+			idx = idx[4:]
+			acc = finish(d, sums, int(i), 0.0+w[e[0]]+w[e[1]]+w[e[2]]+w[e[3]], invert, measure, acc)
+		}
+		return acc
+	}
+	for _, i := range rows {
+		sum := 0.0
+		for _, j := range idx[:deg] {
+			sum += w[j]
+		}
+		idx = idx[deg:]
+		acc = finish(d, sums, int(i), sum, invert, measure, acc)
+	}
+	return acc
+}
+
+// rowSum returns Σ_q w[x.Idx[q]]·x.Val[q] over row i of x, left to right.
+func rowSum(x *sparse.CSR, w []float64, i int) float64 {
+	s, e := x.Ptr[i], x.Ptr[i+1]
+	sum := 0.0
+	if x.Val == nil {
+		for _, j := range x.Idx[s:e] {
+			sum += w[j]
+		}
+	} else {
+		for q := s; q < e; q++ {
+			sum += w[x.Idx[q]] * x.Val[q]
+		}
+	}
+	return sum
+}
+
+// finish applies a pass's outputs for row i with the given sum: it stores
+// the sum in sums when non-nil, folds |sum·d[i] − 1| into the running
+// maximum acc when measure is set, and sets d[i] = 1/sum when invert is
+// set and the sum is positive. It returns the new maximum.
+func finish(d, sums []float64, i int, sum float64, invert, measure bool, acc float64) float64 {
+	if sums != nil {
+		sums[i] = sum
+	}
+	if measure {
+		if e := math.Abs(sum*d[i] - 1.0); e > acc {
+			acc = e
+		}
+	}
+	if invert && sum > 0 {
+		d[i] = 1.0 / sum
+	}
+	return acc
 }
 
 // Entry returns the scaled entry dr[i]*v*dc[j] for the p-th stored entry of

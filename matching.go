@@ -132,18 +132,28 @@ var scaleRunHook atomic.Pointer[func()]
 // scaleRaw runs the fused Sinkhorn–Knopp sweeps on g, drawing buffers from
 // ws when non-nil. cancel, when non-nil, is the cooperative cancellation
 // hook polled between sweeps; a canceled run fails with scale.ErrCanceled.
+//
+// From the Graph's second run with at least one iteration on, a pattern
+// graph's sweeps walk its sweep layouts, which that run builds. A graph
+// scaled once — every serving read of a cached scaling — never pays for
+// the copy; repeated one-shot calls, rebound Matchers and evicted cache
+// entries do. The layouts change no bit of the result.
 func (g *Graph) scaleRaw(v Options, ws *scale.Workspace, cancel func() bool) (*scale.Result, error) {
 	if hook := scaleRunHook.Load(); hook != nil {
 		(*hook)()
 	}
-	return scale.SinkhornKnopp(g.a, g.transpose(), scale.Options{
+	opt := scale.Options{
 		MaxIters: v.ScalingIterations,
 		Workers:  v.Workers,
 		Policy:   par.Dynamic,
 		Pool:     v.Pool.inner(),
 		Ws:       ws,
 		Cancel:   cancel,
-	})
+	}
+	if v.ScalingIterations > 0 && g.a.Val == nil && g.scaleRuns.Add(1) >= 2 {
+		opt.RowLayout, opt.ColLayout = g.sweepLayouts()
+	}
+	return scale.SinkhornKnopp(g.a, g.transpose(), opt)
 }
 
 // MatchResult is the outcome of a matching run executed by the Spec

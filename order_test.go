@@ -2,6 +2,7 @@ package bipartite
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -67,14 +68,84 @@ func TestDegreeOrderBuiltOncePerGraph(t *testing.T) {
 	}
 }
 
+// TestSweepLayoutBuiltOnSecondScaling: a Graph packs its sweep layouts on
+// its second scaling run with at least one iteration, once, and never for
+// a graph scaled once or a graph with edge values. One Graph.Match builds
+// none; three build one, and the scalings of the second and third, which
+// walk the layouts, equal the first's, which walked the CSR; 64 reads of a
+// fresh graph through a Server share one scaling and build none; and
+// repeated matches of a weighted graph build none.
+func TestSweepLayoutBuiltOnSecondScaling(t *testing.T) {
+	var builds atomic.Int64
+	hook := func() { builds.Add(1) }
+	layoutBuildHook.Store(&hook)
+	defer layoutBuildHook.Store(nil)
+	pool := NewPool(2)
+	defer pool.Close()
+	opt := &Options{ScalingIterations: 5, Pool: pool}
+	expect := func(what string, want int64) {
+		t.Helper()
+		if got := builds.Swap(0); got != want {
+			t.Fatalf("%s: %d layout builds, want %d", what, got, want)
+		}
+	}
+
+	if _, err := RoadNetwork(20000, 2.1, 1).Match(Spec{Seed: 1}, opt); err != nil {
+		t.Fatal(err)
+	}
+	expect("one Graph.Match", 0)
+
+	g := RoadNetwork(20000, 2.1, 2)
+	var first *MatchResult
+	for s := uint64(1); s <= 3; s++ {
+		res, err := g.Match(Spec{Seed: s}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s == 1 {
+			first = res
+			continue
+		}
+		for _, v := range [][2][]float64{
+			{res.Scaling.DR, first.Scaling.DR}, {res.Scaling.DC, first.Scaling.DC},
+			{res.Scaling.History, first.Scaling.History},
+			{res.Scaling.RowSums, first.Scaling.RowSums}, {res.Scaling.ColSums, first.Scaling.ColSums},
+		} {
+			if !slices.Equal(v[0], v[1]) {
+				t.Fatalf("Graph.Match %d: scaling differs from the first call's", s)
+			}
+		}
+	}
+	expect("three Graph.Match calls", 1)
+
+	srv := NewServerConfig(opt, ServerConfig{MaxBatch: 16})
+	defer srv.Close()
+	fresh := RandomER(3000, 3000, 4, 3)
+	for s := uint64(1); s <= 64; s++ {
+		if resp := srv.Match(Request{Graph: fresh, Spec: Spec{Seed: s}}); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	expect("64 Server reads of a fresh graph", 0)
+
+	weighted := RandomER(3000, 3000, 4, 4).RandomWeights(WeightUniform, 5)
+	for s := uint64(1); s <= 3; s++ {
+		if _, err := weighted.Match(Spec{Seed: s}, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect("three matches of a weighted graph", 0)
+}
+
 // TestDynSnapshotsFreeDegreeOrders: every PATCH of a served graph makes a
-// new snapshot Graph, and matching a snapshot builds its degree orders.
-// They must be freed with the snapshot. 2,000 changing batches on a
-// 4k-row graph would keep about 64 MB of orders alive if anything
-// retained them past their Graph; the live heap after a GC must stay
-// within 8 MiB of its size after the first snapshot. Like the allocation
-// gates, this heap-accounting gate skips under -race, which also makes it
-// about ten times slower.
+// new snapshot Graph, and matching a snapshot twice builds its degree
+// orders and, on the second scaling, its sweep layouts. They must be freed
+// with the snapshot. 2,000 changing batches on a 4k-row graph would keep
+// about 64 MB of orders and 256 MB of layouts alive if anything retained
+// them past their Graph; the live heap after a GC must stay within 8 MiB
+// of its size after the first snapshot. Like the allocation gates, this
+// heap-accounting gate skips under -race, which also makes it about ten
+// times slower.
 func TestDynSnapshotsFreeDegreeOrders(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting gate; run without -race")
@@ -105,8 +176,10 @@ func TestDynSnapshotsFreeDegreeOrders(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := s.Snapshot()
-		if _, err := snap.Match(Spec{Seed: uint64(b) + 1}, opt); err != nil {
-			t.Fatal(err)
+		for _, seed := range []uint64{uint64(b) + 1, uint64(b) + batches + 1} {
+			if _, err := snap.Match(Spec{Seed: seed}, opt); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if b == 0 {
 			base = heapInuse()
