@@ -3,13 +3,10 @@ package bipartite
 import (
 	"context"
 	"errors"
-	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/par"
-	"repro/internal/scale"
 	"repro/internal/watchdog"
 )
 
@@ -27,10 +24,10 @@ type Request struct {
 	// sampling and Karp–Sipser kernels at their next cooperative
 	// checkpoint (chunk granularity) — the response then carries
 	// ctx.Err(). A deadline expiring while this request computes a cold
-	// graph's shared scaling aborts that scaling too, and the shared cell
-	// stays retryable: the graph's next request recomputes it (see the
-	// package serving contract). A nil Ctx never cancels, exactly the
-	// pre-deadline behaviour.
+	// graph's scaling aborts that scaling too, and publishes nothing on the
+	// Graph: the graph's next request computes it afresh (see the package
+	// serving contract). A nil Ctx never cancels, exactly the pre-deadline
+	// behaviour.
 	Ctx context.Context
 	// Priority ranks the request for admission when a Server's watchdog
 	// reports the process hot: PriorityLow is shed first, PriorityHigh
@@ -94,10 +91,10 @@ var ErrNilGraph = errors.New("bipartite: request has nil Graph")
 // Matcher arena. The per-request parallel width is one, so every response
 // is deterministic — a function of (Graph, Spec, opt) only, identical
 // to the one-shot call with Workers: 1 regardless of batch composition,
-// pool width or scheduling. Requests that share a *Graph share one
-// scaling across all slots (a per-graph once-cell; the scaling is
-// bit-identical at any width, so sharing does not perturb responses),
-// which is where batching wins big on many-seeds-per-graph workloads.
+// pool width or scheduling. Requests that share a *Graph share its one
+// scaling across all slots, and with every other caller on the Graph (the
+// scaling is bit-identical at any width, so sharing does not perturb
+// responses).
 // Per-request deadlines ride on Request.Ctx.
 //
 // opt configures scaling and the pool exactly as for one-shot calls;
@@ -112,33 +109,10 @@ func MatchBatch(reqs []Request, opt *Options) []Response {
 	return out
 }
 
-// engineScaleCap bounds the engine's per-graph scaling cache: beyond it
-// the least recently used entry is evicted (and recomputed if that graph
-// ever returns). It exists so a long-lived Server fed a stream of
-// never-repeating inline graphs cannot grow the cache without bound.
-const engineScaleCap = 256
-
 // slotArenaCap bounds how many shape-keyed Matcher arenas one slot
 // retains; the least recently used arena is recycled when heterogeneous
 // traffic brings more shapes than that.
 const slotArenaCap = 4
-
-// scaleCell is the per-graph scaling cell: the first slot that needs
-// graph g's scaling computes it, every other slot blocks on the cell's
-// mutex and shares the result — W batch slots pay one scaling per graph
-// instead of W. Unlike a sync.Once, the cell is *retryable*: a compute
-// aborted by the triggering request's deadline leaves done unset, so the
-// graph's next request simply computes the scaling itself instead of
-// inheriting a poisoned cell forever (the pre-PR-6 behaviour was worse
-// still — the scaling was uncancellable, so a 1ms deadline on a cold
-// 10M-edge graph pinned a slot for the whole run).
-type scaleCell struct {
-	mu   sync.Mutex
-	done bool
-	sc   *Scaling
-	err  error
-	last uint64 // LRU tick; guarded by the engine mutex
-}
 
 // slotArena is one shape-keyed entry of an arena cache.
 type slotArena struct {
@@ -188,23 +162,15 @@ func (s *arenaCache) get(g *Graph, opt Options) *Matcher {
 }
 
 // batchEngine is the shared executor of MatchBatch and Server: per-slot
-// shape-keyed Matcher arenas, a per-graph shared scaling cache, plus the
-// one prebuilt pool-wide body that drains a request queue. An engine's run
-// calls must not overlap; Server guarantees that with its single collector
-// goroutine.
+// shape-keyed Matcher arenas plus the one prebuilt pool-wide body that
+// drains a request queue. An engine's run calls must not overlap; Server
+// guarantees that with its single collector goroutine.
 type batchEngine struct {
 	opt     Options // normalized; per-slot matchers run width-1
 	slotOpt Options // opt with Workers: 1, Pool: nil — what the arenas run
 	pool    *par.Pool
 	width   int
 	slots   []arenaCache
-
-	// scales is the shared per-graph scaling cache (LRU-bounded); tick is
-	// its recency clock. Guarded by mu — slots from every pool worker take
-	// it for map lookups only, never across a scaling run.
-	mu     sync.Mutex
-	tick   uint64
-	scales map[*Graph]*scaleCell
 
 	// shed, when non-nil, reports the owning Server's watchdog level before
 	// each request runs; serve downgrades the Spec per the degradation
@@ -225,18 +191,11 @@ type batchEngine struct {
 
 func newBatchEngine(opt *Options) *batchEngine {
 	v := opt.normalized()
-	e := &batchEngine{opt: v, scales: make(map[*Graph]*scaleCell), svc: newSvcStats()}
+	e := &batchEngine{opt: v, svc: newSvcStats()}
 	e.slotOpt = v
 	e.slotOpt.Workers = 1
 	e.slotOpt.Pool = nil // width-1 sessions run inline; no pool needed
-	e.pool = v.Pool.inner()
-	if e.pool == nil {
-		e.pool = par.Default()
-	}
-	e.width = e.pool.Workers(v.Workers)
-	if e.width > e.pool.Width() {
-		e.width = e.pool.Width()
-	}
+	e.pool, e.width = v.width()
 	e.slots = make([]arenaCache, e.width)
 	e.body = func(w int) {
 		for {
@@ -248,87 +207,6 @@ func newBatchEngine(opt *Options) *batchEngine {
 		}
 	}
 	return e
-}
-
-// sharedScaling returns graph g's scaling under the engine options,
-// computing it once per graph (however many slots ask, from however many
-// batches) and serving every later request from the cell. The scaling is
-// seed-independent and — per the package determinism contract —
-// bit-identical at every parallel width, so sharing one run preserves
-// each response bit for bit.
-//
-// cancel, when non-nil, is the triggering request's cancellation hook:
-// the compute aborts at the scaling kernel's next sweep boundary once it
-// fires, the request fails with ErrCanceled, and the cell stays
-// *retryable* — the graph's next request computes the scaling itself
-// (exactly one fresh run, not one per parked waiter: the waiters
-// re-check done under the cell lock). Only a completed run — success or
-// a real kernel error — latches the cell.
-func (e *batchEngine) sharedScaling(g *Graph, cancel func() bool) (*Scaling, error) {
-	e.mu.Lock()
-	c := e.scales[g]
-	if c == nil {
-		if len(e.scales) >= engineScaleCap {
-			var victim *Graph
-			oldest := uint64(math.MaxUint64)
-			for vg, vc := range e.scales {
-				if vc.last < oldest {
-					oldest, victim = vc.last, vg
-				}
-			}
-			delete(e.scales, victim)
-		}
-		c = &scaleCell{}
-		e.scales[g] = c
-	}
-	e.tick++
-	c.last = e.tick
-	e.mu.Unlock()
-	// The compute runs outside the engine lock: concurrent slots wanting
-	// the same graph park on the cell's mutex, slots wanting other graphs
-	// proceed. It runs inline at width 1, never dispatching to the pool: a
-	// nested region here could steal back a queued batch-slot task that
-	// blocks on this very cell (the pool's steal-back waits make blocking
-	// under the cell reentrancy-unsafe), and width 1 is also exactly the
-	// width the per-slot arenas used to scale at, so responses stay
-	// bit-for-bit. A parked waiter is not cancellable while it waits — the
-	// computing slot's own deadline bounds that wait, and a canceled
-	// computer hands the cell to the waiter, which then runs under its own
-	// cancel hook.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.done {
-		return c.sc, c.err
-	}
-	res, err := g.scaleRaw(e.slotOpt, nil, cancel)
-	if err != nil {
-		if errors.Is(err, scale.ErrCanceled) {
-			// The triggering request's deadline fired mid-scaling. That is
-			// the request's failure, not the graph's: leave done unset so
-			// the next request retries instead of inheriting a poisoned
-			// cell.
-			return nil, ErrCanceled
-		}
-		c.done, c.err = true, err
-		return nil, err
-	}
-	c.done = true
-	c.sc = &Scaling{DR: res.DR, DC: res.DC, Iterations: res.Iters, Error: res.Err,
-		History: res.History, RowSums: res.RSum, ColSums: res.CSum}
-	return c.sc, nil
-}
-
-// dropGraph evicts graph g's cached scaling (if any) and its service-time
-// classes. A slot that already holds the cell keeps using it — eviction
-// only makes the next request of the graph recompute — so the call is
-// safe at any moment.
-func (e *batchEngine) dropGraph(g *Graph) {
-	e.mu.Lock()
-	delete(e.scales, g)
-	e.mu.Unlock()
-	if e.svc != nil {
-		e.svc.dropGraph(g)
-	}
 }
 
 // arena returns slot w's Matcher for graph g from the slot's shape-keyed
@@ -356,8 +234,8 @@ func (e *batchEngine) run(reqs []Request, out []Response) {
 // then downgraded per the watchdog's shedding level (the degradation
 // ladder trades the sprank guarantee for the heuristic bound before any
 // work is refused), an expired context is answered before any kernel runs,
-// a live one is armed as the arena's cancellation hook, the scaling comes
-// from the shared per-graph cell, and the Spec engine does the rest.
+// a live one is armed as the arena's cancellation hook, and the Spec
+// engine does the rest, taking the scaling from the Graph's cell.
 // Completed requests feed the service-time EWMAs behind the Server's
 // would-miss admission check.
 func (e *batchEngine) serve(w, i int) {
@@ -389,25 +267,9 @@ func (e *batchEngine) serve(w, i int) {
 	}
 	start := time.Now()
 	a := e.arena(w, req.Graph)
-	var cancel func() bool
 	if ctx != nil {
-		cancel = func() bool { return ctx.Err() != nil }
-		a.setCancel(cancel)
+		a.setCancel(func() bool { return ctx.Err() != nil })
 		defer a.setCancel(nil)
-	}
-	var err error
-	if spec.Algorithm.scales() {
-		var sc *Scaling
-		if sc, err = e.sharedScaling(req.Graph, cancel); err != nil {
-			if ctx != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					err = cerr
-				}
-			}
-			e.out[i] = Response{Err: err}
-			return
-		}
-		a.installScaling(sc)
 	}
 	res, err := a.Run(spec)
 	if ctx != nil {

@@ -122,11 +122,11 @@
 // exact solver added on top of the jump-start.
 //
 // Registering a graph once and matching it by id is the warm path: the
-// server computes one scaling per graph (shared by every batch slot), so a
-// seed-sweep workload pays the scaling sweeps once and the sampling
-// kernels per request. Evicting a graph — explicitly or via the LRU cap —
-// also drops that cached scaling through Server.DropGraph, so the registry
-// and the engine scale-cache share one lifetime.
+// graph keeps one scaling (shared by every batch slot and the graph's
+// dynamic session), so a seed-sweep workload pays the scaling sweeps once
+// and the sampling kernels per request. Evicting a graph — explicitly or
+// via the LRU cap — releases it, its scaling with it, and drops its
+// service-time estimates through Server.DropGraph.
 //
 // Usage:
 //

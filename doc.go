@@ -54,14 +54,21 @@
 // errors, scaling vectors and sampled choices are bit-identical to the
 // textbook formulation.
 //
-// From a Graph's second scaling run on, the sweeps of a graph without
+// A Graph computes its scaling once per iteration count and keeps it
+// (16 bytes a vertex, freed with the Graph): every Graph.Match, Matcher,
+// batch slot and dynamic session on the Graph shares that one result,
+// read-only. A scaling is a pure function of (Graph, iteration count) at
+// any width, so sharing changes no bit of any answer.
+//
+// From a Graph's second computed scaling on — another iteration count,
+// or a retry after a canceled compute — the sweeps of a graph without
 // edge values walk its sweep layouts: for each side, the rows of degree 1
 // to 16 grouped by degree, their column indices copied back to back, so a
 // group runs one fixed trip count with no row pointer loads (longer rows
 // read the CSR). The layouts cost 4 bytes per packed index, are built
-// once per Graph on its second scaling, serially, and are freed with the
-// Graph. A graph scaled once never builds them; that covers every read a
-// Server answers from a cached scaling. Each row is still summed left to
+// once per Graph on its second computed scaling, serially, and are freed
+// with the Graph. A graph scaled at one iteration count never builds
+// them, however often it is matched. Each row is still summed left to
 // right in CSR order, so every output is bit-identical to the CSR sweeps;
 // FuzzSinkhornKnoppLayout in internal/scale checks it at widths 1 to 3.
 //
@@ -120,8 +127,8 @@
 // that dispatches matching kernels. Everything else is a surface over it:
 //
 //   - Graph.Match(spec, opt) runs one Spec on a throwaway session.
-//   - Matcher.Run(spec) runs Specs on a warm session (cached scaling,
-//     resident workspaces).
+//   - Matcher.Run(spec) runs Specs on a warm session (resident
+//     workspaces).
 //   - Request.Spec carries Specs through MatchBatch and Server.
 //   - cmd/matchserve accepts the spec fields ("algorithm", "seed",
 //     "refine", "best_of", "target") on /match and
@@ -237,15 +244,16 @@
 // # Sessions and serving
 //
 // Graph.Match runs its Spec on a throwaway Matcher, a reusable session
-// bound to one graph. A Matcher caches the transpose and the
-// (seed-independent) scaling and owns preallocated workspaces for every
-// pipeline stage, so repeated Runs on the same graph — seed sweeps,
-// jump-start ensembles, servers — skip the scaling stage entirely and run
-// the kernels with near-zero allocations, bit-identical to Graph.Match:
+// bound to one graph. The scaling is the Graph's own, so only the first
+// call on a graph scales it, through whichever entry point it comes. A
+// Matcher adds preallocated workspaces for every pipeline stage, so
+// repeated Runs on the same graph — seed sweeps, jump-start ensembles,
+// servers — run the kernels with near-zero allocations, bit-identical to
+// Graph.Match:
 //
 //	m := g.NewMatcher(&bipartite.Options{ScalingIterations: 5})
 //	for seed := uint64(1); seed <= 100; seed++ {
-//		res, _ := m.Run(bipartite.Spec{Seed: seed}) // no rescaling, no reallocation
+//		res, _ := m.Run(bipartite.Spec{Seed: seed}) // one scaling, no reallocation
 //		consume(res.Matching)                       // valid until the next call on m
 //	}
 //	m.Reset(next)                                       // rebind, reusing the buffers
@@ -262,7 +270,9 @@
 // that absorbs batched edge mutations and maintains its matching
 // incrementally instead of recomputing it. Open one with
 // Graph.NewDynSession(spec, opt) — the Spec runs once to establish the
-// initial matching — then feed it Apply(inserts, deletes) batches:
+// initial matching, on the Graph's own scaling, so opening a session on a
+// graph that was already matched at the same iteration count scales
+// nothing — then feed it Apply(inserts, deletes) batches:
 //
 //	sess, _ := g.NewDynSession(bipartite.Spec{Refine: bipartite.RefineExact}, nil)
 //	res, _ := sess.Apply([][2]int{{3, 7}}, [][2]int{{0, 0}})
@@ -281,7 +291,8 @@
 // gates this over adversarial mutation traces). Heuristic sessions
 // (Refine: None) stop at the targeted repair and keep the heuristic's
 // quality profile; the Sinkhorn–Knopp scaling stays warm via touch-up
-// sweeps restricted to the rows and columns each batch touched.
+// sweeps restricted to the rows and columns each batch touched, on the
+// session's own copy of the vectors.
 //
 // The determinism contract is strict: every internal kernel runs at
 // parallel width 1, so the maintained matching is a pure function of
@@ -295,10 +306,10 @@
 // Snapshot() bridges back to the immutable world: it returns a cached
 // *Graph of the current adjacency, rebuilt only after a batch that
 // actually changed the graph. Matching-neutral batches return the
-// identical pointer, which is the coherence signal serving layers use —
-// cmd/matchserve keys its shared-scaling cache on snapshot identity and
-// calls Server.DropGraph on the old snapshot exactly when PATCH swaps
-// in a new one.
+// identical pointer, with its scaling still warm. That identity is the
+// coherence signal serving layers use — cmd/matchserve serves reads from
+// the current snapshot and calls Server.DropGraph on the old one exactly
+// when PATCH swaps in a new one; the old snapshot's scaling goes with it.
 //
 // For many small independent requests, MatchBatch executes a whole queue
 // as one pool-wide parallel region — one dispatch for N requests, one warm
@@ -322,30 +333,37 @@
 //   - Deadlines: Request.Ctx carries per-request cancellation. An
 //     already-expired context is answered with its error before any
 //     kernel runs; one that expires mid-run aborts the scaling (the
-//     shared per-graph scaling below included), sampling and Karp–Sipser
+//     Graph's shared scaling below included), sampling and Karp–Sipser
 //     stages at their next cooperative checkpoint (a scaling sweep or a
-//     chunk) and the response carries ctx.Err(). Two waits are not
-//     interruptible: a request parked on another request's computation of
-//     the same cold scaling waits for it (the computing request's own
-//     deadline bounds that wait). Refinement polls the deadline between
-//     Hopcroft–Karp and graft phases and between push-relabel steps, so
-//     a refinement past its deadline frees its slot within one unit of
-//     work (TestServerRefinementStopsAtDeadline). A nil Ctx never
-//     cancels.
-//   - Shared scaling: the engine computes one scaling per *Graph in a
-//     per-graph once-cell shared by all W batch slots — not one per slot —
-//     and recycles per-slot arenas by graph shape under heterogeneous
-//     traffic. Scalings are seed-independent and width-independent, so
-//     sharing is invisible in the responses; ensemble requests reuse the
-//     same cell for every candidate. Server.DropGraph evicts a graph's
-//     cached scaling when an upstream registry evicts the graph, tying
-//     the two lifetimes together.
+//     chunk) and the response carries ctx.Err(). One wait is not
+//     interruptible: a request parked on another width-1 caller's
+//     computation of the same cold scaling waits for it (the computing
+//     caller's own deadline bounds that wait). Refinement polls the
+//     deadline between Hopcroft–Karp and graft phases and between
+//     push-relabel steps, so a refinement past its deadline frees its
+//     slot within one unit of work (TestServerRefinementStopsAtDeadline).
+//     A nil Ctx never cancels.
+//   - Shared scaling: each *Graph holds one scaling cell per iteration
+//     count, shared by all W batch slots, every one-shot call and every
+//     dynamic session on the graph — one scaling per graph, not one per
+//     slot or call — and the engine recycles per-slot arenas by graph
+//     shape under heterogeneous traffic. Scalings are seed-independent
+//     and width-independent, so sharing is invisible in the responses;
+//     ensemble requests reuse the same cell for every candidate. The
+//     batch slots compute at width 1, inline, so they compute under the
+//     cell's lock and share one run. A full-width caller dispatches its
+//     sweeps to a pool and never holds or waits on that lock (a pool's
+//     steal-back wait could otherwise run a slot that waits on the very
+//     lock); it computes alongside and the first result published is
+//     kept. The scaling lives and dies with its Graph, so dropping a
+//     graph from a registry frees it; Server.DropGraph forgets the
+//     graph's service-time estimates.
 //   - Retryable cold scaling: a cancellation that lands while a request
-//     is computing a cold graph's shared scaling does not poison the
-//     graph. The canceled request is answered with its context error and
-//     the scaling cell is left retryable — the next request on the graph
-//     computes the scaling under its own deadline (still exactly one
-//     scaling run on a successful retry).
+//     is computing a cold graph's scaling does not poison the graph. The
+//     canceled request is answered with its context error and the compute
+//     publishes nothing — the next request on the graph computes the
+//     scaling under its own deadline (still exactly one scaling run on a
+//     successful retry).
 //   - Determinism unchanged: every response remains a function of
 //     (Graph, Spec, Options) only — bit-identical to the one-shot
 //     call at Workers: 1 — however requests are batched, canceled

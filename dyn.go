@@ -72,8 +72,8 @@ type DynSession struct {
 
 	// snap is the cached immutable snapshot of the current adjacency;
 	// nil when stale. Matching-neutral batches (nothing applied) keep
-	// the previous snapshot pointer, which is what lets serving layers
-	// key shared-scaling caches on snapshot identity.
+	// the previous snapshot pointer, and with it the snapshot's scaling
+	// and other per-Graph caches.
 	snap *Graph
 
 	// Scratch for batch repair (reused across Apply calls).
@@ -139,10 +139,12 @@ type DynResult struct {
 // NewDynSession opens a dynamic session on g: the Spec is run once (at
 // parallel width 1) to establish the initial matching — refined Specs
 // start from a maximum matching and stay exact under mutation — and the
-// graph is copied into the session's mutable adjacency. opt follows the
-// usual defaulting rules; pool and worker settings are ignored (see the
-// determinism contract). g itself is the session's initial Snapshot and
-// is never mutated.
+// graph is copied into the session's mutable adjacency. The run takes g's
+// own scaling, so a graph a Server or any other caller already scaled at
+// the same iteration count is not scaled again; the session keeps a copy
+// of the vectors to touch up. opt follows the usual defaulting rules; pool
+// and worker settings are ignored (see the determinism contract). g itself
+// is the session's initial Snapshot and is never mutated.
 func (g *Graph) NewDynSession(spec Spec, opt *Options) (*DynSession, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -273,9 +275,9 @@ func (s *DynSession) HasEdge(i, j int) bool {
 // one-shot/serving paths (oracle checks, registered-graph matching).
 // The snapshot is cached: it is rebuilt (O(rows+edges)) only after a
 // batch that actually changed the graph, so matching-neutral batches
-// return the identical *Graph — serving layers use that pointer
-// identity to decide whether shared-scaling caches keyed on the old
-// snapshot must be invalidated.
+// return the identical *Graph and keep its scaling warm — serving layers
+// use that pointer identity to decide whether per-graph state keyed on
+// the old snapshot must be dropped.
 func (s *DynSession) Snapshot() *Graph {
 	if s.snap == nil {
 		a := s.dg.CSR()

@@ -3,6 +3,8 @@ package bipartite
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -168,10 +170,69 @@ func TestDynSessionInvalidMutation(t *testing.T) {
 	}
 }
 
+// TestDynSessionReusesGraphScaling: opening a dynamic session on a graph a
+// Server has read, at the Server's iteration count, runs no scaling. The
+// session starts from the Graph's scaling, the one the Server served, bit
+// for bit, and its touch-ups write to its own copy, never to the Graph's.
+func TestDynSessionReusesGraphScaling(t *testing.T) {
+	g := RandomER(2000, 2000, 4, 31)
+	opt := &Options{ScalingIterations: 5}
+	scales := countScaleRuns(t)
+	srv := NewServerConfig(opt, ServerConfig{MaxBatch: 8})
+	defer srv.Close()
+	if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 1}}); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	if n := scales.Load(); n != 1 {
+		t.Fatalf("one Server read of a fresh graph: %d scaling runs, want 1", n)
+	}
+	s, err := g.NewDynSession(Spec{Seed: 2}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := scales.Load() - 1; n != 0 {
+		t.Fatalf("NewDynSession on a served graph: %d scaling runs, want 0", n)
+	}
+	served, err := g.NewMatcher(opt).Scale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := scales.Load() - 1; n != 0 {
+		t.Fatalf("Matcher.Scale on a served graph: %d scaling runs, want 0", n)
+	}
+	wantDR, wantDC := slices.Clone(served.DR), slices.Clone(served.DC)
+	dr, dc, ok := s.ScalingVectors()
+	if !ok {
+		t.Fatal("dynamic session holds no scaling")
+	}
+	for k, v := range [][2][]float64{{dr, served.DR}, {dc, served.DC}} {
+		if len(v[0]) != len(v[1]) {
+			t.Fatalf("vector %d: length %d, want %d", k, len(v[0]), len(v[1]))
+		}
+		for i := range v[0] {
+			if math.Float64bits(v[0][i]) != math.Float64bits(v[1][i]) {
+				t.Fatalf("vector %d entry %d: session %v, served %v", k, i, v[0][i], v[1][i])
+			}
+		}
+	}
+	res, err := s.Apply([][2]int{{0, 1999}, {1999, 0}, {5, 17}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Rescaled {
+		t.Fatal("a dirty batch did not touch up the session's scaling")
+	}
+	if !slices.Equal(served.DR, wantDR) || !slices.Equal(served.DC, wantDC) {
+		t.Fatal("the session's touch-up wrote to the Graph's scaling")
+	}
+}
+
 // TestDynScaleInvalidationOncePerDirtyBatch is the shared-scaling
-// coherence gate for mutable graphs: after a dirty batch the serving
-// layer drops the old snapshot's cell and the next match of the new
-// snapshot rescales exactly once; further matches share it.
+// coherence gate for mutable graphs: a dirty batch makes a new snapshot
+// Graph, whose first match scales it exactly once; further matches share
+// that scaling, and the old snapshot keeps its own. The session opens at 0
+// iterations, a count the server does not use, so the server's first
+// match of the initial snapshot scales it.
 func TestDynScaleInvalidationOncePerDirtyBatch(t *testing.T) {
 	g := RandomER(300, 300, 4, 21)
 	s, err := g.NewDynSession(Spec{Refine: RefineExact}, &Options{Seed: 2})
@@ -189,8 +250,8 @@ func TestDynScaleInvalidationOncePerDirtyBatch(t *testing.T) {
 		t.Fatalf("cold graph: %d scaling runs, want 1", n)
 	}
 
-	// Dirty batch: snapshot identity changes; the serving layer evicts the
-	// old cell and the next match rescales exactly once.
+	// Dirty batch: snapshot identity changes; the serving layer drops the
+	// old snapshot and the next match scales the new one exactly once.
 	old := s.Snapshot()
 	if _, err := s.Apply([][2]int{{0, 299}, {299, 0}}, [][2]int{{0, int(s.Matching().RowMate[0])}}); err != nil {
 		t.Fatal(err)
@@ -207,6 +268,12 @@ func TestDynScaleInvalidationOncePerDirtyBatch(t *testing.T) {
 	}
 	if n := scales.Load(); n != 2 {
 		t.Fatalf("after dirty batch: %d scaling runs, want exactly 2 (one per dirty batch)", n)
+	}
+	if resp := srv.Match(Request{Graph: old, Spec: Spec{Seed: 5}}); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	if n := scales.Load(); n != 2 {
+		t.Fatalf("old snapshot after DropGraph: %d scaling runs, want still 2", n)
 	}
 
 	// Matching-neutral batch: same snapshot pointer, nothing to drop, the

@@ -41,8 +41,11 @@ const Unmatched = exact.NIL
 //   - the transpose, built on first use;
 //   - the degree orders of rows and columns, built on the first TwoSided
 //     run (4 bytes per vertex);
+//   - one scaling per ScalingIterations value, computed on the first run
+//     that needs it and shared read-only by every later one (16 bytes per
+//     vertex);
 //   - the sweep layouts, packed copies of the short rows and columns that
-//     Sinkhorn–Knopp walks, built on the Graph's second scaling run
+//     Sinkhorn–Knopp walks, built on the Graph's second computed scaling
 //     (4 bytes per packed index), so a graph scaled once never pays for
 //     them;
 //   - the structural rank and its cheap upper bound.
@@ -53,6 +56,9 @@ type Graph struct {
 
 	ordOnce        sync.Once
 	rowOrd, colOrd *sparse.DegreeOrder // degree orders, built lazily under ordOnce
+
+	scMu    sync.Mutex
+	scCells []*scaleCell // one per ScalingIterations value; guarded by scMu
 
 	scaleRuns      atomic.Int64 // scaling runs with at least one iteration so far
 	layOnce        sync.Once
@@ -218,18 +224,41 @@ func (g *Graph) degreeOrders() (rows, cols *sparse.DegreeOrder) {
 	return g.rowOrd, g.colOrd
 }
 
+// scaleCell is a Graph's scaling under one iteration count: empty until a
+// compute publishes into it, read-only after. mu makes inline computes
+// single-flight; see Graph.scaling.
+type scaleCell struct {
+	iters int
+	mu    sync.Mutex
+	sc    atomic.Pointer[Scaling]
+}
+
+// scaleCell returns g's scaling cell for the given iteration count,
+// adding an empty one on first use.
+func (g *Graph) scaleCell(iters int) *scaleCell {
+	g.scMu.Lock()
+	defer g.scMu.Unlock()
+	for _, c := range g.scCells {
+		if c.iters == iters {
+			return c
+		}
+	}
+	c := &scaleCell{iters: iters}
+	g.scCells = append(g.scCells, c)
+	return c
+}
+
 // layoutBuildHook, when set, is invoked once per sweep-layout build — the
-// test seam that proves the layouts are built on a Graph's second scaling
-// run and never for a graph scaled once.
+// test seam that proves the layouts are built on a Graph's second computed
+// scaling and never for a graph scaled once.
 var layoutBuildHook atomic.Pointer[func()]
 
 // sweepLayouts returns the packed degree orders of the rows and of the
 // columns that the Sinkhorn–Knopp sweeps walk (see sparse.Layout), built
 // once per Graph at 4 bytes per packed index and freed with the Graph.
-// The build is serial and never dispatches to a pool: the batch engine
-// scales under its per-graph cell lock (batchEngine.sharedScaling), where
-// a nested region could steal back a batch-slot task that waits on that
-// very cell.
+// The build is serial and never dispatches to a pool: an inline scaling
+// builds it under its cell's lock (see Graph.scaling), where a nested
+// region could steal back a batch-slot task that waits on that very cell.
 func (g *Graph) sweepLayouts() (rows, cols *sparse.Layout) {
 	g.layOnce.Do(func() {
 		if hook := layoutBuildHook.Load(); hook != nil {

@@ -86,3 +86,44 @@ func BenchmarkSessionAliasWidth1(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKarpSipserMTWidths times KarpSipserMT on the TwoSided choice
+// graph (five scaling iterations, seed 1) of each of e2ebench's five
+// offline instances at their benchmark sizes: heavytail and roadnet21 of
+// offline-heuristic, rankdef, longthin and skewdeg of offline-exact. At
+// Workers 1 the kernel takes its branch-free serial form, at 2 the atomic
+// one, on a pool of width 2; run it with -cpu 2 so the atomic kernel gets
+// two cores.
+func BenchmarkKarpSipserMTWidths(b *testing.B) {
+	insts := []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"heavytail", gen.PowerLaw(20000, 15, 1.35, 10000, 1)},
+		{"roadnet21", gen.RoadLike(200000, 2.1, 1)},
+		{"rankdef", gen.RankDeficient(40000, 12000, 6, 1)},
+		{"longthin", gen.LongThinPath(80000)},
+		{"skewdeg", gen.SkewedDegree(40000, 32000, 6, 3, 1)},
+	}
+	pool := par.NewPool(2)
+	defer pool.Close()
+	for _, inst := range insts {
+		a := inst.a
+		at := a.Transpose()
+		sc, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 5, Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt := Options{Workers: 1, Policy: par.Dynamic, Seed: 1}
+		g := NewChoiceGraph(a.RowsN, a.ColsN,
+			SampleRowChoices(a, sc.DR, sc.DC, opt), SampleColChoices(at, sc.DR, sc.DC, opt))
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", inst.name, w), func(b *testing.B) {
+				kopt := Options{Workers: w, KSPolicy: par.Guided, Pool: pool}
+				for b.Loop() {
+					KarpSipserMT(g, kopt)
+				}
+			})
+		}
+	}
+}

@@ -8,12 +8,12 @@ import (
 	"repro/internal/sparse"
 )
 
-// BenchmarkSinkhornKnoppLayout times one 5-iteration fused scaling, on a
-// reused workspace, over the CSR and over the sweep layouts, at widths 1
-// and 2. The instances are a road network of degree ≈ 2 (the
-// offline-heuristic workload's roadnet21 shape), Erdős–Rényi rows of small
-// mixed degree, e2ebench's heavytail, whose rows are mostly longer than
-// the packed groups, and the offline-exact workload's rankdef.
+// BenchmarkSinkhornKnoppLayout times one 5-iteration fused scaling over
+// the CSR and over the sweep layouts, at widths 1 and 2. The instances
+// are a road network of degree ≈ 2 (the offline-heuristic workload's
+// roadnet21 shape), Erdős–Rényi rows of small mixed degree, e2ebench's
+// heavytail, whose rows are mostly longer than the packed groups, and
+// the offline-exact workload's rankdef.
 func BenchmarkSinkhornKnoppLayout(b *testing.B) {
 	insts := []struct {
 		name string
@@ -33,7 +33,7 @@ func BenchmarkSinkhornKnoppLayout(b *testing.B) {
 		cols := sparse.NewDegreeOrder(at).Pack(at)
 		for _, w := range []int{1, 2} {
 			for _, path := range []string{"csr", "layout"} {
-				opt := Options{MaxIters: 5, Workers: w, Policy: par.Dynamic, Pool: pool, Ws: &Workspace{}}
+				opt := Options{MaxIters: 5, Workers: w, Policy: par.Dynamic, Pool: pool}
 				if path == "layout" {
 					opt.RowLayout, opt.ColLayout = rows, cols
 				}

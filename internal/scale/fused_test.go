@@ -183,41 +183,6 @@ func TestScalingOnCallerOwnedPool(t *testing.T) {
 	cmpF64s(t, "pool CSum", got.CSum, want.CSum)
 }
 
-// TestWorkspaceReuseBitIdentical runs the fused loop repeatedly through one
-// shared Workspace — across differently shaped matrices, forcing regrows —
-// and checks every run is bit-identical to a workspace-free run.
-func TestWorkspaceReuseBitIdentical(t *testing.T) {
-	ws := &Workspace{}
-	for name, a := range fusedTestMatrices() {
-		at := a.Transpose()
-		for _, iters := range []int{0, 3, 5} {
-			opt := Options{MaxIters: iters, Workers: 4, Policy: par.Dynamic}
-			want, err := SinkhornKnopp(a, at, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt.Ws = ws
-			for run := 0; run < 3; run++ {
-				got, err := SinkhornKnopp(a, at, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Iters != want.Iters || got.Err != want.Err {
-					t.Fatalf("%s iters=%d run=%d: got (iters=%d err=%v) want (iters=%d err=%v)",
-						name, iters, run, got.Iters, got.Err, want.Iters, want.Err)
-				}
-				cmpF64s(t, name+" ws DR", got.DR, want.DR)
-				cmpF64s(t, name+" ws DC", got.DC, want.DC)
-				cmpF64s(t, name+" ws History", got.History, want.History)
-				if iters > 0 {
-					cmpF64s(t, name+" ws RSum", got.RSum, want.RSum)
-					cmpF64s(t, name+" ws CSum", got.CSum, want.CSum)
-				}
-			}
-		}
-	}
-}
-
 func cmpF64s(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {

@@ -37,7 +37,6 @@ import (
 	"errors"
 	"math"
 
-	"repro/internal/buf"
 	"repro/internal/par"
 	"repro/internal/sparse"
 )
@@ -64,11 +63,6 @@ type Options struct {
 	// sampling and matching back to back pass one pool through all of
 	// them.
 	Pool *par.Pool
-	// Ws, when non-nil, supplies reusable buffers for the fused
-	// fixed-iteration path (Tol <= 0): the Result returned aliases the
-	// workspace and is valid only until the workspace's next run. The
-	// convergence-checked, Ruiz and skew-aware paths ignore it.
-	Ws *Workspace
 	// Cancel, when non-nil, is a cooperative cancellation hook polled
 	// between matrix sweeps (once or twice per iteration). When it reports
 	// true the run aborts with ErrCanceled; the scaling state accumulated
@@ -88,38 +82,6 @@ func (o Options) canceled() bool { return o.Cancel != nil && o.Cancel() }
 
 // ErrCanceled reports a scaling run aborted by its Options.Cancel hook.
 var ErrCanceled = errors.New("scale: canceled")
-
-// Workspace owns the vectors of the fused fixed-iteration Sinkhorn–Knopp
-// loop (scaling vectors, row/column sums, error history) so matcher
-// sessions can rescale same-shaped matrices without reallocating. Buffers
-// grow on demand and are reused as-is when large enough; the zero value is
-// ready to use.
-type Workspace struct {
-	dr, dc, rsum, csum []float64
-	history            []float64
-	res                Result
-}
-
-// buffers sizes the workspace for an n×m run of at most iters iterations
-// and returns the result header (scaling vectors reset to 1) plus the
-// column- and row-sum buffers.
-func (ws *Workspace) buffers(n, m, iters int) (*Result, []float64, []float64) {
-	ws.dr = buf.Grow(ws.dr, n)
-	ws.dc = buf.Grow(ws.dc, m)
-	ws.csum = buf.Grow(ws.csum, m)
-	ws.rsum = buf.Grow(ws.rsum, n)
-	if cap(ws.history) < iters+2 {
-		ws.history = make([]float64, 0, iters+2)
-	}
-	for i := range ws.dr {
-		ws.dr[i] = 1
-	}
-	for j := range ws.dc {
-		ws.dc[j] = 1
-	}
-	ws.res = Result{DR: ws.dr, DC: ws.dc, History: ws.history[:0]}
-	return &ws.res, ws.csum, ws.rsum
-}
 
 func (o Options) pool() *par.Pool {
 	if o.Pool != nil {
@@ -198,16 +160,11 @@ func SinkhornKnopp(a, at *sparse.CSR, opt Options) (*Result, error) {
 		return res, nil
 	}
 
-	var res *Result
-	var csum, rsum []float64
-	if opt.Ws != nil {
-		res, csum, rsum = opt.Ws.buffers(n, m, opt.MaxIters)
-	} else {
-		res = &Result{DR: ones(n), DC: ones(m)}
-		csum = make([]float64, m)
-		if opt.MaxIters > 0 {
-			rsum = make([]float64, n)
-		}
+	res := &Result{DR: ones(n), DC: ones(m)}
+	csum := make([]float64, m)
+	var rsum []float64
+	if opt.MaxIters > 0 {
+		rsum = make([]float64, n)
 	}
 
 	// The initial error sweep already computes Σ_i dr[i]·a_ij for every

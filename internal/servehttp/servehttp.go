@@ -271,16 +271,16 @@ func (h *Handler) handleGraph(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	if old, ok := h.graphs[id]; ok {
 		// Upsert: the replacement drops the old snapshot, its dynamic
-		// session and its cached scaling — exactly like an eviction, minus
-		// the counter.
+		// session and its service-time estimates — exactly like an
+		// eviction, minus the counter.
 		h.lru.Remove(old.elem)
 		delete(h.graphs, id)
 		h.srv.DropGraph(old.g)
 	}
 	// LRU eviction instead of rejection: a full registry stays writable,
-	// and cold graphs pay the cost (their next use re-registers). Each
-	// eviction also drops the engine's cached scaling for the graph, so
-	// the registry and the scale cache share one lifetime.
+	// and cold graphs pay the cost (their next use re-registers). An
+	// evicted graph takes its scaling with it; DropGraph drops the
+	// engine's service-time estimates for it.
 	for h.cfg.MaxGraphs > 0 && len(h.graphs) >= h.cfg.MaxGraphs {
 		victim := h.lru.Back().Value.(*graphEntry)
 		h.lru.Remove(victim.elem)
@@ -343,7 +343,7 @@ func (h *Handler) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", id))
 		return
 	}
-	h.srv.DropGraph(e.g) // evict the cached scaling along with the graph
+	h.srv.DropGraph(e.g) // drop its service-time estimates along with the graph
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
@@ -428,9 +428,9 @@ func (h *Handler) handleGraphPatch(w http.ResponseWriter, r *http.Request) {
 	}
 	h.mu.Unlock()
 	if swapped {
-		// The registry now serves the mutated snapshot; the engine's cached
-		// scaling of the stale one dies with it (a neutral batch keeps the
-		// snapshot pointer, so warm scalings survive no-op patches).
+		// The registry now serves the mutated snapshot; the stale one's
+		// scaling dies with it (a neutral batch keeps the snapshot
+		// pointer, so warm scalings survive no-op patches).
 		h.srv.DropGraph(old)
 	}
 	reply := map[string]any{

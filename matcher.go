@@ -7,8 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/ks"
-	"repro/internal/par"
-	"repro/internal/scale"
 )
 
 // ErrCanceled reports a matching call that was aborted by its cancellation
@@ -18,25 +16,25 @@ import (
 var ErrCanceled = errors.New("bipartite: matching canceled")
 
 // Matcher is a reusable matching session bound to one graph; Run executes
-// Specs on it. It caches the transpose and the scaling of the bound graph
-// and owns preallocated workspaces for every pipeline stage — scaling
-// vectors and sums, row and column choice buffers, the 1-out choice graph,
-// the Karp–Sipser match and degree arrays, the refinement buffers — so
-// repeated Run and Scale calls perform near-zero allocations (a reused
-// TwoSided Run stays within two allocations at one worker). Graph.Match is
-// Run on a throwaway Matcher, so a reused session reproduces the one-shot
-// call exactly wherever the pipeline is deterministic (see the
-// package-level determinism contract — everything at Workers: 1; choices,
-// scalings and sizes at any width).
+// Specs on it. It owns preallocated workspaces for every pipeline stage —
+// row and column choice buffers, the 1-out choice graph, the Karp–Sipser
+// match and degree arrays, the refinement buffers — so repeated Run calls
+// perform near-zero allocations (a reused TwoSided Run stays within two
+// allocations at one worker). Graph.Match is Run on a throwaway Matcher,
+// so a reused session reproduces the one-shot call exactly wherever the
+// pipeline is deterministic (see the package-level determinism contract —
+// everything at Workers: 1; choices, scalings and sizes at any width).
 //
-// The scaling of a graph is seed-independent, so it is computed once per
-// binding and shared by every subsequent call — the second and later calls
-// on the same graph skip the scaling stage entirely, which is where most
-// of the session's speedup on small instances comes from.
+// The scaling is seed- and width-independent, so the bound Graph keeps it
+// (one per iteration count) and shares it read-only with every Matcher,
+// one-shot call, batch slot and dynamic session on it: only the first call
+// on a graph pays for the scaling stage, whichever session makes it.
 //
 // Aliasing contract: results returned by a Matcher point into its
 // workspaces and are valid only until the next call on the same Matcher
 // (or Reset). Callers that retain results across calls copy them first.
+// The scaling is the exception: it belongs to the Graph, stays valid as
+// long as the Graph does, and is never to be modified.
 // A Matcher is not safe for concurrent use; for concurrent serving run one
 // Matcher per worker slot (see MatchBatch and Server, which do exactly
 // that) or one-shot Graph.Match calls, which are safe because each builds
@@ -46,15 +44,12 @@ type Matcher struct {
 	opt Options // normalized
 
 	sess     *core.Session
-	scaleWs  *scale.Workspace
 	ksWs     *ks.Workspace     // lazily created by AlgKarpSipser runs
 	ksApprox *ks.ApproxSession // lazily created by AlgKarpSipserParallel runs
 	refWs    *exact.Workspace  // lazily created by refining Specs
 
-	sc      *Scaling // cached scaling of the bound graph; nil until computed
-	scErr   error
-	scaling Scaling     // backing storage for sc on the workspace path
-	result  MatchResult // reused result header
+	sc     *Scaling    // the bound graph's scaling; nil until a call scales
+	result MatchResult // reused result header
 
 	// best is the session-owned winner buffer of ensemble runs (Spec with
 	// Ensemble > 1): candidates alias the kernel workspaces, so the best
@@ -91,12 +86,12 @@ type Matcher struct {
 // built lazily on the first call that needs them, so a Matcher used only
 // for the cheap baselines never pays for either.
 func (g *Graph) NewMatcher(opt *Options) *Matcher {
-	return &Matcher{g: g, opt: opt.normalized(), scaleWs: &scale.Workspace{}}
+	return &Matcher{g: g, opt: opt.normalized()}
 }
 
 // session returns the sampling-kernel session, building it on first use:
 // the graph's degree orders, the pending cancellation hook and any
-// already-cached scaling are installed into the fresh session so lazy
+// scaling already taken are installed into the fresh session so lazy
 // construction is invisible to the callers.
 func (m *Matcher) session() *core.Session {
 	if m.sess == nil {
@@ -112,9 +107,10 @@ func (m *Matcher) session() *core.Session {
 
 // Reset rebinds the session to a different graph, reusing every workspace
 // that is large enough (binding a stream of same-shaped graphs is
-// allocation-free apart from the new graph's own scaling sweeps). The
-// cached scaling is discarded and recomputed on the next call that needs
-// it. Results from before the Reset are invalidated.
+// allocation-free apart from each new graph's scaling, which that graph
+// keeps). The next call that scales takes the new graph's scaling from
+// it, computing it only if no call on that graph has yet. Results from
+// before the Reset are invalidated.
 func (m *Matcher) Reset(g *Graph) {
 	m.g = g
 	if m.sess != nil {
@@ -124,7 +120,7 @@ func (m *Matcher) Reset(g *Graph) {
 	if m.ksApprox != nil {
 		m.ksApprox.Rebind(g.a, g.transpose())
 	}
-	m.sc, m.scErr = nil, nil
+	m.sc = nil
 }
 
 // Graph returns the graph the session is currently bound to.
@@ -146,20 +142,6 @@ func (m *Matcher) setCancel(cancel func() bool) {
 // canceled reports whether the session's cancellation hook has fired.
 func (m *Matcher) canceled() bool { return m.cancel != nil && m.cancel() }
 
-// installScaling hands the session a precomputed scaling of the bound
-// graph — the shared per-graph once-cell of the batch engine — so the slot
-// skips its own Sinkhorn–Knopp run entirely. The scaling must be that of
-// the bound graph under the session's options; sc's slices are retained.
-func (m *Matcher) installScaling(sc *Scaling) {
-	if m.sc == sc {
-		return
-	}
-	m.sc, m.scErr = sc, nil
-	if m.sess != nil {
-		m.sess.SetScaling(sc.DR, sc.DC, sc.RowSums, sc.ColSums)
-	}
-}
-
 // refineWs returns the session's refinement workspace, building it on
 // first use: the Hopcroft–Karp, push-relabel and graft refiners all run on
 // it, so a session issuing repeated refining Specs (the ensemble+refine
@@ -171,22 +153,6 @@ func (m *Matcher) refineWs() *exact.Workspace {
 		m.refWs = &exact.Workspace{}
 	}
 	return m.refWs
-}
-
-// refineWidth resolves the session's pool (or the process default) and
-// its parallel width, Options.Workers capped by the pool's width. Graft
-// phases and auction candidates fan out across it; ensembleWidth caps it
-// further by the candidate count.
-func (m *Matcher) refineWidth() (*par.Pool, int) {
-	pool := m.opt.Pool.inner()
-	if pool == nil {
-		pool = par.Default()
-	}
-	width := pool.Workers(m.opt.Workers)
-	if width > pool.Width() {
-		width = pool.Width()
-	}
-	return pool, width
 }
 
 // growEnsembleSlots sizes the per-worker arena caches of parallel
@@ -206,29 +172,23 @@ func (m *Matcher) seed(s uint64) uint64 {
 	return s
 }
 
-// Scale returns the scaling of the bound graph, computing it on first use
-// and serving it from the session cache afterwards; Run scales through it,
-// and scaling-only workflows call it directly. The result aliases the
-// session workspace (see the Matcher aliasing contract).
+// Scale returns the scaling of the bound graph: the Graph's own for the
+// session's iteration count, computed by the first call on the Graph that
+// needs it and shared read-only with every other (see the Matcher doc).
+// Run scales through it, and scaling-only workflows call it directly. A
+// canceled compute returns ErrCanceled and leaves the session and the
+// Graph free to retry.
 func (m *Matcher) Scale() (*Scaling, error) {
-	if m.sc != nil || m.scErr != nil {
-		return m.sc, m.scErr
+	if m.sc != nil {
+		return m.sc, nil
 	}
-	res, err := m.g.scaleRaw(m.opt, m.scaleWs, m.cancel)
+	sc, err := m.g.scaling(m.opt, m.cancel)
 	if err != nil {
-		if errors.Is(err, scale.ErrCanceled) {
-			// Cancellation is a property of the call, not the graph: do
-			// not poison the cache — the next (uncanceled) call rescales.
-			return nil, ErrCanceled
-		}
-		m.scErr = err
 		return nil, err
 	}
-	m.scaling = Scaling{DR: res.DR, DC: res.DC, Iterations: res.Iters, Error: res.Err,
-		History: res.History, RowSums: res.RSum, ColSums: res.CSum}
-	m.sc = &m.scaling
+	m.sc = sc
 	if m.sess != nil {
-		m.sess.SetScaling(res.DR, res.DC, res.RSum, res.CSum)
+		m.sess.SetScaling(sc.DR, sc.DC, sc.RowSums, sc.ColSums)
 	}
-	return m.sc, nil
+	return sc, nil
 }

@@ -3,6 +3,8 @@ package bipartite
 import (
 	"math"
 	"testing"
+
+	"repro/internal/gen"
 )
 
 func cmpMates(t *testing.T, what string, got, want *Matching) {
@@ -281,5 +283,72 @@ func TestMatcherSteadyStateAllocsParallel(t *testing.T) {
 		}
 	}); allocs > 2 {
 		t.Errorf("parallel TwoSided: %.1f allocs per reused call, want <= 2", allocs)
+	}
+}
+
+// TestOfflineWorkloadsScaleEachGraphOnce repeats the ops of the two
+// offline benchmark workloads with Graph.Match on the same generators at
+// reduced size: OneSided and TwoSided on a heavy-tailed and a road-like
+// graph, and TwoSided refined to maximum on a rank-deficient, a long-path
+// and a skewed graph, all at the pool's full width. A Graph keeps its
+// scaling, so the first op scales each graph once and every later op runs
+// no scaling, where a scaling per call ran 4 and 3 per op. A second
+// iteration count adds exactly one run per graph, and a hit on a Graph's
+// scaling allocates nothing.
+func TestOfflineWorkloadsScaleEachGraphOnce(t *testing.T) {
+	scales := countScaleRuns(t)
+	for _, w := range []struct {
+		name   string
+		graphs []*Graph
+		specs  []Spec
+	}{
+		{"offline-heuristic",
+			[]*Graph{newGraph(gen.PowerLaw(2000, 15, 1.35, 1000, 1)), newGraph(gen.RoadLike(20000, 2.1, 2))},
+			[]Spec{{Algorithm: AlgOneSided}, {Algorithm: AlgTwoSided}}},
+		{"offline-exact",
+			[]*Graph{newGraph(gen.RankDeficient(4000, 1200, 6, 3)), newGraph(gen.LongThinPath(8000)),
+				newGraph(gen.SkewedDegree(4000, 3200, 6, 3, 4))},
+			[]Spec{{Algorithm: AlgTwoSided, Refine: RefineExact}}},
+	} {
+		op := func(seed uint64, iters int) int64 {
+			t.Helper()
+			before := scales.Load()
+			for _, g := range w.graphs {
+				for _, spec := range w.specs {
+					spec.Seed = seed
+					if _, err := g.Match(spec, &Options{ScalingIterations: iters}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			return scales.Load() - before
+		}
+		graphs := int64(len(w.graphs))
+		if n := op(1, 5); n != graphs {
+			t.Fatalf("%s: first op ran %d scalings, want one per graph (%d)", w.name, n, graphs)
+		}
+		for seed := uint64(2); seed <= 4; seed++ {
+			if n := op(seed, 5); n != 0 {
+				t.Fatalf("%s: op %d ran %d scalings, want 0", w.name, seed, n)
+			}
+		}
+		if n := op(5, 3); n != graphs {
+			t.Fatalf("%s: first op at another iteration count ran %d scalings, want %d", w.name, n, graphs)
+		}
+		if n := op(6, 3); n != 0 {
+			t.Fatalf("%s: second op at another iteration count ran %d scalings, want 0", w.name, n)
+		}
+		if raceEnabled {
+			continue
+		}
+		v := (&Options{ScalingIterations: 5}).normalized()
+		g := w.graphs[0]
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := g.scaling(v, nil); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%s: %.1f allocations per hit on a Graph's scaling, want 0", w.name, allocs)
+		}
 	}
 }

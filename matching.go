@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"errors"
 	"math"
 	"sync/atomic"
 
@@ -122,23 +123,55 @@ type Scaling struct {
 	RowSums, ColSums []float64
 }
 
+// width resolves v's pool (or the process default) and its parallel
+// width: Workers, capped by the pool's width. A width of 1 runs every
+// parallel region inline on the calling goroutine.
+func (v Options) width() (*par.Pool, int) {
+	pool := v.Pool.inner()
+	if pool == nil {
+		pool = par.Default()
+	}
+	return pool, min(pool.Workers(v.Workers), pool.Width())
+}
+
 // scaleRunHook, when set, is called at the start of every scaling run —
-// the test seam that counts how many Sinkhorn–Knopp executions a serving
-// workload actually performs (the shared per-graph scaling guarantee is
-// asserted through it). Loaded atomically because batch slots scale from
+// the test seam that counts how many Sinkhorn–Knopp executions a workload
+// actually performs. Loaded atomically because batch slots scale from
 // pool workers.
 var scaleRunHook atomic.Pointer[func()]
 
-// scaleRaw runs the fused Sinkhorn–Knopp sweeps on g, drawing buffers from
-// ws when non-nil. cancel, when non-nil, is the cooperative cancellation
-// hook polled between sweeps; a canceled run fails with scale.ErrCanceled.
+// scaling returns g's scaling under v's iteration count from the Graph's
+// cell for that count, computing it on first use. A scaling is a pure
+// function of (Graph, iteration count) at any width, so every caller on
+// the Graph shares the one published result, read-only.
 //
-// From the Graph's second run with at least one iteration on, a pattern
-// graph's sweeps walk its sweep layouts, which that run builds. A graph
-// scaled once — every serving read of a cached scaling — never pays for
-// the copy; repeated one-shot calls, rebound Matchers and evicted cache
-// entries do. The layouts change no bit of the result.
-func (g *Graph) scaleRaw(v Options, ws *scale.Workspace, cancel func() bool) (*scale.Result, error) {
+// Only a compute that runs inline is single-flight. At width 1 — every
+// batch slot, ensemble candidate and dynamic session — the caller holds
+// the cell's lock across the compute, and callers behind it wait and share
+// its result. A wider compute dispatches its sweeps to a pool, whose
+// steal-back wait may run a queued task on the computing goroutine; were
+// that task to wait on a lock the compute held, neither would return. So
+// a wider caller computes without the lock and publishes, and the first
+// result published is the one kept. cancel, when non-nil, is polled
+// between sweeps; a canceled compute fails with ErrCanceled and publishes
+// nothing, so the Graph's next caller computes the scaling afresh.
+//
+// From the Graph's second computed run with at least one iteration on —
+// another iteration count, or a retry after a cancel — a pattern graph's
+// sweeps walk its sweep layouts, which that run builds. The layouts change
+// no bit of the result.
+func (g *Graph) scaling(v Options, cancel func() bool) (*Scaling, error) {
+	c := g.scaleCell(v.ScalingIterations)
+	if sc := c.sc.Load(); sc != nil {
+		return sc, nil
+	}
+	if _, width := v.width(); width <= 1 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if sc := c.sc.Load(); sc != nil {
+			return sc, nil
+		}
+	}
 	if hook := scaleRunHook.Load(); hook != nil {
 		(*hook)()
 	}
@@ -147,13 +180,24 @@ func (g *Graph) scaleRaw(v Options, ws *scale.Workspace, cancel func() bool) (*s
 		Workers:  v.Workers,
 		Policy:   par.Dynamic,
 		Pool:     v.Pool.inner(),
-		Ws:       ws,
 		Cancel:   cancel,
 	}
 	if v.ScalingIterations > 0 && g.a.Val == nil && g.scaleRuns.Add(1) >= 2 {
 		opt.RowLayout, opt.ColLayout = g.sweepLayouts()
 	}
-	return scale.SinkhornKnopp(g.a, g.transpose(), opt)
+	res, err := scale.SinkhornKnopp(g.a, g.transpose(), opt)
+	if errors.Is(err, scale.ErrCanceled) {
+		return nil, ErrCanceled
+	}
+	if err != nil {
+		return nil, err
+	}
+	sc := &Scaling{DR: res.DR, DC: res.DC, Iterations: res.Iters, Error: res.Err,
+		History: res.History, RowSums: res.RSum, ColSums: res.CSum}
+	if !c.sc.CompareAndSwap(nil, sc) {
+		sc = c.sc.Load()
+	}
+	return sc, nil
 }
 
 // MatchResult is the outcome of a matching run executed by the Spec
@@ -163,6 +207,8 @@ type MatchResult struct {
 	Matching *Matching
 	// Scaling reports the scaling stage that preceded sampling; nil for
 	// algorithms that do not scale (Karp–Sipser and the cheap baselines).
+	// It is the Graph's own scaling for the iteration count, shared with
+	// every caller on the Graph: read it, never modify it.
 	Scaling *Scaling
 	// KSStats reports the Karp–Sipser phase statistics when Algorithm was
 	// AlgKarpSipser (the winner's, for ensembles); nil otherwise.

@@ -1,6 +1,8 @@
 package bipartite
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -69,12 +71,17 @@ func TestDegreeOrderBuiltOncePerGraph(t *testing.T) {
 }
 
 // TestSweepLayoutBuiltOnSecondScaling: a Graph packs its sweep layouts on
-// its second scaling run with at least one iteration, once, and never for
-// a graph scaled once or a graph with edge values. One Graph.Match builds
-// none; three build one, and the scalings of the second and third, which
-// walk the layouts, equal the first's, which walked the CSR; 64 reads of a
-// fresh graph through a Server share one scaling and build none; and
-// repeated matches of a weighted graph build none.
+// its second computed scaling with at least one iteration, once, and never
+// for a graph scaled once or a graph with edge values. A Graph keeps its
+// scaling per iteration count, so repeated calls at one count compute one
+// scaling and build no layout. One Graph.Match builds none; three build
+// none either, and the second and third return the first's scaling; a
+// fourth at another iteration count, the Graph's second computed scaling,
+// builds one, and its scaling, which walks the layouts, equals the same
+// count's scaling of a separately built copy of the graph, which walks the
+// CSR. A retry after a canceled compute is a second computed scaling too.
+// 64 reads of a fresh graph through a Server share one scaling and build
+// none; and repeated matches of a weighted graph build none.
 func TestSweepLayoutBuiltOnSecondScaling(t *testing.T) {
 	var builds atomic.Int64
 	hook := func() { builds.Add(1) }
@@ -87,6 +94,17 @@ func TestSweepLayoutBuiltOnSecondScaling(t *testing.T) {
 		t.Helper()
 		if got := builds.Swap(0); got != want {
 			t.Fatalf("%s: %d layout builds, want %d", what, got, want)
+		}
+	}
+	sameScaling := func(what string, got, want *Scaling) {
+		t.Helper()
+		for _, v := range [][2][]float64{
+			{got.DR, want.DR}, {got.DC, want.DC}, {got.History, want.History},
+			{got.RowSums, want.RowSums}, {got.ColSums, want.ColSums},
+		} {
+			if !slices.Equal(v[0], v[1]) {
+				t.Fatalf("%s: scaling differs", what)
+			}
 		}
 	}
 
@@ -106,17 +124,40 @@ func TestSweepLayoutBuiltOnSecondScaling(t *testing.T) {
 			first = res
 			continue
 		}
-		for _, v := range [][2][]float64{
-			{res.Scaling.DR, first.Scaling.DR}, {res.Scaling.DC, first.Scaling.DC},
-			{res.Scaling.History, first.Scaling.History},
-			{res.Scaling.RowSums, first.Scaling.RowSums}, {res.Scaling.ColSums, first.Scaling.ColSums},
-		} {
-			if !slices.Equal(v[0], v[1]) {
-				t.Fatalf("Graph.Match %d: scaling differs from the first call's", s)
-			}
-		}
+		sameScaling(fmt.Sprintf("Graph.Match %d against the first call", s), res.Scaling, first.Scaling)
 	}
-	expect("three Graph.Match calls", 1)
+	expect("three Graph.Match calls", 0)
+	three := &Options{ScalingIterations: 3, Pool: pool}
+	res, err := g.Match(Spec{Seed: 4}, three)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("a Graph.Match at another iteration count", 1)
+	ref, err := freshCopy(t, g).Match(Spec{Seed: 4}, three)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("one Graph.Match of a copy", 0)
+	sameScaling("layout sweeps against the copy's CSR sweeps", res.Scaling, ref.Scaling)
+
+	retried := RoadNetwork(20000, 2.1, 3)
+	m := retried.NewMatcher(opt)
+	m.setCancel(func() bool { return true })
+	if _, err := m.Scale(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled scaling: %v, want ErrCanceled", err)
+	}
+	m.setCancel(nil)
+	sc, err := m.Scale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("a retry after a canceled scaling", 1)
+	want, err := freshCopy(t, retried).NewMatcher(opt).Scale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameScaling("retried layout sweeps against the copy's CSR sweeps", sc, want)
+	expect("one scaling of a copy", 0)
 
 	srv := NewServerConfig(opt, ServerConfig{MaxBatch: 16})
 	defer srv.Close()
@@ -134,18 +175,22 @@ func TestSweepLayoutBuiltOnSecondScaling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	expect("three matches of a weighted graph", 0)
+	if _, err := weighted.Match(Spec{Seed: 4}, three); err != nil {
+		t.Fatal(err)
+	}
+	expect("matches of a weighted graph at two iteration counts", 0)
 }
 
 // TestDynSnapshotsFreeDegreeOrders: every PATCH of a served graph makes a
-// new snapshot Graph, and matching a snapshot twice builds its degree
-// orders and, on the second scaling, its sweep layouts. They must be freed
-// with the snapshot. 2,000 changing batches on a 4k-row graph would keep
-// about 64 MB of orders and 256 MB of layouts alive if anything retained
-// them past their Graph; the live heap after a GC must stay within 8 MiB
-// of its size after the first snapshot. Like the allocation gates, this
-// heap-accounting gate skips under -race, which also makes it about ten
-// times slower.
+// new snapshot Graph, and matching a snapshot at two iteration counts
+// builds its degree orders, keeps one scaling per count and, on the second
+// scaling, builds its sweep layouts. They must be freed with the snapshot.
+// 2,000 changing batches on a 4k-row graph would keep about 64 MB of
+// orders, 512 MB of scalings and 256 MB of layouts alive if anything
+// retained them past their Graph; the live heap after a GC must stay
+// within 8 MiB of its size after the first snapshot. Like the allocation
+// gates, this heap-accounting gate skips under -race, which also makes it
+// about ten times slower.
 func TestDynSnapshotsFreeDegreeOrders(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting gate; run without -race")
@@ -153,6 +198,7 @@ func TestDynSnapshotsFreeDegreeOrders(t *testing.T) {
 	const n, batches = 4000, 2000
 	g := RandomER(n, n, 4, 3)
 	opt := &Options{ScalingIterations: 3, Workers: 1}
+	opt2 := &Options{ScalingIterations: 2, Workers: 1}
 	s, err := g.NewDynSession(Spec{}, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -176,10 +222,11 @@ func TestDynSnapshotsFreeDegreeOrders(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := s.Snapshot()
-		for _, seed := range []uint64{uint64(b) + 1, uint64(b) + batches + 1} {
-			if _, err := snap.Match(Spec{Seed: seed}, opt); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := snap.Match(Spec{Seed: uint64(b) + 1}, opt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := snap.Match(Spec{Seed: uint64(b) + batches + 1}, opt2); err != nil {
+			t.Fatal(err)
 		}
 		if b == 0 {
 			base = heapInuse()

@@ -24,11 +24,10 @@ var ErrServerClosed = errors.New("bipartite: server closed")
 // number of goroutines, a collector drains the queue into batches, and
 // each batch executes as one pool-wide parallel region on per-slot Matcher
 // arenas that stay warm across batches. Under load, many requests ride one
-// dispatch and reuse hot workspaces (and the per-graph shared scaling for
-// repeated graphs), so the per-request overhead approaches the cost of the
-// kernels themselves; an idle server serves a lone request with one
-// dispatch of latency and no batching delay — the collector never waits
-// for a batch to fill.
+// dispatch and reuse hot workspaces (and each graph's one scaling), so the
+// per-request overhead approaches the cost of the kernels themselves; an
+// idle server serves a lone request with one dispatch of latency and no
+// batching delay — the collector never waits for a batch to fill.
 //
 // Admission is bounded: at most Queue requests wait at any moment, and a
 // submission that finds the queue full fails fast with ErrOverloaded
@@ -274,15 +273,13 @@ func (s *Server) MatchBatch(reqs []Request) []Response {
 	return out
 }
 
-// DropGraph evicts the server's cached per-graph scaling for g, so the
-// graph's next request recomputes it. Callers that own a graph registry in
-// front of the Server (cmd/matchserve's LRU registry, for instance) call
-// this when they evict a graph, tying the scale cache's lifetime to the
-// registry's instead of leaving the two to drift apart — without it, the
-// engine would keep a dead graph's scaling alive until its own LRU cap
-// pushed it out. Safe for concurrent use with Match/MatchBatch/Close;
-// requests already holding the scaling finish with it unperturbed.
-func (s *Server) DropGraph(g *Graph) { s.engine.dropGraph(g) }
+// DropGraph forgets g's service-time classes, the per-(graph, Spec-class)
+// estimates behind the would-miss admission check. Callers that own a
+// graph registry in front of the Server (cmd/matchserve's LRU registry,
+// for instance) call this when they evict a graph. The graph's scaling
+// needs no eviction: the Graph holds it and frees it with itself. Safe for
+// concurrent use with Match/MatchBatch/Close.
+func (s *Server) DropGraph(g *Graph) { s.engine.svc.dropGraph(g) }
 
 // Close drains the queue, stops the collector and waits for it to finish.
 // Requests admitted before the close are still served. Idempotent, and

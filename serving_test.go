@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,15 +28,28 @@ func countScaleRuns(t *testing.T) *atomic.Int64 {
 	return &n
 }
 
+// freshCopy returns a new Graph with g's pattern: the same scalings and
+// matchings as g, computed into caches of its own.
+func freshCopy(t *testing.T, g *Graph) *Graph {
+	t.Helper()
+	rows, cols, ptr, idx := g.CSR()
+	c, err := NewGraph(rows, cols, ptr, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestServerSharedScalingOncePerGraph is the acceptance gate for the
-// per-graph scaling once-cell: a warm batch of N requests on one
-// registered graph performs exactly ONE scaling run, however many slots
-// serve it and however the collector batches it — where the pre-cell
-// engine performed one per slot.
+// per-graph scaling cell: a warm batch of N requests on one registered
+// graph performs exactly ONE scaling run, however many slots serve it and
+// however the collector batches it — where a per-slot scaling would
+// perform one per slot.
 func TestServerSharedScalingOncePerGraph(t *testing.T) {
 	g := RandomER(1200, 1200, 4, 77)
-	// Reference first, outside the counter's scope.
-	ref, err := g.Match(Spec{Algorithm: AlgTwoSided, Seed: 9}, &Options{ScalingIterations: 5, Workers: 1})
+	// Reference first, outside the counter's scope, on a copy: g itself
+	// must reach the server cold.
+	ref, err := freshCopy(t, g).Match(Spec{Algorithm: AlgTwoSided, Seed: 9}, &Options{ScalingIterations: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +97,126 @@ func TestServerSharedScalingOncePerGraph(t *testing.T) {
 		t.Fatal(resp.Err)
 	}
 	cmpMates(t, "post-warmup determinism", resp.Matching, ref.Matching)
+}
+
+// TestServerSharesGraphScalingWithOneShotCalls: on one width-4 pool,
+// full-width Graph.Match calls, 64 Server reads and a NewDynSession all hit
+// one fresh graph at once. The full-width calls compute without the cell's
+// lock while the Server's width-1 slots and the session wait on it, so
+// nothing may deadlock: every call finishes within the timeout. Every
+// returned scaling equals a separately built copy's, bit for bit; the
+// width-1 callers share one run, so at most one run per full-width caller
+// plus one happens; and further calls run no scaling.
+func TestServerSharesGraphScalingWithOneShotCalls(t *testing.T) {
+	g := RandomER(3000, 3000, 4, 91)
+	want, err := freshCopy(t, g).NewMatcher(&Options{ScalingIterations: 5, Workers: 1}).Scale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(4)
+	defer pool.Close()
+	opt := &Options{ScalingIterations: 5, Pool: pool}
+	scales := countScaleRuns(t)
+	srv := NewServerConfig(opt, ServerConfig{MaxBatch: 16})
+	defer srv.Close()
+
+	const oneShots, submitters, perSubmitter = 4, 8, 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, oneShots+submitters+1)
+	got := make([]*Scaling, oneShots)
+	var dyn *DynSession
+	for k := 0; k < oneShots; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			res, err := g.Match(Spec{Seed: uint64(k + 1)}, opt)
+			if err != nil {
+				errs <- fmt.Errorf("Graph.Match %d: %w", k, err)
+				return
+			}
+			got[k] = res.Scaling
+		}()
+	}
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for k := 0; k < perSubmitter; k++ {
+				resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: uint64(s*perSubmitter + k + 1)}})
+				if resp.Err != nil {
+					errs <- fmt.Errorf("submitter %d read %d: %w", s, k, resp.Err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		var err error
+		if dyn, err = g.NewDynSession(Spec{}, opt); err != nil {
+			errs <- fmt.Errorf("NewDynSession: %w", err)
+		}
+	}()
+	close(start)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("calls sharing one graph's scaling did not finish within 2 minutes")
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := scales.Load(); n < 1 || n > oneShots+1 {
+		t.Fatalf("%d scaling runs for %d full-width callers and the width-1 ones, want 1 to %d",
+			n, oneShots, oneShots+1)
+	}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for k, sc := range got {
+		what := fmt.Sprintf("Graph.Match %d", k)
+		same(what+" DR", sc.DR, want.DR)
+		same(what+" DC", sc.DC, want.DC)
+		same(what+" RowSums", sc.RowSums, want.RowSums)
+		same(what+" ColSums", sc.ColSums, want.ColSums)
+		same(what+" History", sc.History, want.History)
+	}
+	dr, dc, ok := dyn.ScalingVectors()
+	if !ok {
+		t.Fatal("dynamic session holds no scaling")
+	}
+	same("NewDynSession dr", dr, want.DR)
+	same("NewDynSession dc", dc, want.DC)
+
+	before := scales.Load()
+	if _, err := g.Match(Spec{Seed: 99}, opt); err != nil {
+		t.Fatal(err)
+	}
+	if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 99}}); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	if _, err := g.NewDynSession(Spec{Seed: 99}, opt); err != nil {
+		t.Fatal(err)
+	}
+	if n := scales.Load(); n != before {
+		t.Fatalf("further calls on the scaled graph: %d more scaling runs, want 0", n-before)
+	}
 }
 
 // TestMatchBatchSharedScalingPerGraph: the one-shot batch entry point

@@ -403,7 +403,7 @@ func (m *Matcher) runSingle(spec Spec, seed uint64, sc *Scaling) (*MatchResult, 
 func (m *Matcher) refine(ref Refinement, init *Matching) (*Matching, error) {
 	r := m.newSpecRefiner(ref, init)
 	if gr, ok := r.(graftSpecRefiner); ok {
-		gr.r.SetParallel(m.refineWidth())
+		gr.r.SetParallel(m.opt.width())
 		gr.r.SetCancel(m.cancel)
 	}
 	// Advance returns false only once the matching is maximum, so a poll
@@ -465,7 +465,7 @@ func (m *Matcher) runEnsemble(spec Spec, base uint64, sc *Scaling) (*MatchResult
 			// Bit-identity at every width is the engine's contract, so this
 			// re-widening cannot change the result.
 			if gr, ok := e.refiner.(graftSpecRefiner); ok {
-				gr.r.SetParallel(m.refineWidth())
+				gr.r.SetParallel(m.opt.width())
 			}
 			// Complete the refinement — up to the target when one is set,
 			// to the maximum otherwise (the RefineExact guarantee). A size
@@ -498,10 +498,10 @@ func (m *Matcher) runEnsemble(spec Spec, base uint64, sc *Scaling) (*MatchResult
 }
 
 // ensembleWidth resolves the pool and fan-out width of an ensemble run:
-// the session's refineWidth, capped by the candidate count. Width 1 means
+// the session's width, capped by the candidate count. Width 1 means
 // the candidates run one after another on the session arena.
 func (m *Matcher) ensembleWidth(k int) (*par.Pool, int) {
-	pool, width := m.refineWidth()
+	pool, width := m.opt.width()
 	if width > k {
 		width = k
 	}
@@ -653,10 +653,15 @@ func (e *ensembleRun) runParallel(pool *par.Pool, width int, sc *Scaling) {
 		for c := lo; c < hi; c++ {
 			child := m.ensSlots[w].get(m.g, opt)
 			child.setCancel(m.cancel)
+			var mt *Matching
+			var err error
 			if sc != nil {
-				child.installScaling(sc)
+				// The Graph holds sc already: the child's Scale is a hit.
+				_, err = child.Scale()
 			}
-			mt, err := child.runOnce(e.spec.Algorithm, e.base+uint64(c))
+			if err == nil {
+				mt, err = child.runOnce(e.spec.Algorithm, e.base+uint64(c))
+			}
 			res := candResult{err: err, done: true}
 			if err == nil {
 				// Own the result: the arena's buffers are overwritten by

@@ -139,10 +139,11 @@ func TestSpecRefineExactReachesSprank(t *testing.T) {
 }
 
 // TestSpecEnsembleSingleScalingDeterministicWinner gates the ensemble
-// acceptance criteria: a best-of-8 ensemble on a warm Matcher performs
+// acceptance criteria: a best-of-8 ensemble on a cold graph performs
 // exactly one scaling run (the counter hook proves it), its winner is
 // deterministic, and the best-of size dominates every individual
-// candidate.
+// candidate. The Graph keeps that scaling, so later Matchers on it, and
+// their ensembles, run none.
 func TestSpecEnsembleSingleScalingDeterministicWinner(t *testing.T) {
 	g := RandomER(1000, 1000, 3, 17)
 	scales := countScaleRuns(t)
@@ -179,14 +180,14 @@ func TestSpecEnsembleSingleScalingDeterministicWinner(t *testing.T) {
 		t.Fatalf("ensemble winner (size %d, seed %d) want (size %d, seed %d)",
 			first.Matching.Size, first.WinnerSeed, bestSize, bestSeed)
 	}
-	if n := scales.Load(); n != 2 { // the candidate loop's own matcher scaled once
-		t.Fatalf("after individual candidates: %d scaling runs, want 2", n)
+	if n := scales.Load(); n != 1 { // the candidate loop's matcher takes the Graph's scaling
+		t.Fatalf("after individual candidates: %d scaling runs, want 1", n)
 	}
-	// A second cold ensemble scales once more, and the winner reproduces
-	// bit for bit.
+	// An ensemble on a second fresh Matcher scales no more, and the winner
+	// reproduces bit for bit.
 	second := run()
-	if n := scales.Load(); n != 3 {
-		t.Fatalf("two cold ensembles + candidate sweep: %d scaling runs, want 3", n)
+	if n := scales.Load(); n != 1 {
+		t.Fatalf("two ensembles + candidate sweep: %d scaling runs, want 1", n)
 	}
 	cmpMates(t, "deterministic ensemble winner", second.Matching, first.Matching)
 	if second.WinnerSeed != first.WinnerSeed {
@@ -323,8 +324,9 @@ func TestSpecBatchEnsembleRefine(t *testing.T) {
 }
 
 // TestSpecServerDropGraph gates the registry→engine eviction callback:
-// dropping a graph's cached scaling forces the next request of that graph
-// to rescale, while requests of untouched graphs stay warm.
+// DropGraph forgets the graph's service-time classes, and leaves its
+// scaling, which the Graph holds, to the Graph: the next request of the
+// graph does not rescale.
 func TestSpecServerDropGraph(t *testing.T) {
 	g := RandomER(600, 600, 4, 51)
 	scales := countScaleRuns(t)
@@ -339,12 +341,30 @@ func TestSpecServerDropGraph(t *testing.T) {
 	if n := scales.Load(); n != 1 {
 		t.Fatalf("warm server: %d scaling runs, want 1", n)
 	}
+	classes := func() int {
+		svc := srv.engine.svc
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		n := 0
+		for k := range svc.keyed {
+			if k.g == g {
+				n++
+			}
+		}
+		return n
+	}
+	if classes() == 0 {
+		t.Fatal("served graph has no service-time class")
+	}
 	srv.DropGraph(g)
+	if n := classes(); n != 0 {
+		t.Fatalf("after DropGraph: %d service-time classes of the graph, want 0", n)
+	}
 	if resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 4}}); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
-	if n := scales.Load(); n != 2 {
-		t.Fatalf("after DropGraph: %d scaling runs, want 2 (one recompute)", n)
+	if n := scales.Load(); n != 1 {
+		t.Fatalf("after DropGraph: %d scaling runs, want 1 (the Graph keeps its scaling)", n)
 	}
 	// Dropping an unknown graph is a no-op, not a panic.
 	srv.DropGraph(Complete(4))

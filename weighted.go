@@ -156,7 +156,7 @@ func (m *Matcher) runAuction(spec Spec) (*MatchResult, error) {
 	}
 	a, at := m.g.a, m.g.transpose()
 	base := m.seed(spec.Seed)
-	pool, width := m.refineWidth()
+	pool, width := m.opt.width()
 	ws := m.aucWorkspace()
 	if m.canceled() {
 		return nil, ErrCanceled
