@@ -330,9 +330,9 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	if a.Matching.Size != b.Matching.Size {
 		t.Fatalf("same seed gave sizes %d and %d", a.Matching.Size, b.Matching.Size)
 	}
-	// One-sided: the set of chosen columns (hence the size) is
-	// deterministic; the winning row for a contended column is not (the
-	// paper's last-write-wins semantics).
+	cmpMates(t, "two-sided rerun", b.Matching, a.Matching)
+	// One-sided: the set of chosen columns (hence the size) and the row
+	// that keeps each contended column are deterministic.
 	one1, _ := g.Match(Spec{Algorithm: AlgOneSided}, &Options{Seed: 9})
 	one2, _ := g.Match(Spec{Algorithm: AlgOneSided}, &Options{Seed: 9})
 	if one1.Matching.Size != one2.Matching.Size {
@@ -344,6 +344,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 			t.Fatal("one-sided chosen-column set not deterministic")
 		}
 	}
+	cmpMates(t, "one-sided rerun", one2.Matching, one1.Matching)
 }
 
 func TestGeneratorsViaAPI(t *testing.T) {

@@ -88,14 +88,14 @@ var ErrNilGraph = errors.New("bipartite: request has nil Graph")
 // MatchBatch executes many matching requests as one pool-wide parallel
 // region: a single dispatch hands the request queue to the pool's worker
 // slots, and each slot serves requests sequentially on its own resident
-// Matcher arena. The per-request parallel width is one, so every response
-// is deterministic — a function of (Graph, Spec, opt) only, identical
-// to the one-shot call with Workers: 1 regardless of batch composition,
-// pool width or scheduling. Requests that share a *Graph share its one
-// scaling across all slots, and with every other caller on the Graph (the
-// scaling is bit-identical at any width, so sharing does not perturb
-// responses).
-// Per-request deadlines ride on Request.Ctx.
+// Matcher arena. Every response is deterministic — a function of (Graph,
+// Spec, opt) only, regardless of batch composition, pool width or
+// scheduling, and identical to the one-shot call (the package determinism
+// contract; for AlgKarpSipserParallel, which runs at width 1 here, the
+// one-shot call with Workers: 1). Requests that share a *Graph share its
+// one scaling across all slots, and with every other caller on the Graph
+// (the scaling is bit-identical at any width, so sharing does not perturb
+// responses). Per-request deadlines ride on Request.Ctx.
 //
 // opt configures scaling and the pool exactly as for one-shot calls;
 // opt.Workers caps the number of slots (<= 0 means the pool width).

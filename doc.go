@@ -10,13 +10,15 @@
 // scale the adjacency matrix to doubly stochastic form (Sinkhorn–Knopp)
 // and use the scaled entries as sampling densities:
 //
-//   - OneSidedMatch (AlgOneSided): every row samples one column; no
-//     synchronization at all; guaranteed ≥ (1 − 1/e) ≈ 0.632 of the
-//     maximum matching on matrices with total support.
+//   - OneSidedMatch (AlgOneSided): every row samples one column, and each
+//     chosen column takes the largest row that chose it; guaranteed
+//     ≥ (1 − 1/e) ≈ 0.632 of the maximum matching on matrices with total
+//     support.
 //   - TwoSidedMatch (AlgTwoSided): rows and columns both sample, and the
-//     resulting "1-out" graph is matched exactly by a specialized parallel
-//     Karp–Sipser kernel; conjectured (and experimentally confirmed)
-//     ≥ 2(1 − ρ) ≈ 0.866 of the maximum, where ρ solves x·eˣ = 1.
+//     resulting "1-out" graph is matched exactly by the paper's
+//     specialized Karp–Sipser kernel; conjectured (and experimentally
+//     confirmed) ≥ 2(1 − ρ) ≈ 0.866 of the maximum, where ρ solves
+//     x·eˣ = 1.
 //
 // Graph.MaximumMatching (an exact maximum matching, solved cold or
 // completed from a heuristic warm start), the classic Karp–Sipser
@@ -35,11 +37,11 @@
 //
 // # Execution model
 //
-// Every parallel stage — scaling sweeps, sampling, both Karp–Sipser
-// phases — is dispatched to a persistent pool of parked workers rather
-// than to freshly spawned goroutines, so the dozens of parallel regions
-// inside one matching call cost a channel handoff each instead of a
-// goroutine spawn. By default the stages share one process-wide pool
+// Every parallel stage — the scaling sweeps and the sampling region — is
+// dispatched to a persistent pool of parked workers rather than to
+// freshly spawned goroutines, so the dozens of parallel regions inside
+// one matching call cost a channel handoff each instead of a goroutine
+// spawn. By default the stages share one process-wide pool
 // sized to GOMAXPROCS; servers that want isolation or a width cap create
 // a Pool explicitly and pass it via Options.Pool — one warm worker set
 // then serves any number of concurrent matching calls.
@@ -72,7 +74,8 @@
 // right in CSR order, so every output is bit-identical to the CSR sweeps;
 // FuzzSinkhornKnoppLayout in internal/scale checks it at widths 1 to 3.
 //
-// TwoSided's sampling walks each side's rows grouped by degree, in an
+// Both heuristics sample through one parallel region that walks each
+// side's rows grouped by degree (OneSided walks only the rows), in an
 // order the Graph builds once next to its transpose (4 bytes a vertex,
 // freed with the Graph). A row of degree 2 to 16 draws with a fixed trip
 // count and selects its entry by counting the prefix sums below the draw
@@ -82,39 +85,36 @@
 // RNG stream, so the order changes no choice; FuzzSampleGrouped in
 // internal/core holds the counting draw to the walk row by row.
 //
-// Determinism contract, for a fixed Options.Seed: the sampled choices
-// (hence TwoSidedMatch's 1-out graph), the scaling vectors and the
-// matching size are identical for every worker count, scheduling policy
-// and pool width. With Workers: 1 the entire matching is deterministic,
-// bit for bit. At parallel widths the specific pairing may vary between
-// runs — OneSidedMatch's last-write-wins winner and the Karp–Sipser
-// kernel's CAS claim order are scheduling-dependent — while the size
-// stays fixed (the kernel always returns a maximum matching of the
-// deterministic 1-out graph). All heuristics are free of data races at
-// any level of parallelism; callers that need reproducible matchings, not
-// just reproducible sizes, run with Workers: 1 (as the batch layer below
-// does per request). TestSamplingDeterministicAcrossWorkerCounts,
-// TestTwoSidedDeterministicAcrossPoolsAndWorkers and
-// TestOneSidedSizeStableAcrossPools in internal/core and
-// TestWorkersProduceIdenticalScaling in internal/scale gate this
-// contract; CI's core-kernels step runs both packages under the race
-// detector at GOMAXPROCS 1, 2 and 4.
+// Determinism contract, for a fixed Options.Seed: every Algorithm except
+// AlgKarpSipserParallel, and UndirectedGraph.Match, returns the same
+// matching (mates, not only size) and the same scaling vectors at every
+// worker count, scheduling policy and pool width. The heuristics sample
+// in parallel, each vertex from its own RNG stream, and settle every
+// conflict on the calling goroutine as the paper's kernels would on one
+// worker in index order: OneSided's rows claim their columns in index
+// order, so the largest row that chose a column keeps it, and TwoSided
+// runs the single-worker Karp–Sipser kernel below. AlgKarpSipserParallel,
+// the Azad et al. baseline, keeps its compare-and-swap claims, so its
+// pairing depends on the schedule. No heuristic has a data race at any
+// width. TestTwoSidedDeterministicAcrossPoolsAndWorkers,
+// TestOneSidedSizeStableAcrossPools and TestOneSidedMatchesReference in
+// internal/core, TestWorkersProduceIdenticalScaling in internal/scale,
+// TestMatchSizeDeterministicAcrossWorkers in internal/undirected, and
+// TestSpecRunsItsKernel, TestSpecGraftBitIdenticalAcrossWidths and
+// TestUndirectedAPI here gate it; CI runs them under the race detector
+// at GOMAXPROCS 1, 2 and 4.
 //
-// A Karp–Sipser run whose regions get one worker — every Workers: 1
-// call, batch slot, ensemble candidate and dynamic session — takes the
-// single-worker form of the kernel. No other thread can observe it, so
-// its atomics become plain loads and stores, and its vertex loops lose
-// their data-dependent branches: the link pass marks and counts every
-// vertex unconditionally, Phase 1 runs its chains from the out-one
-// vertices compacted into a list in index order, and Phase 2 writes both
-// mates through a select. The chains consume the same vertices in the
-// same order, so its matchings are bit-identical to the atomic kernel run
-// in index order on one goroutine; TestKarpSipserWidth1SampledChoiceGraphs,
-// TestKarpSipserWidth1HandBuilt and FuzzKarpSipserWidth1 in internal/core
-// hold it to that reference, and TestSessionWidth1CancelMidKarpSipser
-// checks that it still polls the cancellation hook every chunk (512
-// vertices by default). Runs on more than one worker keep the atomic
-// kernel.
+// TwoSided's Karp–Sipser is Algorithm 4 on the calling goroutine, after
+// the sampling region: plain loads and stores instead of atomics, and
+// vertex loops without data-dependent branches. It consumes the same
+// vertices in the same order as the atomic kernel run in index order on
+// one goroutine, so its matchings are bit-identical to that kernel's;
+// TestKarpSipserWidth1SampledChoiceGraphs, TestKarpSipserWidth1HandBuilt
+// and FuzzKarpSipserWidth1 in internal/core hold it to that reference,
+// and TestSessionWidth1CancelMidKarpSipser checks that it polls the
+// cancellation hook every chunk (512 vertices by default). The atomic
+// kernel stays in internal/core for the paper's Fig. 4a and Table 3; no
+// call in this package runs it.
 //
 // # The Spec engine
 //
@@ -365,9 +365,9 @@
 //     scaling under its own deadline (still exactly one scaling run on a
 //     successful retry).
 //   - Determinism unchanged: every response remains a function of
-//     (Graph, Spec, Options) only — bit-identical to the one-shot
-//     call at Workers: 1 — however requests are batched, canceled
-//     neighbors included. When self-protection rewrites a Spec (below),
+//     (Graph, Spec, Options) only — bit-identical to the one-shot call
+//     (for AlgKarpSipserParallel, the one-shot call at Workers: 1) —
+//     however requests are batched, canceled neighbors included. When self-protection rewrites a Spec (below),
 //     the response is that same deterministic function of the rewritten
 //     Spec, and the rewrite is stamped in the response.
 //

@@ -20,6 +20,27 @@ func TestUndirectedAPI(t *testing.T) {
 	if res.ScalingError < 0 {
 		t.Fatal("negative scaling error")
 	}
+
+	// A width-4 Pool returns the Workers: 1 matching and scaling error.
+	pool := NewPool(4)
+	defer pool.Close()
+	for seed := uint64(2); seed <= 6; seed++ {
+		one := g.Match(&Options{ScalingIterations: 3, Seed: seed, Workers: 1})
+		wide := g.Match(&Options{ScalingIterations: 3, Seed: seed, Pool: pool})
+		if err := g.Validate(wide.Mate); err != nil {
+			t.Fatal(err)
+		}
+		if wide.Size != one.Size || wide.ScalingError != one.ScalingError {
+			t.Fatalf("seed %d, pool width 4: size %d, scaling error %v; Workers: 1 gives %d, %v",
+				seed, wide.Size, wide.ScalingError, one.Size, one.ScalingError)
+		}
+		for v := range one.Mate {
+			if wide.Mate[v] != one.Mate[v] {
+				t.Fatalf("seed %d, pool width 4: mate of %d is %d, Workers: 1 gives %d",
+					seed, v, wide.Mate[v], one.Mate[v])
+			}
+		}
+	}
 }
 
 func TestNewUndirectedValidation(t *testing.T) {

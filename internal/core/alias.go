@@ -125,18 +125,6 @@ func (d *drawSide) aliasRange(t *aliasTable, base uint64, lo, hi int) {
 	}
 }
 
-// aliasOneSidedRange is oneSidedRange's alias-table counterpart.
-func aliasOneSidedRange(a *sparse.CSR, t *aliasTable, base uint64, cmatch []int32, lo, hi int) {
-	var rng xrand.SplitMix64
-	for i := lo; i < hi; i++ {
-		rng.SetIndexed(base, i)
-		j := sampleRowAlias(a, t, i, &rng)
-		if j != NIL {
-			atomic.StoreInt32(&cmatch[j], int32(i))
-		}
-	}
-}
-
 // ensureAlias builds the session's alias tables if Options.Alias is set
 // and they are stale (first sampling call after NewSession, Rebind or
 // SetScaling). Called from the serial prologue of the sampling entry
@@ -149,6 +137,8 @@ func (s *Session) ensureAlias() {
 		(*hook)()
 	}
 	s.aliasA.build(s.a, s.dc)
-	s.aliasAT.build(s.at, s.dr)
+	if s.at != nil {
+		s.aliasAT.build(s.at, s.dr)
+	}
 	s.aliasBuilt = true
 }

@@ -49,18 +49,20 @@ func TestAliasBuildOncePerGraph(t *testing.T) {
 
 // TestAliasDeterministicAcrossWorkerCounts pins the alias kernels'
 // bit-identity across worker counts — per-vertex indexed RNG streams, so
-// the schedule cannot leak in.
+// the schedule cannot leak in — for the row choices and for TwoSided's
+// and OneSided's whole matchings.
 func TestAliasDeterministicAcrossWorkerCounts(t *testing.T) {
 	a := gen.ERAvgDeg(2000, 2000, 5, 17)
 	at := a.Transpose()
-	var ref []int32
+	var ref, refMatch, refC []int32
 	for _, w := range []int{1, 2, 4} {
 		opt := Options{Workers: w, Policy: par.Dynamic, KSPolicy: par.Guided, Alias: true}
 		s := NewSession(a, at, opt)
-		s.TwoSided(7)
+		match := append([]int32(nil), s.TwoSided(7).Match...)
 		choices := append([]int32(nil), s.cg.Choice[:a.RowsN]...)
+		cmatch, _ := s.OneSided(7)
 		if w == 1 {
-			ref = choices
+			ref, refMatch, refC = choices, match, append([]int32(nil), cmatch...)
 			continue
 		}
 		for i := range ref {
@@ -68,6 +70,8 @@ func TestAliasDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Fatalf("w=%d: row %d's choice differs from width 1", w, i)
 			}
 		}
+		cmpI32s(t, "alias two-sided match", match, refMatch)
+		cmpI32s(t, "alias one-sided cmatch", cmatch, refC)
 	}
 }
 

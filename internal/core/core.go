@@ -1,31 +1,40 @@
-// Package core implements the paper's two matching heuristics and their
-// specialized parallel Karp–Sipser kernel:
+// Package core implements the paper's two matching heuristics and its
+// parallel Karp–Sipser kernel for 1-out graphs:
 //
 //   - OneSided (Algorithm 2, OneSidedMatch): every row samples one column
 //     with probability proportional to the doubly stochastic scaling of
-//     the matrix; concurrent writes into cmatch are last-write-wins and
-//     still define a valid matching of expected size ≥ (1-1/e)·n.
+//     the matrix, and each chosen column takes one of the rows that chose
+//     it, which defines a valid matching of expected size ≥ (1-1/e)·n.
 //   - TwoSided (Algorithm 3, TwoSidedMatch): rows and columns both sample,
 //     the ≤2n chosen edges form a "1-out" graph on which Karp–Sipser is
 //     exact (every component has at most one cycle, Lemma 1).
 //   - KarpSipserMT (Algorithm 4): the two-phase parallel Karp–Sipser for
 //     1-out graphs, synchronizing only through compare-and-swap on the
-//     match array and fetch-and-add on the degree array.
+//     match array and fetch-and-add on the degree array. It is kept for
+//     the paper's figures and benchmarks; the heuristics run its serial
+//     form, ksSerial.
 //
-// Two forms of these kernels avoid data-dependent branches, and each is
-// bit-identical to the plain one:
+// Both heuristics sample in parallel and match on the calling goroutine,
+// so their matchings are the same at every worker count, policy and pool
+// width. The paper settles conflicts by store order (OneSided) and by
+// compare-and-swap order (Algorithm 4), which depend on the schedule;
+// here a conflict is settled as a one-worker run in index order would
+// settle it:
 //
-//   - TwoSided and the public samplers visit each side's rows in a
-//     sparse.DegreeOrder, and rows of degree 2 to 16 draw with a fixed
-//     trip count (drawFixed). Every row keeps its own RNG stream, so each
-//     choice is sampleRow's; FuzzSampleGrouped checks it row by row, and
-//     TestSamplingDeterministicAcrossWorkerCounts across widths.
-//   - A Karp–Sipser run on one worker takes ksSerial: Algorithm 4 with
-//     plain loads and stores, and no data-dependent branches in its link,
-//     start and Phase 2 sweeps. Its matchings are those of the atomic
-//     kernel run in index order on one goroutine;
+//   - OneSided's rows claim their columns in index order, so the largest
+//     row that chose a column keeps it.
+//   - TwoSided matches its choice graph with ksSerial, Algorithm 4 on one
+//     goroutine with plain loads and stores and no data-dependent
+//     branches in its link, start and Phase 2 sweeps. Its matchings are
+//     those of the atomic kernel run in index order on one goroutine;
 //     TestKarpSipserWidth1SampledChoiceGraphs, TestKarpSipserWidth1HandBuilt
 //     and FuzzKarpSipserWidth1 hold it to that reference.
+//
+// The sampling region visits each side's rows in a sparse.DegreeOrder,
+// and rows of degree 2 to 16 draw with a fixed trip count (drawFixed).
+// Every row keeps its own RNG stream, so each choice is sampleRow's;
+// FuzzSampleGrouped checks it row by row, and
+// TestSamplingDeterministicAcrossWorkerCounts across widths.
 package core
 
 import (
@@ -165,43 +174,14 @@ func weight(a *sparse.CSR, dc []float64, p int) float64 {
 	return w
 }
 
-// oneSidedRange is the shared loop body of OneSided: rows [lo, hi) sample
-// one column each and claim it with a last-write-wins atomic store.
-func oneSidedRange(a *sparse.CSR, d, tot []float64, base uint64, cmatch []int32, lo, hi int) {
-	var rng xrand.SplitMix64
-	for i := lo; i < hi; i++ {
-		rng.SetIndexed(base, i)
-		j := sampleRow(a, d, i, tot, &rng)
-		if j != NIL {
-			atomic.StoreInt32(&cmatch[j], int32(i))
-		}
-	}
-}
-
 // OneSided runs OneSidedMatch (Algorithm 2) given the matrix and its
-// scaling vectors. It returns the cmatch array (cmatch[j] = row matched to
-// column j, or NIL) and the matching cardinality. The concurrent
-// last-write-wins stores of the paper are implemented with atomic stores,
-// so the heuristic is race-free at any worker count without any locking or
-// conflict resolution.
+// scaling vectors on a throwaway Session; see Session.OneSided. It returns
+// the cmatch array (cmatch[j] = row matched to column j, or NIL) and the
+// matching cardinality.
 func OneSided(a *sparse.CSR, dr, dc []float64, opt Options) ([]int32, int) {
-	n, m := a.RowsN, a.ColsN
-	cmatch := make([]int32, m)
-	for j := range cmatch {
-		cmatch[j] = NIL
-	}
-	base := xrand.Base(opt.Seed)
-	tot := opt.RowTotals
-	opt.pool().For(n, opt.Workers, opt.Policy, opt.chunk(), func(_, lo, hi int) {
-		oneSidedRange(a, dc, tot, base, cmatch, lo, hi)
-	})
-	size := 0
-	for _, i := range cmatch {
-		if i != NIL {
-			size++
-		}
-	}
-	return cmatch, size
+	s := NewSession(a, nil, opt)
+	s.SetScaling(dr, dc, opt.RowTotals, nil)
+	return s.OneSided(opt.Seed)
 }
 
 // ChoiceGraph is the 1-out subgraph built by TwoSidedMatch: vertex u in
@@ -263,12 +243,15 @@ func (g *ChoiceGraph) ToCSR() *sparse.CSR {
 
 // KarpSipserMT runs Algorithm 4 on a choice graph and returns the match
 // array over the N+M vertex ids. On graphs built by TwoSidedMatch the
-// result is a maximum matching of the choice graph (Lemmas 1–3). All
-// cross-thread communication happens through atomics: a compare-and-swap
-// claims a neighbor, a fetch-and-add tracks the residual degree, so the
-// heuristic needs no locks, no vertex lists and no conflict queues. A
-// run whose regions get one worker has no other thread to synchronize
-// with and takes the branch-free serial form instead (see ksSerial).
+// result is a maximum matching of the choice graph (Lemmas 1–3). This is
+// the paper's kernel, kept for Fig. 4a and Table 3 in internal/bench and
+// for BenchmarkKarpSipserMTWidths; Session.TwoSided always runs ksSerial.
+// All cross-thread communication happens through atomics: a
+// compare-and-swap claims a neighbor, a fetch-and-add tracks the residual
+// degree, so the kernel needs no locks, no vertex lists and no conflict
+// queues, and which of two competing vertices wins a claim depends on the
+// schedule. A run whose regions get one worker has no other thread to
+// synchronize with and takes ksSerial instead.
 func KarpSipserMT(g *ChoiceGraph, opt Options) []int32 {
 	nm := g.N + g.M
 	match := make([]int32, nm)
@@ -493,13 +476,10 @@ type Result struct {
 	Graph *ChoiceGraph
 }
 
-// TwoSided runs TwoSidedMatch (Algorithm 3): sample row and column
-// choices from the scaled matrix, then match the resulting 1-out graph
-// exactly with KarpSipserMT. The two sampling loops are independent
-// (disjoint outputs, RNG streams keyed by element index), so they fuse
-// into a single parallel region — the columns of a row-imbalanced
-// instance fill the bubbles of the row loop and vice versa. Results are
-// identical to running them back to back.
+// TwoSided runs TwoSidedMatch (Algorithm 3) on a throwaway Session: sample
+// row and column choices from the scaled matrix in one parallel region,
+// then match the resulting 1-out graph exactly with ksSerial. See
+// Session.TwoSided.
 func TwoSided(a, at *sparse.CSR, dr, dc []float64, opt Options) *Result {
 	s := NewSession(a, at, opt)
 	s.SetScaling(dr, dc, opt.RowTotals, opt.ColTotals)

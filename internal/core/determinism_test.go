@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
@@ -35,10 +36,10 @@ func cmpI32s(t *testing.T, what string, got, want []int32) {
 // scaling stage's exported row/column totals into the samplers must
 // reproduce the exact choices of the on-the-fly sum, for every worker
 // count and policy — the totals are the same floating-point values the
-// sum pass would recompute. The full TwoSided match array is compared at
-// one worker only: at parallel widths the Karp–Sipser pairing depends on
-// CAS claim order (the size does not — the kernel is exact on the
-// deterministic choice graph).
+// sum pass would recompute. TwoSided's full match array must equal the
+// one-worker run's, with and without the totals, at every width: the
+// choices do not depend on the schedule, and Karp–Sipser runs on the
+// calling goroutine.
 func TestSamplingWithTotalsBitIdentical(t *testing.T) {
 	mats := map[string]*sparse.CSR{
 		"er": gen.ERAvgDeg(1500, 1500, 5, 21),
@@ -46,6 +47,7 @@ func TestSamplingWithTotalsBitIdentical(t *testing.T) {
 	}
 	for name, a := range mats {
 		at, sc := scaledSK(t, a, 5)
+		ref := TwoSided(a, at, sc.DR, sc.DC, Options{Workers: 1, Policy: par.Dynamic, Chunk: 128, Seed: 7})
 		for _, w := range []int{1, 2, 4, 9} {
 			for _, pol := range []par.Policy{par.Static, par.Dynamic, par.Guided} {
 				plain := Options{Workers: w, Policy: pol, Chunk: 128, KSPolicy: par.Guided, Seed: 7}
@@ -61,9 +63,9 @@ func TestSamplingWithTotalsBitIdentical(t *testing.T) {
 
 				rf := TwoSided(a, at, sc.DR, sc.DC, fast)
 				rp := TwoSided(a, at, sc.DR, sc.DC, plain)
-				if w == 1 {
-					cmpI32s(t, name+" two-sided match", rf.Match, rp.Match)
-				}
+				what := fmt.Sprintf("%s w=%d %v", name, w, pol)
+				cmpI32s(t, what+" two-sided match", rf.Match, rp.Match)
+				cmpI32s(t, what+" two-sided match vs one worker", rf.Match, ref.Match)
 				if rf.Matching.Size != rp.Matching.Size {
 					t.Fatalf("%s: fused size %d vs plain %d", name, rf.Matching.Size, rp.Matching.Size)
 				}
@@ -72,13 +74,9 @@ func TestSamplingWithTotalsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTwoSidedDeterministicAcrossPoolsAndWorkers asserts what holds at
-// every worker count, policy and pool width under a fixed seed: the
-// matching size is identical (the kernel is exact on the deterministic
-// choice graph), and single-worker runs reproduce the full match array
-// bit for bit even when dispatched on wide pools. The per-edge pairing at
-// parallel widths is scheduling-dependent (CAS claim order) and is
-// deliberately not compared.
+// TestTwoSidedDeterministicAcrossPoolsAndWorkers asserts that a fixed seed
+// gives one matching at every worker count, policy and pool width: the
+// full match array, and hence the size, equals the one-worker run's.
 func TestTwoSidedDeterministicAcrossPoolsAndWorkers(t *testing.T) {
 	a := gen.FullyIndecomposable(2000, 3, 13)
 	at, sc := scaledSK(t, a, 5)
@@ -92,9 +90,7 @@ func TestTwoSidedDeterministicAcrossPoolsAndWorkers(t *testing.T) {
 				opt := base
 				opt.Workers, opt.Policy, opt.Pool = w, pol, pool
 				got := TwoSided(a, at, sc.DR, sc.DC, opt)
-				if w == 1 {
-					cmpI32s(t, "match", got.Match, want.Match)
-				}
+				cmpI32s(t, fmt.Sprintf("width=%d w=%d %v match", width, w, pol), got.Match, want.Match)
 				if got.Matching.Size != want.Matching.Size {
 					t.Fatalf("width=%d w=%d %v: size %d want %d",
 						width, w, pol, got.Matching.Size, want.Matching.Size)
@@ -105,34 +101,35 @@ func TestTwoSidedDeterministicAcrossPoolsAndWorkers(t *testing.T) {
 	}
 }
 
-// TestOneSidedSizeStableAcrossPools: OneSided's conflict resolution is
-// last-write-wins and therefore scheduling-dependent at >1 workers, but
-// the sampled choice of every row is deterministic — so the set of chosen
-// columns, and hence the matching size, is identical however the loop is
+// TestOneSidedSizeStableAcrossPools: every row's draw is deterministic and
+// the rows claim their columns in index order on the calling goroutine,
+// so the cmatch array — which row keeps each column, not only the set of
+// chosen columns and the size — is identical however the sampling loop is
 // scheduled.
 func TestOneSidedSizeStableAcrossPools(t *testing.T) {
 	a := gen.ERAvgDeg(3000, 3000, 6, 2)
 	_, sc := scaledSK(t, a, 5)
 	base := Options{Workers: 1, Policy: par.Dynamic, Seed: 5, RowTotals: sc.RSum}
-	_, want := OneSided(a, sc.DR, sc.DC, base)
+	wantC, want := OneSided(a, sc.DR, sc.DC, base)
 	pool := par.NewPool(3)
 	defer pool.Close()
 	for _, w := range []int{1, 3, 8} {
 		for _, pol := range []par.Policy{par.Static, par.Dynamic, par.Guided} {
 			opt := base
 			opt.Workers, opt.Policy, opt.Pool = w, pol, pool
-			if _, size := OneSided(a, sc.DR, sc.DC, opt); size != want {
+			gotC, size := OneSided(a, sc.DR, sc.DC, opt)
+			if size != want {
 				t.Fatalf("w=%d %v: size %d want %d", w, pol, size, want)
 			}
+			cmpI32s(t, fmt.Sprintf("w=%d %v cmatch", w, pol), gotC, wantC)
 		}
 	}
 }
 
 // TestConcurrentMatchingOnSharedPool runs whole TwoSided calls from
 // several goroutines against one pool; every caller must land the same
-// matching size as the solo run (the pairing is scheduling-dependent at
-// parallel widths). Under -race this exercises the dispatch path end to
-// end.
+// matching as the solo run, which equals the one-worker run. Under -race
+// this exercises the dispatch path end to end.
 func TestConcurrentMatchingOnSharedPool(t *testing.T) {
 	a := gen.ERAvgDeg(1000, 1000, 5, 31)
 	at, sc := scaledSK(t, a, 3)
@@ -141,6 +138,9 @@ func TestConcurrentMatchingOnSharedPool(t *testing.T) {
 	opt := Options{Workers: 4, Policy: par.Dynamic, KSPolicy: par.Guided, Seed: 3,
 		Pool: pool, RowTotals: sc.RSum, ColTotals: sc.CSum}
 	want := TwoSided(a, at, sc.DR, sc.DC, opt)
+	one := opt
+	one.Workers = 1
+	cmpI32s(t, "solo run vs one worker", want.Match, TwoSided(a, at, sc.DR, sc.DC, one).Match)
 	const callers = 6
 	results := make([]*Result, callers)
 	done := make(chan int, callers)
@@ -157,5 +157,6 @@ func TestConcurrentMatchingOnSharedPool(t *testing.T) {
 		if r.Matching.Size != want.Matching.Size {
 			t.Fatalf("caller %d: size %d want %d", c, r.Matching.Size, want.Matching.Size)
 		}
+		cmpI32s(t, fmt.Sprintf("caller %d match", c), r.Match, want.Match)
 	}
 }

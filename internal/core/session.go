@@ -10,27 +10,27 @@ import (
 
 // Session is the reusable-workspace form of the matching pipeline: it is
 // bound to one matrix (and its transpose) and owns every buffer the
-// OneSided and TwoSided kernels touch — the ChoiceGraph the sampling
-// region writes vertex ids into, the match/mark/deg arrays of Algorithm 4,
-// the cmatch array and the decoded matching — plus the parallel loop
-// bodies themselves, built once at construction. Repeated calls therefore
+// OneSided and TwoSided kernels touch — OneSided's row draws and cmatch
+// array, the ChoiceGraph TwoSided's sampling region writes vertex ids
+// into, the match/mark/deg arrays of Algorithm 4 and the decoded matching
+// — plus the sampling region's loop body, built once at construction.
+// Each call sizes only the buffers it uses, so a session that only runs
+// OneSided never sizes TwoSided's. Repeated calls therefore
 // perform no steady-state allocations: a call sets the per-call RNG bases,
-// dispatches the prebuilt bodies on the (recycled) loop runtime, and
-// decodes into the resident matching. Results are bit-identical to the
-// one-shot functions — which are themselves thin wrappers over a
-// throwaway Session — wherever those are deterministic: everywhere at one
-// worker; choices, sizes and scaling-derived state at any width (the
-// parallel kernels' per-edge pairing depends on CAS claim order, session
-// or not). TestSessionReuseBitIdentical gates that.
+// dispatches the prebuilt body on the (recycled) loop runtime, and
+// decodes into the resident matching.
 //
-// TwoSided samples each side in its degree order at every width (see
-// sparse.DegreeOrder): SetDegreeOrders installs orders the caller keeps,
-// and a session without them builds its own on its first TwoSided call
-// after NewSession or Rebind. A TwoSided call whose Karp–Sipser regions get one
-// worker runs the branch-free serial kernel, ksSerial, which polls the
+// Both heuristics sample in one parallel region, in each side's degree
+// order (see sparse.DegreeOrder), and then match on the calling
+// goroutine: OneSided claims its columns in index order, TwoSided runs
+// the branch-free serial Karp–Sipser kernel, ksSerial, which polls the
 // cancellation hook every chunk like any region
-// (TestSessionWidth1CancelMidKarpSipser); wider calls run the atomic
-// kernel.
+// (TestSessionWidth1CancelMidKarpSipser). A call's result is therefore
+// the same at every worker count, policy and pool width, and equal to the
+// one-shot functions, which are themselves thin wrappers over a throwaway
+// Session; TestSessionReuseBitIdentical gates that. SetDegreeOrders
+// installs orders the caller keeps, and a session without them builds its
+// own on its first call after NewSession or Rebind.
 //
 // The returned Result/Matching/choice slices alias the session and are
 // only valid until the next call on the same Session (or Rebind); callers
@@ -47,8 +47,8 @@ type Session struct {
 	dr, dc     []float64
 	rtot, ctot []float64
 
-	// Per-call RNG bases, written before the bodies are dispatched.
-	rbase, cbase, obase uint64
+	// Per-call RNG bases, written before the sampling region is dispatched.
+	rbase, cbase uint64
 
 	// cancel, when non-nil, is the cooperative cancellation hook: every
 	// parallel region polls it between chunks (par.ForCancel) and the
@@ -57,13 +57,12 @@ type Session struct {
 
 	// Degree orders of a and at; see SetDegreeOrders.
 	rord, cord *sparse.DegreeOrder
-	// The two sides of the sampling region, set up by each TwoSided call.
+	// The two sides of the sampling region, set up by each call.
 	rside, cside drawSide
 
+	ochoice, cmatch  []int32 // OneSided: each row's column draw (or NIL), and the claims
 	cg               ChoiceGraph
 	match, mark, deg []int32
-	twoSidedSized    bool // the four buffers above are sized for (a, at)
-	cmatch           []int32
 
 	// Alias-method sampling tables (Options.Alias); stale until the next
 	// ensureAlias after Rebind or SetScaling.
@@ -72,30 +71,26 @@ type Session struct {
 	matching        exact.Matching
 	result          Result
 
-	sampleBoth func(w, lo, hi int)
-	oneSided   func(w, lo, hi int)
-	ksInit     func(w, lo, hi int)
-	ksLink     func(w, lo, hi int)
-	ksPhase1   func(w, lo, hi int)
-	ksPhase2   func(w, lo, hi int)
+	sample func(w, lo, hi int)
 }
 
-// NewSession binds a session to the matrix a and its transpose at. The
-// pool, worker count and scheduling policies are pinned from opt at
-// construction (opt.Seed and the totals are ignored here; seeds are per
-// call and scaling state is set with SetScaling).
+// NewSession binds a session to the matrix a and its transpose at (nil
+// for a session that only runs OneSided). The pool, worker count and
+// scheduling policies are pinned from opt at construction (opt.Seed and
+// the totals are ignored here; seeds are per call and scaling state is
+// set with SetScaling).
 func NewSession(a, at *sparse.CSR, opt Options) *Session {
 	s := &Session{opt: opt, pool: opt.pool(), chunk: opt.chunk()}
-	// The bodies read the session fields at execution time, so one set of
-	// closures survives Rebind, SetScaling and per-call reseeding.
+	// The body reads the session fields at execution time, so one closure
+	// survives Rebind, SetScaling and per-call reseeding.
 	//
-	// Row and column sampling fuse into one region over [0, n+m): the two
-	// loops are independent (disjoint outputs, RNG streams keyed by the
-	// element index), so a single dispatch interleaves them freely — the
-	// columns of a row-imbalanced instance fill the bubbles of the row
-	// loop and vice versa — and the sampled choices are identical to
-	// running them back to back.
-	s.sampleBoth = func(_, lo, hi int) {
+	// The region runs over [0, n+m) for TwoSided and [0, n) for OneSided:
+	// the row and column loops are independent (disjoint outputs, RNG
+	// streams keyed by the element index), so a single dispatch
+	// interleaves them freely — the columns of a row-imbalanced instance
+	// fill the bubbles of the row loop and vice versa — and the sampled
+	// choices are identical to running them back to back.
+	s.sample = func(_, lo, hi int) {
 		n := s.a.RowsN
 		if lo < n {
 			if s.aliasBuilt {
@@ -112,60 +107,27 @@ func NewSession(a, at *sparse.CSR, opt Options) *Session {
 			}
 		}
 	}
-	s.oneSided = func(_, lo, hi int) {
-		if s.aliasBuilt {
-			aliasOneSidedRange(s.a, &s.aliasA, s.obase, s.cmatch, lo, hi)
-		} else {
-			oneSidedRange(s.a, s.dc, s.rtot, s.obase, s.cmatch, lo, hi)
-		}
-	}
-	s.ksInit = func(_, lo, hi int) { ksInitRange(s.match, s.mark, s.deg, lo, hi) }
-	s.ksLink = func(_, lo, hi int) { ksLinkRange(s.cg.Choice, s.mark, s.deg, lo, hi) }
-	s.ksPhase1 = func(_, lo, hi int) { ksPhase1Range(s.cg.Choice, s.match, s.mark, s.deg, lo, hi) }
-	s.ksPhase2 = func(_, lo, hi int) { ksPhase2Range(s.cg.Choice, s.match, s.cg.N, lo, hi) }
 	s.Rebind(a, at)
 	return s
 }
 
-// Rebind points the session at a different matrix, growing the workspaces
-// as needed (shrinking never reallocates, so cycling through same-shaped
-// graphs is allocation-free after the first). The TwoSided-only buffers
-// (choice graph, match/mark/deg) are sized lazily on the first TwoSided
-// call, so a session used only for OneSided — including the one inside the
-// one-shot wrapper — never pays the ~4·(n+m) words they cost. Scaling
-// state and degree orders are cleared; call SetScaling (and
-// SetDegreeOrders) before the next matching call that needs them.
+// Rebind points the session at a different matrix. The workspaces are
+// resized by the next call that uses them (shrinking never reallocates,
+// so cycling through same-shaped graphs is allocation-free after the
+// first). Scaling state and degree orders are cleared; call SetScaling
+// (and SetDegreeOrders) before the next matching call that needs them.
 func (s *Session) Rebind(a, at *sparse.CSR) {
 	s.a, s.at = a, at
 	s.rord, s.cord = nil, nil
-	n, m := a.RowsN, a.ColsN
-	s.cg.N, s.cg.M = n, m
-	s.twoSidedSized = false
-	s.cmatch = buf.Grow(s.cmatch, m)
-	s.matching.RowMate = buf.Grow(s.matching.RowMate, n)
-	s.matching.ColMate = buf.Grow(s.matching.ColMate, m)
-	s.matching.Size = 0
+	s.cg.N, s.cg.M = a.RowsN, a.ColsN
 	s.SetScaling(nil, nil, nil, nil)
 }
 
-// ensureTwoSided sizes the TwoSided-only workspaces for the bound matrix
-// and builds the degree orders the caller did not install.
-func (s *Session) ensureTwoSided() {
-	if s.rord == nil {
-		s.rord = sparse.NewDegreeOrder(s.a)
-	}
-	if s.cord == nil {
-		s.cord = sparse.NewDegreeOrder(s.at)
-	}
-	if s.twoSidedSized {
-		return
-	}
-	n, m := s.a.RowsN, s.a.ColsN
-	s.cg.Choice = buf.Grow(s.cg.Choice, n+m)
-	s.match = buf.Grow(s.match, n+m)
-	s.mark = buf.Grow(s.mark, n+m)
-	s.deg = buf.Grow(s.deg, n+m)
-	s.twoSidedSized = true
+// decoded returns the session's matching, sized for the bound matrix.
+func (s *Session) decoded() *exact.Matching {
+	s.matching.RowMate = buf.Grow(s.matching.RowMate, s.a.RowsN)
+	s.matching.ColMate = buf.Grow(s.matching.ColMate, s.a.ColsN)
+	return &s.matching
 }
 
 // SetCancel installs (or clears, with nil) the session's cooperative
@@ -194,7 +156,7 @@ func (s *Session) SetScaling(dr, dc, rowTotals, colTotals []float64) {
 }
 
 // SetDegreeOrders installs the degree orders of the bound matrix (rows)
-// and of its transpose (cols) for TwoSided's sampling region to walk. The
+// and of its transpose (cols) for the sampling region to walk. The
 // orders are retained, not copied; Rebind clears them.
 func (s *Session) SetDegreeOrders(rows, cols *sparse.DegreeOrder) { s.rord, s.cord = rows, cols }
 
@@ -202,67 +164,79 @@ func (s *Session) SetDegreeOrders(rows, cols *sparse.DegreeOrder) { s.rord, s.co
 func (s *Session) Matrix() *sparse.CSR { return s.a }
 
 // TwoSided runs TwoSidedMatch (Algorithm 3) with the given seed on the
-// bound matrix, reusing every workspace. See TwoSided for the algorithm
-// and Session for the aliasing contract of the returned Result. If the
-// session's cancellation hook (SetCancel) fires mid-run, the call returns
-// nil and no result is produced.
+// bound matrix, reusing every workspace: it samples row and column
+// choices in one parallel region, then matches the 1-out graph with
+// ksSerial on the calling goroutine. See Session for the aliasing
+// contract of the returned Result. If the session's cancellation hook
+// (SetCancel) fires mid-run, the call returns nil and no result is
+// produced.
 func (s *Session) TwoSided(seed uint64) *Result {
 	if s.canceled() {
 		return nil
 	}
-	s.ensureTwoSided()
+	n, m := s.a.RowsN, s.a.ColsN
+	if s.rord == nil {
+		s.rord = sparse.NewDegreeOrder(s.a)
+	}
+	if s.cord == nil {
+		s.cord = sparse.NewDegreeOrder(s.at)
+	}
+	s.cg.Choice = buf.Grow(s.cg.Choice, n+m)
+	s.match = buf.Grow(s.match, n+m)
+	s.mark = buf.Grow(s.mark, n+m)
+	s.deg = buf.Grow(s.deg, n+m)
 	s.ensureAlias()
-	n, m := s.cg.N, s.cg.M
 	s.rbase = xrand.Base(seed)
 	s.cbase = xrand.Base(seed ^ colSeedSalt)
 	s.rside = drawSide{a: s.a, w: s.dc, tot: s.rtot, ord: s.rord, out: s.cg.Choice[:n], off: int32(n)}
 	s.cside = drawSide{a: s.at, w: s.dr, tot: s.ctot, ord: s.cord, out: s.cg.Choice[n:], loop: int32(n)}
-	s.pool.ForCancel(n+m, s.opt.Workers, s.opt.Policy, s.chunk, s.cancel, s.sampleBoth)
-
-	nm := n + m
-	w, pol := s.opt.Workers, s.opt.KSPolicy
-	if s.pool.Slots(nm, w) <= 1 {
-		ksSerial(s.cg.Choice, s.match, s.mark, s.deg, n, s.chunk, s.cancel)
-	} else {
-		s.pool.ForCancel(nm, w, pol, s.chunk, s.cancel, s.ksInit)
-		s.pool.ForCancel(nm, w, pol, s.chunk, s.cancel, s.ksLink)
-		s.pool.ForCancel(nm, w, pol, s.chunk, s.cancel, s.ksPhase1)
-		s.pool.ForCancel(m, w, pol, s.chunk, s.cancel, s.ksPhase2)
-	}
-	// One checkpoint after the sampling and kernel regions suffices: a hook
-	// that fired inside any of them left later regions unrun, so the
-	// decoded state below would be garbage either way.
+	s.pool.ForCancel(n+m, s.opt.Workers, s.opt.Policy, s.chunk, s.cancel, s.sample)
+	ksSerial(s.cg.Choice, s.match, s.mark, s.deg, n, s.chunk, s.cancel)
+	// One checkpoint after the sampling region and the kernel suffices: a
+	// hook that fired inside either left later work unrun, so the decoded
+	// state below would be garbage either way.
 	if s.canceled() {
 		return nil
 	}
 
-	decodeMatchInto(&s.cg, s.match, &s.matching)
+	decodeMatchInto(&s.cg, s.match, s.decoded())
 	s.result = Result{Match: s.match, Matching: &s.matching, Graph: &s.cg}
 	return &s.result
 }
 
 // OneSided runs OneSidedMatch (Algorithm 2) with the given seed on the
-// bound matrix. It returns the session-owned cmatch array and the matching
-// cardinality; see OneSided for the concurrency semantics. If the
-// session's cancellation hook (SetCancel) fires mid-run, the call returns
-// (nil, 0).
+// bound matrix. Every row draws one column in the sampling region; then,
+// on the calling goroutine, the rows claim their columns in index order,
+// so the largest row that chose a column keeps it — what the paper's
+// concurrent last-write-wins stores give when one worker runs them in
+// index order. It returns the session-owned cmatch array and the matching
+// cardinality. If the session's cancellation hook (SetCancel) fires
+// mid-run, the call returns (nil, 0).
 func (s *Session) OneSided(seed uint64) ([]int32, int) {
 	if s.canceled() {
 		return nil, 0
 	}
-	s.ensureAlias()
-	s.obase = xrand.Base(seed)
-	for j := range s.cmatch {
-		s.cmatch[j] = NIL
+	n := s.a.RowsN
+	if s.rord == nil {
+		s.rord = sparse.NewDegreeOrder(s.a)
 	}
-	s.pool.ForCancel(s.a.RowsN, s.opt.Workers, s.opt.Policy, s.chunk, s.cancel, s.oneSided)
+	s.ochoice = buf.Grow(s.ochoice, n)
+	s.cmatch = buf.Grow(s.cmatch, s.a.ColsN)
+	s.ensureAlias()
+	s.rbase = xrand.Base(seed)
+	s.rside = drawSide{a: s.a, w: s.dc, tot: s.rtot, ord: s.rord, out: s.ochoice, loop: NIL}
+	s.pool.ForCancel(n, s.opt.Workers, s.opt.Policy, s.chunk, s.cancel, s.sample)
 	if s.canceled() {
 		return nil, 0
 	}
+	for j := range s.cmatch {
+		s.cmatch[j] = NIL
+	}
 	size := 0
-	for _, i := range s.cmatch {
-		if i != NIL {
-			size++
+	for i, j := range s.ochoice {
+		if j != NIL {
+			size += b2i(s.cmatch[j] == NIL)
+			s.cmatch[j] = int32(i)
 		}
 	}
 	return s.cmatch, size
@@ -275,6 +249,6 @@ func (s *Session) OneSidedMatching(seed uint64) (*exact.Matching, int) {
 	if cmatch == nil {
 		return nil, 0
 	}
-	cmatchInto(cmatch, &s.matching)
+	cmatchInto(cmatch, s.decoded())
 	return &s.matching, size
 }

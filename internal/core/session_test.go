@@ -8,9 +8,8 @@ import (
 )
 
 // TestSessionReuseBitIdentical runs one Session through many seeds and
-// rebinds and checks every call reproduces the one-shot functions — bit
-// for bit at one worker; by size at parallel widths, where the kernel's
-// per-edge pairing is scheduling-dependent (for the one-shot path too).
+// rebinds and checks every call reproduces the one-shot functions bit for
+// bit, at one worker and at four.
 func TestSessionReuseBitIdentical(t *testing.T) {
 	a := gen.ERAvgDeg(1200, 1400, 4, 11)
 	b := gen.PowerLaw(900, 2, 1.8, 200, 7) // different shape: forces regrow
@@ -28,9 +27,7 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 			o.Seed, o.RowTotals, o.ColTotals = seed, scA.RSum, scA.CSum
 			want := TwoSided(a, at, scA.DR, scA.DC, o)
 			got := s.TwoSided(seed)
-			if w == 1 {
-				cmpI32s(t, "session match", got.Match[:len(want.Match)], want.Match)
-			}
+			cmpI32s(t, "session match", got.Match[:len(want.Match)], want.Match)
 			if got.Matching.Size != want.Matching.Size {
 				t.Fatalf("w=%d seed=%d: session size %d one-shot %d",
 					w, seed, got.Matching.Size, want.Matching.Size)
@@ -45,30 +42,26 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 		o.Seed, o.RowTotals, o.ColTotals = 3, scB.RSum, scB.CSum
 		want := TwoSided(b, bt, scB.DR, scB.DC, o)
 		got := s.TwoSided(3)
-		if w == 1 {
-			cmpI32s(t, "rebound match", got.Match[:len(want.Match)], want.Match)
-		}
+		cmpI32s(t, "rebound match", got.Match[:len(want.Match)], want.Match)
 		if got.Matching.Size != want.Matching.Size {
 			t.Fatalf("w=%d rebound: session size %d one-shot %d",
 				w, got.Matching.Size, want.Matching.Size)
 		}
 
-		// OneSided at one worker is fully deterministic: compare cmatch.
-		if w == 1 {
-			s.Rebind(a, at)
-			s.SetScaling(scA.DR, scA.DC, scA.RSum, scA.CSum)
-			o := opt
-			o.Seed, o.RowTotals = 9, scA.RSum
-			wantC, wantSize := OneSided(a, scA.DR, scA.DC, o)
-			gotC, gotSize := s.OneSided(9)
-			cmpI32s(t, "session cmatch", gotC[:len(wantC)], wantC)
-			if gotSize != wantSize {
-				t.Fatalf("one-sided size %d want %d", gotSize, wantSize)
-			}
-			mt, _ := s.OneSidedMatching(9)
-			if mt.Size != wantSize {
-				t.Fatalf("decoded one-sided size %d want %d", mt.Size, wantSize)
-			}
+		// OneSided on the rebound session: compare cmatch.
+		s.Rebind(a, at)
+		s.SetScaling(scA.DR, scA.DC, scA.RSum, scA.CSum)
+		o = opt
+		o.Seed, o.RowTotals = 9, scA.RSum
+		wantC, wantSize := OneSided(a, scA.DR, scA.DC, o)
+		gotC, gotSize := s.OneSided(9)
+		cmpI32s(t, "session cmatch", gotC[:len(wantC)], wantC)
+		if gotSize != wantSize {
+			t.Fatalf("one-sided size %d want %d", gotSize, wantSize)
+		}
+		mt, _ := s.OneSidedMatching(9)
+		if mt.Size != wantSize {
+			t.Fatalf("decoded one-sided size %d want %d", mt.Size, wantSize)
 		}
 	}
 }

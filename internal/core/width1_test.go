@@ -2,19 +2,24 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/par"
 	"repro/internal/sparse"
+	"repro/internal/xrand"
 )
 
-// The width-1 Karp–Sipser kernel is Algorithm 4 on one goroutine, with
-// plain loads and stores and branch-free vertex loops (ksSerial). Its
-// contract is bit-identity with the atomic kernel run in index order on
-// one goroutine, the schedule of a Workers: 1 run. ksAtomicReference is
-// that schedule; the tests below hold every width-1 entry point to it.
+// Both heuristics settle their conflicts on the calling goroutine, as the
+// paper's kernels would on one worker in index order. TwoSided's
+// Karp–Sipser kernel is Algorithm 4 with plain loads and stores and
+// branch-free vertex loops (ksSerial), and its contract is bit-identity
+// with the atomic kernel run in index order on one goroutine:
+// ksAtomicReference is that schedule. OneSided's claim pass must equal the
+// paper's store loop run the same way: oneSidedReference. The tests below
+// hold the entry points to them.
 
 // ksAtomicReference runs the atomic range bodies over the whole vertex
 // range, in index order, on the calling goroutine.
@@ -26,6 +31,99 @@ func ksAtomicReference(g *ChoiceGraph) []int32 {
 	ksPhase1Range(g.Choice, match, mark, deg, 0, nm)
 	ksPhase2Range(g.Choice, match, g.N, 0, g.M)
 	return match
+}
+
+// oneSidedReference is OneSided as the paper states it: every row, in
+// index order on the calling goroutine, draws one column with sampleRow's
+// prefix walk (or, with t non-nil, from the alias table t) and stores
+// itself into that column, so the last store — the largest row that chose
+// a column — wins. Session.OneSided must equal it at every width.
+func oneSidedReference(a *sparse.CSR, dc, tot []float64, t *aliasTable, seed uint64) []int32 {
+	cmatch := make([]int32, a.ColsN)
+	for j := range cmatch {
+		cmatch[j] = NIL
+	}
+	base := xrand.Base(seed)
+	var rng xrand.SplitMix64
+	for i := 0; i < a.RowsN; i++ {
+		rng.SetIndexed(base, i)
+		var j int32
+		if t != nil {
+			j = sampleRowAlias(a, t, i, &rng)
+		} else {
+			j = sampleRow(a, dc, i, tot, &rng)
+		}
+		if j != NIL {
+			atomic.StoreInt32(&cmatch[j], int32(i))
+		}
+	}
+	return cmatch
+}
+
+// TestOneSidedMatchesReference holds Session.OneSided and the one-shot
+// OneSided to oneSidedReference on Erdős–Rényi (one with empty rows and
+// columns), power-law and fully indecomposable inputs: scaled with and
+// without the exported totals, unscaled, and with the alias draw, at
+// widths 1 to 4 of a wide pool under static and guided schedules.
+func TestOneSidedMatchesReference(t *testing.T) {
+	mats := map[string]*sparse.CSR{
+		"er":      gen.ERAvgDeg(2500, 2300, 4, 3),
+		"er-thin": gen.ERAvgDeg(1800, 1900, 1.5, 8),
+		"pl":      gen.PowerLaw(2000, 2, 1.8, 400, 9),
+		"fi":      gen.FullyIndecomposable(2200, 3, 5),
+	}
+	wide := par.NewPool(4)
+	defer wide.Close()
+	for name, a := range mats {
+		at, sc := scaledSK(t, a, 5)
+		inputs := []struct {
+			name   string
+			dr, dc []float64
+			rtot   []float64
+			alias  bool
+		}{
+			{"scaled", sc.DR, sc.DC, nil, false},
+			{"scaled+totals", sc.DR, sc.DC, sc.RSum, false},
+			{"unscaled", nil, nil, nil, false},
+			{"alias", sc.DR, sc.DC, sc.RSum, true},
+		}
+		for _, in := range inputs {
+			var table *aliasTable
+			if in.alias {
+				table = &aliasTable{}
+				table.build(a, in.dc)
+			}
+			for _, seed := range []uint64{1, 77} {
+				want := oneSidedReference(a, in.dc, in.rtot, table, seed)
+				wantSize := 0
+				for _, i := range want {
+					wantSize += b2i(i != NIL)
+				}
+				for w := 1; w <= 4; w++ {
+					for _, pol := range []par.Policy{par.Static, par.Guided} {
+						what := fmt.Sprintf("%s %s seed=%d w=%d %v", name, in.name, seed, w, pol)
+						opt := Options{Workers: w, Policy: pol, Chunk: 64, Seed: seed, Pool: wide,
+							RowTotals: in.rtot, Alias: in.alias}
+						s := NewSession(a, at, opt)
+						s.SetScaling(in.dr, in.dc, in.rtot, nil)
+						got, size := s.OneSided(seed)
+						cmpI32s(t, what+" session", got, want)
+						if size != wantSize {
+							t.Fatalf("%s: size %d want %d", what, size, wantSize)
+						}
+						if s.cg.Choice != nil || s.match != nil || s.mark != nil || s.deg != nil {
+							t.Fatalf("%s: a OneSided call sized TwoSided's buffers", what)
+						}
+						got, size = OneSided(a, in.dr, in.dc, opt)
+						cmpI32s(t, what+" one-shot", got, want)
+						if size != wantSize {
+							t.Fatalf("%s: one-shot size %d want %d", what, size, wantSize)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // checkKSMatching fails unless match is a valid matching of the choice

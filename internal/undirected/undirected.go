@@ -9,13 +9,14 @@
 // Sipser is exact on such pseudoforests, but unlike the bipartite case the
 // surviving cycles can be odd, so the second phase walks each cycle and
 // matches alternating edges instead of using the bipartite column-side
-// trick.
+// trick. Sampling runs in parallel and Karp–Sipser on the calling
+// goroutine, so a matching is the same at every worker count, policy and
+// pool width.
 package undirected
 
 import (
 	"errors"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/par"
 	"repro/internal/sparse"
@@ -54,6 +55,16 @@ type Options struct {
 	Policy  par.Policy
 	Chunk   int
 	Seed    uint64
+	// Pool is the worker pool the scaling and sampling regions dispatch
+	// to; nil means the process-wide par.Default pool.
+	Pool *par.Pool
+}
+
+func (o Options) pool() *par.Pool {
+	if o.Pool != nil {
+		return o.Pool
+	}
+	return par.Default()
 }
 
 func (o Options) chunk() int {
@@ -67,8 +78,9 @@ func (o Options) chunk() int {
 // d[i]·a_ij·d[j] approaches symmetric doubly stochastic form, using the
 // symmetry-preserving iteration of Knight, Ruiz and Uçar (each step
 // divides d by the square root of the current row sums). It returns d and
-// the final error max_i |rowsum_i − 1|.
-func ScaleSymmetric(a *sparse.CSR, iters, workers int) ([]float64, float64) {
+// the final error max_i |rowsum_i − 1|. Each row is summed on one worker,
+// so d is the same at every width.
+func ScaleSymmetric(a *sparse.CSR, iters int, opt Options) ([]float64, float64) {
 	n := a.RowsN
 	d := make([]float64, n)
 	for i := range d {
@@ -76,7 +88,7 @@ func ScaleSymmetric(a *sparse.CSR, iters, workers int) ([]float64, float64) {
 	}
 	rsum := make([]float64, n)
 	compute := func() {
-		par.For(n, workers, par.Dynamic, par.DefaultChunk, func(_, lo, hi int) {
+		opt.pool().For(n, opt.Workers, opt.Policy, opt.chunk(), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				s := 0.0
 				for p := a.Ptr[i]; p < a.Ptr[i+1]; p++ {
@@ -92,7 +104,7 @@ func ScaleSymmetric(a *sparse.CSR, iters, workers int) ([]float64, float64) {
 	}
 	for it := 0; it < iters; it++ {
 		compute()
-		par.For(n, workers, par.Dynamic, par.DefaultChunk, func(_, lo, hi int) {
+		opt.pool().For(n, opt.Workers, opt.Policy, opt.chunk(), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if rsum[i] > 0 {
 					d[i] /= math.Sqrt(rsum[i])
@@ -119,7 +131,7 @@ func SampleChoices(a *sparse.CSR, d []float64, opt Options) []int32 {
 	n := a.RowsN
 	choice := make([]int32, n)
 	base := xrand.Base(opt.Seed)
-	par.For(n, opt.Workers, opt.Policy, opt.chunk(), func(_, lo, hi int) {
+	opt.pool().For(n, opt.Workers, opt.Policy, opt.chunk(), func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			rng := xrand.Indexed(base, u)
 			choice[u] = sampleNeighbor(a, d, u, &rng)
@@ -168,69 +180,63 @@ func weight(a *sparse.CSR, d []float64, p int) float64 {
 }
 
 // KarpSipser1Out computes a maximum matching of the 1-out subgraph defined
-// by choice (choice[u] = NIL for isolated vertices). Phase 1 is the same
-// lock-free out-one chain consumption as the bipartite KarpSipserMT; the
-// residual graph is a disjoint union of cycles and 2-cliques, which a
-// cycle-walking second phase matches optimally ((len-1)/2 edges on odd
-// cycles, len/2 on even ones).
-func KarpSipser1Out(choice []int32, opt Options) []int32 {
+// by choice (choice[u] = NIL for isolated vertices) on the calling
+// goroutine. Phase 1 is the out-one chain consumption of the bipartite
+// kernel run in index order; the residual graph is a disjoint union of
+// cycles and 2-cliques, which a cycle-walking second phase matches
+// optimally ((len-1)/2 edges on odd cycles, len/2 on even ones).
+func KarpSipser1Out(choice []int32) []int32 {
 	n := len(choice)
 	match := make([]int32, n)
 	mark := make([]int32, n)
 	deg := make([]int32, n)
-
-	par.For(n, opt.Workers, opt.Policy, opt.chunk(), func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			match[u] = NIL
-			mark[u] = 1
-			deg[u] = 1
+	for u := range match {
+		match[u] = NIL
+		mark[u] = 1
+		deg[u] = 1
+	}
+	for u, v := range choice {
+		if v == NIL || int(v) == u {
+			continue
 		}
-	})
-	par.For(n, opt.Workers, opt.Policy, opt.chunk(), func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			v := choice[u]
-			if v == NIL || int(v) == u {
-				continue
-			}
-			atomic.StoreInt32(&mark[v], 0)
-			if choice[v] != int32(u) {
-				atomic.AddInt32(&deg[v], 1)
-			}
+		mark[v] = 0
+		if choice[v] != int32(u) {
+			deg[v]++
 		}
-	})
+	}
 
-	// Phase 1: out-one chains, identical to the bipartite kernel.
-	par.For(n, opt.Workers, opt.Policy, opt.chunk(), func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			if atomic.LoadInt32(&mark[u]) != 1 || choice[u] == NIL || int(choice[u]) == u {
-				continue
+	// Phase 1: out-one chains, as in the bipartite kernel.
+	for u := range choice {
+		if mark[u] != 1 || choice[u] == NIL || int(choice[u]) == u {
+			continue
+		}
+		curr := int32(u)
+		for curr != NIL {
+			nbr := choice[curr]
+			if nbr == NIL || nbr == curr {
+				break // chain ran into a vertex with no out-edge
 			}
-			curr := int32(u)
-			for curr != NIL {
-				nbr := choice[curr]
-				if nbr == NIL || nbr == curr {
-					break // chain ran into a vertex with no out-edge
-				}
-				if atomic.CompareAndSwapInt32(&match[nbr], NIL, curr) {
-					atomic.StoreInt32(&match[curr], nbr)
-					next := choice[nbr]
-					if next != NIL && next != nbr &&
-						atomic.LoadInt32(&match[next]) == NIL &&
-						atomic.AddInt32(&deg[next], -1) == 1 {
+			if match[nbr] == NIL {
+				match[nbr] = curr
+				match[curr] = nbr
+				next := choice[nbr]
+				if next != NIL && next != nbr && match[next] == NIL {
+					deg[next]--
+					if deg[next] == 1 {
 						curr = next
 						continue
 					}
 				}
-				curr = NIL
 			}
+			curr = NIL
 		}
-	})
+	}
 
 	// Phase 2: remaining unmatched vertices lie on pure choice-cycles
 	// (u -> choice[u] -> ... -> u, all unmatched). Walk each cycle once,
 	// matching alternating edges; odd cycles leave exactly one vertex
-	// free. Sequential: total cycle mass is tiny (O(sqrt(n)) expected on
-	// random 1-out graphs), and correctness is the priority here.
+	// free. Total cycle mass is tiny (O(sqrt(n)) expected on random 1-out
+	// graphs).
 	visited := make([]bool, n)
 	for u := 0; u < n; u++ {
 		if match[u] != NIL || visited[u] || choice[u] == NIL || int(choice[u]) == u {
@@ -286,10 +292,10 @@ func (g *Graph) Match(scalingIters int, opt Options) *Result {
 	var d []float64
 	var errv float64
 	if scalingIters > 0 {
-		d, errv = ScaleSymmetric(g.A, scalingIters, opt.Workers)
+		d, errv = ScaleSymmetric(g.A, scalingIters, opt)
 	}
 	choices := SampleChoices(g.A, d, opt)
-	match := KarpSipser1Out(choices, opt)
+	match := KarpSipser1Out(choices)
 	size := 0
 	for u, v := range match {
 		if v != NIL && int(v) > u {

@@ -114,9 +114,9 @@ func TestNewRejectsAsymmetric(t *testing.T) {
 
 // TestKarpSipser1OutExactOnRandomChoices is the undirected analog of the
 // bipartite exactness test: the kernel must match the bitmask-DP maximum
-// on random functional (1-out) graphs, at several worker counts.
+// on random functional (1-out) graphs.
 func TestKarpSipser1OutExactOnRandomChoices(t *testing.T) {
-	f := func(seed uint64, w uint8) bool {
+	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		n := 3 + rng.Intn(16) // oracle limit
 		choice := make([]int32, n)
@@ -128,7 +128,7 @@ func TestKarpSipser1OutExactOnRandomChoices(t *testing.T) {
 				choice[u] = int32(v)
 			}
 		}
-		match := KarpSipser1Out(choice, opts(int(w)%4+1, seed))
+		match := KarpSipser1Out(choice)
 		// Validity: mutual partners along choice edges.
 		for u, v := range match {
 			if v == NIL {
@@ -151,13 +151,13 @@ func TestKarpSipser1OutExactOnRandomChoices(t *testing.T) {
 func TestKarpSipser1OutHandlesOddCycles(t *testing.T) {
 	// A directed 5-cycle of choices: maximum matching is 2.
 	choice := []int32{1, 2, 3, 4, 0}
-	match := KarpSipser1Out(choice, opts(1, 1))
+	match := KarpSipser1Out(choice)
 	if matchSize(match) != 2 {
 		t.Fatalf("5-cycle matched %d want 2", matchSize(match))
 	}
 	// Even 6-cycle: perfect matching 3.
 	choice = []int32{1, 2, 3, 4, 5, 0}
-	match = KarpSipser1Out(choice, opts(2, 1))
+	match = KarpSipser1Out(choice)
 	if matchSize(match) != 3 {
 		t.Fatalf("6-cycle matched %d want 3", matchSize(match))
 	}
@@ -165,7 +165,7 @@ func TestKarpSipser1OutHandlesOddCycles(t *testing.T) {
 
 func TestKarpSipser1OutTwoClique(t *testing.T) {
 	choice := []int32{1, 0, NIL}
-	match := KarpSipser1Out(choice, opts(1, 1))
+	match := KarpSipser1Out(choice)
 	if match[0] != 1 || match[1] != 0 || match[2] != NIL {
 		t.Fatalf("2-clique mishandled: %v", match)
 	}
@@ -173,7 +173,7 @@ func TestKarpSipser1OutTwoClique(t *testing.T) {
 
 func TestScaleSymmetricConverges(t *testing.T) {
 	g := randomUndirected(500, 6, 3)
-	d, err := ScaleSymmetric(g.A, 200, 2)
+	d, err := ScaleSymmetric(g.A, 200, opts(2, 0))
 	if err > 0.05 {
 		t.Fatalf("symmetric scaling error %v", err)
 	}
@@ -227,15 +227,33 @@ func TestMatchPerfectGraphClasses(t *testing.T) {
 	}
 }
 
+// TestMatchSizeDeterministicAcrossWorkers: for a fixed seed the size and
+// the mates are the same at every worker count and pool width, scaled and
+// unscaled.
 func TestMatchSizeDeterministicAcrossWorkers(t *testing.T) {
 	g := randomUndirected(3000, 4, 11)
-	sizes := map[int]bool{}
-	for _, w := range []int{1, 2, 4, 8} {
-		res := g.Match(3, opts(w, 42))
-		sizes[res.Size] = true
-	}
-	if len(sizes) != 1 {
-		t.Fatalf("size varies with workers: %v", sizes)
+	wide := par.NewPool(4)
+	defer wide.Close()
+	for _, iters := range []int{0, 3} {
+		want := g.Match(iters, opts(1, 42))
+		sizes := map[int]bool{}
+		for _, pool := range []*par.Pool{nil, wide} {
+			for _, w := range []int{1, 2, 4, 8} {
+				o := opts(w, 42)
+				o.Pool = pool
+				res := g.Match(iters, o)
+				sizes[res.Size] = true
+				for u := range want.Match {
+					if res.Match[u] != want.Match[u] {
+						t.Fatalf("iters=%d w=%d wide=%v: mate of %d is %d, want %d",
+							iters, w, pool != nil, u, res.Match[u], want.Match[u])
+					}
+				}
+			}
+		}
+		if len(sizes) != 1 {
+			t.Fatalf("iters=%d: size varies with workers: %v", iters, sizes)
+		}
 	}
 }
 
@@ -273,7 +291,7 @@ func TestIsolatedVerticesStayNIL(t *testing.T) {
 	if c[2] != NIL || c[3] != NIL {
 		t.Fatalf("isolated vertices sampled: %v", c)
 	}
-	match := KarpSipser1Out(c, opts(2, 1))
+	match := KarpSipser1Out(c)
 	if match[2] != NIL || match[3] != NIL {
 		t.Fatal("isolated vertices matched")
 	}

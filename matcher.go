@@ -17,13 +17,13 @@ var ErrCanceled = errors.New("bipartite: matching canceled")
 
 // Matcher is a reusable matching session bound to one graph; Run executes
 // Specs on it. It owns preallocated workspaces for every pipeline stage —
-// row and column choice buffers, the 1-out choice graph, the Karp–Sipser
-// match and degree arrays, the refinement buffers — so repeated Run calls
-// perform near-zero allocations (a reused TwoSided Run stays within two
+// OneSided's row draws, the 1-out choice graph, the Karp–Sipser match and
+// degree arrays, the refinement buffers — so repeated Run calls perform
+// near-zero allocations (a reused TwoSided Run stays within two
 // allocations at one worker). Graph.Match is Run on a throwaway Matcher,
-// so a reused session reproduces the one-shot call exactly wherever the
-// pipeline is deterministic (see the package-level determinism contract —
-// everything at Workers: 1; choices, scalings and sizes at any width).
+// so a reused session reproduces the one-shot call exactly (for
+// AlgKarpSipserParallel, at Workers: 1; see the package-level
+// determinism contract).
 //
 // The scaling is seed- and width-independent, so the bound Graph keeps it
 // (one per iteration count) and shares it read-only with every Matcher,
@@ -95,7 +95,7 @@ func (g *Graph) NewMatcher(opt *Options) *Matcher {
 // construction is invisible to the callers.
 func (m *Matcher) session() *core.Session {
 	if m.sess == nil {
-		m.sess = core.NewSession(m.g.a, m.g.transpose(), m.opt.coreOptions(nil))
+		m.sess = core.NewSession(m.g.a, m.g.transpose(), m.opt.coreOptions())
 		m.sess.SetDegreeOrders(m.g.degreeOrders())
 		m.sess.SetCancel(m.cancel)
 		if m.sc != nil {

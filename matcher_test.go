@@ -49,12 +49,9 @@ func cmpScalings(t *testing.T, what string, got, want *Scaling) {
 
 // TestMatcherBitIdenticalToOneShot is the session-vs-one-shot oracle:
 // repeated TwoSided/OneSided Runs on one Matcher — interleaved seeds,
-// repeated seeds, several option sets — reproduce a fresh Graph.Match.
-// At one worker the comparison is the full matching bit for bit; at
-// parallel widths the per-edge pairing of the Karp–Sipser kernel is
-// scheduling-dependent (in the one-shot path too — CAS claim order), so
-// the pinned quantities are the size and the scaling vectors, which stay
-// bitwise (the only cross-worker reduction is an exact max).
+// repeated seeds, several option sets — reproduce a fresh Graph.Match:
+// the full matching bit for bit, its size, and the scaling vectors, at
+// every width.
 func TestMatcherBitIdenticalToOneShot(t *testing.T) {
 	graphs := map[string]*Graph{
 		"er": RandomER(1500, 1500, 4, 21),
@@ -79,9 +76,8 @@ func TestMatcherBitIdenticalToOneShot(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if base.Workers == 1 {
-					cmpMates(t, name+" two-sided", got.Matching, want.Matching)
-				} else if got.Matching.Size != want.Matching.Size {
+				cmpMates(t, name+" two-sided", got.Matching, want.Matching)
+				if got.Matching.Size != want.Matching.Size {
 					t.Fatalf("%s opt %d seed %d: two-sided size %d want %d",
 						name, oi, seed, got.Matching.Size, want.Matching.Size)
 				}
@@ -90,9 +86,6 @@ func TestMatcherBitIdenticalToOneShot(t *testing.T) {
 					t.Fatalf("%s opt %d seed %d: %v", name, oi, seed, err)
 				}
 
-				// OneSided's winners are scheduling-dependent above one
-				// worker too; its size is pinned by the deterministic
-				// chosen-column set.
 				gotOne, err := m.Run(Spec{Algorithm: AlgOneSided, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
@@ -101,9 +94,8 @@ func TestMatcherBitIdenticalToOneShot(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if base.Workers == 1 {
-					cmpMates(t, name+" one-sided", gotOne.Matching, wantOne.Matching)
-				} else if gotOne.Matching.Size != wantOne.Matching.Size {
+				cmpMates(t, name+" one-sided", gotOne.Matching, wantOne.Matching)
+				if gotOne.Matching.Size != wantOne.Matching.Size {
 					t.Fatalf("%s opt %d seed %d: one-sided size %d want %d",
 						name, oi, seed, gotOne.Matching.Size, wantOne.Matching.Size)
 				}
@@ -138,8 +130,6 @@ func TestMatcherResetReuse(t *testing.T) {
 		RandomER(1800, 1600, 3, 3), // bigger: regrow
 		RandomER(300, 400, 5, 4),   // smaller: reslice
 	}
-	// Workers: 1 keeps the comparison bitwise (the parallel kernel's
-	// pairing is scheduling-dependent; see TestMatcherBitIdenticalToOneShot).
 	opt := &Options{ScalingIterations: 5, Workers: 1}
 	m := gs[0].NewMatcher(opt)
 	for round := 0; round < 2; round++ { // second round re-visits warm shapes

@@ -27,10 +27,11 @@ type Options struct {
 	// Seed makes runs reproducible; 0 is replaced by 1.
 	Seed uint64
 	// Pool, when non-nil, is the worker pool every parallel stage of the
-	// call dispatches to — scaling sweeps, sampling and both Karp–Sipser
-	// phases reuse its resident workers. Nil uses the process-wide
-	// default pool. Servers that pin matching work to a subset of cores
-	// create one Pool at startup and pass it on every call.
+	// call dispatches to — scaling sweeps, sampling and the
+	// AlgKarpSipserParallel baseline reuse its resident workers. Nil uses
+	// the process-wide default pool. Servers that pin matching work to a
+	// subset of cores create one Pool at startup and pass it on every
+	// call.
 	Pool *Pool
 	// AliasSampling switches the sampling kernels' per-row neighbor draw
 	// from the O(deg) prefix walk to O(1) alias-method tables, built once
@@ -88,21 +89,15 @@ func (o *Options) normalized() Options {
 	return v
 }
 
-func (v Options) coreOptions(sc *Scaling) core.Options {
-	o := core.Options{
-		Workers:  v.Workers,
-		Policy:   par.Dynamic,
-		Chunk:    par.DefaultChunk,
-		KSPolicy: par.Guided,
-		Seed:     v.Seed,
-		Pool:     v.Pool.inner(),
-		Alias:    v.AliasSampling,
+func (v Options) coreOptions() core.Options {
+	return core.Options{
+		Workers: v.Workers,
+		Policy:  par.Dynamic,
+		Chunk:   par.DefaultChunk,
+		Seed:    v.Seed,
+		Pool:    v.Pool.inner(),
+		Alias:   v.AliasSampling,
 	}
-	if sc != nil {
-		o.RowTotals = sc.RowSums
-		o.ColTotals = sc.ColSums
-	}
-	return o
 }
 
 // Scaling is the result of a matrix scaling run: s_ij = DR[i]·DC[j] for

@@ -35,9 +35,9 @@ var ErrServerClosed = errors.New("bipartite: server closed")
 // expired context is answered without running kernels, and one that
 // expires mid-run aborts them at the next cooperative checkpoint.
 //
-// Responses are as deterministic as MatchBatch's: a function of
-// (Graph, Spec, Options) only — ensemble provenance included — however
-// requests are interleaved or batched.
+// Responses are those of MatchBatch: a function of (Graph, Spec, Options)
+// only — ensemble provenance included — however requests are interleaved
+// or batched.
 //
 // A server with ServerConfig.Watchdog enabled additionally protects
 // itself: a sampler of the process's own CPU and RSS drives a shedding

@@ -20,14 +20,14 @@ type Algorithm int
 const (
 	// AlgTwoSided runs the TwoSidedMatch heuristic (Algorithm 3): both
 	// sides sample one neighbor from the scaled matrix and the specialized
-	// parallel Karp–Sipser kernel (Algorithm 4) matches the sampled 1-out
-	// graph exactly; conjectured quality ≥ 2(1−ρ) ≈ 0.866 on matrices with
+	// Karp–Sipser kernel (Algorithm 4) matches the sampled 1-out graph
+	// exactly; conjectured quality ≥ 2(1−ρ) ≈ 0.866 on matrices with
 	// total support.
 	AlgTwoSided Algorithm = iota
 	// AlgOneSided runs the OneSidedMatch heuristic (Algorithm 2):
 	// Sinkhorn–Knopp scaling, then one scaling-weighted column choice per
-	// row with last-write-wins conflicts; guaranteed expected quality ≥
-	// 1−1/e ≈ 0.632 on matrices with total support.
+	// row, each column keeping the largest row that chose it; guaranteed
+	// expected quality ≥ 1−1/e ≈ 0.632 on matrices with total support.
 	AlgOneSided
 	// AlgKarpSipser runs the classic sequential Karp–Sipser baseline (the
 	// Table 1 baseline); MatchResult.KSStats reports its phase statistics.
@@ -200,9 +200,8 @@ type Spec struct {
 	// is wider than one worker the candidates fan out across the pool,
 	// each at width 1 on its own arena; otherwise they run one after
 	// another on the session's arena. Either way they are consumed in
-	// seed order, so the winner is deterministic, and so is its full
-	// matching wherever the candidates run at width 1 — the fan-out, and
-	// every Workers: 1 session. 0 or 1 means a single run.
+	// seed order, so the winner and its full matching are the same at
+	// every width. 0 or 1 means a single run.
 	Ensemble int
 
 	// Refine post-processes the winning heuristic matching; see
@@ -314,8 +313,8 @@ func (s Spec) Validate() error {
 //
 // A single run (Ensemble <= 1) calls the Algorithm's kernel once with the
 // resolved seed, reusing the cached scaling and workspaces, so it is
-// bit-identical to Graph.Match at the same options and seed wherever the
-// kernel is deterministic (everything at Workers: 1).
+// bit-identical to Graph.Match at the same seed, at any width (for
+// AlgKarpSipserParallel, at Workers: 1).
 //
 // Ensembles consume their K candidates strictly in seed order over one
 // shared scaling. On a session whose pool is wider than one worker the

@@ -39,60 +39,75 @@ func specConformanceGraphs() []struct {
 // cardinality Algorithm returns exactly what the internal kernel that
 // Algorithm names returns when called directly — same mates, same scaling
 // vectors, same Karp–Sipser phase statistics, a nil Scaling for the
-// algorithms that do not scale, and single-run provenance. Workers: 1
-// keeps the comparison bitwise (the package determinism contract). The
-// references never go through Matcher.Run, so a case of runOnce that runs
-// the wrong kernel fails here.
+// algorithms that do not scale, and single-run provenance. The references
+// run at width 1 and never go through Matcher.Run, so a case of runOnce
+// that runs the wrong kernel fails here. Graph.Match runs at Workers: 1
+// and on a pool of width 4, where every Algorithm but
+// AlgKarpSipserParallel must return the width-1 matching (the package
+// determinism contract); each row matches fresh graphs, so it computes its
+// own scalings.
 func TestSpecRunsItsKernel(t *testing.T) {
-	opt := &Options{ScalingIterations: 5, Workers: 1}
-	for _, tc := range specConformanceGraphs() {
-		a, at := tc.g.a, tc.g.transpose()
-		sk, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 5, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSc := &Scaling{DR: sk.DR, DC: sk.DC, Iterations: sk.Iters, Error: sk.Err}
-		for _, seed := range []uint64{1, 7, 42} {
-			co := coreOpts(1)
-			co.Seed, co.RowTotals, co.ColTotals = seed, sk.RSum, sk.CSum
-			cmatch, _ := core.OneSided(a, sk.DR, sk.DC, co)
-			ksMt, ksSt := ks.Run(a, at, seed)
-			for _, c := range []struct {
-				alg    Algorithm
-				want   *Matching
-				scaled bool
-				stats  *KarpSipserStats
-			}{
-				{AlgTwoSided, core.TwoSided(a, at, sk.DR, sk.DC, co).Matching, true, nil},
-				{AlgOneSided, core.CMatchToMatching(a.RowsN, cmatch), true, nil},
-				{AlgKarpSipser, ksMt, false, &ksSt},
-				{AlgKarpSipserParallel, ks.RunApprox(a, at, seed, 1), false, nil},
-				{AlgCheapEdge, cheap.RandomEdge(a, seed), false, nil},
-				{AlgCheapVertex, cheap.RandomVertex(a, seed), false, nil},
-			} {
-				name := fmt.Sprintf("%s seed %d %s", tc.name, seed, c.alg)
-				got, err := tc.g.Match(Spec{Algorithm: c.alg, Seed: seed}, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				cmpMates(t, name, got.Matching, c.want)
-				if c.scaled {
-					cmpScalings(t, name+" scaling", got.Scaling, wantSc)
-				} else if got.Scaling != nil {
-					t.Fatalf("%s: unexpected scaling in result", name)
-				}
-				if c.stats == nil {
-					if got.KSStats != nil {
-						t.Fatalf("%s: unexpected Karp–Sipser stats %+v", name, *got.KSStats)
+	wide := NewPool(4)
+	defer wide.Close()
+	for _, row := range []struct {
+		name string
+		opt  *Options
+	}{
+		{"workers 1", &Options{ScalingIterations: 5, Workers: 1}},
+		{"pool width 4", &Options{ScalingIterations: 5, Pool: wide}},
+	} {
+		for _, tc := range specConformanceGraphs() {
+			a, at := tc.g.a, tc.g.transpose()
+			sk, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 5, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSc := &Scaling{DR: sk.DR, DC: sk.DC, Iterations: sk.Iters, Error: sk.Err}
+			for _, seed := range []uint64{1, 7, 42} {
+				co := coreOpts(1)
+				co.Seed, co.RowTotals, co.ColTotals = seed, sk.RSum, sk.CSum
+				cmatch, _ := core.OneSided(a, sk.DR, sk.DC, co)
+				ksMt, ksSt := ks.Run(a, at, seed)
+				for _, c := range []struct {
+					alg    Algorithm
+					want   *Matching
+					scaled bool
+					stats  *KarpSipserStats
+				}{
+					{AlgTwoSided, core.TwoSided(a, at, sk.DR, sk.DC, co).Matching, true, nil},
+					{AlgOneSided, core.CMatchToMatching(a.RowsN, cmatch), true, nil},
+					{AlgKarpSipser, ksMt, false, &ksSt},
+					{AlgKarpSipserParallel, ks.RunApprox(a, at, seed, 1), false, nil},
+					{AlgCheapEdge, cheap.RandomEdge(a, seed), false, nil},
+					{AlgCheapVertex, cheap.RandomVertex(a, seed), false, nil},
+				} {
+					if c.alg == AlgKarpSipserParallel && row.opt.Workers != 1 {
+						continue // the Azad et al. baseline's pairing depends on the schedule
 					}
-				} else if got.KSStats == nil || *got.KSStats != *c.stats {
-					t.Fatalf("%s: Karp–Sipser stats %+v want %+v", name, got.KSStats, *c.stats)
-				}
-				if got.Candidates != 1 || got.WinnerSeed != seed || got.HeuristicSize != got.Matching.Size ||
-					got.Refined || got.RefinedWith != RefineNone {
-					t.Fatalf("%s: provenance (%d, %d, %d, %v, %s) want (1, %d, %d, false, none)", name,
-						got.Candidates, got.WinnerSeed, got.HeuristicSize, got.Refined, got.RefinedWith,
-						seed, got.Matching.Size)
+					name := fmt.Sprintf("%s %s seed %d %s", row.name, tc.name, seed, c.alg)
+					got, err := tc.g.Match(Spec{Algorithm: c.alg, Seed: seed}, row.opt)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					cmpMates(t, name, got.Matching, c.want)
+					if c.scaled {
+						cmpScalings(t, name+" scaling", got.Scaling, wantSc)
+					} else if got.Scaling != nil {
+						t.Fatalf("%s: unexpected scaling in result", name)
+					}
+					if c.stats == nil {
+						if got.KSStats != nil {
+							t.Fatalf("%s: unexpected Karp–Sipser stats %+v", name, *got.KSStats)
+						}
+					} else if got.KSStats == nil || *got.KSStats != *c.stats {
+						t.Fatalf("%s: Karp–Sipser stats %+v want %+v", name, got.KSStats, *c.stats)
+					}
+					if got.Candidates != 1 || got.WinnerSeed != seed || got.HeuristicSize != got.Matching.Size ||
+						got.Refined || got.RefinedWith != RefineNone {
+						t.Fatalf("%s: provenance (%d, %d, %d, %v, %s) want (1, %d, %d, false, none)", name,
+							got.Candidates, got.WinnerSeed, got.HeuristicSize, got.Refined, got.RefinedWith,
+							seed, got.Matching.Size)
+					}
 				}
 			}
 		}

@@ -93,15 +93,11 @@ func TestSpecRefineGraftAutoSelect(t *testing.T) {
 
 // TestSpecGraftBitIdenticalAcrossWidths gates the width contract of
 // graft-refined Specs through the public API, at Workers: 1 and at pool
-// widths 2 and 4. Ensembles (whose candidates run at width 1) and the
-// sequential cheap warm start must return the same matching — mates, not
-// just size — at every width. A single parallel TwoSided run takes its
-// warm start from the CAS-ordered Karp–Sipser kernel, whose pairing is
-// schedule-dependent (see the package's determinism contract), so graft
-// refines a different warm start on each schedule: for it the test
-// asserts what the contract promises — the sizes and the provenance.
-// internal/exact's TestGraftBitIdenticalAcrossWidths covers graft itself
-// from a fixed warm start.
+// widths 2 and 4: a single TwoSided run, the cheap warm start, and
+// ensembles (whose candidates run at width 1) must return the same
+// matching — mates, not just size — and the same provenance at every
+// width. internal/exact's TestGraftBitIdenticalAcrossWidths covers graft
+// itself from a fixed warm start.
 func TestSpecGraftBitIdenticalAcrossWidths(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -110,18 +106,14 @@ func TestSpecGraftBitIdenticalAcrossWidths(t *testing.T) {
 		{"er-900", RandomER(900, 900, 4, 13)},
 		{"road-800", RoadNetwork(800, 2.5, 9)}, // rank-deficient
 	}
-	cases := []struct {
-		spec      Spec
-		sameMates bool // the warm start does not depend on the schedule
-	}{
-		{Spec{Algorithm: AlgTwoSided, Seed: 1, Refine: RefineGraft}, false},
-		{Spec{Algorithm: AlgCheapVertex, Seed: 2, Refine: RefineGraft}, true},
-		{Spec{Algorithm: AlgTwoSided, Seed: 3, Ensemble: 6, Refine: RefineGraft}, true},
-		{Spec{Algorithm: AlgKarpSipser, Seed: 4, Ensemble: 4, Refine: RefineGraft}, true},
+	specs := []Spec{
+		{Algorithm: AlgTwoSided, Seed: 1, Refine: RefineGraft},
+		{Algorithm: AlgCheapVertex, Seed: 2, Refine: RefineGraft},
+		{Algorithm: AlgTwoSided, Seed: 3, Ensemble: 6, Refine: RefineGraft},
+		{Algorithm: AlgKarpSipser, Seed: 4, Ensemble: 4, Refine: RefineGraft},
 	}
 	for _, tc := range graphs {
-		for _, c := range cases {
-			spec := c.spec
+		for _, spec := range specs {
 			want, err := tc.g.NewMatcher(&Options{ScalingIterations: 5, Workers: 1}).Run(spec)
 			if err != nil {
 				t.Fatalf("%s %+v sequential: %v", tc.name, spec, err)
@@ -133,11 +125,7 @@ func TestSpecGraftBitIdenticalAcrossWidths(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %+v width %d: %v", tc.name, spec, width, err)
 				}
-				if c.sameMates {
-					cmpMates(t, fmt.Sprintf("%s graft width %d", tc.name, width), got.Matching, wantMt)
-				} else if err := tc.g.ValidateMatching(got.Matching); err != nil {
-					t.Fatalf("%s %+v width %d: %v", tc.name, spec, width, err)
-				}
+				cmpMates(t, fmt.Sprintf("%s %+v graft width %d", tc.name, spec, width), got.Matching, wantMt)
 				if got.Matching.Size != wantMt.Size || got.WinnerSeed != want.WinnerSeed || got.Candidates != want.Candidates ||
 					got.HeuristicSize != want.HeuristicSize || got.RefinedWith != RefineGraft {
 					t.Fatalf("%s %+v width %d: size and provenance (%d, %d, %d, %d, %v) want (%d, %d, %d, %d, graft)",

@@ -77,11 +77,12 @@ type UndirectedResult struct {
 
 // Match runs the undirected 1-out heuristic: symmetric doubly stochastic
 // scaling, one sampled neighbor per vertex, and an exact Karp–Sipser pass
-// over the sampled pseudoforest (odd cycles handled).
+// over the sampled pseudoforest (odd cycles handled) on the calling
+// goroutine, so the mates are the same at every width.
 func (u *UndirectedGraph) Match(opt *Options) *UndirectedResult {
 	v := opt.normalized()
 	res := u.g.Match(v.ScalingIterations, undirected.Options{
-		Workers: v.Workers, Policy: par.Dynamic, Seed: v.Seed})
+		Workers: v.Workers, Policy: par.Dynamic, Seed: v.Seed, Pool: v.Pool.inner()})
 	return &UndirectedResult{Mate: res.Match, Size: res.Size, ScalingError: res.ScaleErr}
 }
 
