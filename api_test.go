@@ -131,12 +131,40 @@ func TestJumpStartReducesWork(t *testing.T) {
 	}
 }
 
+// orientedRefinement is the reference for a refinement of g by engine ref
+// from init: the internal/exact refiner run directly, from the rows when
+// g has at least as many non-isolated columns as rows, and otherwise on
+// g's transpose from the mirrored init, mirrored back.
+func orientedRefinement(g *Graph, ref Refinement, init *Matching) *Matching {
+	a, at := g.a, g.transpose()
+	cols := liveColsFewer(a)
+	if cols {
+		a, at, init = at, a, mirrored(init)
+	}
+	var mt *Matching
+	switch ref {
+	case RefinePushRelabel:
+		mt = exact.PushRelabel(a, init)
+	case RefineGraft:
+		r := exact.NewGraftRefiner(a, init)
+		r.SetTranspose(at)
+		mt = r.Run()
+	default:
+		mt = exact.HopcroftKarp(a, init)
+	}
+	if cols {
+		mt = mirrored(mt)
+	}
+	return mt
+}
+
 // TestMaximumMatchingEngine pins the one exact entry point. From a cold
 // start and from each cardinality Algorithm's warm start, MaximumMatching
 // returns a valid, König-certified matching of size Sprank(), leaves init
 // untouched, and returns the mates of the engine RefineExact picks run
-// from the same init: Hopcroft–Karp below graftAutoEdges, the graft
-// engine at or above it.
+// from the same init and search side (orientedRefinement): Hopcroft–Karp
+// below graftAutoEdges, the graft engine at or above it. rankdef-600
+// searches from its columns.
 func TestMaximumMatchingEngine(t *testing.T) {
 	type instance = struct {
 		name string
@@ -146,6 +174,9 @@ func TestMaximumMatchingEngine(t *testing.T) {
 		instance{"rankdef-600", newGraph(gen.RankDeficient(600, 90, 4, 3))},
 		instance{"grid3d-12", Grid3D(12, 12, 12, false)},
 	)
+	if !liveColsFewer(graphs[len(graphs)-2].g.a) {
+		t.Fatal("rankdef-600 has no fewer non-isolated columns than rows")
+	}
 	algs := []Algorithm{AlgTwoSided, AlgOneSided, AlgKarpSipser, AlgKarpSipserParallel, AlgCheapEdge, AlgCheapVertex}
 	check := func(graft bool) {
 		for _, tc := range graphs {
@@ -176,15 +207,11 @@ func TestMaximumMatchingEngine(t *testing.T) {
 				if init != nil {
 					cmpMates(t, label+" init", init, before)
 				}
-				var want *Matching
+				ref := RefineExact
 				if graft {
-					r := exact.NewGraftRefiner(g.a, init)
-					r.SetTranspose(g.transpose())
-					want = r.Run()
-				} else {
-					want = exact.HopcroftKarp(g.a, init)
+					ref = RefineGraft
 				}
-				cmpMates(t, label, got, want)
+				cmpMates(t, label, got, orientedRefinement(g, ref, init))
 			}
 		}
 	}

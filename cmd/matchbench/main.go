@@ -16,7 +16,10 @@
 //
 // refine measures the exact-refinement engines (Hopcroft-Karp,
 // push-relabel, and the parallel MS-BFS-Graft engine at 1/2/4 workers)
-// completing one shared cheap warm start on adversarial instances.
+// completing one shared cheap warm start on adversarial instances, each
+// engine searching from the side the library's refinements search from
+// (the columns when an instance has fewer non-isolated columns than
+// rows), so push-relabel is timed on every instance.
 //
 // The perf, refine, serve, dyn, weighted and cluster experiments
 // additionally write their records to a machine-readable JSON file

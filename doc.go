@@ -153,7 +153,7 @@
 //
 // Refine: RefineExact is the paper's central application (§4): the
 // heuristic matching jump-starts an exact augmenting-path engine, which
-// only pays for the rows the heuristic left free, and a refined single
+// only pays for the vertices the heuristic left free, and a refined single
 // run always satisfies size == Sprank(). Three engines share that
 // contract. Hopcroft–Karp is the sequential reference. RefinePushRelabel
 // is the push-relabel/auction scheme of the GPU and multicore
@@ -167,7 +167,16 @@
 // graft and spec-conformance steps run under the race detector at
 // GOMAXPROCS 1, 2 and 4). RefineExact auto-selects the graft engine on
 // large instances (where refinement dominates end-to-end time) and
-// MatchResult.RefinedWith reports the engine that actually ran.
+// MatchResult.RefinedWith reports the engine that actually ran. Every
+// engine searches from the side with fewer non-isolated vertices, picked
+// once per Graph: a Graph with fewer non-isolated columns than rows is
+// refined on its transpose from the mirrored warm start, and the result
+// comes back in row orientation; ties keep the row search. A maximum
+// matching leaves rows−sprank non-isolated rows and cols−sprank columns
+// free, and a search pays again and again for those doomed roots on its
+// own side, so the smaller side is the cheaper one. The side changes
+// which maximum matching comes back, never its size
+// (TestSpecRefineSearchSide).
 // Graph.MaximumMatching(init) runs that same engine choice and refinement
 // loop outside a Spec, completing any warm start (nil for a cold solve). Inside an
 // ensemble the refinement is ensemble-aware: it advances incrementally

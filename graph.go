@@ -48,7 +48,9 @@ const Unmatched = exact.NIL
 //     Sinkhorn–Knopp walks, built on the Graph's second computed scaling
 //     (4 bytes per packed index), so a graph scaled once never pays for
 //     them;
-//   - the structural rank and its cheap upper bound.
+//   - the structural rank, and the counts of non-isolated rows and
+//     columns behind its cheap upper bound and the search side of every
+//     exact refinement.
 type Graph struct {
 	a      *sparse.CSR
 	atOnce sync.Once
@@ -64,8 +66,9 @@ type Graph struct {
 	layOnce        sync.Once
 	rowLay, colLay *sparse.Layout // sweep layouts, built lazily under layOnce
 
-	sprank   atomic.Int64 // cached maximum matching size + 1; 0 until computed
-	sprankUB atomic.Int64 // cached structural upper bound + 1; 0 until computed
+	sprank             atomic.Int64 // cached maximum matching size + 1; 0 until computed
+	liveOnce           sync.Once
+	liveRows, liveCols int // non-isolated rows and columns, counted under liveOnce
 }
 
 func newGraph(a *sparse.CSR) *Graph { return &Graph{a: a} }
@@ -276,11 +279,12 @@ func (g *Graph) sweepLayouts() (rows, cols *sparse.Layout) {
 // MaximumMatching completes init to a maximum-cardinality matching, so
 // its size is Sprank(); nil init means a cold solve. This is the
 // jump-start of the paper's introduction: a heuristic matching passed as
-// init leaves the exact solver only the rows it left free. The engine is
-// the one Spec{Refine: RefineExact} runs — Hopcroft–Karp, or the parallel
-// graft engine on large instances — through the same refinement loop, on
-// all CPUs of the process-wide pool. init is copied, not modified; the
-// result is owned by the caller.
+// init leaves the exact solver only the vertices it left free. The engine
+// is the one Spec{Refine: RefineExact} runs — Hopcroft–Karp, or the
+// parallel graft engine on large instances — through the same refinement
+// loop, from the same search side (the columns when the Graph has fewer
+// non-isolated columns than rows), on all CPUs of the process-wide pool.
+// init is copied, not modified; the result is owned by the caller.
 func (g *Graph) MaximumMatching(init *Matching) *Matching {
 	m := g.NewMatcher(nil)
 	// A session without a cancellation hook never fails to refine.
@@ -309,29 +313,24 @@ func (g *Graph) Sprank() int {
 // have called Sprank would make ensemble winners depend on unrelated
 // history instead of on (Graph, Spec, Options) alone.
 func (g *Graph) SprankUpperBound() int {
-	if v := g.sprankUB.Load(); v > 0 {
-		return int(v - 1)
-	}
-	rows := 0
-	for i := 0; i < g.a.RowsN; i++ {
-		if g.a.Degree(i) > 0 {
-			rows++
-		}
-	}
-	at := g.transpose()
-	cols := 0
-	for j := 0; j < at.RowsN; j++ {
-		if at.Degree(j) > 0 {
-			cols++
-		}
-	}
-	ub := rows
-	if cols < ub {
-		ub = cols
-	}
-	g.sprankUB.Store(int64(ub) + 1)
-	return ub
+	rows, cols := g.liveCounts()
+	return min(rows, cols)
 }
+
+// liveCounts returns the numbers of non-isolated rows and columns,
+// counted once per Graph.
+func (g *Graph) liveCounts() (rows, cols int) {
+	g.liveOnce.Do(func() {
+		g.liveRows = g.a.RowsN - g.a.EmptyRows()
+		at := g.transpose()
+		g.liveCols = at.RowsN - at.EmptyRows()
+	})
+	return g.liveRows, g.liveCols
+}
+
+// searchColumns reports whether the Graph's exact refinements search from
+// the columns, on the transpose (see exact.SearchColumns).
+func (g *Graph) searchColumns() bool { return exact.SearchColumns(g.liveCounts()) }
 
 // MinimumVertexCover extracts a minimum vertex cover from a maximum
 // matching via König's theorem. Its size always equals the maximum

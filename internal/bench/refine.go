@@ -13,19 +13,14 @@ import (
 
 // refineCases are the refinement tier's instances: the adversarial
 // families built to stress augmenting-path engines. Heavy rank deficiency
-// (30% of the rows are structurally unmatchable) keeps thousands of rows
-// permanently exposed — the regime where the graft engine's idle surviving
-// trees beat per-phase whole-graph BFS — long thin paths maximize
-// augmenting-path length, and degree skew unbalances the BFS levels.
-//
-// prSafe marks the instances push-relabel is measured on. Structural
-// deficiency is its worst case — every doomed row raises its label all
-// the way to the n+m+1 cap, which costs minutes even at tiny scale — so
-// the tier only times it where the maximum matching is perfect.
+// (30% of the rows are structurally unmatchable) keeps thousands of
+// vertices permanently exposed on one side — the side the engines do not
+// search from (exact.SearchColumns) — long thin paths maximize
+// augmenting-path length and tie the two sides, and degree skew
+// unbalances the BFS levels.
 func refineCases(scale string, seed uint64) []struct {
-	name   string
-	a      *sparse.CSR
-	prSafe bool
+	name string
+	a    *sparse.CSR
 } {
 	n := 150000
 	switch scale {
@@ -35,26 +30,27 @@ func refineCases(scale string, seed uint64) []struct {
 		n = 1000000
 	}
 	return []struct {
-		name   string
-		a      *sparse.CSR
-		prSafe bool
+		name string
+		a    *sparse.CSR
 	}{
-		{"rankdef", gen.RankDeficient(n, n*3/10, 6, seed), false},
-		{"longthin", gen.LongThinPath(2 * n), true},
-		{"skewdeg", gen.SkewedDegree(n, n*4/5, 6, 3, seed), false},
+		{"rankdef", gen.RankDeficient(n, n*3/10, 6, seed)},
+		{"longthin", gen.LongThinPath(2 * n)},
+		{"skewdeg", gen.SkewedDegree(n, n*4/5, 6, 3, seed)},
 	}
 }
 
 // Refine measures the three exact refinement engines — Hopcroft–Karp,
 // push-relabel and the parallel MS-BFS-Graft — completing one shared
 // heuristic warm start (the §2.1 cheap 1/2-approximation, so the tier
-// measures the jump-start tail the paper's application cares about). The
-// sequential engines run once (push-relabel only on its prSafe
-// instances); graft runs at 1, 2 and 4 workers, and its speedup_vs_1 is
+// measures the jump-start tail the paper's application cares about).
+// Every engine searches from the side the library's refinements search
+// from: on the transpose, from the mirrored warm start, when an instance
+// has fewer non-isolated columns than rows. The sequential engines run
+// once; graft runs at 1, 2 and 4 workers, and its speedup_vs_1 is
 // against its own 1-worker run (left out above the host's CPU count, as
-// in Perf). The printed vs-hk column is the
-// cross-engine ratio the perf gate tracks: sequential Hopcroft–Karp
-// time over this engine's time on the same instance and warm start.
+// in Perf). The printed vs-hk column is the cross-engine ratio the perf
+// gate tracks: sequential Hopcroft–Karp time over this engine's time on
+// the same instance and warm start.
 func Refine(cfg Config) []PerfRecord {
 	cfg = cfg.Defaults()
 	graftWidths := []int{1, 2, 4}
@@ -72,6 +68,9 @@ func Refine(cfg Config) []PerfRecord {
 		a := tc.a
 		at := a.Transpose()
 		init := cheap.RandomVertex(a, cfg.Seed)
+		if exact.SearchColumns(a.RowsN-a.EmptyRows(), at.RowsN-at.EmptyRows()) {
+			a, at, init = at, a, exact.Mirror(&exact.Matching{}, init)
+		}
 		sprank := exact.HopcroftKarp(a, init).Size
 
 		record := func(engine string, workers int, run func() *exact.Matching, anchor int64) int64 {
@@ -111,11 +110,9 @@ func Refine(cfg Config) []PerfRecord {
 		record("refine-hk", 1, func() *exact.Matching {
 			return exact.NewHKRefinerWs(a, init, ws).Run()
 		}, 0)
-		if tc.prSafe {
-			record("refine-pushrelabel", 1, func() *exact.Matching {
-				return exact.NewPRRefinerWs(a, init, ws).Run()
-			}, 0)
-		}
+		record("refine-pushrelabel", 1, func() *exact.Matching {
+			return exact.NewPRRefinerWs(a, init, ws).Run()
+		}, 0)
 		var graftAnchor int64
 		for _, th := range graftWidths {
 			th := th

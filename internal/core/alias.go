@@ -16,8 +16,9 @@ import (
 // of the per-vertex RNG stream makes seeded choices differ from (while
 // being distributed identically to) the prefix-walk kernels'.
 
-// aliasBuildHook, when set, is invoked once per alias-table build — the
-// test seam that proves the build is counter-gated to once per graph.
+// aliasBuildHook, when set, is invoked once per ensureAlias call that
+// builds a table — the test seam that proves the build is counter-gated
+// to once per graph.
 var aliasBuildHook atomic.Pointer[func()]
 
 // aliasTable holds the per-edge alias slots of one matrix side. Slot p
@@ -125,20 +126,26 @@ func (d *drawSide) aliasRange(t *aliasTable, base uint64, lo, hi int) {
 	}
 }
 
-// ensureAlias builds the session's alias tables if Options.Alias is set
-// and they are stale (first sampling call after NewSession, Rebind or
-// SetScaling). Called from the serial prologue of the sampling entry
-// points, never from inside a parallel region.
-func (s *Session) ensureAlias() {
-	if !s.opt.Alias || s.aliasBuilt {
+// ensureAlias builds the session's row alias table, and with cols its
+// column table too, if Options.Alias is set and they are stale (first
+// sampling call after NewSession, Rebind or SetScaling). OneSided draws
+// only rows, so only TwoSided asks for the column table. Called from the
+// serial prologue of the sampling entry points, never from inside a
+// parallel region.
+func (s *Session) ensureAlias(cols bool) {
+	stale := !s.aliasRows || (cols && !s.aliasCols)
+	if !s.opt.Alias || !stale {
 		return
 	}
 	if hook := aliasBuildHook.Load(); hook != nil {
 		(*hook)()
 	}
-	s.aliasA.build(s.a, s.dc)
-	if s.at != nil {
-		s.aliasAT.build(s.at, s.dr)
+	if !s.aliasRows {
+		s.aliasA.build(s.a, s.dc)
+		s.aliasRows = true
 	}
-	s.aliasBuilt = true
+	if cols && !s.aliasCols {
+		s.aliasAT.build(s.at, s.dr)
+		s.aliasCols = true
+	}
 }

@@ -47,6 +47,34 @@ func TestAliasBuildOncePerGraph(t *testing.T) {
 	}
 }
 
+// TestOneSidedAliasBuildsRowTableOnly: OneSided draws only rows, so on a
+// session bound with a transpose its alias draw builds the row table
+// alone, and its claims equal the serial reference's over that table. A
+// later TwoSided call adds the column table and matches exactly what a
+// fresh session, which builds both tables at once, matches.
+func TestOneSidedAliasBuildsRowTableOnly(t *testing.T) {
+	a := gen.ERAvgDeg(1500, 1300, 4, 21)
+	at, sc := scaledSK(t, a, 5)
+	opt := Options{Workers: 1, Policy: par.Dynamic, Alias: true}
+	s := NewSession(a, at, opt)
+	s.SetScaling(sc.DR, sc.DC, sc.RSum, sc.CSum)
+	var rows aliasTable
+	rows.build(a, sc.DC)
+	for _, seed := range []uint64{1, 2, 3} {
+		got, _ := s.OneSided(seed)
+		cmpI32s(t, "OneSided", got, oneSidedReference(a, sc.DC, sc.RSum, &rows, seed))
+	}
+	if s.aliasAT.prob != nil {
+		t.Fatal("OneSided built the column alias table")
+	}
+	fresh := NewSession(a, at, opt)
+	fresh.SetScaling(sc.DR, sc.DC, sc.RSum, sc.CSum)
+	cmpI32s(t, "TwoSided after OneSided", s.TwoSided(5).Match, fresh.TwoSided(5).Match)
+	if s.aliasAT.prob == nil {
+		t.Fatal("TwoSided drew columns without their alias table")
+	}
+}
+
 // TestAliasDeterministicAcrossWorkerCounts pins the alias kernels'
 // bit-identity across worker counts — per-vertex indexed RNG streams, so
 // the schedule cannot leak in — for the row choices and for TwoSided's

@@ -64,12 +64,13 @@ type Session struct {
 	cg               ChoiceGraph
 	match, mark, deg []int32
 
-	// Alias-method sampling tables (Options.Alias); stale until the next
-	// ensureAlias after Rebind or SetScaling.
-	aliasA, aliasAT aliasTable
-	aliasBuilt      bool
-	matching        exact.Matching
-	result          Result
+	// Alias-method sampling tables (Options.Alias) of the rows and the
+	// columns; each stale until the next ensureAlias that needs it after
+	// Rebind or SetScaling.
+	aliasA, aliasAT      aliasTable
+	aliasRows, aliasCols bool
+	matching             exact.Matching
+	result               Result
 
 	sample func(w, lo, hi int)
 }
@@ -93,14 +94,14 @@ func NewSession(a, at *sparse.CSR, opt Options) *Session {
 	s.sample = func(_, lo, hi int) {
 		n := s.a.RowsN
 		if lo < n {
-			if s.aliasBuilt {
+			if s.aliasRows {
 				s.rside.aliasRange(&s.aliasA, s.rbase, lo, min(hi, n))
 			} else {
 				s.rside.draw(s.rbase, lo, min(hi, n))
 			}
 		}
 		if hi > n {
-			if s.aliasBuilt {
+			if s.aliasCols {
 				s.cside.aliasRange(&s.aliasAT, s.cbase, max(lo-n, 0), hi-n)
 			} else {
 				s.cside.draw(s.cbase, max(lo-n, 0), hi-n)
@@ -152,7 +153,7 @@ func (s *Session) canceled() bool { return s.cancel != nil && s.cancel() }
 func (s *Session) SetScaling(dr, dc, rowTotals, colTotals []float64) {
 	s.dr, s.dc = dr, dc
 	s.rtot, s.ctot = rowTotals, colTotals
-	s.aliasBuilt = false // tables bake the scaling in; rebuild on next use
+	s.aliasRows, s.aliasCols = false, false // tables bake the scaling in; rebuild on next use
 }
 
 // SetDegreeOrders installs the degree orders of the bound matrix (rows)
@@ -185,7 +186,7 @@ func (s *Session) TwoSided(seed uint64) *Result {
 	s.match = buf.Grow(s.match, n+m)
 	s.mark = buf.Grow(s.mark, n+m)
 	s.deg = buf.Grow(s.deg, n+m)
-	s.ensureAlias()
+	s.ensureAlias(true)
 	s.rbase = xrand.Base(seed)
 	s.cbase = xrand.Base(seed ^ colSeedSalt)
 	s.rside = drawSide{a: s.a, w: s.dc, tot: s.rtot, ord: s.rord, out: s.cg.Choice[:n], off: int32(n)}
@@ -222,7 +223,7 @@ func (s *Session) OneSided(seed uint64) ([]int32, int) {
 	}
 	s.ochoice = buf.Grow(s.ochoice, n)
 	s.cmatch = buf.Grow(s.cmatch, s.a.ColsN)
-	s.ensureAlias()
+	s.ensureAlias(false)
 	s.rbase = xrand.Base(seed)
 	s.rside = drawSide{a: s.a, w: s.dc, tot: s.rtot, ord: s.rord, out: s.ochoice, loop: NIL}
 	s.pool.ForCancel(n, s.opt.Workers, s.opt.Policy, s.chunk, s.cancel, s.sample)

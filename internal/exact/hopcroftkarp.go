@@ -3,11 +3,19 @@
 // matching M is |M| / sprank(A), where sprank is the maximum matching
 // cardinality computed here.
 //
-// Two algorithms are provided: Hopcroft–Karp (O(√n·τ) worst case) and an
+// Four algorithms are provided: Hopcroft–Karp (O(√n·τ) worst case), an
 // MC21-style single-path augmenting DFS with cheap-assignment lookahead
-// (the classic "maximum transversal" algorithm). Both accept a warm-start
-// matching, which is exactly how the paper motivates cheap heuristics: as
-// jump-start routines for exact solvers.
+// (the classic "maximum transversal" algorithm), the push-relabel /
+// auction scheme and the parallel MS-BFS-Graft engine. All accept a
+// warm-start matching, which is exactly how the paper motivates cheap
+// heuristics: as jump-start routines for exact solvers. Hopcroft–Karp,
+// push-relabel and graft also come as incremental refiners (HKRefiner,
+// PRRefiner, GraftRefiner) on a reusable Workspace.
+//
+// Every algorithm searches from the exposed rows of the matrix it is
+// given and knows nothing of orientation. A caller that searches from the
+// columns runs it on the transpose, with the warm start and the result
+// passed through Mirror; SearchColumns is the rule that picks the side.
 package exact
 
 import (

@@ -9,6 +9,12 @@ import "repro/internal/sparse"
 // or claims a free column), so callers can interleave bounded Step calls
 // with other work and stop as soon as the size crosses a bound, exactly
 // like HKRefiner.
+//
+// It is super-quadratic on rows that no maximum matching covers: each
+// such doomed row keeps bidding, raising labels one step at a time, until
+// every label it sees reaches the n+m+1 cap. Run on the side with fewer
+// non-isolated vertices (SearchColumns), a graph has doomed search roots
+// only when both sides carry doomed non-isolated vertices.
 type PRRefiner struct {
 	a  *sparse.CSR
 	mt *Matching

@@ -47,6 +47,7 @@ type Matcher struct {
 	ksWs     *ks.Workspace     // lazily created by AlgKarpSipser runs
 	ksApprox *ks.ApproxSession // lazily created by AlgKarpSipserParallel runs
 	refWs    *exact.Workspace  // lazily created by refining Specs
+	ref      specRefiner       // the live refiner, on refWs; see newSpecRefiner
 
 	sc     *Scaling    // the bound graph's scaling; nil until a call scales
 	result MatchResult // reused result header

@@ -202,18 +202,28 @@ func TestMatcherScaleCachedAcrossCalls(t *testing.T) {
 	}
 }
 
-// TestMatcherSteadyStateAllocs is the ISSUE's allocation gate: reused
-// session calls stay within two allocations per call. At one worker the
-// whole pipeline runs inline over resident workspaces, so the budget is
-// actually zero; two is the contract.
+// TestMatcherSteadyStateAllocs is the allocation gate: reused session
+// calls stay within two allocations per call. At one worker the whole
+// pipeline runs inline over resident workspaces, so the budget is
+// actually zero; two is the contract. The refining Specs also run on a
+// rank-deficient graph, which refines from its columns — the mirrored
+// warm start and the row-orientation result are views, not copies — and
+// on its transpose, which refines from its rows.
 func TestMatcherSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed under -race")
 	}
-	g := RandomER(2000, 2000, 4, 13)
+	er := RandomER(2000, 2000, 4, 13)
+	cols := newGraph(gen.RankDeficient(2000, 300, 4, 13))
+	rows := newGraph(cols.transpose())
+	if !cols.searchColumns() || rows.searchColumns() {
+		t.Fatalf("column search: rankdef %v, its transpose %v; want true, false",
+			cols.searchColumns(), rows.searchColumns())
+	}
 	pool := NewPool(1)
 	defer pool.Close()
-	m := g.NewMatcher(&Options{ScalingIterations: 5, Workers: 1, Pool: pool})
+	opt := &Options{ScalingIterations: 5, Workers: 1, Pool: pool}
+	matchers := map[*Graph]*Matcher{er: er.NewMatcher(opt), cols: cols.NewMatcher(opt), rows: rows.NewMatcher(opt)}
 
 	// Each Spec's first Run warms what it uses: the scaling and sampling
 	// buffers, the Karp–Sipser workspace and approx session, and the
@@ -223,17 +233,24 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 	seed := uint64(0)
 	for _, tc := range []struct {
 		name string
+		g    *Graph
 		spec Spec
 	}{
-		{"TwoSided", Spec{Algorithm: AlgTwoSided}},
-		{"OneSided", Spec{Algorithm: AlgOneSided}},
-		{"KarpSipser", Spec{Algorithm: AlgKarpSipser}},
-		{"KarpSipserParallel", Spec{Algorithm: AlgKarpSipserParallel}},
-		{"RefineExact", Spec{Refine: RefineExact}},
-		{"RefineGraft", Spec{Refine: RefineGraft}},
-		{"EnsembleRefineGraft", Spec{Ensemble: 4, Refine: RefineGraft}},
+		{"TwoSided", er, Spec{Algorithm: AlgTwoSided}},
+		{"OneSided", er, Spec{Algorithm: AlgOneSided}},
+		{"KarpSipser", er, Spec{Algorithm: AlgKarpSipser}},
+		{"KarpSipserParallel", er, Spec{Algorithm: AlgKarpSipserParallel}},
+		{"RefineExact", er, Spec{Refine: RefineExact}},
+		{"RefineGraft", er, Spec{Refine: RefineGraft}},
+		{"EnsembleRefineGraft", er, Spec{Ensemble: 4, Refine: RefineGraft}},
+		{"ColumnsRefineExact", cols, Spec{Refine: RefineExact}},
+		{"ColumnsRefinePushRelabel", cols, Spec{Refine: RefinePushRelabel}},
+		{"ColumnsEnsembleRefineGraft", cols, Spec{Ensemble: 4, Refine: RefineGraft}},
+		{"RowsRefineExact", rows, Spec{Refine: RefineExact}},
+		{"RowsRefinePushRelabel", rows, Spec{Refine: RefinePushRelabel}},
+		{"RowsEnsembleRefineGraft", rows, Spec{Ensemble: 4, Refine: RefineGraft}},
 	} {
-		spec := tc.spec
+		m, spec := matchers[tc.g], tc.spec
 		spec.Seed = 1
 		if _, err := m.Run(spec); err != nil {
 			t.Fatal(err)

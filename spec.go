@@ -114,26 +114,31 @@ const (
 	// RefineExact augments the heuristic matching to maximum cardinality
 	// with Hopcroft–Karp — the paper's central application (§4, Table 3):
 	// the heuristic is a jump-start, the exact solver only pays for the
-	// rows the heuristic left free. A refined single run always satisfies
-	// size == Sprank(); inside an ensemble, refinement proceeds
-	// incrementally between candidates and a Spec.Target may stop it early
-	// (size ≥ ⌈Target·SprankUpperBound()⌉), otherwise it too finishes at
-	// size == Sprank().
+	// vertices the heuristic left free. Like every engine, it searches
+	// from the side with fewer non-isolated vertices (see the package
+	// documentation). A refined single run always satisfies size ==
+	// Sprank(); inside an ensemble, refinement proceeds incrementally
+	// between candidates and a Spec.Target may stop it early (size ≥
+	// ⌈Target·SprankUpperBound()⌉), otherwise it too finishes at size ==
+	// Sprank().
 	RefineExact
 	// RefinePushRelabel augments with the push-relabel / auction scheme
 	// instead (the algorithm family of the GPU and multicore
 	// maximum-transversal codes the paper cites) — the second augmentation
-	// family under the same Spec, with exactly RefineExact's contract. The
-	// two produce matchings of identical (maximum) size but generally
-	// different mates.
+	// family under the same Spec, with exactly RefineExact's contract and
+	// search side. The two produce matchings of identical (maximum) size
+	// but generally different mates. It is super-quadratic only when
+	// both sides hold non-isolated vertices that no maximum matching
+	// covers.
 	RefinePushRelabel
 	// RefineGraft augments with the parallel multi-source BFS +
 	// tree-grafting engine (the MS-BFS-Graft family of Azad et al.): all
-	// exposed rows grow alternating forests together across the session's
-	// pool, and a deterministic reconciliation commits the discovered
-	// augmenting paths in fixed row order — so the refined matching is
-	// bit-identical at every pool width, including the sequential width 1.
-	// Same size-== -sprank contract as RefineExact; it is the engine
+	// exposed vertices of the search side grow alternating forests
+	// together across the session's pool, and a deterministic
+	// reconciliation commits the discovered augmenting paths in fixed
+	// root order — so the refined matching is bit-identical at every pool
+	// width, including the sequential width 1. Same size-== -sprank
+	// contract and search side as RefineExact; it is the engine
 	// RefineExact auto-selects on large instances, and the one to request
 	// explicitly when refinement dominates end-to-end time.
 	RefineGraft
@@ -329,7 +334,8 @@ func (s Spec) Validate() error {
 // Hopcroft–Karp (RefineExact), push-relabel (RefinePushRelabel) or the
 // parallel MS-BFS-Graft engine (RefineGraft; RefineExact auto-selects it
 // on instances with at least graftAutoEdges nonzeros, and
-// MatchResult.RefinedWith reports the engine that actually ran). For
+// MatchResult.RefinedWith reports the engine that actually ran), each
+// searching from the Graph's side with fewer non-isolated vertices. For
 // single runs the refined matching always satisfies size == Sprank().
 // Inside an ensemble the refinement is ensemble-aware: it advances one
 // bounded unit per consumed candidate, warm-starting from the best
@@ -401,9 +407,9 @@ func (m *Matcher) runSingle(spec Spec, seed uint64, sc *Scaling) (*MatchResult, 
 // the session's pool and polls the cancellation hook inside its phases.
 func (m *Matcher) refine(ref Refinement, init *Matching) (*Matching, error) {
 	r := m.newSpecRefiner(ref, init)
-	if gr, ok := r.(graftSpecRefiner); ok {
-		gr.r.SetParallel(m.opt.width())
-		gr.r.SetCancel(m.cancel)
+	if r.graft != nil {
+		r.graft.SetParallel(m.opt.width())
+		r.graft.SetCancel(m.cancel)
 	}
 	// Advance returns false only once the matching is maximum, so a poll
 	// between advances — Hopcroft–Karp and graft phases, push-relabel
@@ -463,8 +469,8 @@ func (m *Matcher) runEnsemble(spec Spec, base uint64, sc *Scaling) (*MatchResult
 			// fan its remaining phases out across the session pool now.
 			// Bit-identity at every width is the engine's contract, so this
 			// re-widening cannot change the result.
-			if gr, ok := e.refiner.(graftSpecRefiner); ok {
-				gr.r.SetParallel(m.opt.width())
+			if e.refiner.graft != nil {
+				e.refiner.graft.SetParallel(m.opt.width())
 			}
 			// Complete the refinement — up to the target when one is set,
 			// to the maximum otherwise (the RefineExact guarantee). A size
@@ -547,7 +553,7 @@ type ensembleRun struct {
 	winner    uint64
 	heuristic int
 	hitTarget bool
-	refiner   specRefiner
+	refiner   *specRefiner
 	refDone   bool
 }
 
@@ -679,36 +685,46 @@ func (e *ensembleRun) runParallel(pool *par.Pool, width int, sc *Scaling) {
 	})
 }
 
-// specRefiner is the incremental engine behind ensemble-aware refinement:
-// Advance performs one bounded unit of augmentation work (a Hopcroft–Karp
+// specRefiner is the incremental engine behind every refinement: Advance
+// performs one bounded unit of augmentation work (a Hopcroft–Karp or graft
 // phase, a push-relabel bid budget) and reports whether the matching may
-// still be improvable; Result exposes the refined matching, which is valid
-// between advances and whose size is monotone.
-type specRefiner interface {
-	Advance() bool
-	Size() int
-	Result() *Matching
+// still be improvable; Result exposes the refined matching in row
+// orientation, which is valid between advances and whose size is
+// monotone. One engine is set.
+//
+// On a Graph whose refinements search from the columns
+// (Graph.searchColumns) the engine runs on the transpose, from the
+// mirrored warm start, and Result mirrors its matching back through view,
+// so neither direction copies or allocates.
+type specRefiner struct {
+	hk     *exact.HKRefiner
+	pr     *exact.PRRefiner
+	graft  *exact.GraftRefiner
+	budget int       // push-relabel bids per advance
+	mt     *Matching // the engine's matching, in the engine's orientation
+	cols   bool      // the engine runs on the transpose
+	view   Matching  // the mirrored warm start, then the mirrored result
 }
 
-type hkSpecRefiner struct{ *exact.HKRefiner }
-
-func (r hkSpecRefiner) Advance() bool     { return r.Phase() }
-func (r hkSpecRefiner) Result() *Matching { return r.Matching() }
-
-type prSpecRefiner struct {
-	r      *exact.PRRefiner
-	budget int
+func (r *specRefiner) Advance() bool {
+	switch {
+	case r.pr != nil:
+		return r.pr.Step(r.budget)
+	case r.graft != nil:
+		return r.graft.Phase()
+	default:
+		return r.hk.Phase()
+	}
 }
 
-func (r prSpecRefiner) Advance() bool     { return r.r.Step(r.budget) }
-func (r prSpecRefiner) Size() int         { return r.r.Size() }
-func (r prSpecRefiner) Result() *Matching { return r.r.Matching() }
+func (r *specRefiner) Size() int { return r.mt.Size }
 
-type graftSpecRefiner struct{ r *exact.GraftRefiner }
-
-func (g graftSpecRefiner) Advance() bool     { return g.r.Phase() }
-func (g graftSpecRefiner) Size() int         { return g.r.Size() }
-func (g graftSpecRefiner) Result() *Matching { return g.r.Matching() }
+func (r *specRefiner) Result() *Matching {
+	if !r.cols {
+		return r.mt
+	}
+	return exact.Mirror(&r.view, r.mt)
+}
 
 // resolveRefine maps the requested refinement to the engine that runs:
 // RefineExact auto-selects the parallel graft engine once the instance is
@@ -725,29 +741,36 @@ func (m *Matcher) resolveRefine(ref Refinement) Refinement {
 
 // newSpecRefiner builds the incremental refiner of the given (resolved)
 // family on the session's refinement workspace, warm-started from a copy of
-// init. The push-relabel advance budget is one bid per row — roughly one
-// sweep of work per unit, the granularity a Hopcroft–Karp phase has
-// naturally. A graft refiner built here starts at width 1: consume runs
-// inside the parallel schedule's pool region, where nested pool dispatch
-// would deadlock; runSingle, and runEnsemble for its completion loop,
-// widen it to the session's width, which the engine's any-width
-// bit-identity makes safe.
-func (m *Matcher) newSpecRefiner(ref Refinement, init *Matching) specRefiner {
-	a, ws := m.g.a, m.refineWs()
+// init, searching from the side the Graph picks. On the column side the
+// engine runs on the Graph's cached transpose and graft gets A as its
+// transpose. The push-relabel advance budget is one bid per search-side
+// vertex — roughly one sweep of work per unit, the granularity a
+// Hopcroft–Karp phase has naturally. A graft refiner built here starts at
+// width 1: consume runs inside the parallel schedule's pool region, where
+// nested pool dispatch would deadlock; refine, and runEnsemble for its
+// completion loop, widen it to the session's width, which the engine's
+// any-width bit-identity makes safe.
+func (m *Matcher) newSpecRefiner(ref Refinement, init *Matching) *specRefiner {
+	a, at, ws := m.g.a, m.g.transpose(), m.refineWs()
+	r := &m.ref
+	*r = specRefiner{cols: m.g.searchColumns()}
+	if r.cols {
+		a, at, init = at, a, exact.Mirror(&r.view, init)
+	}
 	switch ref {
 	case RefinePushRelabel:
-		budget := a.RowsN
-		if budget < 1 {
-			budget = 1
-		}
-		return prSpecRefiner{r: exact.NewPRRefinerWs(a, init, ws), budget: budget}
+		r.budget = max(a.RowsN, 1)
+		r.pr = exact.NewPRRefinerWs(a, init, ws)
+		r.mt = r.pr.Matching()
 	case RefineGraft:
-		gr := exact.NewGraftRefinerWs(a, init, ws)
-		gr.SetTranspose(m.g.transpose())
-		return graftSpecRefiner{r: gr}
+		r.graft = exact.NewGraftRefinerWs(a, init, ws)
+		r.graft.SetTranspose(at)
+		r.mt = r.graft.Matching()
 	default:
-		return hkSpecRefiner{exact.NewHKRefinerWs(a, init, ws)}
+		r.hk = exact.NewHKRefinerWs(a, init, ws)
+		r.mt = r.hk.Matching()
 	}
+	return r
 }
 
 // runOnce dispatches a single candidate run of the given algorithm. The
