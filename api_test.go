@@ -2,11 +2,14 @@ package bipartite
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dm"
 	"repro/internal/exact"
 	"repro/internal/gen"
+	"repro/internal/sparse"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -298,6 +301,32 @@ func TestDulmageMendelsohnAPI(t *testing.T) {
 	c := g.DulmageMendelsohn()
 	if c.HR+c.SR+c.VR != 200 || c.HC+c.SC+c.VC != 260 {
 		t.Fatal("DM part sizes inconsistent")
+	}
+}
+
+// TestDulmageMendelsohnSearchSide: DulmageMendelsohn decomposes from a
+// maximum matching found on either search side, so its parts must equal
+// those of a cold row-side Hopcroft–Karp matching, vertex by vertex, on a
+// graph whose rows carry the deficiency and on its transpose.
+func TestDulmageMendelsohnSearchSide(t *testing.T) {
+	rd := gen.RankDeficient(600, 90, 4, 3)
+	for _, a := range []*sparse.CSR{rd, rd.Transpose()} {
+		g := newGraph(a)
+		got := g.DulmageMendelsohn()
+		want := dm.Decompose(a, a.Transpose(), nil)
+		if got.HR != want.HR || got.HC != want.HC || got.SR != want.SR ||
+			got.SC != want.SC || got.VR != want.VR || got.VC != want.VC {
+			t.Fatalf("%dx%d: parts H %d/%d S %d/%d V %d/%d, want H %d/%d S %d/%d V %d/%d",
+				a.RowsN, a.ColsN, got.HR, got.HC, got.SR, got.SC, got.VR, got.VC,
+				want.HR, want.HC, want.SR, want.SC, want.VR, want.VC)
+		}
+		if !slices.Equal(got.RowPart, want.RowPart) || !slices.Equal(got.ColPart, want.ColPart) {
+			t.Fatalf("%dx%d: a vertex changed part", a.RowsN, a.ColsN)
+		}
+		if got.Matching.Size != want.Matching.Size || !g.CertifyMaximum(got.Matching) {
+			t.Fatalf("%dx%d: decomposed from a matching of size %d, sprank %d",
+				a.RowsN, a.ColsN, got.Matching.Size, want.Matching.Size)
+		}
 	}
 }
 

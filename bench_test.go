@@ -340,6 +340,61 @@ func BenchmarkExactSolvers(b *testing.B) {
 	})
 }
 
+// BenchmarkRefineHK times Hopcroft–Karp on the four refine families at
+// offline-exact's size (n = 40k), and on a mesh and an Erdős–Rényi graph
+// whose near-perfect matchings leave no spare columns: alone from a
+// width-1 TwoSided warm start scaled as offline-exact scales it,
+// searching from the rows (on A) and from the columns (on the transpose,
+// from the mirrored warm start), and as the cold Graph.MaximumMatching(nil)
+// solve on a Graph that already holds its transpose. exact.SearchColumns
+// picks the side the library refines from: the columns of rankdef and
+// skewdeg, the rows of the ties.
+func BenchmarkRefineHK(b *testing.B) {
+	const n = 40000
+	rd := gen.RankDeficient(n/2, n*3/20, 6, 903)
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"rankdef", gen.RankDeficient(n, n*3/10, 6, 901)},
+		{"longthin", gen.LongThinPath(2 * n)},
+		{"skewdeg", gen.SkewedDegree(n, n*4/5, 6, 3, 902)},
+		{"bothsides", gen.DirectSum(rd, rd.Transpose())},
+		{"mesh", gen.Grid3D(30, 30, 30, false)},
+		{"er", gen.ERAvgDeg(n, n, 4, 904)},
+	} {
+		g := newGraph(tc.a)
+		res, err := g.Match(Spec{Algorithm: AlgTwoSided, Seed: 1}, &Options{Workers: 1, ScalingIterations: 5})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sprank := g.Sprank()
+		ws := &exact.Workspace{}
+		side := func(name string, a *sparse.CSR, init *exact.Matching) {
+			b.Run(tc.name+"/"+name, func(b *testing.B) {
+				phases := 0
+				for i := 0; i < b.N; i++ {
+					r := exact.NewHKRefinerWs(a, init, ws)
+					for r.Phase() {
+						phases++
+					}
+					if r.Size() != sprank {
+						b.Fatalf("reached %d, sprank is %d", r.Size(), sprank)
+					}
+				}
+				b.ReportMetric(float64(phases+b.N)/float64(b.N), "phases/op")
+			})
+		}
+		side("rows", g.a, res.Matching)
+		side("cols", g.transpose(), exact.Mirror(&exact.Matching{}, res.Matching))
+		b.Run(tc.name+"/cold", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g.MaximumMatching(nil)
+			}
+		})
+	}
+}
+
 // --- Extensions (paper future work / ref [31]) -------------------------------
 
 func BenchmarkExtensionUndirected(b *testing.B) {

@@ -2,7 +2,12 @@ package bipartite
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
+
+	"repro/internal/par"
+	"repro/internal/undirected"
 )
 
 func TestUndirectedAPI(t *testing.T) {
@@ -40,6 +45,63 @@ func TestUndirectedAPI(t *testing.T) {
 					seed, v, wide.Mate[v], one.Mate[v])
 			}
 		}
+	}
+}
+
+// TestUndirectedMatchScalesOnce: repeated UndirectedGraph.Match calls
+// scale the graph once per iteration count and share that scaling, and
+// their mates and scaling errors equal, bit for bit, those of a match that
+// computes its own scaling (undirected.Graph.Match), at every width.
+// Concurrent first calls on a fresh graph agree too.
+func TestUndirectedMatchScalesOnce(t *testing.T) {
+	g := RandomUndirected(5000, 4, 3)
+	runs := countScaleRuns(t)
+	pool := NewPool(4)
+	defer pool.Close()
+	for _, iters := range []int{5, 3, 0, 5, 3} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			want := g.g.Match(iters, undirected.Options{Workers: 1, Policy: par.Dynamic, Seed: seed})
+			for _, opt := range []*Options{
+				{ScalingIterations: iters, Seed: seed, Workers: 1},
+				{ScalingIterations: iters, Seed: seed},
+				{ScalingIterations: iters, Seed: seed, Pool: pool},
+			} {
+				got := g.Match(opt)
+				if !slices.Equal(got.Mate, want.Match) || got.Size != want.Size || got.ScalingError != want.ScaleErr {
+					t.Fatalf("iters %d, seed %d, workers %d, pool %v: size %d, scaling error %v; a fresh scaling gives %d, %v",
+						iters, seed, opt.Workers, opt.Pool != nil, got.Size, got.ScalingError, want.Size, want.ScaleErr)
+				}
+			}
+		}
+	}
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("%d scaling runs over two iteration counts, want 2", n)
+	}
+
+	fresh := RandomUndirected(5000, 4, 3)
+	want := g.Match(&Options{ScalingIterations: 5, Seed: 9})
+	runs.Store(0)
+	var wg sync.WaitGroup
+	got := make([]*UndirectedResult, 4)
+	for k := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k] = fresh.Match(&Options{ScalingIterations: 5, Seed: 9, Pool: pool})
+		}()
+	}
+	wg.Wait()
+	for k, res := range got {
+		if !slices.Equal(res.Mate, want.Mate) || res.ScalingError != want.ScalingError {
+			t.Fatalf("concurrent call %d disagrees with the shared scaling's matching", k)
+		}
+	}
+	n := runs.Load()
+	if n < 1 || n > int64(len(got)) {
+		t.Fatalf("%d scaling runs for %d concurrent first calls", n, len(got))
+	}
+	if fresh.Match(&Options{ScalingIterations: 5, Seed: 9}); runs.Load() != n {
+		t.Fatal("a call after the first published scaling scaled again")
 	}
 }
 

@@ -347,9 +347,12 @@ func (g *Graph) CertifyMaximum(mt *Matching) bool {
 	return exact.Certify(g.a, mt)
 }
 
-// DulmageMendelsohn computes the coarse Dulmage–Mendelsohn decomposition.
+// DulmageMendelsohn computes the coarse Dulmage–Mendelsohn decomposition
+// from MaximumMatching(nil), which searches from the side with fewer
+// doomed vertices. The coarse parts are the same for every maximum
+// matching.
 func (g *Graph) DulmageMendelsohn() *DMDecomposition {
-	return dm.Decompose(g.a, g.transpose(), nil)
+	return dm.Decompose(g.a, g.transpose(), g.MaximumMatching(nil))
 }
 
 // FineDecomposition refines the square part of the coarse decomposition

@@ -175,9 +175,12 @@ func (r *Repairer) Complete(mt *exact.Matching) int {
 	return mt.Size - before
 }
 
-// phase runs one Hopcroft–Karp phase over the mutable adjacency — the
-// exact.HKRefiner phase reading rows[i] slices instead of CSR rows —
-// and reports whether the matching may still be improvable.
+// phase runs one Hopcroft–Karp phase over the mutable adjacency, reading
+// rows[i] slices instead of CSR rows, and reports whether the matching
+// may still be improvable. It always keeps the full layering: its BFS
+// layers every row the exposed rows reach, where exact.HKRefiner's phase
+// stops at the first free layer when spare columns are plentiful. Giving
+// it that rule, and the search side, is ROADMAP item 2(d).
 func (r *Repairer) phase(mt *exact.Matching) bool {
 	g, n := r.g, r.g.Rows()
 	dist := r.dist

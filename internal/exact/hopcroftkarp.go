@@ -3,14 +3,21 @@
 // matching M is |M| / sprank(A), where sprank is the maximum matching
 // cardinality computed here.
 //
-// Four algorithms are provided: Hopcroft–Karp (O(√n·τ) worst case), an
-// MC21-style single-path augmenting DFS with cheap-assignment lookahead
-// (the classic "maximum transversal" algorithm), the push-relabel /
-// auction scheme and the parallel MS-BFS-Graft engine. All accept a
-// warm-start matching, which is exactly how the paper motivates cheap
-// heuristics: as jump-start routines for exact solvers. Hopcroft–Karp,
-// push-relabel and graft also come as incremental refiners (HKRefiner,
-// PRRefiner, GraftRefiner) on a reusable Workspace.
+// Four algorithms are provided: Hopcroft–Karp, an MC21-style single-path
+// augmenting DFS with cheap-assignment lookahead (the classic "maximum
+// transversal" algorithm), the push-relabel / auction scheme and the
+// parallel MS-BFS-Graft engine. All accept a warm-start matching, which is
+// exactly how the paper motivates cheap heuristics: as jump-start routines
+// for exact solvers. Hopcroft–Karp, push-relabel and graft also come as
+// incremental refiners (HKRefiner, PRRefiner, GraftRefiner) on a reusable
+// Workspace.
+//
+// A Hopcroft–Karp phase's DFS follows paths of any length in its BFS
+// layering, not only the shortest ones, and its BFS stops early only when
+// free columns are plentiful (HKRefiner.Phase), so the textbook O(√n·τ)
+// bound is not claimed here. What holds is that each phase is O(τ) for τ
+// edges and every phase but the last augments; the last proves the
+// matching maximum.
 //
 // Every algorithm searches from the exposed rows of the matrix it is
 // given and knows nothing of orientation. A caller that searches from the
@@ -65,8 +72,8 @@ func FromRowMate(rowMate []int32, m int) *Matching {
 
 // HKRefiner is the incremental form of Hopcroft–Karp: a warm-start
 // matching plus the BFS/DFS workspaces, advanced one phase at a time. Each
-// Phase augments along a maximal set of vertex-disjoint shortest
-// augmenting paths, so the held matching grows monotonically and is a
+// Phase augments along a maximal set of vertex-disjoint augmenting paths
+// in its BFS layering, so the held matching grows monotonically and is a
 // valid matching between phases — callers can interleave phases with other
 // work (the ensemble engine interleaves them with candidate arrivals) and
 // stop as soon as the size crosses a bound, or run to the maximum.
@@ -74,11 +81,16 @@ type HKRefiner struct {
 	a  *sparse.CSR
 	mt *Matching
 
-	dist  []int32
-	queue []int32
-	// Iterative DFS state: stack of rows and per-row arc cursors.
-	arc   []int
+	free  []int32 // exposed non-isolated rows, compacted after every phase
+	dist  []int32 // BFS layer of each row; inf outside the current layering
+	queue []int32 // the rows the current phase's BFS layered
+	arc   []int   // per-row DFS cursors, set for the layered rows
 	stack []int32
+
+	liveRows int     // non-isolated rows
+	spare    int     // non-isolated columns minus liveRows; -1 until counted
+	seen     []int32 // seen[j] == stamp: the column count has met column j
+	stamp    int32   // grows across constructions, so seen needs no clearing
 
 	done bool
 }
@@ -102,34 +114,72 @@ func (r *HKRefiner) Size() int { return r.mt.Size }
 // augmenting path).
 func (r *HKRefiner) Done() bool { return r.done }
 
-// Phase runs one Hopcroft–Karp phase — a BFS layering followed by a
-// maximal wave of vertex-disjoint shortest augmenting paths — and reports
-// whether the matching may still be improvable. A false return means the
-// matching is maximum; the refiner stays in that state.
+// Phase runs one Hopcroft–Karp phase — a BFS that layers the rows by
+// alternating distance from the exposed rows, then a DFS along the
+// layering that augments a maximal set of vertex-disjoint paths — and
+// reports whether the matching may still be improvable.
+//
+// Where the BFS stops depends on how many free columns there are. The
+// free non-isolated columns outnumber the exposed non-isolated rows by a
+// constant of the graph, its spare columns: non-isolated columns minus
+// non-isolated rows. With at least as many spare columns as exposed rows,
+// as on the column side of a rank-deficient graph, at least half the free
+// columns can never be matched and the exposed rows have free columns
+// close by; the BFS then stops at the first layer that reaches a free
+// column, which is Hopcroft–Karp's own rule, instead of walking all the
+// graph it reaches. Otherwise, as on a graph with a perfect matching,
+// free columns are scarce and augmenting paths long: the BFS layers every
+// row the exposed rows reach, so one DFS can follow a path of any length,
+// where stopping at the first free layer would leave the long paths to
+// dozens of later phases on a long path or a mesh.
+//
+// A false return means the BFS reached no free column, which proves the
+// matching maximum; the refiner stays in that state.
 func (r *HKRefiner) Phase() bool {
 	if r.done {
 		return false
 	}
-	a, mt, n := r.a, r.mt, r.a.RowsN
-	dist := r.dist
-	// BFS phase: layer rows by alternating distance from free rows.
-	queue := r.queue[:0]
-	for i := 0; i < n; i++ {
-		if mt.RowMate[i] == NIL {
-			dist[i] = 0
-			queue = append(queue, int32(i))
-		} else {
-			dist[i] = inf
+	early := r.plentiful()
+	if !r.layer(early) {
+		r.done = true
+		return false
+	}
+	r.augmentLayered(early)
+	free := r.free[:0]
+	for _, i := range r.free {
+		if r.mt.RowMate[i] == NIL {
+			free = append(free, i)
 		}
 	}
-	found := false
+	r.free = free
+	return true
+}
+
+// layer runs the phase's BFS from the exposed rows and reports whether it
+// met a free column. When early is set it stops at the first one: every
+// row of that column's layer and of the layers before it was queued
+// before the layer's first row was scanned, so the stop loses no shortest
+// path, and the rows already queued for the next layer are dropped again.
+// It then points the DFS cursor of every layered row at its first arc:
+// row by row after a stopped BFS, whose layering is small, and in one
+// sequential sweep after a full one, which usually covers most rows.
+func (r *HKRefiner) layer(early bool) bool {
+	a, mt, dist, arc := r.a, r.mt, r.dist, r.arc
+	queue := r.queue[:0]
+	for _, i := range r.free {
+		dist[i] = 0
+		queue = append(queue, i)
+	}
+	limit := inf
 	for qh := 0; qh < len(queue); qh++ {
 		i := queue[qh]
 		for p := a.Ptr[i]; p < a.Ptr[i+1]; p++ {
-			j := a.Idx[p]
-			i2 := mt.ColMate[j]
+			i2 := mt.ColMate[a.Idx[p]]
 			if i2 == NIL {
-				found = true
+				limit = min(limit, dist[i])
+				if early {
+					break
+				}
 				continue
 			}
 			if dist[i2] == inf {
@@ -137,44 +187,73 @@ func (r *HKRefiner) Phase() bool {
 				queue = append(queue, i2)
 			}
 		}
+		if early && limit != inf {
+			for dist[queue[len(queue)-1]] > limit {
+				dist[queue[len(queue)-1]] = inf
+				queue = queue[:len(queue)-1]
+			}
+			break
+		}
 	}
 	r.queue = queue
-	if !found {
-		r.done = true
+	if early {
+		for _, i := range queue {
+			arc[i] = a.Ptr[i]
+		}
+	} else {
+		copy(arc, a.Ptr)
+	}
+	return limit != inf
+}
+
+// plentiful reports whether the graph has at least as many spare columns
+// as exposed rows. It counts the non-isolated columns on the first call of
+// a run that can need them: never on a graph whose columns, isolated or
+// not, are too few, nor once no row is exposed.
+func (r *HKRefiner) plentiful() bool {
+	a := r.a
+	if len(r.free) == 0 || a.ColsN-r.liveRows < len(r.free) {
 		return false
 	}
-	// DFS phase: find a maximal set of vertex-disjoint shortest
-	// augmenting paths along the layering.
-	arc := r.arc
-	for i := 0; i < n; i++ {
-		arc[i] = a.Ptr[i]
-	}
-	stack := r.stack
-	for s := 0; s < n; s++ {
-		if mt.RowMate[s] != NIL || dist[s] != 0 {
-			continue
+	if r.spare < 0 {
+		r.seen = growInt32(r.seen, a.ColsN)
+		if r.stamp == math.MaxInt32 {
+			clear(r.seen[:cap(r.seen)])
+			r.stamp = 0
 		}
-		stack = append(stack[:0], int32(s))
+		r.stamp++
+		live := 0
+		for _, j := range a.Idx {
+			if r.seen[j] != r.stamp {
+				r.seen[j] = r.stamp
+				live++
+			}
+		}
+		r.spare = live - r.liveRows
+	}
+	return r.spare >= len(r.free)
+}
+
+// augmentLayered runs a DFS from every exposed row along the layering,
+// stepping one layer per row, and augments at the first free column it
+// meets. Rows on an augmenting path and dead ends leave the layering, so
+// the paths stay vertex-disjoint and every arc is followed at most once.
+// It resets the layering for the next phase, row by row after a stopped
+// BFS and in one sweep after a full one, as layer set the cursors.
+func (r *HKRefiner) augmentLayered(early bool) {
+	a, mt, dist, arc := r.a, r.mt, r.dist, r.arc
+	stack := r.stack
+	for _, s := range r.free {
+		stack = append(stack[:0], s)
 		for len(stack) > 0 {
 			i := stack[len(stack)-1]
 			advanced := false
 			for arc[i] < a.Ptr[i+1] {
-				p := arc[i]
+				j := a.Idx[arc[i]]
 				arc[i]++
-				j := a.Idx[p]
 				i2 := mt.ColMate[j]
 				if i2 == NIL {
-					// Augment along the stack; mark the rows used so
-					// paths in this phase stay vertex-disjoint.
-					for k := len(stack) - 1; k >= 0; k-- {
-						row := stack[k]
-						pj := mt.RowMate[row]
-						mt.RowMate[row] = j
-						mt.ColMate[j] = row
-						dist[row] = inf
-						j = pj
-					}
-					mt.Size++
+					r.augment(stack, j)
 					stack = stack[:0]
 					advanced = true
 					break
@@ -192,7 +271,31 @@ func (r *HKRefiner) Phase() bool {
 		}
 	}
 	r.stack = stack
-	return true
+	if early {
+		for _, i := range r.queue {
+			dist[i] = inf
+		}
+	} else {
+		for i := range dist {
+			dist[i] = inf
+		}
+	}
+}
+
+// augment flips the alternating path that runs from stack[0], an exposed
+// row, through each stacked row's mate to the free column j, and takes
+// the path's rows out of the layering.
+func (r *HKRefiner) augment(stack []int32, j int32) {
+	mt := r.mt
+	for k := len(stack) - 1; k >= 0; k-- {
+		row := stack[k]
+		pj := mt.RowMate[row]
+		mt.RowMate[row] = j
+		mt.ColMate[j] = row
+		r.dist[row] = inf
+		j = pj
+	}
+	mt.Size++
 }
 
 // Run advances the refiner to the maximum matching and returns it.

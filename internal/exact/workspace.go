@@ -42,15 +42,28 @@ func (ws *Workspace) matching(n, m int, init *Matching) *Matching {
 // NewHKRefinerWs is NewHKRefiner on a reusable Workspace: the search
 // arrays and the held matching live in ws, so repeated constructions on
 // same-shaped graphs allocate nothing. The returned refiner (and its
-// Matching) are valid until the workspace's next construction.
+// Matching) are valid until the workspace's next construction. One sweep
+// over the rows sets them up; the column stamps, grown only when Phase
+// first counts columns, need no clearing.
 func NewHKRefinerWs(a *sparse.CSR, init *Matching, ws *Workspace) *HKRefiner {
 	n := a.RowsN
 	r := &ws.hk
 	r.a = a
 	r.mt = ws.matching(n, a.ColsN, init)
 	r.dist = growInt32(r.dist, n)
-	r.queue = r.queue[:0]
 	r.arc = growInt(r.arc, n)
+	r.free = growInt32(r.free, n)[:0]
+	r.liveRows, r.spare = 0, -1
+	for i := 0; i < n; i++ {
+		r.dist[i] = inf
+		if a.Ptr[i] < a.Ptr[i+1] {
+			r.liveRows++
+			if r.mt.RowMate[i] == NIL {
+				r.free = append(r.free, int32(i))
+			}
+		}
+	}
+	r.queue = r.queue[:0]
 	r.stack = r.stack[:0]
 	r.done = false
 	return r

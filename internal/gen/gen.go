@@ -482,6 +482,26 @@ func LongThinPath(n int) *sparse.CSR {
 	return a
 }
 
+// DirectSum returns the block-diagonal pattern with a above b: a's rows
+// and columns first, then b's, shifted past them. Values are dropped.
+// RankDeficient beside its own transpose is the family whose doomed
+// vertices sit on both sides, so no search side avoids them.
+func DirectSum(a, b *sparse.CSR) *sparse.CSR {
+	ptr := append([]int(nil), a.Ptr...)
+	for _, p := range b.Ptr[1:] {
+		ptr = append(ptr, a.NNZ()+p)
+	}
+	idx := append([]int32(nil), a.Idx...)
+	for _, j := range b.Idx {
+		idx = append(idx, int32(a.ColsN)+j)
+	}
+	c, err := sparse.New(a.RowsN+b.RowsN, a.ColsN+b.ColsN, ptr, idx, nil)
+	if err != nil {
+		panic("gen: DirectSum produced invalid matrix: " + err.Error())
+	}
+	return c
+}
+
 // SkewedDegree returns a rows×cols pattern with skewed degree mass on
 // both sides: column picks concentrate on the low indices (u^skew
 // mapping, so column j's expected degree falls off polynomially) and a

@@ -318,3 +318,31 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestDirectSumBlocks(t *testing.T) {
+	a := RankDeficient(40, 12, 3, 5)
+	b := ER(10, 7, 20, 6)
+	c := DirectSum(a, b)
+	validate(t, c)
+	if c.RowsN != a.RowsN+b.RowsN || c.ColsN != a.ColsN+b.ColsN || c.NNZ() != a.NNZ()+b.NNZ() {
+		t.Fatalf("shape %dx%d nnz %d", c.RowsN, c.ColsN, c.NNZ())
+	}
+	for i := 0; i < c.RowsN; i++ {
+		var want []int32
+		shift := int32(0)
+		if i < a.RowsN {
+			want = a.Row(i)
+		} else {
+			want, shift = b.Row(i-a.RowsN), int32(a.ColsN)
+		}
+		got := c.Row(i)
+		if len(got) != len(want) {
+			t.Fatalf("row %d has %d entries, want %d", i, len(got), len(want))
+		}
+		for k := range got {
+			if got[k] != want[k]+shift {
+				t.Fatalf("row %d entry %d is column %d, want %d", i, k, got[k], want[k]+shift)
+			}
+		}
+	}
+}

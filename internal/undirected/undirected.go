@@ -294,6 +294,15 @@ func (g *Graph) Match(scalingIters int, opt Options) *Result {
 	if scalingIters > 0 {
 		d, errv = ScaleSymmetric(g.A, scalingIters, opt)
 	}
+	res := g.MatchScaled(d, opt)
+	res.ScaleErr = errv
+	return res
+}
+
+// MatchScaled is Match from a given scaling vector d (nil samples
+// uniformly): a caller that keeps ScaleSymmetric's result samples from it
+// without rescaling. d is only read. ScaleErr is left zero.
+func (g *Graph) MatchScaled(d []float64, opt Options) *Result {
 	choices := SampleChoices(g.A, d, opt)
 	match := KarpSipser1Out(choices)
 	size := 0
@@ -302,7 +311,7 @@ func (g *Graph) Match(scalingIters int, opt Options) *Result {
 			size++
 		}
 	}
-	return &Result{Match: match, Size: size, Choices: choices, ScaleErr: errv}
+	return &Result{Match: match, Size: size, Choices: choices}
 }
 
 // Validate checks that match is a valid matching of g: mutual partners

@@ -130,9 +130,9 @@ func (v Options) width() (*par.Pool, int) {
 }
 
 // scaleRunHook, when set, is called at the start of every scaling run —
-// the test seam that counts how many Sinkhorn–Knopp executions a workload
-// actually performs. Loaded atomically because batch slots scale from
-// pool workers.
+// the test seam that counts how many Sinkhorn–Knopp executions, and
+// UndirectedGraph symmetric scalings, a workload actually performs.
+// Loaded atomically because batch slots scale from pool workers.
 var scaleRunHook atomic.Pointer[func()]
 
 // scaling returns g's scaling under v's iteration count from the Graph's

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/par"
-	"repro/internal/sparse"
 )
 
 // countScaleRuns installs the scaling counter hook for the duration of the
@@ -420,23 +419,6 @@ func TestMatcherCancelMidRun(t *testing.T) {
 	cmpMates(t, "post-cancel reuse", res.Matching, want.Matching)
 }
 
-// directSum returns the block-diagonal matrix with a above b.
-func directSum(a, b *sparse.CSR) *sparse.CSR {
-	ptr := append([]int(nil), a.Ptr...)
-	for _, p := range b.Ptr[1:] {
-		ptr = append(ptr, a.NNZ()+p)
-	}
-	idx := append([]int32(nil), a.Idx...)
-	for _, j := range b.Idx {
-		idx = append(idx, int32(a.ColsN)+j)
-	}
-	c, err := sparse.New(a.RowsN+b.RowsN, a.ColsN+b.ColsN, ptr, idx, nil)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // TestServerRefinementStopsAtDeadline: a refinement whose deadline expires
 // mid-run gives its batch slot back within one refinement unit. The graph
 // is RankDeficient(8000, 2400, 6) beside its transpose, so 2,400 doomed
@@ -447,7 +429,7 @@ func directSum(a, b *sparse.CSR) *sparse.CSR {
 // within 1 s.
 func TestServerRefinementStopsAtDeadline(t *testing.T) {
 	rd := gen.RankDeficient(8000, 2400, 6, 1)
-	big := newGraph(directSum(rd, rd.Transpose()))
+	big := newGraph(gen.DirectSum(rd, rd.Transpose()))
 	small := RandomER(1000, 1000, 4, 2)
 	srv := NewServerConfig(&Options{ScalingIterations: 5}, ServerConfig{MaxBatch: 1})
 	defer srv.Close()

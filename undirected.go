@@ -1,6 +1,8 @@
 package bipartite
 
 import (
+	"sync"
+
 	"repro/internal/par"
 	"repro/internal/sparse"
 	"repro/internal/undirected"
@@ -10,8 +12,58 @@ import (
 // UndirectedGraph is a general (non-bipartite) graph on which the 1-out
 // matching heuristic runs — the extension announced in the paper's
 // conclusion. Construct with NewUndirected or RandomUndirected.
+//
+// Like a Graph, it keeps one symmetric scaling per ScalingIterations
+// value (8 bytes per vertex), computed by the first Match that needs it
+// and shared read-only by every later one.
 type UndirectedGraph struct {
 	g *undirected.Graph
+
+	scMu     sync.Mutex
+	scalings []*symScaling // one per ScalingIterations value; guarded by scMu
+}
+
+// symScaling is an UndirectedGraph's symmetric scaling under one
+// iteration count; it is read-only once published.
+type symScaling struct {
+	iters int
+	d     []float64
+	err   float64
+}
+
+// scaling returns u's symmetric scaling under iters iterations,
+// computing it on first use. The compute runs without the lock: its
+// sweeps may dispatch to a pool, whose steal-back wait could run a task
+// that waits on the lock. ScaleSymmetric gives the same vector at every
+// width, so concurrent first callers that each compute agree, and the
+// first result published is the one kept.
+func (u *UndirectedGraph) scaling(iters int, opt undirected.Options) *symScaling {
+	find := func() *symScaling {
+		for _, sc := range u.scalings {
+			if sc.iters == iters {
+				return sc
+			}
+		}
+		return nil
+	}
+	u.scMu.Lock()
+	sc := find()
+	u.scMu.Unlock()
+	if sc != nil {
+		return sc
+	}
+	if hook := scaleRunHook.Load(); hook != nil {
+		(*hook)()
+	}
+	d, err := undirected.ScaleSymmetric(u.g.A, iters, opt)
+	u.scMu.Lock()
+	defer u.scMu.Unlock()
+	if sc := find(); sc != nil {
+		return sc
+	}
+	sc = &symScaling{iters: iters, d: d, err: err}
+	u.scalings = append(u.scalings, sc)
+	return sc
 }
 
 // NewUndirected builds an undirected graph from a symmetric edge list
@@ -78,12 +130,17 @@ type UndirectedResult struct {
 // Match runs the undirected 1-out heuristic: symmetric doubly stochastic
 // scaling, one sampled neighbor per vertex, and an exact Karp–Sipser pass
 // over the sampled pseudoforest (odd cycles handled) on the calling
-// goroutine, so the mates are the same at every width.
+// goroutine, so the mates are the same at every width. The scaling is
+// the graph's own for the iteration count, computed on the first call.
 func (u *UndirectedGraph) Match(opt *Options) *UndirectedResult {
 	v := opt.normalized()
-	res := u.g.Match(v.ScalingIterations, undirected.Options{
-		Workers: v.Workers, Policy: par.Dynamic, Seed: v.Seed, Pool: v.Pool.inner()})
-	return &UndirectedResult{Mate: res.Match, Size: res.Size, ScalingError: res.ScaleErr}
+	uo := undirected.Options{Workers: v.Workers, Policy: par.Dynamic, Seed: v.Seed, Pool: v.Pool.inner()}
+	var sc symScaling
+	if v.ScalingIterations > 0 {
+		sc = *u.scaling(v.ScalingIterations, uo)
+	}
+	res := u.g.MatchScaled(sc.d, uo)
+	return &UndirectedResult{Mate: res.Match, Size: res.Size, ScalingError: sc.err}
 }
 
 // ValidateUndirected checks mate consistency against the graph.
