@@ -369,12 +369,13 @@ func BenchmarkRefineHK(b *testing.B) {
 			b.Fatal(err)
 		}
 		sprank := g.Sprank()
+		liveRows, liveCols := g.liveCounts()
 		ws := &exact.Workspace{}
-		side := func(name string, a *sparse.CSR, init *exact.Matching) {
+		side := func(name string, a *sparse.CSR, init *exact.Matching, cols int) {
 			b.Run(tc.name+"/"+name, func(b *testing.B) {
 				phases := 0
 				for i := 0; i < b.N; i++ {
-					r := exact.NewHKRefinerWs(a, init, ws)
+					r := exact.NewHKRefinerLive(a, init, ws, cols)
 					for r.Phase() {
 						phases++
 					}
@@ -385,8 +386,8 @@ func BenchmarkRefineHK(b *testing.B) {
 				b.ReportMetric(float64(phases+b.N)/float64(b.N), "phases/op")
 			})
 		}
-		side("rows", g.a, res.Matching)
-		side("cols", g.transpose(), exact.Mirror(&exact.Matching{}, res.Matching))
+		side("rows", g.a, res.Matching, liveCols)
+		side("cols", g.transpose(), exact.Mirror(&exact.Matching{}, res.Matching), liveRows)
 		b.Run(tc.name+"/cold", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g.MaximumMatching(nil)

@@ -97,24 +97,33 @@
 // the Azad et al. baseline, keeps its compare-and-swap claims, so its
 // pairing depends on the schedule. No heuristic has a data race at any
 // width. TestTwoSidedDeterministicAcrossPoolsAndWorkers,
-// TestOneSidedSizeStableAcrossPools and TestOneSidedMatchesReference in
-// internal/core, TestWorkersProduceIdenticalScaling in internal/scale,
+// TestSamplingWithTotalsBitIdentical, TestOneSidedSizeStableAcrossPools,
+// TestOneSidedMatchesReference and TestKarpSipserInPlaceOfflineFamilies
+// in internal/core, TestWorkersProduceIdenticalScaling in internal/scale,
 // TestMatchSizeDeterministicAcrossWorkers in internal/undirected, and
 // TestSpecRunsItsKernel, TestSpecGraftBitIdenticalAcrossWidths and
 // TestUndirectedAPI here gate it; CI runs them under the race detector
 // at GOMAXPROCS 1, 2 and 4.
 //
 // TwoSided's Karp–Sipser is Algorithm 4 on the calling goroutine, after
-// the sampling region: plain loads and stores instead of atomics, and
-// vertex loops without data-dependent branches. It consumes the same
-// vertices in the same order as the atomic kernel run in index order on
-// one goroutine, so its matchings are bit-identical to that kernel's;
-// TestKarpSipserWidth1SampledChoiceGraphs, TestKarpSipserWidth1HandBuilt
-// and FuzzKarpSipserWidth1 in internal/core hold it to that reference,
-// and TestSessionWidth1CancelMidKarpSipser checks that it polls the
-// cancellation hook every chunk (512 vertices by default). The atomic
-// kernel stays in internal/core for the paper's Fig. 4a and Table 3; no
-// call in this package runs it.
+// the sampling region: plain loads and stores instead of atomics, one
+// count word per vertex (its residual degree and whether any vertex chose
+// it) instead of a mark and a degree array, and vertex loops without
+// data-dependent branches. It writes the row/column matching in place, as
+// OneSided's claim pass does: both heuristics keep their result in one
+// session buffer of one mate per vertex, RowMate then ColMate, so a
+// matching needs no decoding and a one-shot TwoSided allocates 12 bytes a
+// vertex, OneSided 4, on a Graph that already holds its scaling. The
+// kernel consumes the same vertices in the same order as the atomic
+// kernel run in index order on one goroutine, so its matchings are that
+// kernel's, bit for bit; TestKarpSipserWidth1SampledChoiceGraphs,
+// TestKarpSipserWidth1HandBuilt, TestKarpSipserInPlaceOfflineFamilies and
+// FuzzKarpSipserWidth1 in internal/core hold it to that reference,
+// TestSessionWidth1CancelMidKarpSipser checks that it polls the
+// cancellation hook every chunk (512 vertices by default), and
+// TestOneShotHeuristicBytes here bounds what a one-shot call allocates.
+// The atomic kernel stays in internal/core for the paper's Fig. 4a and
+// Table 3; no call in this package runs it.
 //
 // # The Spec engine
 //

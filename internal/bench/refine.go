@@ -78,6 +78,7 @@ func Refine(cfg Config) []PerfRecord {
 		if exact.SearchColumns(a.RowsN-a.EmptyRows(), at.RowsN-at.EmptyRows()) {
 			a, at, init = at, a, exact.Mirror(&exact.Matching{}, init)
 		}
+		liveCols := at.RowsN - at.EmptyRows()
 		sprank := exact.HopcroftKarp(a, init).Size
 
 		record := func(engine string, workers int, run func() *exact.Matching, anchor int64) int64 {
@@ -115,7 +116,7 @@ func Refine(cfg Config) []PerfRecord {
 		}
 
 		record("refine-hk", 1, func() *exact.Matching {
-			return exact.NewHKRefinerWs(a, init, ws).Run()
+			return exact.NewHKRefinerLive(a, init, ws, liveCols).Run()
 		}, 0)
 		if tc.pushRelabel {
 			record("refine-pushrelabel", 1, func() *exact.Matching {

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/par"
 	"repro/internal/sparse"
@@ -61,15 +62,15 @@ func TestOneSidedAliasBuildsRowTableOnly(t *testing.T) {
 	var rows aliasTable
 	rows.build(a, sc.DC)
 	for _, seed := range []uint64{1, 2, 3} {
-		got, _ := s.OneSided(seed)
-		cmpI32s(t, "OneSided", got, oneSidedReference(a, sc.DC, sc.RSum, &rows, seed))
+		want := CMatchToMatching(a.RowsN, oneSidedReference(a, sc.DC, sc.RSum, &rows, seed))
+		cmpMatching(t, "OneSided", s.OneSided(seed), want)
 	}
 	if s.aliasAT.prob != nil {
 		t.Fatal("OneSided built the column alias table")
 	}
 	fresh := NewSession(a, at, opt)
 	fresh.SetScaling(sc.DR, sc.DC, sc.RSum, sc.CSum)
-	cmpI32s(t, "TwoSided after OneSided", s.TwoSided(5).Match, fresh.TwoSided(5).Match)
+	cmpMatching(t, "TwoSided after OneSided", s.TwoSided(5).Matching, fresh.TwoSided(5).Matching)
 	if s.aliasAT.prob == nil {
 		t.Fatal("TwoSided drew columns without their alias table")
 	}
@@ -82,15 +83,16 @@ func TestOneSidedAliasBuildsRowTableOnly(t *testing.T) {
 func TestAliasDeterministicAcrossWorkerCounts(t *testing.T) {
 	a := gen.ERAvgDeg(2000, 2000, 5, 17)
 	at := a.Transpose()
-	var ref, refMatch, refC []int32
+	var ref []int32
+	var refTwo, refOne *exact.Matching
 	for _, w := range []int{1, 2, 4} {
 		opt := Options{Workers: w, Policy: par.Dynamic, KSPolicy: par.Guided, Alias: true}
 		s := NewSession(a, at, opt)
-		match := append([]int32(nil), s.TwoSided(7).Match...)
+		two := cloneMatching(s.TwoSided(7).Matching)
 		choices := append([]int32(nil), s.cg.Choice[:a.RowsN]...)
-		cmatch, _ := s.OneSided(7)
+		one := s.OneSided(7)
 		if w == 1 {
-			ref, refMatch, refC = choices, match, append([]int32(nil), cmatch...)
+			ref, refTwo, refOne = choices, two, cloneMatching(one)
 			continue
 		}
 		for i := range ref {
@@ -98,8 +100,8 @@ func TestAliasDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Fatalf("w=%d: row %d's choice differs from width 1", w, i)
 			}
 		}
-		cmpI32s(t, "alias two-sided match", match, refMatch)
-		cmpI32s(t, "alias one-sided cmatch", cmatch, refC)
+		cmpMatching(t, "alias two-sided", two, refTwo)
+		cmpMatching(t, "alias one-sided", one, refOne)
 	}
 }
 
@@ -115,8 +117,7 @@ func TestAliasFollowsScaledDistribution(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		s := NewSession(a, at, Options{Workers: 1, Policy: par.Dynamic, KSPolicy: par.Guided, Alias: true})
 		s.SetScaling(dr, dc, nil, nil)
-		cmatch, _ := s.OneSided(seed)
-		if cmatch[0] == 0 {
+		if s.OneSided(seed).ColMate[0] == 0 {
 			count0++
 		}
 	}
@@ -132,9 +133,9 @@ func TestAliasUniformDistribution(t *testing.T) {
 	at := a.Transpose()
 	counts := make([]int, 4)
 	s := NewSession(a, at, Options{Workers: 1, Policy: par.Dynamic, KSPolicy: par.Guided, Alias: true})
-	// cmatch is column-indexed; count which column got claimed per seed.
+	// ColMate is column-indexed; count which column got claimed per seed.
 	for seed := uint64(1); seed <= 4000; seed++ {
-		cm, _ := s.OneSided(seed)
+		cm := s.OneSided(seed).ColMate
 		for j := range cm {
 			if cm[j] != NIL {
 				counts[j]++

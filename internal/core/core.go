@@ -12,7 +12,7 @@
 //     1-out graphs, synchronizing only through compare-and-swap on the
 //     match array and fetch-and-add on the degree array. It is kept for
 //     the paper's figures and benchmarks; the heuristics run its serial
-//     form, ksSerial.
+//     form, ksInPlace.
 //
 // Both heuristics sample in parallel and match on the calling goroutine,
 // so their matchings are the same at every worker count, policy and pool
@@ -23,12 +23,18 @@
 //
 //   - OneSided's rows claim their columns in index order, so the largest
 //     row that chose a column keeps it.
-//   - TwoSided matches its choice graph with ksSerial, Algorithm 4 on one
-//     goroutine with plain loads and stores and no data-dependent
-//     branches in its link, start and Phase 2 sweeps. Its matchings are
-//     those of the atomic kernel run in index order on one goroutine;
-//     TestKarpSipserWidth1SampledChoiceGraphs, TestKarpSipserWidth1HandBuilt
-//     and FuzzKarpSipserWidth1 hold it to that reference.
+//   - TwoSided matches its choice graph with ksInPlace, Algorithm 4 on one
+//     goroutine with plain loads and stores, one count word per vertex
+//     and no data-dependent branches in its link, start and Phase 2
+//     sweeps. Its matchings are those of the atomic kernel run in index
+//     order on one goroutine, decoded;
+//     TestKarpSipserWidth1SampledChoiceGraphs, TestKarpSipserWidth1HandBuilt,
+//     TestKarpSipserInPlaceOfflineFamilies and FuzzKarpSipserWidth1 hold it
+//     to that reference.
+//
+// Neither decodes a result: each writes its row/column matching in place,
+// into one session buffer of n+m mates whose first n entries are RowMate
+// and last m are ColMate.
 //
 // The sampling region visits each side's rows in a sparse.DegreeOrder,
 // and rows of degree 2 to 16 draw with a fixed trip count (drawFixed).
@@ -38,6 +44,7 @@
 package core
 
 import (
+	"math"
 	"sync/atomic"
 
 	"repro/internal/exact"
@@ -176,12 +183,13 @@ func weight(a *sparse.CSR, dc []float64, p int) float64 {
 
 // OneSided runs OneSidedMatch (Algorithm 2) given the matrix and its
 // scaling vectors on a throwaway Session; see Session.OneSided. It returns
-// the cmatch array (cmatch[j] = row matched to column j, or NIL) and the
-// matching cardinality.
+// the cmatch array (cmatch[j] = row matched to column j, or NIL), which is
+// the matching's ColMate, and the matching cardinality.
 func OneSided(a *sparse.CSR, dr, dc []float64, opt Options) ([]int32, int) {
 	s := NewSession(a, nil, opt)
 	s.SetScaling(dr, dc, opt.RowTotals, nil)
-	return s.OneSided(opt.Seed)
+	mt := s.OneSided(opt.Seed)
+	return mt.ColMate, mt.Size
 }
 
 // ChoiceGraph is the 1-out subgraph built by TwoSidedMatch: vertex u in
@@ -245,26 +253,32 @@ func (g *ChoiceGraph) ToCSR() *sparse.CSR {
 // array over the N+M vertex ids. On graphs built by TwoSidedMatch the
 // result is a maximum matching of the choice graph (Lemmas 1–3). This is
 // the paper's kernel, kept for Fig. 4a and Table 3 in internal/bench and
-// for BenchmarkKarpSipserMTWidths; Session.TwoSided always runs ksSerial.
+// for BenchmarkKarpSipserMTWidths; Session.TwoSided always runs ksInPlace.
 // All cross-thread communication happens through atomics: a
 // compare-and-swap claims a neighbor, a fetch-and-add tracks the residual
 // degree, so the kernel needs no locks, no vertex lists and no conflict
 // queues, and which of two competing vertices wins a claim depends on the
 // schedule. A run whose regions get one worker has no other thread to
-// synchronize with and takes ksSerial instead.
+// synchronize with and takes ksInPlace instead, with its row/column mates
+// turned back into vertex ids.
 func KarpSipserMT(g *ChoiceGraph, opt Options) []int32 {
 	nm := g.N + g.M
 	match := make([]int32, nm)
-	mark := make([]int32, nm)
-	deg := make([]int32, nm)
 	pool := opt.pool()
 	workers := opt.Workers
 	pol := opt.KSPolicy
 	chunk := opt.chunk()
 	if pool.Slots(nm, workers) <= 1 {
-		ksSerial(g.Choice, match, mark, deg, g.N, chunk, nil)
+		ksInPlace(g.Choice, match, make([]int32, nm), g.N, chunk, nil)
+		for u, v := range match[:g.N] {
+			if v != NIL {
+				match[u] = v + int32(g.N)
+			}
+		}
 		return match
 	}
+	mark := make([]int32, nm)
+	deg := make([]int32, nm)
 	pool.For(nm, workers, pol, chunk, func(_, lo, hi int) {
 		ksInitRange(match, mark, deg, lo, hi)
 	})
@@ -360,35 +374,42 @@ func ksPhase2Range(choice, match []int32, n int, lo, hi int) {
 	}
 }
 
-// ksSerial runs Algorithm 4 on the calling goroutine, from ksInitRange's
-// state to the final match array, polling cancel (when non-nil) before
-// every chunk of vertices like a one-worker par.Pool.ForCancel region. It
-// reports false when cancel fired; match is then partial.
+// chosen is the flag bit of a ksInPlace count word, set once some vertex
+// chose the vertex. It is the sign bit: a count is at most n+m, so no
+// count reaches it while n+m fits in an int32.
+const chosen = math.MinInt32
+
+// ksInPlace runs Algorithm 4 on the calling goroutine and writes the
+// matching straight into mate, a buffer of one entry per vertex that is
+// the row/column matching of the choice graph: mate[:n] is RowMate (the
+// column index each row took, or NIL) and mate[n:] is ColMate (the row
+// index each column took). It returns the matching's size. cnt is one
+// count word per vertex, left holding garbage. The kernel polls cancel
+// (when non-nil) before every chunk of vertices, like a one-worker
+// par.Pool.ForCancel region, and reports false when cancel fired; mate
+// and the size are then partial.
 //
 // With no other thread to synchronize with, every atomic becomes a plain
-// load or store, and the data-dependent branches of the vertex loops
-// become arithmetic:
-//
-//   - The link pass marks and counts unconditionally. An isolated vertex u
-//     marks itself, and choice[u] == u adds nothing to its degree.
-//   - The marked vertices are then exactly the out-one starts of Phase 1
-//     (a self-loop vertex has marked itself), and Phase 1 never writes
-//     mark, so their list is compacted into mark itself, in index order,
-//     before the chains run.
-//   - Phase 2 writes both mates through a select.
+// load or store, and one count word per vertex replaces Algorithm 4's
+// mark and degree arrays: the vertex's residual degree, plus the chosen
+// flag once any vertex chose it. The flag is set by the link pass and
+// never cleared, because a count never falls below zero. The unchosen
+// vertices are exactly Phase 1's out-one starts. Phase 1 compacts them a
+// block at a time (ksPhase1Serial), Phase 2 writes both mates through a
+// select, and both count the size as they match.
 //
 // The chains consume the same vertices in the same order as the atomic
 // kernel run in index order on one goroutine, so the matching is bit for
-// bit that kernel's; TestKarpSipserWidth1SampledChoiceGraphs,
-// TestKarpSipserWidth1HandBuilt and FuzzKarpSipserWidth1 hold it to it.
-func ksSerial(choice, match, mark, deg []int32, n, chunk int, cancel func() bool) bool {
+// bit that kernel's, decoded; TestKarpSipserWidth1SampledChoiceGraphs,
+// TestKarpSipserWidth1HandBuilt, TestKarpSipserInPlaceOfflineFamilies and
+// FuzzKarpSipserWidth1 hold it to it.
+func ksInPlace(choice, mate, cnt []int32, n, chunk int, cancel func() bool) (size int, ok bool) {
 	nm := len(choice)
-	starts := 0
-	return serialChunks(nm, chunk, cancel, func(lo, hi int) { ksInitRange(match, mark, deg, lo, hi) }) &&
-		serialChunks(nm, chunk, cancel, func(lo, hi int) { ksLinkSerial(choice, mark, deg, lo, hi) }) &&
-		serialChunks(nm, chunk, cancel, func(lo, hi int) { starts = ksCompactStarts(mark, starts, lo, hi) }) &&
-		serialChunks(starts, chunk, cancel, func(lo, hi int) { ksPhase1Serial(choice, match, deg, mark[lo:hi]) }) &&
-		serialChunks(nm-n, chunk, cancel, func(lo, hi int) { ksPhase2Serial(choice, match, n+lo, n+hi) })
+	ok = serialChunks(nm, chunk, cancel, func(lo, hi int) { ksInitSerial(mate, cnt, lo, hi) }) &&
+		serialChunks(nm, chunk, cancel, func(lo, hi int) { ksLinkSerial(choice, cnt, lo, hi) }) &&
+		serialChunks(nm, chunk, cancel, func(lo, hi int) { size += ksPhase1Serial(choice, mate, cnt, n, lo, hi) }) &&
+		serialChunks(nm-n, chunk, cancel, func(lo, hi int) { size += ksPhase2Serial(choice, mate, n, n+lo, n+hi) })
+	return size, ok
 }
 
 // serialChunks calls body over [0, n) in chunks, in index order on the
@@ -404,73 +425,99 @@ func serialChunks(n, chunk int, cancel func() bool, body func(lo, hi int)) bool 
 	return true
 }
 
-// ksLinkSerial is ksLinkRange on one goroutine, without branches.
-func ksLinkSerial(choice, mark, deg []int32, lo, hi int) {
+// ksInitSerial leaves every vertex of [lo, hi) unmatched, unchosen and of
+// degree 1, its own out-edge.
+func ksInitSerial(mate, cnt []int32, lo, hi int) {
+	for u := range mate[lo:hi] {
+		mate[lo+u] = NIL
+	}
+	for u := range cnt[lo:hi] {
+		cnt[lo+u] = 1
+	}
+}
+
+// ksLinkSerial is ksLinkRange on one goroutine, without branches, on the
+// count words: an isolated vertex u flags itself, and choice[u] == u adds
+// nothing to its degree.
+func ksLinkSerial(choice, cnt []int32, lo, hi int) {
 	for u := lo; u < hi; u++ {
 		v := choice[u]
-		mark[v] = 0
-		deg[v] += int32(b2i(choice[v] != int32(u)))
+		cnt[v] = (cnt[v] + int32(b2i(choice[v] != int32(u)))) | chosen
 	}
 }
 
-// ksCompactStarts appends the marked vertices of [lo, hi) to the start list
-// held in mark[:k] and returns its new length. k <= lo, so every write
-// lands on a slot whose mark was read already.
-func ksCompactStarts(mark []int32, k, lo, hi int) int {
-	for u := lo; u < hi; u++ {
-		keep := int(mark[u])
-		mark[k] = int32(u)
-		k += keep
-	}
-	return k
-}
+// ksStartBlock is how many vertices ksPhase1Serial compacts at a time.
+const ksStartBlock = 256
 
-// ksPhase1Serial is ksPhase1Range on one goroutine over a list of out-one
-// starts.
-func ksPhase1Serial(choice, match, deg, starts []int32) {
-	for _, curr := range starts {
-		for {
-			nbr := choice[curr]
-			if nbr == curr || match[nbr] != NIL {
-				break
+// ksPhase1Serial is ksPhase1Range on one goroutine over the vertices
+// [lo, hi): it compacts their out-one starts, the unchosen vertices, into
+// a list on the stack a block at a time, in index order, then follows each
+// start's chain, and returns the number of pairs it matched. A chain never
+// changes whether a vertex is chosen, so the starts of later vertices are
+// those the link pass left. A chain stays on its start's side: curr is a
+// row when the start is, and nbr a column.
+func ksPhase1Serial(choice, mate, cnt []int32, n, lo, hi int) int {
+	var starts [ksStartBlock]int32
+	size := 0
+	for blo := lo; blo < hi; blo += ksStartBlock {
+		k := 0
+		for u, c := range cnt[blo:min(blo+ksStartBlock, hi)] {
+			starts[k] = int32(blo + u)
+			k += b2i(c >= 0)
+		}
+		for _, curr := range starts[:k] {
+			// Each mate is stored minus its side's offset: currOff for
+			// curr's side, n-currOff for nbr's.
+			currOff := int32(n * b2i(int(curr) >= n))
+			nbrOff := int32(n) - currOff
+			for {
+				nbr := choice[curr]
+				if nbr == curr || mate[nbr] != NIL {
+					break
+				}
+				mate[nbr] = curr - currOff
+				mate[curr] = nbr - nbrOff
+				size++
+				next := choice[nbr]
+				if next == nbr || mate[next] != NIL {
+					break
+				}
+				cnt[next]--
+				if cnt[next] != chosen|1 {
+					break
+				}
+				curr = next
 			}
-			match[nbr] = curr
-			match[curr] = nbr
-			next := choice[nbr]
-			if next == nbr || match[next] != NIL {
-				break
-			}
-			deg[next]--
-			if deg[next] != 1 {
-				break
-			}
-			curr = next
 		}
 	}
+	return size
 }
 
 // ksPhase2Serial is ksPhase2Range on one goroutine over the column vertices
-// [lo, hi): a column u and its choice v take each other exactly when u is
-// not isolated and both are free.
-func ksPhase2Serial(choice, match []int32, lo, hi int) {
+// [lo, hi): a column u and its choice v, a row, take each other exactly
+// when u is not isolated and both are free. It returns the number of
+// pairs it matched.
+func ksPhase2Serial(choice, mate []int32, n, lo, hi int) int {
+	size := 0
 	for u := lo; u < hi; u++ {
 		v := choice[u]
-		mu, mv := match[u], match[v]
+		mu, mv := mate[u], mate[v]
 		take := b2i(v != int32(u)) & b2i(mu == NIL) & b2i(mv == NIL)
 		if take != 0 {
-			mu, mv = v, int32(u)
+			mu, mv = v, int32(u-n)
 		}
-		match[v] = mv
-		match[u] = mu
+		mate[v] = mv
+		mate[u] = mu
+		size += take
 	}
+	return size
 }
 
-// Result is the outcome of TwoSided.
+// Result is the outcome of TwoSided. It aliases the session that
+// produced it (see Session).
 type Result struct {
-	// Match is the vertex-indexed match array of the choice graph
-	// (length N+M; see ChoiceGraph).
-	Match []int32
-	// Matching is the same matching in row/column form.
+	// Matching is the maximum matching of the choice graph in row/column
+	// form; its RowMate and ColMate are the two ends of one buffer.
 	Matching *exact.Matching
 	// Graph is the sampled 1-out graph, exposed for analysis.
 	Graph *ChoiceGraph
@@ -478,7 +525,7 @@ type Result struct {
 
 // TwoSided runs TwoSidedMatch (Algorithm 3) on a throwaway Session: sample
 // row and column choices from the scaled matrix in one parallel region,
-// then match the resulting 1-out graph exactly with ksSerial. See
+// then match the resulting 1-out graph exactly with ksInPlace. See
 // Session.TwoSided.
 func TwoSided(a, at *sparse.CSR, dr, dc []float64, opt Options) *Result {
 	s := NewSession(a, at, opt)
@@ -486,54 +533,32 @@ func TwoSided(a, at *sparse.CSR, dr, dc []float64, opt Options) *Result {
 	return s.TwoSided(opt.Seed)
 }
 
-// DecodeMatch converts a vertex-indexed match array into row/column form,
-// validating mutual consistency (u matched to v implies v matched to u).
+// DecodeMatch converts a vertex-indexed match array, as KarpSipserMT
+// returns it, into row/column form, keeping only mutual pairs (u matched
+// to v and v matched to u). The sessions need no decoding: ksInPlace
+// writes the row/column form itself.
 func DecodeMatch(g *ChoiceGraph, match []int32) *exact.Matching {
 	mt := exact.NewMatching(g.N, g.M)
-	decodeMatchInto(g, match, mt)
+	for u := 0; u < g.N; u++ {
+		if v := match[u]; v != NIL && match[v] == int32(u) {
+			mt.RowMate[u] = v - int32(g.N)
+			mt.ColMate[v-int32(g.N)] = int32(u)
+			mt.Size++
+		}
+	}
 	return mt
 }
 
-// decodeMatchInto is DecodeMatch writing into a caller-owned matching of
-// the right shape (it is fully reset first).
-func decodeMatchInto(g *ChoiceGraph, match []int32, mt *exact.Matching) {
-	mt.Size = 0
-	for j := range mt.ColMate {
-		mt.ColMate[j] = NIL
-	}
-	for u := 0; u < g.N; u++ {
-		v := match[u]
-		if v == NIL || match[v] != int32(u) {
-			mt.RowMate[u] = NIL
-			continue
-		}
-		mt.RowMate[u] = v - int32(g.N)
-		mt.ColMate[v-int32(g.N)] = int32(u)
-		mt.Size++
-	}
-}
-
-// CMatchToMatching converts a OneSided cmatch array into row/column form.
+// CMatchToMatching converts a OneSided cmatch array (the matched row of
+// each column, or NIL) into row/column form.
 func CMatchToMatching(n int, cmatch []int32) *exact.Matching {
 	mt := exact.NewMatching(n, len(cmatch))
-	cmatchInto(cmatch, mt)
-	return mt
-}
-
-// cmatchInto is CMatchToMatching writing into a caller-owned matching of
-// the right shape (it is fully reset first).
-func cmatchInto(cmatch []int32, mt *exact.Matching) {
-	mt.Size = 0
-	for i := range mt.RowMate {
-		mt.RowMate[i] = NIL
-	}
 	for j, i := range cmatch {
 		if i != NIL {
 			mt.ColMate[j] = i
 			mt.RowMate[i] = int32(j)
 			mt.Size++
-		} else {
-			mt.ColMate[j] = NIL
 		}
 	}
+	return mt
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/par"
 	"repro/internal/scale"
@@ -18,6 +20,22 @@ func scaledSK(t *testing.T, a *sparse.CSR, iters int) (*sparse.CSR, *scale.Resul
 		t.Fatal(err)
 	}
 	return at, res
+}
+
+// cmpMatching fails unless got and want have the same RowMate, ColMate
+// and Size.
+func cmpMatching(t *testing.T, what string, got, want *exact.Matching) {
+	t.Helper()
+	cmpI32s(t, what+" RowMate", got.RowMate, want.RowMate)
+	cmpI32s(t, what+" ColMate", got.ColMate, want.ColMate)
+	if got.Size != want.Size {
+		t.Fatalf("%s: size %d want %d", what, got.Size, want.Size)
+	}
+}
+
+// cloneMatching copies a matching out of the session it aliases.
+func cloneMatching(mt *exact.Matching) *exact.Matching {
+	return &exact.Matching{RowMate: slices.Clone(mt.RowMate), ColMate: slices.Clone(mt.ColMate), Size: mt.Size}
 }
 
 func cmpI32s(t *testing.T, what string, got, want []int32) {
@@ -36,10 +54,11 @@ func cmpI32s(t *testing.T, what string, got, want []int32) {
 // scaling stage's exported row/column totals into the samplers must
 // reproduce the exact choices of the on-the-fly sum, for every worker
 // count and policy — the totals are the same floating-point values the
-// sum pass would recompute. TwoSided's full match array must equal the
+// sum pass would recompute. TwoSided's whole matching must equal the
 // one-worker run's, with and without the totals, at every width: the
 // choices do not depend on the schedule, and Karp–Sipser runs on the
-// calling goroutine.
+// calling goroutine. The one-worker run must equal the decoded atomic
+// reference.
 func TestSamplingWithTotalsBitIdentical(t *testing.T) {
 	mats := map[string]*sparse.CSR{
 		"er": gen.ERAvgDeg(1500, 1500, 5, 21),
@@ -48,6 +67,7 @@ func TestSamplingWithTotalsBitIdentical(t *testing.T) {
 	for name, a := range mats {
 		at, sc := scaledSK(t, a, 5)
 		ref := TwoSided(a, at, sc.DR, sc.DC, Options{Workers: 1, Policy: par.Dynamic, Chunk: 128, Seed: 7})
+		cmpMatching(t, name+" one worker vs reference", ref.Matching, DecodeMatch(ref.Graph, ksAtomicReference(ref.Graph)))
 		for _, w := range []int{1, 2, 4, 9} {
 			for _, pol := range []par.Policy{par.Static, par.Dynamic, par.Guided} {
 				plain := Options{Workers: w, Policy: pol, Chunk: 128, KSPolicy: par.Guided, Seed: 7}
@@ -64,11 +84,8 @@ func TestSamplingWithTotalsBitIdentical(t *testing.T) {
 				rf := TwoSided(a, at, sc.DR, sc.DC, fast)
 				rp := TwoSided(a, at, sc.DR, sc.DC, plain)
 				what := fmt.Sprintf("%s w=%d %v", name, w, pol)
-				cmpI32s(t, what+" two-sided match", rf.Match, rp.Match)
-				cmpI32s(t, what+" two-sided match vs one worker", rf.Match, ref.Match)
-				if rf.Matching.Size != rp.Matching.Size {
-					t.Fatalf("%s: fused size %d vs plain %d", name, rf.Matching.Size, rp.Matching.Size)
-				}
+				cmpMatching(t, what+" two-sided matching", rf.Matching, rp.Matching)
+				cmpMatching(t, what+" two-sided matching vs one worker", rf.Matching, ref.Matching)
 			}
 		}
 	}
@@ -76,13 +93,15 @@ func TestSamplingWithTotalsBitIdentical(t *testing.T) {
 
 // TestTwoSidedDeterministicAcrossPoolsAndWorkers asserts that a fixed seed
 // gives one matching at every worker count, policy and pool width: the
-// full match array, and hence the size, equals the one-worker run's.
+// whole matching equals the one-worker run's, which equals the decoded
+// atomic reference.
 func TestTwoSidedDeterministicAcrossPoolsAndWorkers(t *testing.T) {
 	a := gen.FullyIndecomposable(2000, 3, 13)
 	at, sc := scaledSK(t, a, 5)
 	base := Options{Workers: 1, Policy: par.Dynamic, KSPolicy: par.Guided, Seed: 17,
 		RowTotals: sc.RSum, ColTotals: sc.CSum}
 	want := TwoSided(a, at, sc.DR, sc.DC, base)
+	cmpMatching(t, "one worker vs reference", want.Matching, DecodeMatch(want.Graph, ksAtomicReference(want.Graph)))
 	for _, width := range []int{2, 5} {
 		pool := par.NewPool(width)
 		for _, w := range []int{1, 2, 4, 16} {
@@ -90,11 +109,7 @@ func TestTwoSidedDeterministicAcrossPoolsAndWorkers(t *testing.T) {
 				opt := base
 				opt.Workers, opt.Policy, opt.Pool = w, pol, pool
 				got := TwoSided(a, at, sc.DR, sc.DC, opt)
-				cmpI32s(t, fmt.Sprintf("width=%d w=%d %v match", width, w, pol), got.Match, want.Match)
-				if got.Matching.Size != want.Matching.Size {
-					t.Fatalf("width=%d w=%d %v: size %d want %d",
-						width, w, pol, got.Matching.Size, want.Matching.Size)
-				}
+				cmpMatching(t, fmt.Sprintf("width=%d w=%d %v", width, w, pol), got.Matching, want.Matching)
 			}
 		}
 		pool.Close()
@@ -140,7 +155,8 @@ func TestConcurrentMatchingOnSharedPool(t *testing.T) {
 	want := TwoSided(a, at, sc.DR, sc.DC, opt)
 	one := opt
 	one.Workers = 1
-	cmpI32s(t, "solo run vs one worker", want.Match, TwoSided(a, at, sc.DR, sc.DC, one).Match)
+	cmpMatching(t, "solo run vs one worker", want.Matching, TwoSided(a, at, sc.DR, sc.DC, one).Matching)
+	cmpMatching(t, "solo run vs reference", want.Matching, DecodeMatch(want.Graph, ksAtomicReference(want.Graph)))
 	const callers = 6
 	results := make([]*Result, callers)
 	done := make(chan int, callers)
@@ -154,9 +170,6 @@ func TestConcurrentMatchingOnSharedPool(t *testing.T) {
 		<-done
 	}
 	for c, r := range results {
-		if r.Matching.Size != want.Matching.Size {
-			t.Fatalf("caller %d: size %d want %d", c, r.Matching.Size, want.Matching.Size)
-		}
-		cmpI32s(t, fmt.Sprintf("caller %d match", c), r.Match, want.Match)
+		cmpMatching(t, fmt.Sprintf("caller %d", c), r.Matching, want.Matching)
 	}
 }

@@ -10,20 +10,20 @@ import (
 
 // Session is the reusable-workspace form of the matching pipeline: it is
 // bound to one matrix (and its transpose) and owns every buffer the
-// OneSided and TwoSided kernels touch — OneSided's row draws and cmatch
-// array, the ChoiceGraph TwoSided's sampling region writes vertex ids
-// into, the match/mark/deg arrays of Algorithm 4 and the decoded matching
-// — plus the sampling region's loop body, built once at construction.
-// Each call sizes only the buffers it uses, so a session that only runs
-// OneSided never sizes TwoSided's. Repeated calls therefore
-// perform no steady-state allocations: a call sets the per-call RNG bases,
+// OneSided and TwoSided kernels touch — the ChoiceGraph TwoSided's
+// sampling region writes vertex ids into, Algorithm 4's count words and
+// the mate buffer both heuristics write their matching into — plus the
+// sampling region's loop body, built once at construction. Each call
+// sizes only the buffers it uses, so a session that only runs OneSided
+// never sizes TwoSided's. Repeated calls therefore perform no
+// steady-state allocations: a call sets the per-call RNG bases,
 // dispatches the prebuilt body on the (recycled) loop runtime, and
-// decodes into the resident matching.
+// matches into the resident buffers.
 //
 // Both heuristics sample in one parallel region, in each side's degree
 // order (see sparse.DegreeOrder), and then match on the calling
 // goroutine: OneSided claims its columns in index order, TwoSided runs
-// the branch-free serial Karp–Sipser kernel, ksSerial, which polls the
+// the branch-free serial Karp–Sipser kernel, ksInPlace, which polls the
 // cancellation hook every chunk like any region
 // (TestSessionWidth1CancelMidKarpSipser). A call's result is therefore
 // the same at every worker count, policy and pool width, and equal to the
@@ -32,11 +32,14 @@ import (
 // installs orders the caller keeps, and a session without them builds its
 // own on its first call after NewSession or Rebind.
 //
-// The returned Result/Matching/choice slices alias the session and are
-// only valid until the next call on the same Session (or Rebind); callers
-// that need to retain a result copy it out. A Session is not safe for
-// concurrent use — concurrency comes from running many sessions side by
-// side on a shared pool (see the batch layer in the public package).
+// Either call's matching lives in one buffer of n+m mates: its RowMate is
+// the first n entries, capped so an append cannot reach ColMate, and its
+// ColMate the last m. The returned Result, Matching and choice slices
+// alias the session and are only valid until the next call on the same
+// Session (or Rebind); callers that need to retain a result copy it out.
+// A Session is not safe for concurrent use — concurrency comes from
+// running many sessions side by side on a shared pool (see the batch
+// layer in the public package).
 type Session struct {
 	a, at *sparse.CSR
 	opt   Options
@@ -60,9 +63,9 @@ type Session struct {
 	// The two sides of the sampling region, set up by each call.
 	rside, cside drawSide
 
-	ochoice, cmatch  []int32 // OneSided: each row's column draw (or NIL), and the claims
-	cg               ChoiceGraph
-	match, mark, deg []int32
+	cg   ChoiceGraph
+	cnt  []int32 // TwoSided: ksInPlace's count word per vertex
+	mate []int32 // both: the matching's RowMate, then its ColMate
 
 	// Alias-method sampling tables (Options.Alias) of the rows and the
 	// columns; each stale until the next ensureAlias that needs it after
@@ -124,11 +127,13 @@ func (s *Session) Rebind(a, at *sparse.CSR) {
 	s.SetScaling(nil, nil, nil, nil)
 }
 
-// decoded returns the session's matching, sized for the bound matrix.
-func (s *Session) decoded() *exact.Matching {
-	s.matching.RowMate = buf.Grow(s.matching.RowMate, s.a.RowsN)
-	s.matching.ColMate = buf.Grow(s.matching.ColMate, s.a.ColsN)
-	return &s.matching
+// mates sizes the mate buffer for the bound matrix, points the session's
+// matching at it and returns it.
+func (s *Session) mates() []int32 {
+	n := s.a.RowsN
+	s.mate = buf.Grow(s.mate, n+s.a.ColsN)
+	s.matching = exact.Matching{RowMate: s.mate[:n:n], ColMate: s.mate[n:]}
+	return s.mate
 }
 
 // SetCancel installs (or clears, with nil) the session's cooperative
@@ -167,10 +172,10 @@ func (s *Session) Matrix() *sparse.CSR { return s.a }
 // TwoSided runs TwoSidedMatch (Algorithm 3) with the given seed on the
 // bound matrix, reusing every workspace: it samples row and column
 // choices in one parallel region, then matches the 1-out graph with
-// ksSerial on the calling goroutine. See Session for the aliasing
-// contract of the returned Result. If the session's cancellation hook
-// (SetCancel) fires mid-run, the call returns nil and no result is
-// produced.
+// ksInPlace on the calling goroutine, which writes the session's
+// matching. See Session for the aliasing contract of the returned
+// Result. If the session's cancellation hook (SetCancel) fires mid-run,
+// the call returns nil and no result is produced.
 func (s *Session) TwoSided(seed uint64) *Result {
 	if s.canceled() {
 		return nil
@@ -183,73 +188,66 @@ func (s *Session) TwoSided(seed uint64) *Result {
 		s.cord = sparse.NewDegreeOrder(s.at)
 	}
 	s.cg.Choice = buf.Grow(s.cg.Choice, n+m)
-	s.match = buf.Grow(s.match, n+m)
-	s.mark = buf.Grow(s.mark, n+m)
-	s.deg = buf.Grow(s.deg, n+m)
+	s.cnt = buf.Grow(s.cnt, n+m)
+	mate := s.mates()
 	s.ensureAlias(true)
 	s.rbase = xrand.Base(seed)
 	s.cbase = xrand.Base(seed ^ colSeedSalt)
 	s.rside = drawSide{a: s.a, w: s.dc, tot: s.rtot, ord: s.rord, out: s.cg.Choice[:n], off: int32(n)}
 	s.cside = drawSide{a: s.at, w: s.dr, tot: s.ctot, ord: s.cord, out: s.cg.Choice[n:], loop: int32(n)}
 	s.pool.ForCancel(n+m, s.opt.Workers, s.opt.Policy, s.chunk, s.cancel, s.sample)
-	ksSerial(s.cg.Choice, s.match, s.mark, s.deg, n, s.chunk, s.cancel)
-	// One checkpoint after the sampling region and the kernel suffices: a
-	// hook that fired inside either left later work unrun, so the decoded
-	// state below would be garbage either way.
-	if s.canceled() {
+	// The kernel polls the hook before its first chunk, and the hook is
+	// monotone, so it also reports a cancel inside the sampling region.
+	size, ok := ksInPlace(s.cg.Choice, mate, s.cnt, n, s.chunk, s.cancel)
+	if !ok {
 		return nil
 	}
-
-	decodeMatchInto(&s.cg, s.match, s.decoded())
-	s.result = Result{Match: s.match, Matching: &s.matching, Graph: &s.cg}
+	s.matching.Size = size
+	s.result = Result{Matching: &s.matching, Graph: &s.cg}
 	return &s.result
 }
 
 // OneSided runs OneSidedMatch (Algorithm 2) with the given seed on the
-// bound matrix. Every row draws one column in the sampling region; then,
-// on the calling goroutine, the rows claim their columns in index order,
-// so the largest row that chose a column keeps it — what the paper's
-// concurrent last-write-wins stores give when one worker runs them in
-// index order. It returns the session-owned cmatch array and the matching
-// cardinality. If the session's cancellation hook (SetCancel) fires
-// mid-run, the call returns (nil, 0).
-func (s *Session) OneSided(seed uint64) ([]int32, int) {
+// bound matrix and returns the session's matching (see Session for its
+// buffer and aliasing). Every row draws one column into RowMate in the
+// sampling region; then, on the calling goroutine, the rows claim their
+// columns in index order into ColMate, so the largest row that chose a
+// column keeps it — what the paper's concurrent last-write-wins stores
+// give when one worker runs them in index order — and one more pass
+// clears the rows that lost their column. If the session's cancellation
+// hook (SetCancel) fires mid-run, the call returns nil.
+func (s *Session) OneSided(seed uint64) *exact.Matching {
 	if s.canceled() {
-		return nil, 0
+		return nil
 	}
 	n := s.a.RowsN
 	if s.rord == nil {
 		s.rord = sparse.NewDegreeOrder(s.a)
 	}
-	s.ochoice = buf.Grow(s.ochoice, n)
-	s.cmatch = buf.Grow(s.cmatch, s.a.ColsN)
+	s.mates()
 	s.ensureAlias(false)
 	s.rbase = xrand.Base(seed)
-	s.rside = drawSide{a: s.a, w: s.dc, tot: s.rtot, ord: s.rord, out: s.ochoice, loop: NIL}
+	rows, cols := s.matching.RowMate, s.matching.ColMate
+	s.rside = drawSide{a: s.a, w: s.dc, tot: s.rtot, ord: s.rord, out: rows, loop: NIL}
 	s.pool.ForCancel(n, s.opt.Workers, s.opt.Policy, s.chunk, s.cancel, s.sample)
 	if s.canceled() {
-		return nil, 0
+		return nil
 	}
-	for j := range s.cmatch {
-		s.cmatch[j] = NIL
+	for j := range cols {
+		cols[j] = NIL
 	}
 	size := 0
-	for i, j := range s.ochoice {
+	for i, j := range rows {
 		if j != NIL {
-			size += b2i(s.cmatch[j] == NIL)
-			s.cmatch[j] = int32(i)
+			size += b2i(cols[j] == NIL)
+			cols[j] = int32(i)
 		}
 	}
-	return s.cmatch, size
-}
-
-// OneSidedMatching is OneSided decoded into the session-owned row/column
-// matching (nil on cancellation, like OneSided).
-func (s *Session) OneSidedMatching(seed uint64) (*exact.Matching, int) {
-	cmatch, size := s.OneSided(seed)
-	if cmatch == nil {
-		return nil, 0
+	for i, j := range rows {
+		if j != NIL && cols[j] != int32(i) {
+			rows[i] = NIL
+		}
 	}
-	cmatchInto(cmatch, s.decoded())
-	return &s.matching, size
+	s.matching.Size = size
+	return &s.matching
 }

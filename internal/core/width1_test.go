@@ -15,11 +15,12 @@ import (
 // Both heuristics settle their conflicts on the calling goroutine, as the
 // paper's kernels would on one worker in index order. TwoSided's
 // Karp–Sipser kernel is Algorithm 4 with plain loads and stores and
-// branch-free vertex loops (ksSerial), and its contract is bit-identity
-// with the atomic kernel run in index order on one goroutine:
-// ksAtomicReference is that schedule. OneSided's claim pass must equal the
-// paper's store loop run the same way: oneSidedReference. The tests below
-// hold the entry points to them.
+// branch-free vertex loops (ksInPlace), and its contract is bit-identity
+// with the atomic kernel run in index order on one goroutine and decoded:
+// DecodeMatch(g, ksAtomicReference(g)) is that schedule's matching.
+// OneSided's claim pass must equal the paper's store loop run the same
+// way: CMatchToMatching of oneSidedReference. The tests below hold the
+// entry points to them.
 
 // ksAtomicReference runs the atomic range bodies over the whole vertex
 // range, in index order, on the calling goroutine.
@@ -60,11 +61,12 @@ func oneSidedReference(a *sparse.CSR, dc, tot []float64, t *aliasTable, seed uin
 	return cmatch
 }
 
-// TestOneSidedMatchesReference holds Session.OneSided and the one-shot
-// OneSided to oneSidedReference on Erdős–Rényi (one with empty rows and
-// columns), power-law and fully indecomposable inputs: scaled with and
-// without the exported totals, unscaled, and with the alias draw, at
-// widths 1 to 4 of a wide pool under static and guided schedules.
+// TestOneSidedMatchesReference holds Session.OneSided's whole matching
+// and the one-shot OneSided's cmatch to oneSidedReference on Erdős–Rényi
+// (one with empty rows and columns), power-law and fully indecomposable
+// inputs: scaled with and without the exported totals, unscaled, and with
+// the alias draw, at widths 1 to 4 of a wide pool under static and guided
+// schedules.
 func TestOneSidedMatchesReference(t *testing.T) {
 	mats := map[string]*sparse.CSR{
 		"er":      gen.ERAvgDeg(2500, 2300, 4, 3),
@@ -95,10 +97,7 @@ func TestOneSidedMatchesReference(t *testing.T) {
 			}
 			for _, seed := range []uint64{1, 77} {
 				want := oneSidedReference(a, in.dc, in.rtot, table, seed)
-				wantSize := 0
-				for _, i := range want {
-					wantSize += b2i(i != NIL)
-				}
+				wantMt := CMatchToMatching(a.RowsN, want)
 				for w := 1; w <= 4; w++ {
 					for _, pol := range []par.Policy{par.Static, par.Guided} {
 						what := fmt.Sprintf("%s %s seed=%d w=%d %v", name, in.name, seed, w, pol)
@@ -106,18 +105,14 @@ func TestOneSidedMatchesReference(t *testing.T) {
 							RowTotals: in.rtot, Alias: in.alias}
 						s := NewSession(a, at, opt)
 						s.SetScaling(in.dr, in.dc, in.rtot, nil)
-						got, size := s.OneSided(seed)
-						cmpI32s(t, what+" session", got, want)
-						if size != wantSize {
-							t.Fatalf("%s: size %d want %d", what, size, wantSize)
-						}
-						if s.cg.Choice != nil || s.match != nil || s.mark != nil || s.deg != nil {
+						cmpMatching(t, what+" session", s.OneSided(seed), wantMt)
+						if s.cg.Choice != nil || s.cnt != nil {
 							t.Fatalf("%s: a OneSided call sized TwoSided's buffers", what)
 						}
-						got, size = OneSided(a, in.dr, in.dc, opt)
+						got, size := OneSided(a, in.dr, in.dc, opt)
 						cmpI32s(t, what+" one-shot", got, want)
-						if size != wantSize {
-							t.Fatalf("%s: one-shot size %d want %d", what, size, wantSize)
+						if size != wantMt.Size {
+							t.Fatalf("%s: one-shot size %d want %d", what, size, wantMt.Size)
 						}
 					}
 				}
@@ -153,8 +148,8 @@ func checkKSMatching(t testing.TB, g *ChoiceGraph, match []int32) {
 // TestKarpSipserWidth1SampledChoiceGraphs compares the width-1 kernel with
 // the atomic reference on the choice graphs TwoSided samples from
 // Erdős–Rényi, power-law and fully indecomposable inputs, scaled and
-// unscaled, through both entry points (Session.TwoSided and KarpSipserMT),
-// on the default pool and on a wide one.
+// unscaled, through both entry points (Session.TwoSided's whole matching
+// and KarpSipserMT's match array), on the default pool and on a wide one.
 func TestKarpSipserWidth1SampledChoiceGraphs(t *testing.T) {
 	mats := map[string]*sparse.CSR{
 		"er":      gen.ERAvgDeg(2500, 2300, 4, 3),
@@ -178,7 +173,7 @@ func TestKarpSipserWidth1SampledChoiceGraphs(t *testing.T) {
 					what := fmt.Sprintf("%s scaled=%v wide=%v seed=%d", name, scaled, pool != nil, seed)
 					res := s.TwoSided(seed)
 					want := ksAtomicReference(res.Graph)
-					cmpI32s(t, what+" session", res.Match, want)
+					cmpMatching(t, what+" session", res.Matching, DecodeMatch(res.Graph, want))
 					cmpI32s(t, what+" KarpSipserMT", KarpSipserMT(res.Graph, opt), want)
 					checkKSMatching(t, res.Graph, want)
 				}
@@ -309,8 +304,9 @@ func TestKarpSipserWidth1HandBuilt(t *testing.T) {
 // FuzzKarpSipserWidth1 runs the width-1 kernel on arbitrary choice
 // arrays: the first two bytes size the sides (1–32 vertices each), and
 // each further byte picks the next vertex's choice on the other side, or
-// a self-loop. The kernel must agree with the atomic reference and return
-// a maximum matching of the choice graph.
+// a self-loop. ksInPlace's mates and size must equal the decoded atomic
+// reference, KarpSipserMT's match array the reference itself, and the
+// matching must be a maximum matching of the choice graph.
 func FuzzKarpSipserWidth1(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Add([]byte{2, 2, 0, 1, 2, 1, 2, 0})
@@ -339,6 +335,12 @@ func FuzzKarpSipserWidth1(f *testing.F) {
 			return u
 		})
 		want := ksAtomicReference(g)
+		mate := make([]int32, n+m)
+		size, ok := ksInPlace(g.Choice, mate, make([]int32, n+m), n, 3, nil)
+		if !ok {
+			t.Fatal("ksInPlace without a cancellation hook reported a cancel")
+		}
+		cmpMatching(t, "ksInPlace", &exact.Matching{RowMate: mate[:n], ColMate: mate[n:], Size: size}, DecodeMatch(g, want))
 		got := KarpSipserMT(g, Options{Workers: 1, KSPolicy: par.Guided, Chunk: 3})
 		cmpI32s(t, "width-1 kernel", got, want)
 		checkKSMatching(t, g, got)
@@ -348,14 +350,14 @@ func FuzzKarpSipserWidth1(f *testing.F) {
 // TestSessionWidth1CancelMidKarpSipser fires the cancellation hook at
 // every chunk boundary of the Karp–Sipser regions of a width-1 run: the
 // call must return nil each time, and the next uncanceled call on the
-// same session must still reproduce the atomic reference.
+// same session must still reproduce the decoded atomic reference.
 func TestSessionWidth1CancelMidKarpSipser(t *testing.T) {
 	a := gen.ERAvgDeg(700, 650, 3, 4)
 	at, sc := scaledSK(t, a, 3)
 	s := NewSession(a, at, opts(1, 0))
 	s.SetScaling(sc.DR, sc.DC, sc.RSum, sc.CSum)
 	const seed = 11
-	want := append([]int32(nil), s.TwoSided(seed).Match...)
+	want := cloneMatching(s.TwoSided(seed).Matching)
 
 	// Count the polls of one full run. The Karp–Sipser regions start
 	// after the entry check and one poll per sampling chunk; the first
@@ -378,7 +380,44 @@ func TestSessionWidth1CancelMidKarpSipser(t *testing.T) {
 			t.Fatalf("hook fired at poll %d of %d: TwoSided returned a result", fire, polls)
 		}
 		s.SetCancel(nil)
-		cmpI32s(t, fmt.Sprintf("run after a cancel at poll %d", fire), s.TwoSided(seed).Match, want)
+		cmpMatching(t, fmt.Sprintf("run after a cancel at poll %d", fire), s.TwoSided(seed).Matching, want)
 	}
-	cmpI32s(t, "uncanceled width-1 run", want, ksAtomicReference(&s.cg))
+	cmpMatching(t, "uncanceled width-1 run", want, DecodeMatch(&s.cg, ksAtomicReference(&s.cg)))
+}
+
+// TestKarpSipserInPlaceOfflineFamilies holds Session.TwoSided's whole
+// matching to the decoded atomic reference on the five offline benchmark
+// families at n ≈ 4k (heavytail, roadnet21, rankdef, longthin, skewdeg),
+// graph and sampling seeds 1 to 10, at widths 1, 2 and 4 of a wide pool.
+func TestKarpSipserInPlaceOfflineFamilies(t *testing.T) {
+	const n = 4000
+	families := []struct {
+		name string
+		gen  func(seed uint64) *sparse.CSR
+	}{
+		{"heavytail", func(seed uint64) *sparse.CSR { return gen.PowerLaw(n, 15, 1.35, n/2, seed) }},
+		{"roadnet21", func(seed uint64) *sparse.CSR { return gen.RoadLike(n, 2.1, seed) }},
+		{"rankdef", func(seed uint64) *sparse.CSR { return gen.RankDeficient(n, n*3/10, 6, seed) }},
+		{"longthin", func(uint64) *sparse.CSR { return gen.LongThinPath(n) }},
+		{"skewdeg", func(seed uint64) *sparse.CSR { return gen.SkewedDegree(n, n*4/5, 6, 3, seed) }},
+	}
+	wide := par.NewPool(4)
+	defer wide.Close()
+	for _, f := range families {
+		for seed := uint64(1); seed <= 10; seed++ {
+			a := f.gen(seed)
+			at, sc := scaledSK(t, a, 5)
+			var want *exact.Matching
+			for _, w := range []int{1, 2, 4} {
+				opt := Options{Workers: w, Policy: par.Dynamic, Pool: wide}
+				s := NewSession(a, at, opt)
+				s.SetScaling(sc.DR, sc.DC, sc.RSum, sc.CSum)
+				res := s.TwoSided(seed)
+				if want == nil {
+					want = DecodeMatch(res.Graph, ksAtomicReference(res.Graph))
+				}
+				cmpMatching(t, fmt.Sprintf("%s seed=%d w=%d", f.name, seed, w), res.Matching, want)
+			}
+		}
+	}
 }

@@ -77,6 +77,11 @@ func FromRowMate(rowMate []int32, m int) *Matching {
 // valid matching between phases — callers can interleave phases with other
 // work (the ensemble engine interleaves them with candidate arrivals) and
 // stop as soon as the size crosses a bound, or run to the maximum.
+//
+// The refiner takes the graph's number of non-isolated columns at
+// construction (NewHKRefinerLive; NewHKRefinerWs and NewHKRefiner count
+// them) and sweeps only the rows itself, so a caller that keeps the
+// count, as a Graph does, refines without a pass over the edges.
 type HKRefiner struct {
 	a  *sparse.CSR
 	mt *Matching
@@ -87,17 +92,14 @@ type HKRefiner struct {
 	arc   []int   // per-row DFS cursors, set for the layered rows
 	stack []int32
 
-	liveRows int     // non-isolated rows
-	spare    int     // non-isolated columns minus liveRows; -1 until counted
-	seen     []int32 // seen[j] == stamp: the column count has met column j
-	stamp    int32   // grows across constructions, so seen needs no clearing
+	spare int // non-isolated columns minus non-isolated rows
 
 	done bool
 }
 
 // NewHKRefiner prepares an incremental Hopcroft–Karp run on a, warm-started
 // from init (nil means the empty matching; init is copied, not mutated, and
-// not retained).
+// not retained). It counts a's non-isolated columns; see NewHKRefinerWs.
 func NewHKRefiner(a *sparse.CSR, init *Matching) *HKRefiner {
 	return NewHKRefinerWs(a, init, &Workspace{})
 }
@@ -131,7 +133,8 @@ func (r *HKRefiner) Done() bool { return r.done }
 // free columns are scarce and augmenting paths long: the BFS layers every
 // row the exposed rows reach, so one DFS can follow a path of any length,
 // where stopping at the first free layer would leave the long paths to
-// dozens of later phases on a long path or a mesh.
+// dozens of later phases on a long path or a mesh. The spare columns are
+// known from construction, so the choice costs a comparison per phase.
 //
 // A false return means the BFS reached no free column, which proves the
 // matching maximum; the refiner stays in that state.
@@ -139,7 +142,7 @@ func (r *HKRefiner) Phase() bool {
 	if r.done {
 		return false
 	}
-	early := r.plentiful()
+	early := len(r.free) > 0 && r.spare >= len(r.free)
 	if !r.layer(early) {
 		r.done = true
 		return false
@@ -204,34 +207,6 @@ func (r *HKRefiner) layer(early bool) bool {
 		copy(arc, a.Ptr)
 	}
 	return limit != inf
-}
-
-// plentiful reports whether the graph has at least as many spare columns
-// as exposed rows. It counts the non-isolated columns on the first call of
-// a run that can need them: never on a graph whose columns, isolated or
-// not, are too few, nor once no row is exposed.
-func (r *HKRefiner) plentiful() bool {
-	a := r.a
-	if len(r.free) == 0 || a.ColsN-r.liveRows < len(r.free) {
-		return false
-	}
-	if r.spare < 0 {
-		r.seen = growInt32(r.seen, a.ColsN)
-		if r.stamp == math.MaxInt32 {
-			clear(r.seen[:cap(r.seen)])
-			r.stamp = 0
-		}
-		r.stamp++
-		live := 0
-		for _, j := range a.Idx {
-			if r.seen[j] != r.stamp {
-				r.seen[j] = r.stamp
-				live++
-			}
-		}
-		r.spare = live - r.liveRows
-	}
-	return r.spare >= len(r.free)
 }
 
 // augmentLayered runs a DFS from every exposed row along the layering,

@@ -51,8 +51,8 @@ func randomGreedy(a *sparse.CSR, seed uint64, keep int) *Matching {
 // the final size must equal MC21's and push-relabel's and carry a König
 // certificate. The warm start must come back unmodified, and the
 // transpose, refined from the mirrored warm start on the same workspace,
-// must reach the same size; so must a second run on a, whose column
-// stamps carry over from the two constructions before it.
+// must reach the same size; so must a second run on a, on the workspace
+// the two constructions before it used.
 func FuzzHKRefiner(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{3, 3, 1, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2})

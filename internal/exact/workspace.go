@@ -41,11 +41,19 @@ func (ws *Workspace) matching(n, m int, init *Matching) *Matching {
 
 // NewHKRefinerWs is NewHKRefiner on a reusable Workspace: the search
 // arrays and the held matching live in ws, so repeated constructions on
-// same-shaped graphs allocate nothing. The returned refiner (and its
-// Matching) are valid until the workspace's next construction. One sweep
-// over the rows sets them up; the column stamps, grown only when Phase
-// first counts columns, need no clearing.
+// same-shaped graphs allocate nothing but a byte per column, for the pass
+// over a's entries that counts its non-isolated columns. The returned
+// refiner (and its Matching) are valid until the workspace's next
+// construction. A caller that knows the count passes it to
+// NewHKRefinerLive instead.
 func NewHKRefinerWs(a *sparse.CSR, init *Matching, ws *Workspace) *HKRefiner {
+	return NewHKRefinerLive(a, init, ws, countLiveCols(a))
+}
+
+// NewHKRefinerLive is NewHKRefinerWs given liveCols, the number of
+// non-isolated columns of a, which a Phase compares with the exposed
+// rows (see Phase). One sweep over the rows sets the refiner up.
+func NewHKRefinerLive(a *sparse.CSR, init *Matching, ws *Workspace, liveCols int) *HKRefiner {
 	n := a.RowsN
 	r := &ws.hk
 	r.a = a
@@ -53,11 +61,11 @@ func NewHKRefinerWs(a *sparse.CSR, init *Matching, ws *Workspace) *HKRefiner {
 	r.dist = growInt32(r.dist, n)
 	r.arc = growInt(r.arc, n)
 	r.free = growInt32(r.free, n)[:0]
-	r.liveRows, r.spare = 0, -1
+	r.spare = liveCols
 	for i := 0; i < n; i++ {
 		r.dist[i] = inf
 		if a.Ptr[i] < a.Ptr[i+1] {
-			r.liveRows++
+			r.spare--
 			if r.mt.RowMate[i] == NIL {
 				r.free = append(r.free, int32(i))
 			}
@@ -67,6 +75,20 @@ func NewHKRefinerWs(a *sparse.CSR, init *Matching, ws *Workspace) *HKRefiner {
 	r.stack = r.stack[:0]
 	r.done = false
 	return r
+}
+
+// countLiveCols counts the non-isolated columns of a in one pass over its
+// entries.
+func countLiveCols(a *sparse.CSR) int {
+	seen := make([]bool, a.ColsN)
+	live := 0
+	for _, j := range a.Idx {
+		if !seen[j] {
+			seen[j] = true
+			live++
+		}
+	}
+	return live
 }
 
 // NewPRRefinerWs is NewPRRefiner on a reusable Workspace, with the same

@@ -17,13 +17,13 @@ var ErrCanceled = errors.New("bipartite: matching canceled")
 
 // Matcher is a reusable matching session bound to one graph; Run executes
 // Specs on it. It owns preallocated workspaces for every pipeline stage —
-// OneSided's row draws, the 1-out choice graph, the Karp–Sipser match and
-// degree arrays, the refinement buffers — so repeated Run calls perform
-// near-zero allocations (a reused TwoSided Run stays within two
-// allocations at one worker). Graph.Match is Run on a throwaway Matcher,
-// so a reused session reproduces the one-shot call exactly (for
-// AlgKarpSipserParallel, at Workers: 1; see the package-level
-// determinism contract).
+// the 1-out choice graph, the Karp–Sipser count words, the mate buffer
+// the heuristics write their matching into, the refinement buffers — so
+// repeated Run calls perform near-zero allocations (a reused TwoSided Run
+// stays within two allocations at one worker). Graph.Match is Run on a
+// throwaway Matcher, so a reused session reproduces the one-shot call
+// exactly (for AlgKarpSipserParallel, at Workers: 1; see the
+// package-level determinism contract).
 //
 // The scaling is seed- and width-independent, so the bound Graph keeps it
 // (one per iteration count) and shares it read-only with every Matcher,

@@ -2,6 +2,7 @@ package bipartite
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -290,6 +291,49 @@ func TestMatcherSteadyStateAllocsParallel(t *testing.T) {
 		}
 	}); allocs > 2 {
 		t.Errorf("parallel TwoSided: %.1f allocs per reused call, want <= 2", allocs)
+	}
+}
+
+// TestOneShotHeuristicBytes is the memory gate of a one-shot Graph.Match
+// on a warm Graph, one that already keeps its scaling, transpose and
+// degree orders. TwoSided may allocate 16 bytes a vertex: its choice
+// graph, a count word and a mate per vertex take 12. OneSided may
+// allocate 4, one mate per vertex. Each may add a constant for the
+// session's headers and the page rounding of its large buffers.
+// TotalAlloc counts every byte the process allocates, so the least of
+// three calls is taken, which leaves out the stray allocations of other
+// goroutines.
+func TestOneShotHeuristicBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed under -race")
+	}
+	const n, m, slack = 20000, 15000, 32 << 10
+	g := RandomER(n, m, 4, 5)
+	for _, tc := range []struct {
+		alg       Algorithm
+		perVertex uint64
+	}{{AlgTwoSided, 16}, {AlgOneSided, 4}} {
+		for _, opt := range []*Options{nil, {Workers: 1}} {
+			spec := Spec{Algorithm: tc.alg, Seed: 1}
+			if _, err := g.Match(spec, opt); err != nil {
+				t.Fatal(err)
+			}
+			least := uint64(math.MaxUint64)
+			for k := 0; k < 3; k++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				spec.Seed++
+				if _, err := g.Match(spec, opt); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			if limit := tc.perVertex*(n+m) + slack; least > limit {
+				t.Errorf("%v %+v: a one-shot call allocated %d bytes (%.1f a vertex), want at most %d",
+					tc.alg, opt, least, float64(least)/(n+m), limit)
+			}
+		}
 	}
 }
 

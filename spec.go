@@ -767,7 +767,13 @@ func (m *Matcher) newSpecRefiner(ref Refinement, init *Matching) *specRefiner {
 		r.graft.SetTranspose(at)
 		r.mt = r.graft.Matching()
 	default:
-		r.hk = exact.NewHKRefinerWs(a, init, ws)
+		// The search side's non-isolated columns: the Graph's rows when
+		// the engine runs on the transpose.
+		rows, cols := m.g.liveCounts()
+		if r.cols {
+			cols = rows
+		}
+		r.hk = exact.NewHKRefinerLive(a, init, ws, cols)
 		r.mt = r.hk.Matching()
 	}
 	return r
@@ -780,7 +786,7 @@ func (m *Matcher) newSpecRefiner(ref Refinement, init *Matching) *specRefiner {
 func (m *Matcher) runOnce(alg Algorithm, seed uint64) (*Matching, error) {
 	switch alg {
 	case AlgOneSided:
-		mt, _ := m.session().OneSidedMatching(seed)
+		mt := m.session().OneSided(seed)
 		if mt == nil {
 			return nil, ErrCanceled
 		}
