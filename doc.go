@@ -62,17 +62,10 @@
 // read-only. A scaling is a pure function of (Graph, iteration count) at
 // any width, so sharing changes no bit of any answer.
 //
-// From a Graph's second computed scaling on — another iteration count,
-// or a retry after a canceled compute — the sweeps of a graph without
-// edge values walk its sweep layouts: for each side, the rows of degree 1
-// to 16 grouped by degree, their column indices copied back to back, so a
-// group runs one fixed trip count with no row pointer loads (longer rows
-// read the CSR). The layouts cost 4 bytes per packed index, are built
-// once per Graph on its second computed scaling, serially, and are freed
-// with the Graph. A graph scaled at one iteration count never builds
-// them, however often it is matched. Each row is still summed left to
-// right in CSR order, so every output is bit-identical to the CSR sweeps;
-// FuzzSinkhornKnoppLayout in internal/scale checks it at widths 1 to 3.
+// Every Sinkhorn–Knopp pass walks the CSR of the graph, or of its
+// transpose, in index order and sums each row left to right;
+// FuzzSinkhornKnopp in internal/scale holds the fused loop to the
+// textbook one, bit for bit, at widths 1 to 3.
 //
 // Both heuristics sample through one parallel region that walks each
 // side's rows grouped by degree (OneSided walks only the rows), in an
@@ -253,11 +246,6 @@
 // weight updates) by re-normalizing prices around what the batch
 // disturbed and re-auctioning only the freed rows, preserving the (1−ε)
 // bound at the session's creation-time slack after every batch.
-//
-// Sampling-based heuristics can opt into Walker alias tables
-// (Options.AliasSampling) for O(1) weighted draws per sample; the tables
-// build lazily per graph and invalidate with the scaling, trading one
-// O(nnz) build for constant-time draws in seed sweeps.
 //
 // # Sessions and serving
 //

@@ -44,10 +44,6 @@ const Unmatched = exact.NIL
 //   - one scaling per ScalingIterations value, computed on the first run
 //     that needs it and shared read-only by every later one (16 bytes per
 //     vertex);
-//   - the sweep layouts, packed copies of the short rows and columns that
-//     Sinkhorn–Knopp walks, built on the Graph's second computed scaling
-//     (4 bytes per packed index), so a graph scaled once never pays for
-//     them;
 //   - the structural rank, and the counts of non-isolated rows and
 //     columns behind its cheap upper bound and the search side of every
 //     exact refinement.
@@ -61,10 +57,6 @@ type Graph struct {
 
 	scMu    sync.Mutex
 	scCells []*scaleCell // one per ScalingIterations value; guarded by scMu
-
-	scaleRuns      atomic.Int64 // scaling runs with at least one iteration so far
-	layOnce        sync.Once
-	rowLay, colLay *sparse.Layout // sweep layouts, built lazily under layOnce
 
 	sprank             atomic.Int64 // cached maximum matching size + 1; 0 until computed
 	liveOnce           sync.Once
@@ -249,29 +241,6 @@ func (g *Graph) scaleCell(iters int) *scaleCell {
 	c := &scaleCell{iters: iters}
 	g.scCells = append(g.scCells, c)
 	return c
-}
-
-// layoutBuildHook, when set, is invoked once per sweep-layout build — the
-// test seam that proves the layouts are built on a Graph's second computed
-// scaling and never for a graph scaled once.
-var layoutBuildHook atomic.Pointer[func()]
-
-// sweepLayouts returns the packed degree orders of the rows and of the
-// columns that the Sinkhorn–Knopp sweeps walk (see sparse.Layout), built
-// once per Graph at 4 bytes per packed index and freed with the Graph.
-// The build is serial and never dispatches to a pool: an inline scaling
-// builds it under its cell's lock (see Graph.scaling), where a nested
-// region could steal back a batch-slot task that waits on that very cell.
-func (g *Graph) sweepLayouts() (rows, cols *sparse.Layout) {
-	g.layOnce.Do(func() {
-		if hook := layoutBuildHook.Load(); hook != nil {
-			(*hook)()
-		}
-		ro, co := g.degreeOrders()
-		g.rowLay = ro.Pack(g.a)
-		g.colLay = co.Pack(g.transpose())
-	})
-	return g.rowLay, g.colLay
 }
 
 // --- exact matching and analysis -------------------------------------------

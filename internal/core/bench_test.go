@@ -65,13 +65,13 @@ func offlineChoiceGraph(b *testing.B, a *sparse.CSR) *ChoiceGraph {
 // width1Session returns a width-1 session on a with a warm five-iteration
 // scaling and its exported totals installed, the state a batch slot
 // serves reads from.
-func width1Session(b *testing.B, a *sparse.CSR, alias bool) *Session {
+func width1Session(b *testing.B, a *sparse.CSR) *Session {
 	at := a.Transpose()
 	sc, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 5, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := NewSession(a, at, Options{Workers: 1, Policy: par.Dynamic, KSPolicy: par.Guided, Alias: alias})
+	s := NewSession(a, at, Options{Workers: 1, Policy: par.Dynamic, KSPolicy: par.Guided})
 	s.SetScaling(sc.DR, sc.DC, sc.RSum, sc.CSum)
 	return s
 }
@@ -82,7 +82,7 @@ func width1Session(b *testing.B, a *sparse.CSR, alias bool) *Session {
 func BenchmarkSessionTwoSidedWidth1(b *testing.B) {
 	for _, inst := range append(width1Instances(), exactInstances()...) {
 		b.Run(inst.name, func(b *testing.B) {
-			s := width1Session(b, inst.a, false)
+			s := width1Session(b, inst.a)
 			s.TwoSided(1)
 			seed := uint64(2)
 			for b.Loop() {
@@ -93,31 +93,19 @@ func BenchmarkSessionTwoSidedWidth1(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionAliasWidth1 times width-1 Session.TwoSided and
-// Session.OneSided calls on a warm scaling with the alias-table draw off
-// and on. The first, untimed call builds the tables, as a serving session
-// does once per graph. Neither draw wins everywhere, which is why
-// Options.AliasSampling still exists: the choice belongs to the
-// algorithm, and making it there changes seeded outputs.
-func BenchmarkSessionAliasWidth1(b *testing.B) {
+// BenchmarkSessionOneSidedWidth1 times one width-1 Session.OneSided call
+// on a warm scaling on the width-1 instances.
+func BenchmarkSessionOneSidedWidth1(b *testing.B) {
 	for _, inst := range width1Instances() {
-		for _, alg := range []string{"TwoSided", "OneSided"} {
-			for _, alias := range []bool{false, true} {
-				b.Run(fmt.Sprintf("%s/%s/alias=%v", inst.name, alg, alias), func(b *testing.B) {
-					s := width1Session(b, inst.a, alias)
-					run := func(seed uint64) { s.TwoSided(seed) }
-					if alg == "OneSided" {
-						run = func(seed uint64) { s.OneSided(seed) }
-					}
-					run(1)
-					seed := uint64(2)
-					for b.Loop() {
-						run(seed)
-						seed++
-					}
-				})
+		b.Run(inst.name, func(b *testing.B) {
+			s := width1Session(b, inst.a)
+			s.OneSided(1)
+			seed := uint64(2)
+			for b.Loop() {
+				s.OneSided(seed)
+				seed++
 			}
-		}
+		})
 	}
 }
 

@@ -83,12 +83,6 @@ type Options struct {
 	// products in the very same order. Nil means sampling sums on the
 	// fly (the uniform / 0-iteration configurations).
 	RowTotals, ColTotals []float64
-	// Alias switches the per-vertex neighbor draw to O(1) alias-method
-	// tables, built once per bound graph (and rebuilt after SetScaling)
-	// in O(nnz). Seeded choices differ from the default prefix-walk
-	// kernels' — the alias draw consumes two RNG values per vertex — but
-	// follow the same distribution; see Session.ensureAlias.
-	Alias bool
 }
 
 func (o Options) pool() *par.Pool {

@@ -67,13 +67,8 @@ type Session struct {
 	cnt  []int32 // TwoSided: ksInPlace's count word per vertex
 	mate []int32 // both: the matching's RowMate, then its ColMate
 
-	// Alias-method sampling tables (Options.Alias) of the rows and the
-	// columns; each stale until the next ensureAlias that needs it after
-	// Rebind or SetScaling.
-	aliasA, aliasAT      aliasTable
-	aliasRows, aliasCols bool
-	matching             exact.Matching
-	result               Result
+	matching exact.Matching
+	result   Result
 
 	sample func(w, lo, hi int)
 }
@@ -97,18 +92,10 @@ func NewSession(a, at *sparse.CSR, opt Options) *Session {
 	s.sample = func(_, lo, hi int) {
 		n := s.a.RowsN
 		if lo < n {
-			if s.aliasRows {
-				s.rside.aliasRange(&s.aliasA, s.rbase, lo, min(hi, n))
-			} else {
-				s.rside.draw(s.rbase, lo, min(hi, n))
-			}
+			s.rside.draw(s.rbase, lo, min(hi, n))
 		}
 		if hi > n {
-			if s.aliasCols {
-				s.cside.aliasRange(&s.aliasAT, s.cbase, max(lo-n, 0), hi-n)
-			} else {
-				s.cside.draw(s.cbase, max(lo-n, 0), hi-n)
-			}
+			s.cside.draw(s.cbase, max(lo-n, 0), hi-n)
 		}
 	}
 	s.Rebind(a, at)
@@ -153,12 +140,11 @@ func (s *Session) canceled() bool { return s.cancel != nil && s.cancel() }
 
 // SetScaling installs the scaling vectors (nil for uniform sampling) and,
 // optionally, the precomputed row/column sampling totals for the bound
-// matrix. The slices are retained, not copied, so a scaling workspace that
-// rewrites them in place keeps feeding the session without further calls.
+// matrix. The slices are retained, not copied, and only read, so a
+// scaling shared by many sessions (a Graph's) is installed as it is.
 func (s *Session) SetScaling(dr, dc, rowTotals, colTotals []float64) {
 	s.dr, s.dc = dr, dc
 	s.rtot, s.ctot = rowTotals, colTotals
-	s.aliasRows, s.aliasCols = false, false // tables bake the scaling in; rebuild on next use
 }
 
 // SetDegreeOrders installs the degree orders of the bound matrix (rows)
@@ -190,7 +176,6 @@ func (s *Session) TwoSided(seed uint64) *Result {
 	s.cg.Choice = buf.Grow(s.cg.Choice, n+m)
 	s.cnt = buf.Grow(s.cnt, n+m)
 	mate := s.mates()
-	s.ensureAlias(true)
 	s.rbase = xrand.Base(seed)
 	s.cbase = xrand.Base(seed ^ colSeedSalt)
 	s.rside = drawSide{a: s.a, w: s.dc, tot: s.rtot, ord: s.rord, out: s.cg.Choice[:n], off: int32(n)}
@@ -225,7 +210,6 @@ func (s *Session) OneSided(seed uint64) *exact.Matching {
 		s.rord = sparse.NewDegreeOrder(s.a)
 	}
 	s.mates()
-	s.ensureAlias(false)
 	s.rbase = xrand.Base(seed)
 	rows, cols := s.matching.RowMate, s.matching.ColMate
 	s.rside = drawSide{a: s.a, w: s.dc, tot: s.rtot, ord: s.rord, out: rows, loop: NIL}

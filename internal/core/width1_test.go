@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/par"
+	"repro/internal/scale"
 	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
@@ -36,10 +38,10 @@ func ksAtomicReference(g *ChoiceGraph) []int32 {
 
 // oneSidedReference is OneSided as the paper states it: every row, in
 // index order on the calling goroutine, draws one column with sampleRow's
-// prefix walk (or, with t non-nil, from the alias table t) and stores
-// itself into that column, so the last store — the largest row that chose
-// a column — wins. Session.OneSided must equal it at every width.
-func oneSidedReference(a *sparse.CSR, dc, tot []float64, t *aliasTable, seed uint64) []int32 {
+// prefix walk and stores itself into that column, so the last store — the
+// largest row that chose a column — wins. Session.OneSided must equal it
+// at every width.
+func oneSidedReference(a *sparse.CSR, dc, tot []float64, seed uint64) []int32 {
 	cmatch := make([]int32, a.ColsN)
 	for j := range cmatch {
 		cmatch[j] = NIL
@@ -48,13 +50,7 @@ func oneSidedReference(a *sparse.CSR, dc, tot []float64, t *aliasTable, seed uin
 	var rng xrand.SplitMix64
 	for i := 0; i < a.RowsN; i++ {
 		rng.SetIndexed(base, i)
-		var j int32
-		if t != nil {
-			j = sampleRowAlias(a, t, i, &rng)
-		} else {
-			j = sampleRow(a, dc, i, tot, &rng)
-		}
-		if j != NIL {
+		if j := sampleRow(a, dc, i, tot, &rng); j != NIL {
 			atomic.StoreInt32(&cmatch[j], int32(i))
 		}
 	}
@@ -64,9 +60,8 @@ func oneSidedReference(a *sparse.CSR, dc, tot []float64, t *aliasTable, seed uin
 // TestOneSidedMatchesReference holds Session.OneSided's whole matching
 // and the one-shot OneSided's cmatch to oneSidedReference on Erdős–Rényi
 // (one with empty rows and columns), power-law and fully indecomposable
-// inputs: scaled with and without the exported totals, unscaled, and with
-// the alias draw, at widths 1 to 4 of a wide pool under static and guided
-// schedules.
+// inputs: scaled with and without the exported totals, and unscaled, at
+// widths 1 to 4 of a wide pool under static and guided schedules.
 func TestOneSidedMatchesReference(t *testing.T) {
 	mats := map[string]*sparse.CSR{
 		"er":      gen.ERAvgDeg(2500, 2300, 4, 3),
@@ -82,27 +77,20 @@ func TestOneSidedMatchesReference(t *testing.T) {
 			name   string
 			dr, dc []float64
 			rtot   []float64
-			alias  bool
 		}{
-			{"scaled", sc.DR, sc.DC, nil, false},
-			{"scaled+totals", sc.DR, sc.DC, sc.RSum, false},
-			{"unscaled", nil, nil, nil, false},
-			{"alias", sc.DR, sc.DC, sc.RSum, true},
+			{"scaled", sc.DR, sc.DC, nil},
+			{"scaled+totals", sc.DR, sc.DC, sc.RSum},
+			{"unscaled", nil, nil, nil},
 		}
 		for _, in := range inputs {
-			var table *aliasTable
-			if in.alias {
-				table = &aliasTable{}
-				table.build(a, in.dc)
-			}
 			for _, seed := range []uint64{1, 77} {
-				want := oneSidedReference(a, in.dc, in.rtot, table, seed)
+				want := oneSidedReference(a, in.dc, in.rtot, seed)
 				wantMt := CMatchToMatching(a.RowsN, want)
 				for w := 1; w <= 4; w++ {
 					for _, pol := range []par.Policy{par.Static, par.Guided} {
 						what := fmt.Sprintf("%s %s seed=%d w=%d %v", name, in.name, seed, w, pol)
 						opt := Options{Workers: w, Policy: pol, Chunk: 64, Seed: seed, Pool: wide,
-							RowTotals: in.rtot, Alias: in.alias}
+							RowTotals: in.rtot}
 						s := NewSession(a, at, opt)
 						s.SetScaling(in.dr, in.dc, in.rtot, nil)
 						cmpMatching(t, what+" session", s.OneSided(seed), wantMt)
@@ -385,11 +373,19 @@ func TestSessionWidth1CancelMidKarpSipser(t *testing.T) {
 	cmpMatching(t, "uncanceled width-1 run", want, DecodeMatch(&s.cg, ksAtomicReference(&s.cg)))
 }
 
-// TestKarpSipserInPlaceOfflineFamilies holds Session.TwoSided's whole
-// matching to the decoded atomic reference on the five offline benchmark
-// families at n ≈ 4k (heavytail, roadnet21, rankdef, longthin, skewdeg),
-// graph and sampling seeds 1 to 10, at widths 1, 2 and 4 of a wide pool.
-func TestKarpSipserInPlaceOfflineFamilies(t *testing.T) {
+// offlineFamilyGraph is one graph of TestKarpSipserInPlaceOfflineFamilies
+// with its transpose and its five-iteration scaling.
+type offlineFamilyGraph struct {
+	name  string
+	seed  uint64
+	a, at *sparse.CSR
+	sc    *scale.Result
+}
+
+// offlineFamilyGraphs builds the five offline benchmark families at n ≈ 4k
+// (heavytail, roadnet21, rankdef, longthin, skewdeg), graph seeds 1 to 10,
+// and scales each once per test binary, not once per -cpu value.
+var offlineFamilyGraphs = sync.OnceValues(func() ([]offlineFamilyGraph, error) {
 	const n = 4000
 	families := []struct {
 		name string
@@ -401,23 +397,43 @@ func TestKarpSipserInPlaceOfflineFamilies(t *testing.T) {
 		{"longthin", func(uint64) *sparse.CSR { return gen.LongThinPath(n) }},
 		{"skewdeg", func(seed uint64) *sparse.CSR { return gen.SkewedDegree(n, n*4/5, 6, 3, seed) }},
 	}
-	wide := par.NewPool(4)
-	defer wide.Close()
+	var graphs []offlineFamilyGraph
 	for _, f := range families {
 		for seed := uint64(1); seed <= 10; seed++ {
 			a := f.gen(seed)
-			at, sc := scaledSK(t, a, 5)
-			var want *exact.Matching
-			for _, w := range []int{1, 2, 4} {
-				opt := Options{Workers: w, Policy: par.Dynamic, Pool: wide}
-				s := NewSession(a, at, opt)
-				s.SetScaling(sc.DR, sc.DC, sc.RSum, sc.CSum)
-				res := s.TwoSided(seed)
-				if want == nil {
-					want = DecodeMatch(res.Graph, ksAtomicReference(res.Graph))
-				}
-				cmpMatching(t, fmt.Sprintf("%s seed=%d w=%d", f.name, seed, w), res.Matching, want)
+			at := a.Transpose()
+			sc, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 5, Workers: 4, Policy: par.Dynamic})
+			if err != nil {
+				return nil, err
 			}
+			graphs = append(graphs, offlineFamilyGraph{f.name, seed, a, at, sc})
+		}
+	}
+	return graphs, nil
+})
+
+// TestKarpSipserInPlaceOfflineFamilies holds Session.TwoSided's whole
+// matching to the decoded atomic reference on offlineFamilyGraphs, with
+// each graph's seed as the sampling seed, at widths 1, 2 and 4 of a wide
+// pool.
+func TestKarpSipserInPlaceOfflineFamilies(t *testing.T) {
+	graphs, err := offlineFamilyGraphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := par.NewPool(4)
+	defer wide.Close()
+	for _, g := range graphs {
+		var want *exact.Matching
+		for _, w := range []int{1, 2, 4} {
+			opt := Options{Workers: w, Policy: par.Dynamic, Pool: wide}
+			s := NewSession(g.a, g.at, opt)
+			s.SetScaling(g.sc.DR, g.sc.DC, g.sc.RSum, g.sc.CSum)
+			res := s.TwoSided(g.seed)
+			if want == nil {
+				want = DecodeMatch(res.Graph, ksAtomicReference(res.Graph))
+			}
+			cmpMatching(t, fmt.Sprintf("%s seed=%d w=%d", g.name, g.seed, w), res.Matching, want)
 		}
 	}
 }

@@ -8,13 +8,12 @@ import (
 	"repro/internal/sparse"
 )
 
-// BenchmarkSinkhornKnoppLayout times one 5-iteration fused scaling over
-// the CSR and over the sweep layouts, at widths 1 and 2. The instances
-// are a road network of degree ≈ 2 (the offline-heuristic workload's
-// roadnet21 shape), Erdős–Rényi rows of small mixed degree, e2ebench's
-// heavytail, whose rows are mostly longer than the packed groups, and
-// the offline-exact workload's rankdef.
-func BenchmarkSinkhornKnoppLayout(b *testing.B) {
+// BenchmarkSinkhornKnopp times one 5-iteration fused scaling at widths 1
+// and 2. The instances are a road network of degree ≈ 2 (the
+// offline-heuristic workload's roadnet21 shape), Erdős–Rényi rows of
+// small mixed degree, e2ebench's heavytail, whose rows are mostly long,
+// and the offline-exact workload's rankdef.
+func BenchmarkSinkhornKnopp(b *testing.B) {
 	insts := []struct {
 		name string
 		a    *sparse.CSR
@@ -29,22 +28,15 @@ func BenchmarkSinkhornKnoppLayout(b *testing.B) {
 	for _, inst := range insts {
 		a := inst.a
 		at := a.Transpose()
-		rows := sparse.NewDegreeOrder(a).Pack(a)
-		cols := sparse.NewDegreeOrder(at).Pack(at)
 		for _, w := range []int{1, 2} {
-			for _, path := range []string{"csr", "layout"} {
-				opt := Options{MaxIters: 5, Workers: w, Policy: par.Dynamic, Pool: pool}
-				if path == "layout" {
-					opt.RowLayout, opt.ColLayout = rows, cols
-				}
-				b.Run(inst.name+"/w"+string(rune('0'+w))+"/"+path, func(b *testing.B) {
-					for b.Loop() {
-						if _, err := SinkhornKnopp(a, at, opt); err != nil {
-							b.Fatal(err)
-						}
+			opt := Options{MaxIters: 5, Workers: w, Policy: par.Dynamic, Pool: pool}
+			b.Run(inst.name+"/w"+string(rune('0'+w)), func(b *testing.B) {
+				for b.Loop() {
+					if _, err := SinkhornKnopp(a, at, opt); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// layoutPools are the pools of widths 1 to 3 the layout fuzz target runs
-// on, built once per process.
-var layoutPools = sync.OnceValue(func() []*par.Pool {
+// fuzzPools are the pools of widths 1 to 3 FuzzSinkhornKnopp runs on,
+// built once per process.
+var fuzzPools = sync.OnceValue(func() []*par.Pool {
 	return []*par.Pool{par.NewPool(1), par.NewPool(2), par.NewPool(3)}
 })
 
@@ -50,22 +50,19 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 	cmpF64s(t, what+" CSum", got.CSum, want.CSum)
 }
 
-// FuzzSinkhornKnoppLayout holds the sweeps over the packed layouts to the
-// sweeps over the CSR and to referenceSK, bit for bit. The seed picks the
-// columns of every row. The first byte of data sets the column count,
-// 20 + byte % 24, and its top bit gives the matrix edge values; the second
-// sets the scheduling chunk, 1 + byte % 8, small enough to split the
-// degree groups across workers. Every further byte adds one row of degree
-// byte % 21, at most 64 rows, so the matrix is rectangular, has empty
-// rows and, with few rows, empty columns; a row of degree 20 is added
-// when no row is longer than 16. At 0, 1 and 5 iterations, on pools of
-// width 1 to 3, the layout path and the CSR path must return
-// referenceSK's Iters, Err, History, DR and DC, and totals equal to fresh
-// sums of the final vectors. A convergence-checked
-// run with the smallest positive tolerance must agree as well. A matrix
-// with edge values ignores the layouts, which hold its pattern only, so
-// its results equal referenceSK's only if it takes the CSR path.
-func FuzzSinkhornKnoppLayout(f *testing.F) {
+// FuzzSinkhornKnopp holds the sweeps to referenceSK, bit for bit. The
+// seed picks the columns of every row. The first byte of data sets the
+// column count, 20 + byte % 24, and its top bit gives the matrix edge
+// values; the second sets the scheduling chunk, 1 + byte % 8, small enough
+// to split the rows across workers. Every further byte adds one row of
+// degree byte % 21, at most 64 rows, so the matrix is rectangular, has
+// empty rows and, with few rows, empty columns; a row of degree 20 is
+// added when no row is longer than 16. At 0, 1 and 5 iterations, on pools
+// of width 1 to 3, the fused loop must return referenceSK's Iters, Err,
+// History, DR and DC, and totals equal to fresh sums of the final
+// vectors. A convergence-checked run with the smallest positive tolerance
+// must agree as well.
+func FuzzSinkhornKnopp(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 0, 0, 1, 2, 3, 4, 16, 17, 20})
 	f.Add(uint64(2), []byte{23, 3, 5, 5, 5, 2, 2, 0, 18, 19, 16, 1})
 	f.Add(uint64(3), []byte{0x80, 7, 1, 2, 3, 17, 4, 4})
@@ -114,8 +111,6 @@ func FuzzSinkhornKnoppLayout(f *testing.F) {
 			}
 		}
 		at := a.Transpose()
-		rows := sparse.NewDegreeOrder(a).Pack(a)
-		colsL := sparse.NewDegreeOrder(at).Pack(at)
 
 		for _, iters := range []int{0, 1, 5} {
 			want := referenceSK(a, at, iters)
@@ -123,19 +118,13 @@ func FuzzSinkhornKnoppLayout(f *testing.F) {
 			if iters > 0 {
 				want.RSum = freshSums(a, want.DC)
 			}
-			for w, pool := range layoutPools() {
+			for w, pool := range fuzzPools() {
 				opt := Options{MaxIters: iters, Workers: w + 1, Policy: par.Dynamic, Chunk: chunk, Pool: pool}
-				csr, err := SinkhornKnopp(a, at, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResult(t, "csr", csr, want)
-				opt.RowLayout, opt.ColLayout = rows, colsL
 				got, err := SinkhornKnopp(a, at, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameResult(t, "layout", got, want)
+				sameResult(t, "fused", got, want)
 				opt.Tol = math.SmallestNonzeroFloat64
 				tol, err := SinkhornKnopp(a, at, opt)
 				if err != nil {
@@ -151,59 +140,8 @@ func FuzzSinkhornKnoppLayout(f *testing.F) {
 					}
 				}
 				ref.RSum, ref.CSum = nil, nil
-				sameResult(t, "tol layout", tol, &ref)
+				sameResult(t, "tol", tol, &ref)
 			}
 		}
 	})
-}
-
-// TestLayoutOfAnotherMatrixRejected: layouts whose row count does not
-// match the matrix fail with ErrShape instead of sweeping another
-// matrix's rows.
-func TestLayoutOfAnotherMatrixRejected(t *testing.T) {
-	a := sparse.FromDense([][]int{{1, 1, 0}, {0, 1, 1}})
-	at := a.Transpose()
-	rows := sparse.NewDegreeOrder(a).Pack(a)
-	cols := sparse.NewDegreeOrder(at).Pack(at)
-	for _, opt := range []Options{
-		{MaxIters: 2, RowLayout: cols, ColLayout: cols},
-		{MaxIters: 2, RowLayout: rows, ColLayout: rows},
-	} {
-		if _, err := SinkhornKnopp(a, at, opt); err != ErrShape {
-			t.Fatalf("mismatched layouts: err %v, want ErrShape", err)
-		}
-	}
-	if _, err := SinkhornKnopp(a, at, Options{MaxIters: 2, RowLayout: rows, ColLayout: cols}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLayoutPathReadsTheLayout: the sweeps of a pattern matrix read the
-// packed indices when given a layout. A layout whose packed rows point at
-// other columns must change the result; if the sweeps fell back to the
-// CSR, the bit-identity checks above would pass without testing a layout.
-func TestLayoutPathReadsTheLayout(t *testing.T) {
-	a := sparse.FromDense([][]int{{1, 1, 0, 0, 0}, {0, 1, 1, 0, 1}, {0, 0, 1, 1, 0}, {1, 0, 0, 0, 0}, {1, 1, 1, 1, 1}})
-	at := a.Transpose()
-	want, err := SinkhornKnopp(a, at, Options{MaxIters: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, side := range []string{"rows", "cols"} {
-		rows := sparse.NewDegreeOrder(a).Pack(a)
-		cols := sparse.NewDegreeOrder(at).Pack(at)
-		bad := rows
-		if side == "cols" {
-			bad = cols
-		}
-		bad.Idx = append([]int32(nil), bad.Idx...)
-		bad.Idx[0]++ // row 3's column 0 becomes 1; column 3's row 2 becomes 3
-		got, err := SinkhornKnopp(a, at, Options{MaxIters: 3, RowLayout: rows, ColLayout: cols})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got.Err) == math.Float64bits(want.Err) {
-			t.Fatalf("a corrupted %s layout left the scaling error at %v: the sweeps did not read it", side, got.Err)
-		}
-	}
 }

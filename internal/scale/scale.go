@@ -23,14 +23,10 @@
 // precisely the sampling denominators Algorithms 2 and 3 need, so sampling
 // can skip its own sum pass over the matrix.
 //
-// Given the sweep layouts of a matrix without edge values
-// (Options.RowLayout and ColLayout, see sparse.Layout), every row and
-// column pass walks the rows grouped by degree, the rows of degree 1 to
-// 16 over their packed indices with a fixed trip count and no row pointer
-// loads, and the longer rows over the CSR. Each row is still summed left
-// to right in CSR order, so every output keeps its bits;
-// FuzzSinkhornKnoppLayout holds the layout path to the CSR path and to
-// the classic reference.
+// Every row and column pass walks the CSR of the matrix or of its
+// transpose in index order, chunked over the pool, and sums each row left
+// to right, so the outputs are the same bits at every width;
+// FuzzSinkhornKnopp holds them to the classic reference at widths 1 to 3.
 package scale
 
 import (
@@ -69,12 +65,6 @@ type Options struct {
 	// so far is discarded. The serving layer derives it from the request's
 	// context deadline.
 	Cancel func() bool
-	// RowLayout and ColLayout, when non-nil, are the sweep layouts of the
-	// matrix and of its transpose (sparse.Layout, built from their degree
-	// orders): the Sinkhorn–Knopp row and column passes then walk them
-	// instead of the CSR, with the same results bit for bit. A matrix with
-	// edge values ignores them, and Ruiz and the skew-aware path do too.
-	RowLayout, ColLayout *sparse.Layout
 }
 
 // canceled reports whether the run's cancellation hook has fired.
@@ -129,26 +119,16 @@ var ErrShape = errors.New("scale: transpose shape mismatch")
 // sums walk rows). Val == nil treats entries as 1. Rows or columns with no
 // entries keep their scaling factor (their sums are reported as 0 and the
 // error reflects it), matching the paper's treatment of structurally
-// deficient matrices where irrelevant entries drift to zero. A layout in
-// opt whose row count is not its matrix's fails with ErrShape.
+// deficient matrices where irrelevant entries drift to zero.
 func SinkhornKnopp(a, at *sparse.CSR, opt Options) (*Result, error) {
 	if a.RowsN != at.ColsN || a.ColsN != at.RowsN {
 		return nil, ErrShape
-	}
-	rows, err := layoutFor(a, opt.RowLayout)
-	if err != nil {
-		return nil, err
-	}
-	cols, err := layoutFor(at, opt.ColLayout)
-	if err != nil {
-		return nil, err
 	}
 	n, m := a.RowsN, a.ColsN
 	if opt.canceled() {
 		return nil, ErrCanceled
 	}
-	sw := sweeps{a: a, at: at, rows: rows, cols: cols,
-		p: opt.pool(), workers: opt.Workers, policy: opt.Policy, chunk: opt.chunkOrDefault()}
+	sw := sweeps{a: a, at: at, p: opt.pool(), workers: opt.Workers, policy: opt.Policy, chunk: opt.chunkOrDefault()}
 	if opt.Tol > 0 {
 		// The convergence check needs the error of an iteration before
 		// deciding whether to run the next one, which forces the classic
@@ -217,19 +197,6 @@ func rsumIfLast(rsum []float64, it, iters int) []float64 {
 	return nil
 }
 
-// layoutFor returns the layout a pass over x's rows may walk: l, or nil
-// when there is none or x has edge values. A layout of another row count
-// is an error.
-func layoutFor(x *sparse.CSR, l *sparse.Layout) (*sparse.Layout, error) {
-	if l == nil || x.Val != nil {
-		return nil, nil
-	}
-	if len(l.Rows) != x.RowsN {
-		return nil, ErrShape
-	}
-	return l, nil
-}
-
 // sinkhornKnoppTol is the classic three-sweep loop used when a convergence
 // tolerance is set. It reports the same Err/History as the fused loop for
 // the iterations it runs, but leaves RSum/CSum nil.
@@ -270,7 +237,7 @@ func Ruiz(a, at *sparse.CSR, opt Options) (*Result, error) {
 	rsum := make([]float64, n)
 	csum := make([]float64, m)
 
-	res.Err = colSumsAndError(at, nil, res.DR, res.DC, nil, false, p, opt.Workers, opt.Policy, chunk)
+	res.Err = colSumsAndError(at, res.DR, res.DC, nil, false, p, opt.Workers, opt.Policy, chunk)
 	res.History = append(res.History, res.Err)
 	for it := 0; it < opt.MaxIters; it++ {
 		if opt.Tol > 0 && res.Err <= opt.Tol {
@@ -320,7 +287,7 @@ func Ruiz(a, at *sparse.CSR, opt Options) (*Result, error) {
 			}
 		})
 		res.Iters++
-		res.Err = colSumsAndError(at, nil, res.DR, res.DC, nil, false, p, opt.Workers, opt.Policy, chunk)
+		res.Err = colSumsAndError(at, res.DR, res.DC, nil, false, p, opt.Workers, opt.Policy, chunk)
 		res.History = append(res.History, res.Err)
 	}
 	return res, nil
@@ -330,38 +297,40 @@ func Ruiz(a, at *sparse.CSR, opt Options) (*Result, error) {
 // transpose at: max over columns of |sum_i dr[i]*a_ij*dc[j] - 1|. This is
 // the quantity reported in Tables 1 and 3.
 func ColError(at *sparse.CSR, dr, dc []float64, workers int) float64 {
-	return colSumsAndError(at, nil, dr, dc, nil, false, par.Default(), workers, par.Dynamic, par.DefaultChunk)
+	return colSumsAndError(at, dr, dc, nil, false, par.Default(), workers, par.Dynamic, par.DefaultChunk)
 }
 
 // RowError is the row-side counterpart of ColError (max |rowsum-1|),
 // computed on the matrix itself.
 func RowError(a *sparse.CSR, dr, dc []float64, workers int) float64 {
-	return colSumsAndError(a, nil, dc, dr, nil, false, par.Default(), workers, par.Dynamic, par.DefaultChunk)
+	return colSumsAndError(a, dc, dr, nil, false, par.Default(), workers, par.Dynamic, par.DefaultChunk)
 }
 
 // sweeps holds what every pass of one scaling run needs: the matrix, its
-// transpose, their layouts (nil: walk the CSR in row order) and the
-// parallel schedule.
+// transpose and the parallel schedule. Every pass runs csrRange over its
+// chunks of rows. csrRange, rowSum and finish are functions of their own,
+// so the alignment of each loop does not depend on the code around it: on
+// a 2-vCPU Xeon, moving a row loop within one larger function changed a
+// pass's time by a third.
 type sweeps struct {
-	a, at      *sparse.CSR
-	rows, cols *sparse.Layout
-	p          *par.Pool
-	workers    int
-	policy     par.Policy
-	chunk      int
+	a, at   *sparse.CSR
+	p       *par.Pool
+	workers int
+	policy  par.Policy
+	chunk   int
 }
 
 // col is one column pass; see colSumsAndError.
 func (sw sweeps) col(dr, dc, sums []float64, invert bool) float64 {
-	return colSumsAndError(sw.at, sw.cols, dr, dc, sums, invert, sw.p, sw.workers, sw.policy, sw.chunk)
+	return colSumsAndError(sw.at, dr, dc, sums, invert, sw.p, sw.workers, sw.policy, sw.chunk)
 }
 
 // row is one row pass: dr[i] <- 1/Σ_j a_ij·dc[j] for every row with a
 // positive sum, storing the raw sums in sums when non-nil.
 func (sw sweeps) row(dc, dr, sums []float64) {
-	a, l := sw.a, sw.rows
+	a := sw.a
 	sw.p.For(a.RowsN, sw.workers, sw.policy, sw.chunk, func(_, lo, hi int) {
-		passRange(a, l, dc, dr, sums, true, false, lo, hi, 0)
+		csrRange(a, dc, dr, sums, true, false, lo, hi, 0)
 	})
 }
 
@@ -395,110 +364,20 @@ func (sw sweeps) firstCol(dr, dc, sums []float64, invert bool) float64 {
 // result, because it is measured before dc is touched). One kernel thus
 // serves the error measurement, the totals export and the fused column
 // pass; the bit-identity between the fused and classic paths holds because
-// every caller accumulates through passRange, and
-// TestFusedMatchesClassicReference fails if the order ever drifts. l, when
-// non-nil, is the layout of at the pass walks.
-func colSumsAndError(at *sparse.CSR, l *sparse.Layout, dr, dc []float64, sums []float64, invert bool,
+// every caller accumulates through csrRange, and
+// TestFusedMatchesClassicReference fails if the order ever drifts.
+func colSumsAndError(at *sparse.CSR, dr, dc []float64, sums []float64, invert bool,
 	p *par.Pool, workers int, policy par.Policy, chunk int) float64 {
 	return p.ReduceFloat64(at.RowsN, workers, policy, chunk, 0,
 		func(_, lo, hi int, acc float64) float64 {
-			return passRange(at, l, dr, dc, sums, invert, true, lo, hi, acc)
+			return csrRange(at, dr, dc, sums, invert, true, lo, hi, acc)
 		}, math.Max)
-}
-
-// passRange is the body of every Sinkhorn–Knopp pass. It sums w over the
-// entries of rows [lo, hi) of x — positions [lo, hi) of the layout l when
-// l is non-nil — each row left to right in CSR order, and finishes each
-// row with its sum (see finish). The rows of a pass are independent and
-// the error is a maximum, so neither the visit order nor the chunking
-// changes a bit of the outputs. Over a layout, each group of rows of one
-// degree up to sparse.MaxFixedDegree runs a fixed trip count over packed
-// indices, with no row pointer loads; longer rows read the CSR. Each loop
-// is a function of its own, so its alignment does not depend on the code
-// around it: on a 2-vCPU Xeon, moving the long-row loop within one larger
-// function changed the pass's time by a third.
-func passRange(x *sparse.CSR, l *sparse.Layout, w, d, sums []float64, invert, measure bool,
-	lo, hi int, acc float64) float64 {
-	if l == nil {
-		return csrRange(x, w, d, sums, invert, measure, lo, hi, acc)
-	}
-	for g := 0; g < sparse.DegreeGroups; g++ {
-		glo, ghi := max(lo, l.Start[g]), min(hi, l.Start[g+1])
-		if glo >= ghi {
-			continue
-		}
-		rows, idx := l.Group(g, glo, ghi)
-		switch {
-		case idx != nil:
-			acc = packedRows(rows, idx, g, w, d, sums, invert, measure, acc)
-		case g == 0:
-			for _, i := range rows {
-				acc = finish(d, sums, int(i), 0, invert, measure, acc)
-			}
-		default:
-			acc = csrRows(x, rows, w, d, sums, invert, measure, acc)
-		}
-	}
-	return acc
 }
 
 // csrRange runs a pass over rows [lo, hi) of x in index order.
 func csrRange(x *sparse.CSR, w, d, sums []float64, invert, measure bool, lo, hi int, acc float64) float64 {
 	for i := lo; i < hi; i++ {
 		acc = finish(d, sums, i, rowSum(x, w, i), invert, measure, acc)
-	}
-	return acc
-}
-
-// csrRows runs a pass over the listed rows of x.
-func csrRows(x *sparse.CSR, rows []int32, w, d, sums []float64, invert, measure bool, acc float64) float64 {
-	for _, i := range rows {
-		acc = finish(d, sums, int(i), rowSum(x, w, int(i)), invert, measure, acc)
-	}
-	return acc
-}
-
-// packedRows runs a pass over the listed rows, all of degree deg, whose
-// entries idx holds back to back. Degrees 1 to 4, most rows of road
-// networks and sparse random graphs, run unrolled; each unrolled sum
-// still adds to 0 from left to right, the same operations in the same
-// order as the loop.
-func packedRows(rows, idx []int32, deg int, w, d, sums []float64, invert, measure bool, acc float64) float64 {
-	switch deg {
-	case 1:
-		for k, i := range rows {
-			acc = finish(d, sums, int(i), 0.0+w[idx[k]], invert, measure, acc)
-		}
-		return acc
-	case 2:
-		for _, i := range rows {
-			e := idx[:2:2]
-			idx = idx[2:]
-			acc = finish(d, sums, int(i), 0.0+w[e[0]]+w[e[1]], invert, measure, acc)
-		}
-		return acc
-	case 3:
-		for _, i := range rows {
-			e := idx[:3:3]
-			idx = idx[3:]
-			acc = finish(d, sums, int(i), 0.0+w[e[0]]+w[e[1]]+w[e[2]], invert, measure, acc)
-		}
-		return acc
-	case 4:
-		for _, i := range rows {
-			e := idx[:4:4]
-			idx = idx[4:]
-			acc = finish(d, sums, int(i), 0.0+w[e[0]]+w[e[1]]+w[e[2]]+w[e[3]], invert, measure, acc)
-		}
-		return acc
-	}
-	for _, i := range rows {
-		sum := 0.0
-		for _, j := range idx[:deg] {
-			sum += w[j]
-		}
-		idx = idx[deg:]
-		acc = finish(d, sums, int(i), sum, invert, measure, acc)
 	}
 	return acc
 }

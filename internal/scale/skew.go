@@ -41,7 +41,7 @@ func SinkhornKnoppSkewAware(a, at *sparse.CSR, opt Options) (*Result, error) {
 	heavyRows := heavyIndices(a)
 	lightRows := lightIndices(a, heavyRows)
 
-	res.Err = colSumsAndError(at, nil, res.DR, res.DC, nil, false, pl, workers, opt.Policy, chunk)
+	res.Err = colSumsAndError(at, res.DR, res.DC, nil, false, pl, workers, opt.Policy, chunk)
 	res.History = append(res.History, res.Err)
 	for it := 0; it < opt.MaxIters; it++ {
 		if opt.Tol > 0 && res.Err <= opt.Tol {
@@ -83,7 +83,7 @@ func SinkhornKnoppSkewAware(a, at *sparse.CSR, opt Options) (*Result, error) {
 			}
 		}
 		res.Iters++
-		res.Err = colSumsAndError(at, nil, res.DR, res.DC, nil, false, pl, workers, opt.Policy, chunk)
+		res.Err = colSumsAndError(at, res.DR, res.DC, nil, false, pl, workers, opt.Policy, chunk)
 		res.History = append(res.History, res.Err)
 	}
 	return res, nil

@@ -1,20 +1,20 @@
 package sparse
 
-// Kernels that visit every row once (TwoSided's sampling, the
-// Sinkhorn–Knopp sweeps) run faster over the rows grouped by degree than
+// Degree orders serve the heuristics' sampling region, which draws one
+// entry of every row and runs faster over the rows grouped by degree than
 // in index order. A row loop in index order has a data-dependent trip
 // count, so its exit mispredicts about once per row; on graphs of small,
 // mixed degrees (road networks, Erdős–Rényi) that misprediction, not
-// memory, bounds the sweep. The rows of one group share their degree, so a
+// memory, bounds the loop. The rows of one group share their degree, so a
 // group runs one fixed trip count. The idea is the one behind
 // degree-sorted sliced formats such as SELL-C-σ (Kreutzer et al., SIAM J.
 // Sci. Comput. 2014). Every row keeps its own entries in CSR order, so a
-// kernel that sums a row left to right gets the same bits in either
+// kernel that walks a row left to right gets the same bits in either
 // order.
 
 // MaxFixedDegree is the largest degree with a group of its own in a
-// DegreeOrder, and the largest a Layout packs. Longer rows are few on the
-// graphs this helps, and their inner loop dwarfs one misprediction.
+// DegreeOrder. Longer rows are few on the graphs this helps, and their
+// inner loop dwarfs one misprediction.
 const MaxFixedDegree = 16
 
 // DegreeGroups counts the groups of a DegreeOrder: one per degree from 0
@@ -51,47 +51,4 @@ func NewDegreeOrder(a *CSR) *DegreeOrder {
 		next[g]++
 	}
 	return o
-}
-
-// Layout is the packed form of a DegreeOrder: the column indices of every
-// row of degree 1 to MaxFixedDegree, copied into one array in the order's
-// row order, group after group. A sweep over it reads one contiguous
-// stream with a fixed trip count per group and no row pointers. Rows of
-// degree 0 and above MaxFixedDegree are not copied; a sweep reads the
-// latter from the CSR. It costs 4 bytes per packed index.
-type Layout struct {
-	*DegreeOrder
-	// Idx holds the packed column indices. The row at position p of group
-	// d, 1 <= d <= MaxFixedDegree, stores its entries, in CSR order, at
-	// Idx[off[d]+(p-Start[d])*d:][:d]; Group slices them out.
-	Idx []int32
-	off [MaxFixedDegree + 1]int // where group d's indices start in Idx
-}
-
-// Pack builds the layout of o, the degree order of a, in O(packed
-// entries) time.
-func (o *DegreeOrder) Pack(a *CSR) *Layout {
-	l := &Layout{DegreeOrder: o}
-	n := 0
-	for d := 1; d <= MaxFixedDegree; d++ {
-		l.off[d] = n
-		n += d * (o.Start[d+1] - o.Start[d])
-	}
-	l.Idx = make([]int32, 0, n)
-	for _, i := range o.Rows[o.Start[1]:o.Start[MaxFixedDegree+1]] {
-		l.Idx = append(l.Idx, a.Idx[a.Ptr[i]:a.Ptr[i+1]]...)
-	}
-	return l
-}
-
-// Group returns the rows at positions [lo, hi) of group d, which must lie
-// inside it, and, for 1 <= d <= MaxFixedDegree, their packed indices (nil
-// for the other groups).
-func (l *Layout) Group(d, lo, hi int) (rows, idx []int32) {
-	rows = l.Rows[lo:hi]
-	if d >= 1 && d <= MaxFixedDegree {
-		s := l.off[d] + (lo-l.Start[d])*d
-		idx = l.Idx[s : s+(hi-lo)*d]
-	}
-	return rows, idx
 }

@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 func orderTestMatrices() map[string]*CSR {
 	return map[string]*CSR{
@@ -38,46 +35,6 @@ func TestDegreeOrderGroups(t *testing.T) {
 					t.Fatalf("%s: group %d not ascending at position %d", name, g, p)
 				}
 			}
-		}
-	}
-}
-
-// TestLayoutPacksRows checks that Group returns, for every range of every
-// group, the order's rows and each packed row's CSR entries, and that the
-// layout packs exactly the entries of rows of degree 1 to MaxFixedDegree.
-func TestLayoutPacksRows(t *testing.T) {
-	for name, a := range orderTestMatrices() {
-		l := NewDegreeOrder(a).Pack(a)
-		packed := 0
-		for g := 0; g < DegreeGroups; g++ {
-			lo, hi := l.Start[g], l.Start[g+1]
-			// A range that starts inside the group, as a chunk would.
-			for _, from := range []int{lo, lo + (hi-lo)/3} {
-				rows, idx := l.Group(g, from, hi)
-				if !slices.Equal(rows, l.Rows[from:hi]) {
-					t.Fatalf("%s: group %d from %d: rows differ from the order", name, g, from)
-				}
-				if g == 0 || g > MaxFixedDegree {
-					if idx != nil {
-						t.Fatalf("%s: group %d has packed indices", name, g)
-					}
-					continue
-				}
-				if len(idx) != g*len(rows) {
-					t.Fatalf("%s: group %d from %d: %d packed indices for %d rows", name, g, from, len(idx), len(rows))
-				}
-				for k, i := range rows {
-					if got := idx[k*g : k*g+g]; !slices.Equal(got, a.Row(int(i))) {
-						t.Fatalf("%s: row %d packed as %v, CSR %v", name, i, got, a.Row(int(i)))
-					}
-				}
-			}
-			if g >= 1 && g <= MaxFixedDegree {
-				packed += g * (hi - lo)
-			}
-		}
-		if len(l.Idx) != packed || cap(l.Idx) != packed {
-			t.Fatalf("%s: %d packed indices (capacity %d), want %d", name, len(l.Idx), cap(l.Idx), packed)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -29,6 +30,8 @@ func cmpMates(t *testing.T, what string, got, want *Matching) {
 	}
 }
 
+// cmpScalings fails t unless got has want's iteration count, and the bits
+// of its error, vectors, history and sums.
 func cmpScalings(t *testing.T, what string, got, want *Scaling) {
 	t.Helper()
 	if got.Iterations != want.Iterations ||
@@ -36,14 +39,21 @@ func cmpScalings(t *testing.T, what string, got, want *Scaling) {
 		t.Fatalf("%s: (iters=%d err=%v) want (iters=%d err=%v)",
 			what, got.Iterations, got.Error, want.Iterations, want.Error)
 	}
-	for k := range want.DR {
-		if math.Float64bits(got.DR[k]) != math.Float64bits(want.DR[k]) {
-			t.Fatalf("%s: DR[%d] = %v want %v", what, k, got.DR[k], want.DR[k])
+	for _, v := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"DR", got.DR, want.DR}, {"DC", got.DC, want.DC}, {"History", got.History, want.History},
+		{"RowSums", got.RowSums, want.RowSums}, {"ColSums", got.ColSums, want.ColSums},
+	} {
+		if len(v.got) != len(v.want) || (v.got == nil) != (v.want == nil) {
+			t.Fatalf("%s: %s has %d entries (nil %v), want %d (nil %v)", what, v.name,
+				len(v.got), v.got == nil, len(v.want), v.want == nil)
 		}
-	}
-	for k := range want.DC {
-		if math.Float64bits(got.DC[k]) != math.Float64bits(want.DC[k]) {
-			t.Fatalf("%s: DC[%d] = %v want %v", what, k, got.DC[k], want.DC[k])
+		for k := range v.want {
+			if math.Float64bits(v.got[k]) != math.Float64bits(v.want[k]) {
+				t.Fatalf("%s: %s[%d] = %v want %v", what, v.name, k, v.got[k], v.want[k])
+			}
 		}
 	}
 }
@@ -344,8 +354,9 @@ func TestOneShotHeuristicBytes(t *testing.T) {
 // and a skewed graph, all at the pool's full width. A Graph keeps its
 // scaling, so the first op scales each graph once and every later op runs
 // no scaling, where a scaling per call ran 4 and 3 per op. A second
-// iteration count adds exactly one run per graph, and a hit on a Graph's
-// scaling allocates nothing.
+// iteration count adds exactly one run per graph, whose scaling equals, bit
+// for bit, the one a fresh copy of the graph computes first at that count.
+// A hit on a Graph's scaling allocates nothing.
 func TestOfflineWorkloadsScaleEachGraphOnce(t *testing.T) {
 	scales := countScaleRuns(t)
 	for _, w := range []struct {
@@ -388,6 +399,18 @@ func TestOfflineWorkloadsScaleEachGraphOnce(t *testing.T) {
 		}
 		if n := op(6, 3); n != 0 {
 			t.Fatalf("%s: second op at another iteration count ran %d scalings, want 0", w.name, n)
+		}
+		three := (&Options{ScalingIterations: 3}).normalized()
+		for k, g := range w.graphs {
+			got, err := g.scaling(three, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := freshCopy(t, g).scaling(three, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmpScalings(t, fmt.Sprintf("%s graph %d: the second iteration count against a fresh copy", w.name, k), got, want)
 		}
 		if raceEnabled {
 			continue

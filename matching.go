@@ -33,14 +33,6 @@ type Options struct {
 	// subset of cores create one Pool at startup and pass it on every
 	// call.
 	Pool *Pool
-	// AliasSampling switches the sampling kernels' per-row neighbor draw
-	// from the O(deg) prefix walk to O(1) alias-method tables, built once
-	// per bound graph in O(nnz) on first use and reused across runs —
-	// profitable for sessions that resample the same graph many times
-	// (ensembles, servers). Opt-in because the alias draw consumes the
-	// per-vertex RNG stream differently, so seeded results differ from
-	// (while being distributed identically to) the default kernels'.
-	AliasSampling bool
 }
 
 // Pool is a handle to a persistent set of parallel workers that matching
@@ -96,7 +88,6 @@ func (v Options) coreOptions() core.Options {
 		Chunk:   par.DefaultChunk,
 		Seed:    v.Seed,
 		Pool:    v.Pool.inner(),
-		Alias:   v.AliasSampling,
 	}
 }
 
@@ -150,11 +141,6 @@ var scaleRunHook atomic.Pointer[func()]
 // result published is the one kept. cancel, when non-nil, is polled
 // between sweeps; a canceled compute fails with ErrCanceled and publishes
 // nothing, so the Graph's next caller computes the scaling afresh.
-//
-// From the Graph's second computed run with at least one iteration on —
-// another iteration count, or a retry after a cancel — a pattern graph's
-// sweeps walk its sweep layouts, which that run builds. The layouts change
-// no bit of the result.
 func (g *Graph) scaling(v Options, cancel func() bool) (*Scaling, error) {
 	c := g.scaleCell(v.ScalingIterations)
 	if sc := c.sc.Load(); sc != nil {
@@ -176,9 +162,6 @@ func (g *Graph) scaling(v Options, cancel func() bool) (*Scaling, error) {
 		Policy:   par.Dynamic,
 		Pool:     v.Pool.inner(),
 		Cancel:   cancel,
-	}
-	if v.ScalingIterations > 0 && g.a.Val == nil && g.scaleRuns.Add(1) >= 2 {
-		opt.RowLayout, opt.ColLayout = g.sweepLayouts()
 	}
 	res, err := scale.SinkhornKnopp(g.a, g.transpose(), opt)
 	if errors.Is(err, scale.ErrCanceled) {

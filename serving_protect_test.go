@@ -383,10 +383,18 @@ func TestProtectRateLimited(t *testing.T) {
 // TestProtectColdScalingCancelRetry is the retryable-cell gate: a 1ms-
 // class deadline expiring while a cold graph's shared scaling computes
 // must fail that request only — the next request of the graph recomputes
-// the scaling (exactly one fresh run) and succeeds, where the old
-// once-cell stayed poisoned with the aborted run forever.
+// the scaling (exactly one fresh run), equal bit for bit to a fresh copy's
+// first scaling, and succeeds, where the old once-cell stayed poisoned
+// with the aborted run forever.
 func TestProtectColdScalingCancelRetry(t *testing.T) {
 	g := RandomER(2000, 2000, 4, 9)
+	opt := &Options{ScalingIterations: 5, Workers: 1}
+	// The reference comes first, before the run counter: g itself must
+	// reach the server cold.
+	want, err := freshCopy(t, g).NewMatcher(opt).Scale()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var runs atomic.Int64
 	hook := func() {
 		// Stall the first scaling run past the request's deadline, so the
@@ -398,7 +406,7 @@ func TestProtectColdScalingCancelRetry(t *testing.T) {
 	scaleRunHook.Store(&hook)
 	t.Cleanup(func() { scaleRunHook.Store(nil) })
 
-	srv := NewServerConfig(&Options{ScalingIterations: 5, Workers: 1}, ServerConfig{MaxBatch: 8})
+	srv := NewServerConfig(opt, ServerConfig{MaxBatch: 8})
 	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
@@ -417,6 +425,11 @@ func TestProtectColdScalingCancelRetry(t *testing.T) {
 	if n := runs.Load(); n != 2 {
 		t.Fatalf("%d scaling runs, want 2 (one aborted + one fresh)", n)
 	}
+	got, err := g.NewMatcher(opt).Scale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmpScalings(t, "retried scaling against a fresh copy's", got, want)
 	// The fresh run latched: further requests share it.
 	if resp = srv.Match(Request{Graph: g, Spec: Spec{Algorithm: AlgOneSided, Seed: 2}}); resp.Err != nil {
 		t.Fatal(resp.Err)

@@ -62,7 +62,8 @@ func TestSpecRunsItsKernel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSc := &Scaling{DR: sk.DR, DC: sk.DC, Iterations: sk.Iters, Error: sk.Err}
+			wantSc := &Scaling{DR: sk.DR, DC: sk.DC, Iterations: sk.Iters, Error: sk.Err,
+				History: sk.History, RowSums: sk.RSum, ColSums: sk.CSum}
 			for _, seed := range []uint64{1, 7, 42} {
 				co := coreOpts(1)
 				co.Seed, co.RowTotals, co.ColTotals = seed, sk.RSum, sk.CSum

@@ -376,37 +376,6 @@ func TestAuctionMatchBatch(t *testing.T) {
 	}
 }
 
-// TestAuctionAliasSampling: the alias-sampling opt-in composes with the
-// weighted subsystem — a Matcher with AliasSampling still runs the
-// cardinality heuristics correctly on a weighted graph's pattern.
-func TestAuctionAliasSampling(t *testing.T) {
-	g := RandomER(500, 500, 5, 9).RandomWeights(WeightUniform, 9)
-	m := g.NewMatcher(&Options{Workers: 2, AliasSampling: true})
-	res, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.ValidateMatching(res.Matching); err != nil {
-		t.Fatal(err)
-	}
-	base, err := g.Match(Spec{Algorithm: AlgTwoSided, Seed: 3}, &Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := base.Matching.Size*95/100, base.Matching.Size*105/100
-	if res.Matching.Size < lo || res.Matching.Size > hi {
-		t.Fatalf("alias size %d outside ±5%% of default %d", res.Matching.Size, base.Matching.Size)
-	}
-	// And the auction itself is untouched by the sampling knob.
-	ares, err := m.Graph().Match(Spec{Algorithm: AlgAuction, Epsilon: 0.1}, &Options{Workers: 2, AliasSampling: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.ValidateMatching(ares.Matching); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAuctionMatrixMarketRoundTrip: weighted graphs survive a
 // MatrixMarket write/read cycle with weights (and therefore auction
 // results) intact.
