@@ -2,13 +2,16 @@
 // paper's evaluation. Each benchmark is named after the table or figure it
 // backs; the full reports are produced by cmd/matchbench, these benchmarks
 // measure the kernels with testing.B and record quality via
-// b.ReportMetric where it is the point of the table.
+// b.ReportMetric where it is the point of the table. BenchmarkRefineHK and
+// BenchmarkServe time the refinement and serving tiers the paper does not
+// tabulate.
 //
 // Run with: go test -bench=. -benchmem
 package bipartite
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -266,26 +269,6 @@ func BenchmarkAblationScaling(b *testing.B) {
 	})
 }
 
-func BenchmarkAblationSkewAwareScaling(b *testing.B) {
-	// The §2.2 remark: split heavy rows across threads. Compare on a
-	// matrix with one full row (the BadKS family has full rows/columns;
-	// n=6400 keeps the dense R1×C1 block at ~10M entries).
-	a := gen.BadKS(6400, 4)
-	at := a.Transpose()
-	b.Run("standard", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mustScale(b, a, at, 2, 0)
-		}
-	})
-	b.Run("skew-aware", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := scale.SinkhornKnoppSkewAware(a, at, scale.Options{MaxIters: 2}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkAblationKSVariants(b *testing.B) {
 	a := gen.ERAvgDeg(100000, 100000, 3, 5)
 	at := a.Transpose()
@@ -391,6 +374,99 @@ func BenchmarkRefineHK(b *testing.B) {
 		b.Run(tc.name+"/cold", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g.MaximumMatching(nil)
+			}
+		})
+	}
+}
+
+// --- Serving tiers -------------------------------------------------------------
+
+// BenchmarkServe times TwoSided requests served six ways on two small
+// graphs, where per-request dispatch rivals the kernels: one-shot
+// Graph.Match calls, a reused Matcher, best-of-8 ensembles on a Workers: 1
+// session and across the pool, MatchBatch, and a Server fed by 8
+// concurrent submitters. An op is one request; an ensemble request runs 8
+// candidates. Each graph's scaling is computed before the timed runs, as
+// on a server that has seen the graph. The default pool tracks
+// GOMAXPROCS, so -cpu 1,2,4 sweeps the pool width.
+func BenchmarkServe(b *testing.B) {
+	const n = 10000
+	for _, inst := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"er-small", RandomER(n, n, 4, 7)},
+		{"pl-small", PowerLaw(n, 2, 1.8, n/20, 9)},
+	} {
+		g := inst.g
+		if _, err := g.Match(Spec{}, nil); err != nil {
+			b.Fatal(err)
+		}
+		twoSided := func(i int) Spec { return Spec{Algorithm: AlgTwoSided, Seed: uint64(i) + 1} }
+		bestOf8 := func(opt *Options) func(*testing.B) {
+			return func(b *testing.B) {
+				m := g.NewMatcher(opt)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: 8*uint64(i) + 1, Ensemble: 8}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		b.Run(inst.name+"/oneshot", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := g.Match(twoSided(i), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(inst.name+"/matcher", func(b *testing.B) {
+			m := g.NewMatcher(nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Run(twoSided(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(inst.name+"/ensemble8", bestOf8(&Options{Workers: 1}))
+		b.Run(inst.name+"/ensemble8par", bestOf8(nil))
+		b.Run(inst.name+"/batch", func(b *testing.B) {
+			reqs := make([]Request, b.N)
+			for i := range reqs {
+				reqs[i] = Request{Graph: g, Spec: twoSided(i)}
+			}
+			b.ResetTimer()
+			for _, resp := range MatchBatch(reqs, nil) {
+				if resp.Err != nil {
+					b.Fatal(resp.Err)
+				}
+			}
+		})
+		b.Run(inst.name+"/server", func(b *testing.B) {
+			const submitters = 8
+			srv := NewServerConfig(nil, ServerConfig{MaxBatch: 256, Queue: b.N})
+			defer srv.Close()
+			errs := make(chan error, submitters)
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for s := 0; s < submitters; s++ {
+				wg.Add(1)
+				go func(s int) {
+					defer wg.Done()
+					for i := s; i < b.N; i += submitters {
+						if resp := srv.Match(Request{Graph: g, Spec: twoSided(i)}); resp.Err != nil {
+							errs <- resp.Err
+							return
+						}
+					}
+				}(s)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				b.Fatal(err)
 			}
 		})
 	}

@@ -80,16 +80,15 @@ func dynTrace(g *bipartite.Graph, batches, perBatch int, seed uint64) []dynBatch
 // maintained (one DynSession absorbs the whole trace, repairing
 // incrementally) versus recompute (the mutated snapshot is re-solved from
 // scratch after every batch — the baseline any system without incremental
-// maintenance pays). ns_op is ns per mutation batch; speedup is
+// maintenance pays). us/batch is the time per mutation batch; speedup is
 // maintained-vs-recompute within the same spec tier, the number this
 // experiment exists to track.
-func dyn(cfg bench.Config) []bench.PerfRecord {
+func dyn(cfg bench.Config) {
 	cfg = cfg.Defaults()
 	batches := 15 * cfg.Runs // 150 at the default 10 runs
 	const perBatch = 6
 	opt := &bipartite.Options{ScalingIterations: 5, Seed: cfg.Seed}
 
-	var records []bench.PerfRecord
 	tbl := &bench.Table{
 		Title:   "dyn: batched mutations, incremental maintenance vs recompute-per-batch",
 		Headers: []string{"instance", "edges", "mode", "batch/s", "us/batch", "quality", "speedup"},
@@ -142,29 +141,19 @@ func dyn(cfg bench.Config) []bench.PerfRecord {
 			}
 
 			recomputeBest := bench.TimeBest(3, recompute)
-			emitDyn(tbl, &records, inst.name, g.Edges(), "dyn/recompute-"+sp.name,
+			emitDyn(tbl, inst.name, g.Edges(), "dyn/recompute-"+sp.name,
 				batches, recomputeBest, quality, 1.0)
 			maintainedBest := bench.TimeBest(3, maintained)
-			emitDyn(tbl, &records, inst.name, g.Edges(), "dyn/maintained-"+sp.name,
+			emitDyn(tbl, inst.name, g.Edges(), "dyn/maintained-"+sp.name,
 				batches, maintainedBest, quality, float64(recomputeBest)/float64(maintainedBest))
 		}
 	}
 	tbl.Write(cfg.Out)
-	return records
 }
 
-func emitDyn(tbl *bench.Table, records *[]bench.PerfRecord, inst string, edges int,
+func emitDyn(tbl *bench.Table, inst string, edges int,
 	mode string, batches int, best time.Duration, quality, speedup float64) {
 	perBatch := best / time.Duration(batches)
-	*records = append(*records, bench.PerfRecord{
-		Instance:  inst,
-		Edges:     edges,
-		Heuristic: mode,
-		Workers:   1,
-		NsOp:      perBatch.Nanoseconds(),
-		Quality:   quality,
-		Speedup:   speedup,
-	})
 	tbl.AddRow(inst, fmt.Sprintf("%d", edges), mode,
 		fmt.Sprintf("%.0f", float64(batches)/best.Seconds()),
 		fmt.Sprintf("%.1f", float64(perBatch.Microseconds())),

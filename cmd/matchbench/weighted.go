@@ -10,14 +10,14 @@ import (
 
 // weighted benchmarks the ε-scaling auction tier: matched-weight
 // maximization on uniform and heavy-tailed weight assignments, single
-// runs at two slacks plus a best-of-K bidding-seed ensemble. ns_op is
-// ns per full auction solve; quality is the certified ratio
+// runs at two slacks plus a best-of-K bidding-seed ensemble. us/solve
+// is the time per full auction solve; quality is the certified ratio
 // weight/DualBound — the LP-dual certificate the engine returns, an
 // upper bound on the optimum, so the column is a sound lower bound on
 // weight/optimal at any instance size (the (1−ε) contract guarantees it
 // ≥ 1−ε; it is typically far closer to 1). speedup is each mode's
 // throughput relative to the default single run on the same instance.
-func weighted(cfg bench.Config) []bench.PerfRecord {
+func weighted(cfg bench.Config) {
 	cfg = cfg.Defaults()
 	n := 4000
 	switch cfg.Scale {
@@ -44,13 +44,12 @@ func weighted(cfg bench.Config) []bench.PerfRecord {
 	}
 	opt := &bipartite.Options{Workers: 1, Seed: cfg.Seed}
 
-	var records []bench.PerfRecord
 	tbl := &bench.Table{
 		Title:   "weighted: ε-scaling auction, matched weight within (1−ε) of optimal",
 		Headers: []string{"instance", "edges", "mode", "us/solve", "weight", "quality", "rounds", "speedup"},
 	}
 	for _, inst := range instances {
-		var baseNs int64
+		var base time.Duration
 		for _, mode := range modes {
 			var res *bipartite.MatchResult
 			best := bench.TimeBest(3, func() {
@@ -63,19 +62,10 @@ func weighted(cfg bench.Config) []bench.PerfRecord {
 			quality := res.MatchedWeight / res.DualBound
 			speedup := 1.0
 			if mode.name == "weighted/auction" {
-				baseNs = best.Nanoseconds()
-			} else if baseNs > 0 {
-				speedup = float64(baseNs) / float64(best.Nanoseconds())
+				base = best
+			} else if base > 0 {
+				speedup = float64(base) / float64(best)
 			}
-			records = append(records, bench.PerfRecord{
-				Instance:  inst.name,
-				Edges:     inst.g.Edges(),
-				Heuristic: mode.name,
-				Workers:   1,
-				NsOp:      best.Nanoseconds(),
-				Quality:   quality,
-				Speedup:   speedup,
-			})
 			tbl.AddRow(inst.name, fmt.Sprintf("%d", inst.g.Edges()), mode.name,
 				fmt.Sprintf("%.0f", float64(best)/float64(time.Microsecond)),
 				fmt.Sprintf("%.1f", res.MatchedWeight),
@@ -85,5 +75,4 @@ func weighted(cfg bench.Config) []bench.PerfRecord {
 		}
 	}
 	tbl.Write(cfg.Out)
-	return records
 }

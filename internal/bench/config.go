@@ -50,8 +50,8 @@ func (c Config) Defaults() Config {
 
 // TimeBest runs f reps times and returns the fastest wall-clock duration —
 // the standard way to suppress scheduling noise in speedup measurements.
-// Exported so cmd/matchbench's serve experiment shares the exact timing
-// policy of the in-package experiments.
+// Exported so cmd/matchbench's dyn and weighted experiments share the
+// exact timing policy of the in-package experiments.
 func TimeBest(reps int, f func()) time.Duration {
 	best := time.Duration(1<<63 - 1)
 	for r := 0; r < reps; r++ {

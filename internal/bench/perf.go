@@ -13,27 +13,10 @@ import (
 	"repro/internal/sparse"
 )
 
-// PerfRecord is one machine-readable data point of the perf experiment:
-// a (instance, heuristic, worker-count) cell with its best-of wall clock,
-// the matching quality against sprank, and the speedup over the same
-// heuristic at one worker — absent when the worker count exceeds the
-// host's CPUs (see speedupVs1). cmd/matchbench serializes these records to
-// BENCH_matchbench.json so the performance trajectory of the codebase can
-// be compared across commits.
-type PerfRecord struct {
-	Instance  string  `json:"instance"`
-	Edges     int     `json:"edges"`
-	Heuristic string  `json:"heuristic"`
-	Workers   int     `json:"workers"`
-	NsOp      int64   `json:"ns_op"`
-	Quality   float64 `json:"quality"`
-	Speedup   float64 `json:"speedup_vs_1,omitempty"`
-}
-
 // speedupVs1 is anchor/best, the speedup over the 1-worker run — or 0,
-// which leaves speedup_vs_1 out of the record, when workers exceed
-// runtime.NumCPU(): a pool wider than the machine measures time slicing,
-// not parallel scaling.
+// which the tables print as "-", when workers exceed runtime.NumCPU(): a
+// pool wider than the machine measures time slicing, not parallel
+// scaling.
 func speedupVs1(anchor, best time.Duration, workers int) float64 {
 	if workers > runtime.NumCPU() {
 		return 0
@@ -71,11 +54,11 @@ func perfInstances(scale string) []Instance {
 
 // Perf measures OneSidedMatch, TwoSidedMatch and the parallel Karp–Sipser
 // baseline across the configured thread sweep on a caller-owned worker
-// pool, prints the usual table, and returns the records for JSON output.
-// Every heuristic call reuses one pool sized to the largest thread count,
-// the scaling stage's exported sampling totals, and the paper's
+// pool and prints a table of wall clock, quality and speedup over one
+// worker. Every heuristic call reuses one pool sized to the largest thread
+// count, the scaling stage's exported sampling totals, and the paper's
 // (dynamic,512)/(guided) schedules.
-func Perf(cfg Config) []PerfRecord {
+func Perf(cfg Config) {
 	cfg = cfg.Defaults()
 	maxThreads := 1
 	for _, th := range cfg.Threads {
@@ -87,7 +70,6 @@ func Perf(cfg Config) []PerfRecord {
 	defer pool.Close()
 
 	reps := 3
-	var records []PerfRecord
 	tbl := &Table{
 		Title:   "perf: wall clock and quality across the thread sweep",
 		Headers: []string{"instance", "edges", "heuristic", "threads", "ms", "quality", "speedup"},
@@ -98,8 +80,8 @@ func Perf(cfg Config) []PerfRecord {
 		sprank := exact.Sprank(a)
 		for _, h := range []string{"onesided", "twosided", "ksparallel"} {
 			// The speedup denominator is always a measured 1-worker run,
-			// even when the sweep starts higher — the JSON field promises
-			// "vs 1", and mixed thread lists must stay comparable.
+			// even when the sweep starts higher, so mixed thread lists stay
+			// comparable.
 			anchor := TimeBest(reps, func() { runHeuristic(h, a, at, cfg.Seed, 1, pool, sprank) })
 			for _, th := range cfg.Threads {
 				var quality float64
@@ -112,23 +94,12 @@ func Perf(cfg Config) []PerfRecord {
 				} else {
 					run() // one extra pass to fill in the quality
 				}
-				speedup := speedupVs1(anchor, best, th)
-				records = append(records, PerfRecord{
-					Instance:  inst.Name,
-					Edges:     a.NNZ(),
-					Heuristic: h,
-					Workers:   th,
-					NsOp:      best.Nanoseconds(),
-					Quality:   quality,
-					Speedup:   speedup,
-				})
 				tbl.AddRow(inst.Name, fmt.Sprintf("%d", a.NNZ()), h,
-					fmt.Sprintf("%d", th), ms(best), f3(quality), speedupCell(speedup))
+					fmt.Sprintf("%d", th), ms(best), f3(quality), speedupCell(speedupVs1(anchor, best, th)))
 			}
 		}
 	}
 	tbl.Write(cfg.Out)
-	return records
 }
 
 // runHeuristic executes one heuristic end to end (scaling included where

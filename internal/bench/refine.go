@@ -49,23 +49,22 @@ func refineCases(scale string, seed uint64) []struct {
 // Refine measures the three exact refinement engines — Hopcroft–Karp,
 // push-relabel and the parallel MS-BFS-Graft — completing one shared
 // heuristic warm start (the §2.1 cheap 1/2-approximation, so the tier
-// measures the jump-start tail the paper's application cares about).
-// Every engine searches from the side the library's refinements search
-// from: on the transpose, from the mirrored warm start, when an instance
-// has fewer non-isolated columns than rows. The sequential engines run
-// once; graft runs at 1, 2 and 4 workers, and its speedup_vs_1 is
-// against its own 1-worker run (left out above the host's CPU count, as
-// in Perf). The printed vs-hk column is the cross-engine ratio the perf
-// gate tracks: sequential Hopcroft–Karp time over this engine's time on
-// the same instance and warm start.
-func Refine(cfg Config) []PerfRecord {
+// measures the jump-start tail the paper's application cares about), and
+// prints a table. Every engine searches from the side the library's
+// refinements search from: on the transpose, from the mirrored warm
+// start, when an instance has fewer non-isolated columns than rows. The
+// sequential engines run once; graft runs at 1, 2 and 4 workers, and its
+// speedup is against its own 1-worker run (left out above the host's CPU
+// count, as in Perf). The vs-hk column is the cross-engine ratio:
+// sequential Hopcroft–Karp time over this engine's time on the same
+// instance and warm start.
+func Refine(cfg Config) {
 	cfg = cfg.Defaults()
 	graftWidths := []int{1, 2, 4}
 	pool := par.NewPool(graftWidths[len(graftWidths)-1])
 	defer pool.Close()
 
 	reps := 5
-	var records []PerfRecord
 	tbl := &Table{
 		Title:   "refine: exact-refinement engines from one cheap warm start",
 		Headers: []string{"instance", "edges", "engine", "threads", "ms", "quality", "speedup", "vs-hk"},
@@ -81,41 +80,26 @@ func Refine(cfg Config) []PerfRecord {
 		liveCols := at.RowsN - at.EmptyRows()
 		sprank := exact.HopcroftKarp(a, init).Size
 
-		record := func(engine string, workers int, run func() *exact.Matching, anchor int64) int64 {
+		var hk time.Duration // Hopcroft–Karp's time on this instance, once measured
+		record := func(engine string, workers int, run func() *exact.Matching, anchor time.Duration) time.Duration {
 			var size int
 			best := TimeBest(reps, func() { size = run().Size })
 			if size != sprank {
 				panic(fmt.Sprintf("bench: refine %s/%s reached %d, sprank is %d", tc.name, engine, size, sprank))
 			}
-			rec := PerfRecord{
-				Instance:  tc.name,
-				Edges:     a.NNZ(),
-				Heuristic: engine,
-				Workers:   workers,
-				NsOp:      best.Nanoseconds(),
-				Quality:   exact.Quality(size, sprank),
-				Speedup:   1,
-			}
+			speedup, vsHK := 1.0, 1.0
 			if anchor > 0 {
-				rec.Speedup = speedupVs1(time.Duration(anchor), best, workers)
+				speedup = speedupVs1(anchor, best, workers)
 			}
-			records = append(records, rec)
-			vsHK := "1.00"
-			if len(records) > 1 {
-				// The tier's first record per instance is always refine-hk.
-				for _, r := range records {
-					if r.Instance == tc.name && r.Heuristic == "refine-hk" {
-						vsHK = f2(float64(r.NsOp) / float64(rec.NsOp))
-						break
-					}
-				}
+			if hk > 0 {
+				vsHK = float64(hk) / float64(best)
 			}
 			tbl.AddRow(tc.name, fmt.Sprintf("%d", a.NNZ()), engine,
-				fmt.Sprintf("%d", workers), ms(best), f3(rec.Quality), speedupCell(rec.Speedup), vsHK)
-			return best.Nanoseconds()
+				fmt.Sprintf("%d", workers), ms(best), f3(exact.Quality(size, sprank)), speedupCell(speedup), f2(vsHK))
+			return best
 		}
 
-		record("refine-hk", 1, func() *exact.Matching {
+		hk = record("refine-hk", 1, func() *exact.Matching {
 			return exact.NewHKRefinerLive(a, init, ws, liveCols).Run()
 		}, 0)
 		if tc.pushRelabel {
@@ -123,10 +107,10 @@ func Refine(cfg Config) []PerfRecord {
 				return exact.NewPRRefinerWs(a, init, ws).Run()
 			}, 0)
 		}
-		var graftAnchor int64
+		var graftAnchor time.Duration
 		for _, th := range graftWidths {
 			th := th
-			ns := record("refine-graft", th, func() *exact.Matching {
+			best := record("refine-graft", th, func() *exact.Matching {
 				r := exact.NewGraftRefinerWs(a, init, ws)
 				r.SetTranspose(at)
 				if th > 1 {
@@ -135,10 +119,9 @@ func Refine(cfg Config) []PerfRecord {
 				return r.Run()
 			}, graftAnchor)
 			if th == 1 {
-				graftAnchor = ns
+				graftAnchor = best
 			}
 		}
 	}
 	tbl.Write(cfg.Out)
-	return records
 }

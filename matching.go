@@ -13,8 +13,8 @@ import (
 // Options configures the randomized heuristics. The zero value (or a nil
 // pointer) means: 5 Sinkhorn–Knopp scaling iterations, all CPUs of the
 // process-wide pool, seed 1, the paper's scheduling policies. Scaling is
-// always Sinkhorn–Knopp; the §2.2 alternatives (Ruiz, skew-aware row
-// splitting) live in internal/scale for the ablation benchmarks.
+// always Sinkhorn–Knopp; the §2.2 alternative, Ruiz, lives in
+// internal/scale for the ablation benchmarks.
 type Options struct {
 	// ScalingIterations is the number of Sinkhorn–Knopp iterations run
 	// before sampling. 0 means uniform (unscaled) sampling, as in the
