@@ -68,8 +68,8 @@ func (r digestRow) key() string { return r.graph + " " + r.run }
 
 // outputDigests runs the corpus at widths 1, 2 and 4 of pool and returns
 // one row per graph and run: the scalings at 5 and 3 iterations, every
-// cardinality Algorithm under every Refinement, and the auction on the
-// weighted graphs. Each width starts from a fresh Graph, so the scalings
+// cardinality Algorithm under every Refinement, sampling from the default
+// 5-iteration scaling, and the auction on the weighted graphs. Each width starts from a fresh Graph, so the scalings
 // and every other per-Graph cache are computed at that width too. A run
 // whose digest differs between widths is reported as an error;
 // AlgKarpSipserParallel, the one Algorithm whose mates may depend on the
@@ -88,7 +88,7 @@ func outputDigests(t *testing.T, pool *Pool) []digestRow {
 		}
 		for _, w := range []int{1, 2, 4} {
 			g := newGraph(dg.a)
-			opt := &Options{Workers: w, Pool: pool}
+			opt := &Options{ScalingIterations: 5, Workers: w, Pool: pool}
 			if dg.weighted {
 				res, err := g.Match(Spec{Algorithm: AlgAuction, Seed: dg.seed}, opt)
 				if err != nil {
