@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -211,7 +213,7 @@ func TestOutputDigests(t *testing.T) {
 			moved = append(moved, fmt.Sprintf("%s: %s in the table, %s now", r.key(), w, r.digest))
 		}
 	}
-	for k := range want {
+	for _, k := range slices.Sorted(maps.Keys(want)) {
 		if !seen[k] {
 			moved = append(moved, fmt.Sprintf("%s: in the table, no longer computed", k))
 		}
