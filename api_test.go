@@ -110,7 +110,7 @@ func TestSprankCached(t *testing.T) {
 
 func TestJumpStartReducesWork(t *testing.T) {
 	g := FullyIndecomposable(3000, 2, 5)
-	res, err := g.Match(Spec{Algorithm: AlgTwoSided}, &Options{ScalingIterations: 5, Seed: 3})
+	res, err := g.Match(Spec{Algorithm: AlgTwoSided, Seed: 3}, &Options{ScalingIterations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestMaximumMatchingEngine(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	var o *Options
 	v := o.normalized()
-	if v.ScalingIterations != 5 || v.Seed == 0 {
+	if v.ScalingIterations != 5 {
 		t.Fatalf("nil options normalized to %+v", v)
 	}
 	v = (&Options{ScalingIterations: -1}).normalized()
@@ -375,11 +375,11 @@ func TestValidateMatchingRejectsCorrupt(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	g := RandomER(2000, 2000, 4, 23)
-	a, err := g.Match(Spec{Algorithm: AlgTwoSided}, &Options{Seed: 9, ScalingIterations: 3})
+	a, err := g.Match(Spec{Algorithm: AlgTwoSided, Seed: 9}, &Options{ScalingIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := g.Match(Spec{Algorithm: AlgTwoSided}, &Options{Seed: 9, ScalingIterations: 3})
+	b, err := g.Match(Spec{Algorithm: AlgTwoSided, Seed: 9}, &Options{ScalingIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,8 +389,8 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	cmpMates(t, "two-sided rerun", b.Matching, a.Matching)
 	// One-sided: the set of chosen columns (hence the size) and the row
 	// that keeps each contended column are deterministic.
-	one1, _ := g.Match(Spec{Algorithm: AlgOneSided}, &Options{Seed: 9})
-	one2, _ := g.Match(Spec{Algorithm: AlgOneSided}, &Options{Seed: 9})
+	one1, _ := g.Match(Spec{Algorithm: AlgOneSided, Seed: 9}, &Options{})
+	one2, _ := g.Match(Spec{Algorithm: AlgOneSided, Seed: 9}, &Options{})
 	if one1.Matching.Size != one2.Matching.Size {
 		t.Fatalf("one-sided size not deterministic: %d vs %d",
 			one1.Matching.Size, one2.Matching.Size)
@@ -430,7 +430,7 @@ func TestGeneratorsViaAPI(t *testing.T) {
 func TestHeuristicsQualityProperty(t *testing.T) {
 	f := func(seed uint64, d uint8) bool {
 		g := RandomER(400, 400, float64(d%4)+2, seed)
-		res, err := g.Match(Spec{Algorithm: AlgTwoSided}, &Options{ScalingIterations: 5, Seed: seed + 1})
+		res, err := g.Match(Spec{Algorithm: AlgTwoSided, Seed: seed + 1}, &Options{ScalingIterations: 5})
 		if err != nil {
 			return false
 		}

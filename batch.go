@@ -10,13 +10,13 @@ import (
 	"repro/internal/watchdog"
 )
 
-// Request is one matching request of a batch: which graph to match, under
+// Request is one matching request to a Server: which graph to match, under
 // which declarative Spec (the same request type Matcher.Run, Graph.Match
 // and the cmd/matchserve wire format execute).
 type Request struct {
 	Graph *Graph
 	// Spec is the declarative matching request: algorithm, seed (0 means
-	// the batch Options' seed), best-of-K ensemble, refinement, target.
+	// 1), best-of-K ensemble, refinement, target.
 	Spec Spec
 	// Ctx, when non-nil, carries the request's deadline and cancellation:
 	// an already-expired context is answered with its error before any
@@ -31,8 +31,7 @@ type Request struct {
 	Ctx context.Context
 	// Priority ranks the request for admission when a Server's watchdog
 	// reports the process hot: PriorityLow is shed first, PriorityHigh
-	// last. The zero value is PriorityNormal. Ignored by the package-level
-	// MatchBatch, which has no admission stage; Server.MatchBatch honors it.
+	// last. The zero value is PriorityNormal.
 	Priority Priority
 	// Client identifies the submitter for the Server's per-client rate
 	// limiting; the empty string bypasses the limiter (callers that want
@@ -41,73 +40,20 @@ type Request struct {
 	Client string
 }
 
-// Response is the outcome of one batched request. The Matching is owned
-// by the caller (copied out of the serving workspaces), so it stays valid
-// after the next batch. The provenance fields mirror MatchResult's: how
-// the Spec's ensemble unfolded and what refinement added — cmd/matchserve
-// forwards them onto the wire.
+// Response is the outcome of one served request: the Spec engine's
+// MatchResult, or the error that stopped the request. The Matching and
+// KSStats are owned by the caller (copied out of the serving workspaces),
+// so they stay valid after the next batch; the Scaling is the Graph's own,
+// shared read-only like every MatchResult's. Degraded records any
+// self-protection downgrade the Server applied; cmd/matchserve forwards the
+// provenance onto the wire.
 type Response struct {
-	Matching *Matching
-	// WinnerSeed is the seed of the candidate that produced Matching
-	// (for refined ensembles, the refinement's warm-start candidate); for
-	// single runs, the resolved base seed.
-	WinnerSeed uint64
-	// Candidates is the number of ensemble members actually consumed — 1
-	// for single runs, possibly fewer than Spec.Ensemble when a target or
-	// the refinement stopped the sweep early.
-	Candidates int
-	// HeuristicSize is the winning candidate's cardinality before
-	// refinement.
-	HeuristicSize int
-	// Refined reports whether a refinement stage ran (Spec.Refine was not
-	// RefineNone).
-	Refined bool
-	// RefinedWith is the refinement engine that actually ran (RefineExact
-	// auto-selects the graft engine on large instances); RefineNone when no
-	// refinement ran.
-	RefinedWith Refinement
-	// Degraded, when non-empty, records the self-protection downgrades
-	// the engine applied before running the Spec (e.g.
-	// "refine:exact->none,best_of:8->2"): the response was computed under
-	// load shedding and carries the heuristic's quality bound instead of
-	// whatever the full Spec guaranteed. Empty means the Spec ran exactly
-	// as requested.
-	Degraded string
-	// MatchedWeight, Epsilon and Rounds are the AlgAuction provenance
-	// (see the MatchResult fields of the same names); zero for the
-	// cardinality algorithms.
-	MatchedWeight float64
-	Epsilon       float64
-	Rounds        int
-	Err           error
+	MatchResult
+	Err error
 }
 
 // ErrNilGraph reports a batched request without a graph.
 var ErrNilGraph = errors.New("bipartite: request has nil Graph")
-
-// MatchBatch executes many matching requests as one pool-wide parallel
-// region: a single dispatch hands the request queue to the pool's worker
-// slots, and each slot serves requests sequentially on its own resident
-// Matcher arena. Every response is deterministic — a function of (Graph,
-// Spec, opt) only, regardless of batch composition, pool width or
-// scheduling, and identical to the one-shot call (the package determinism
-// contract; for AlgKarpSipserParallel, which runs at width 1 here, the
-// one-shot call with Workers: 1). Requests that share a *Graph share its
-// one scaling across all slots, and with every other caller on the Graph
-// (the scaling is bit-identical at any width, so sharing does not perturb
-// responses). Per-request deadlines ride on Request.Ctx.
-//
-// opt configures scaling and the pool exactly as for one-shot calls;
-// opt.Workers caps the number of slots (<= 0 means the pool width).
-// The returned slice maps one-to-one onto reqs.
-//
-// For a long-lived serving loop that keeps its arenas warm across batches,
-// use Server instead.
-func MatchBatch(reqs []Request, opt *Options) []Response {
-	out := make([]Response, len(reqs))
-	newBatchEngine(opt).run(reqs, out)
-	return out
-}
 
 // slotArenaCap bounds how many shape-keyed Matcher arenas one slot
 // retains; the least recently used arena is recycled when heterogeneous
@@ -161,10 +107,10 @@ func (s *arenaCache) get(g *Graph, opt Options) *Matcher {
 	return m
 }
 
-// batchEngine is the shared executor of MatchBatch and Server: per-slot
-// shape-keyed Matcher arenas plus the one prebuilt pool-wide body that
-// drains a request queue. An engine's run calls must not overlap; Server
-// guarantees that with its single collector goroutine.
+// batchEngine is the Server's executor: per-slot shape-keyed Matcher
+// arenas plus the one prebuilt pool-wide body that drains a request queue.
+// An engine's run calls must not overlap; Server guarantees that with its
+// single collector goroutine.
 type batchEngine struct {
 	opt     Options // normalized; per-slot matchers run width-1
 	slotOpt Options // opt with Workers: 1, Pool: nil — what the arenas run
@@ -175,8 +121,7 @@ type batchEngine struct {
 	// shed, when non-nil, reports the owning Server's watchdog level before
 	// each request runs; serve downgrades the Spec per the degradation
 	// ladder (degradeSpec) and stamps the marker into the response. nil —
-	// every MatchBatch engine and every Server without a watchdog — means
-	// full service, bit-for-bit the pre-watchdog behaviour.
+	// every Server without a watchdog — means full service.
 	shed func() watchdog.Level
 	// svc, when non-nil, accumulates per-class service-time EWMAs for the
 	// Server's would-miss admission check.
@@ -290,22 +235,16 @@ func (e *batchEngine) serve(w, i int) {
 	if e.svc != nil {
 		e.svc.record(req.Graph, spec, time.Since(start))
 	}
-	res.Degraded = degraded
 	// Copy out of the arena: the response must survive the slot's next
-	// request. The provenance rides along so the serving layers can put
-	// it on the wire.
-	e.out[i] = Response{
-		Matching:      cloneMatching(res.Matching),
-		WinnerSeed:    res.WinnerSeed,
-		Candidates:    res.Candidates,
-		HeuristicSize: res.HeuristicSize,
-		Refined:       res.Refined,
-		RefinedWith:   res.RefinedWith,
-		Degraded:      degraded,
-		MatchedWeight: res.MatchedWeight,
-		Epsilon:       res.Epsilon,
-		Rounds:        res.Rounds,
+	// request. The Scaling belongs to the Graph and is shared as is.
+	res.Degraded = degraded
+	out := Response{MatchResult: *res}
+	out.Matching = cloneMatching(res.Matching)
+	if res.KSStats != nil {
+		st := *res.KSStats
+		out.KSStats = &st
 	}
+	e.out[i] = out
 }
 
 func cloneMatching(mt *Matching) *Matching {

@@ -6,16 +6,23 @@ import (
 	"testing"
 )
 
+// matchBatch serves reqs with one Server.MatchBatch call, on a Server
+// whose MaxBatch and Queue both fit the whole slice, and closes the
+// Server. Responses do not depend on how the Server batches the requests.
+func matchBatch(reqs []Request, opt *Options) []Response {
+	n := max(len(reqs), 1)
+	srv := NewServerConfig(opt, ServerConfig{MaxBatch: n, Queue: n})
+	defer srv.Close()
+	return srv.MatchBatch(reqs)
+}
+
 // batchReference computes the documented reference response of a request:
 // the one-shot call at Workers: 1.
 func batchReference(t *testing.T, req Request, opt Options) *Matching {
 	t.Helper()
 	opt.Workers = 1
 	opt.Pool = nil
-	if req.Spec.Seed != 0 {
-		opt.Seed = req.Spec.Seed
-	}
-	res, err := req.Graph.Match(Spec{Algorithm: req.Spec.Algorithm}, &opt)
+	res, err := req.Graph.Match(Spec{Algorithm: req.Spec.Algorithm, Seed: req.Spec.Seed}, &opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,17 +43,17 @@ func batchWorkload() ([]Request, []*Graph) {
 			Request{Graph: graphs[(s+2)%3], Spec: Spec{Algorithm: AlgKarpSipser, Seed: s}},
 		)
 	}
-	reqs = append(reqs, Request{Graph: graphs[0], Spec: Spec{Algorithm: AlgTwoSided}}) // seed 0 → Options.Seed
+	reqs = append(reqs, Request{Graph: graphs[0], Spec: Spec{Algorithm: AlgTwoSided}}) // seed 0 means 1
 	return reqs, graphs
 }
 
 // TestMatchBatchDeterministicAndCorrect runs a mixed workload through
-// MatchBatch at several pool widths and checks every response equals the
+// Server.MatchBatch at several pool widths and checks every response equals the
 // documented reference (the one-shot call at one worker) — batching, slot
 // assignment and pool width must not leak into results.
 func TestMatchBatchDeterministicAndCorrect(t *testing.T) {
 	reqs, _ := batchWorkload()
-	base := Options{ScalingIterations: 5, Seed: 3}
+	base := Options{ScalingIterations: 5}
 	want := make([]*Matching, len(reqs))
 	for i, req := range reqs {
 		want[i] = batchReference(t, req, base)
@@ -55,7 +62,7 @@ func TestMatchBatchDeterministicAndCorrect(t *testing.T) {
 		pool := NewPool(width)
 		opt := base
 		opt.Pool = pool
-		out := MatchBatch(reqs, &opt)
+		out := matchBatch(reqs, &opt)
 		if len(out) != len(reqs) {
 			t.Fatalf("width %d: %d responses for %d requests", width, len(out), len(reqs))
 		}
@@ -88,7 +95,7 @@ func TestMatchBatchFreshGraphs(t *testing.T) {
 	for s := uint64(1); s <= 16; s++ {
 		reqs = append(reqs, Request{Graph: fresh[s%2], Spec: Spec{Algorithm: AlgTwoSided, Seed: s}})
 	}
-	out := MatchBatch(reqs, &Options{ScalingIterations: 5, Pool: pool})
+	out := matchBatch(reqs, &Options{ScalingIterations: 5, Pool: pool})
 	for i, resp := range out {
 		if resp.Err != nil {
 			t.Fatalf("req %d: %v", i, resp.Err)
@@ -110,7 +117,7 @@ func TestMatchBatchFreshGraphs(t *testing.T) {
 // affecting its neighbors.
 func TestMatchBatchNilGraph(t *testing.T) {
 	g := RandomER(200, 200, 3, 1)
-	out := MatchBatch([]Request{
+	out := matchBatch([]Request{
 		{Graph: g, Spec: Spec{Seed: 1}},
 		{Graph: nil, Spec: Spec{Seed: 2}},
 		{Graph: g, Spec: Spec{Seed: 3}},
@@ -128,18 +135,18 @@ func TestMatchBatchNilGraph(t *testing.T) {
 
 // TestMatchBatchEmpty: no requests, no responses, no work.
 func TestMatchBatchEmpty(t *testing.T) {
-	if out := MatchBatch(nil, nil); len(out) != 0 {
+	if out := matchBatch(nil, nil); len(out) != 0 {
 		t.Fatalf("empty batch returned %d responses", len(out))
 	}
 }
 
-// TestMatchBatchConcurrentCalls runs several MatchBatch calls at once on
-// one shared pool (each call is its own engine; the pool and the recycled
-// loop runtime are the shared state the race detector probes) and checks
-// the results stay deterministic.
+// TestMatchBatchConcurrentCalls runs several Server.MatchBatch calls at
+// once on one shared pool (each call opens its own Server, so its own
+// engine; the pool and the recycled loop runtime are the shared state the
+// race detector probes) and checks the results stay deterministic.
 func TestMatchBatchConcurrentCalls(t *testing.T) {
 	reqs, _ := batchWorkload()
-	base := Options{ScalingIterations: 5, Seed: 3}
+	base := Options{ScalingIterations: 5}
 	want := make([]*Matching, len(reqs))
 	for i, req := range reqs {
 		want[i] = batchReference(t, req, base)
@@ -157,7 +164,7 @@ func TestMatchBatchConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			outs[c] = MatchBatch(reqs, &opt)
+			outs[c] = matchBatch(reqs, &opt)
 		}()
 	}
 	wg.Wait()
@@ -176,7 +183,7 @@ func TestMatchBatchConcurrentCalls(t *testing.T) {
 // the deterministic reference result, whatever batches formed.
 func TestServerConcurrentSubmitters(t *testing.T) {
 	reqs, _ := batchWorkload()
-	base := Options{ScalingIterations: 5, Seed: 3}
+	base := Options{ScalingIterations: 5}
 	want := make([]*Matching, len(reqs))
 	for i, req := range reqs {
 		want[i] = batchReference(t, req, base)

@@ -384,8 +384,8 @@ func BenchmarkRefineHK(b *testing.B) {
 // BenchmarkServe times TwoSided requests served six ways on two small
 // graphs, where per-request dispatch rivals the kernels: one-shot
 // Graph.Match calls, a reused Matcher, best-of-8 ensembles on a Workers: 1
-// session and across the pool, MatchBatch, and a Server fed by 8
-// concurrent submitters. An op is one request; an ensemble request runs 8
+// session and across the pool, one Server.MatchBatch call from one
+// goroutine, and a Server fed by 8 concurrent submitters. An op is one request; an ensemble request runs 8
 // candidates. Each graph's scaling is computed before the timed runs, as
 // on a server that has seen the graph. The default pool tracks
 // GOMAXPROCS, so -cpu 1,2,4 sweeps the pool width.
@@ -437,8 +437,10 @@ func BenchmarkServe(b *testing.B) {
 			for i := range reqs {
 				reqs[i] = Request{Graph: g, Spec: twoSided(i)}
 			}
+			srv := NewServerConfig(nil, ServerConfig{MaxBatch: b.N, Queue: b.N})
+			defer srv.Close()
 			b.ResetTimer()
-			for _, resp := range MatchBatch(reqs, nil) {
+			for _, resp := range srv.MatchBatch(reqs) {
 				if resp.Err != nil {
 					b.Fatal(resp.Err)
 				}
@@ -478,7 +480,7 @@ func BenchmarkExtensionUndirected(b *testing.B) {
 	g := RandomUndirected(200000, 6, 7)
 	var size int
 	for i := 0; i < b.N; i++ {
-		res := g.Match(&Options{ScalingIterations: 3, Seed: uint64(i) + 1})
+		res := g.Match(uint64(i)+1, &Options{ScalingIterations: 3})
 		size = res.Size
 	}
 	b.ReportMetric(2*float64(size)/float64(g.Vertices()), "matched-frac")

@@ -87,7 +87,7 @@ func dyn(cfg bench.Config) {
 	cfg = cfg.Defaults()
 	batches := 15 * cfg.Runs // 150 at the default 10 runs
 	const perBatch = 6
-	opt := &bipartite.Options{ScalingIterations: 5, Seed: cfg.Seed}
+	opt := &bipartite.Options{ScalingIterations: 5}
 
 	tbl := &bench.Table{
 		Title:   "dyn: batched mutations, incremental maintenance vs recompute-per-batch",
@@ -101,8 +101,8 @@ func dyn(cfg bench.Config) {
 			name string
 			spec bipartite.Spec
 		}{
-			{"exact", bipartite.Spec{Algorithm: bipartite.AlgTwoSided, Refine: bipartite.RefineExact}},
-			{"heur", bipartite.Spec{Algorithm: bipartite.AlgTwoSided}},
+			{"exact", bipartite.Spec{Algorithm: bipartite.AlgTwoSided, Seed: cfg.Seed, Refine: bipartite.RefineExact}},
+			{"heur", bipartite.Spec{Algorithm: bipartite.AlgTwoSided, Seed: cfg.Seed}},
 		}
 		for _, sp := range specs {
 			var quality float64
@@ -123,7 +123,7 @@ func dyn(cfg bench.Config) {
 				// session — some mutable representation is always needed — but
 				// every batch is answered by a from-scratch solve of the
 				// mutated snapshot.
-				sess, err := g.NewDynSession(bipartite.Spec{Algorithm: bipartite.AlgTwoSided}, opt)
+				sess, err := g.NewDynSession(bipartite.Spec{Algorithm: bipartite.AlgTwoSided, Seed: cfg.Seed}, opt)
 				if err != nil {
 					panic(err)
 				}

@@ -38,11 +38,11 @@ func weighted(cfg bench.Config) {
 		name string
 		spec bipartite.Spec
 	}{
-		{"weighted/auction", bipartite.Spec{Algorithm: bipartite.AlgAuction, Epsilon: 0.05}},
-		{"weighted/auction-coarse", bipartite.Spec{Algorithm: bipartite.AlgAuction, Epsilon: 0.5}},
-		{"weighted/auction-best4", bipartite.Spec{Algorithm: bipartite.AlgAuction, Epsilon: 0.05, Ensemble: 4}},
+		{"weighted/auction", bipartite.Spec{Algorithm: bipartite.AlgAuction, Seed: cfg.Seed, Epsilon: 0.05}},
+		{"weighted/auction-coarse", bipartite.Spec{Algorithm: bipartite.AlgAuction, Seed: cfg.Seed, Epsilon: 0.5}},
+		{"weighted/auction-best4", bipartite.Spec{Algorithm: bipartite.AlgAuction, Seed: cfg.Seed, Epsilon: 0.05, Ensemble: 4}},
 	}
-	opt := &bipartite.Options{Workers: 1, Seed: cfg.Seed}
+	opt := &bipartite.Options{Workers: 1}
 
 	tbl := &bench.Table{
 		Title:   "weighted: ε-scaling auction, matched weight within (1−ε) of optimal",

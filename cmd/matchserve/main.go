@@ -42,8 +42,7 @@
 //	                   {"insert":[[i,j],...],"delete":[[i,j],...]}
 //	                   → {"id":"g1","rows":R,"cols":C,"edges":E,
 //	                      "inserted":I,"deleted":D,"freed":F,
-//	                      "augments":A,"rescaled":true,
-//	                      "maintained_size":S}
+//	                      "augments":A,"maintained_size":S}
 //	                   (the matching is maintained incrementally by an
 //	                   exact dynamic session, so "maintained_size" is the
 //	                   mutated graph's structural rank; deletes apply

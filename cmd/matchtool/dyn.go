@@ -40,7 +40,7 @@ func runDyn(args []string) {
 		alg     = fs.String("alg", "twosided", "algorithm: onesided|twosided|ks|ksp|cheap-edge|cheap-vertex")
 		refine  = fs.String("refine", "exact", "refinement: none keeps a heuristic session (targeted repair only); anything else maintains the exact maximum")
 		iters   = fs.Int("iters", 5, "Sinkhorn-Knopp scaling iterations")
-		seed    = fs.Uint64("seed", 1, "RNG seed")
+		seed    = fs.Uint64("seed", 1, "the Spec's RNG seed; 0 means 1")
 		quality = fs.Bool("quality", false, "report sprank and quality after the trace (costs an exact run)")
 	)
 	fs.Parse(args)
@@ -64,9 +64,9 @@ func runDyn(args []string) {
 		src = f
 	}
 
-	opt := &bipartite.Options{ScalingIterations: *iters, Seed: *seed}
+	opt := &bipartite.Options{ScalingIterations: *iters}
 	start := time.Now()
-	sess, err := g.NewDynSession(bipartite.Spec{Algorithm: algorithm, Refine: refinement}, opt)
+	sess, err := g.NewDynSession(bipartite.Spec{Algorithm: algorithm, Seed: *seed, Refine: refinement}, opt)
 	fail(err)
 	fmt.Printf("session: %d rows, %d cols, %d edges, initial size %d (%s)\n",
 		sess.Rows(), sess.Cols(), sess.Edges(), sess.Size(), sessionKind(refinement))
@@ -83,8 +83,8 @@ func runDyn(args []string) {
 			fmt.Fprintf(os.Stderr, "matchtool dyn: batch %d: %v\n", batch, err)
 			os.Exit(1)
 		}
-		fmt.Printf("batch %d: +%d -%d freed %d augments %d rescaled %v size %d\n",
-			batch, res.Inserted, res.Deleted, res.Freed, res.Augments, res.Rescaled, res.MaintainedSize)
+		fmt.Printf("batch %d: +%d -%d freed %d augments %d size %d\n",
+			batch, res.Inserted, res.Deleted, res.Freed, res.Augments, res.MaintainedSize)
 		inserts, deletes = inserts[:0], deletes[:0]
 	}
 
@@ -126,8 +126,8 @@ func runDyn(args []string) {
 		os.Exit(1)
 	}
 	st := sess.Stats()
-	fmt.Printf("trace: %d batches, +%d -%d edges, %d freed, %d augments, %d rescales\n",
-		st.Batches, st.Inserted, st.Deleted, st.Freed, st.Augments, st.Rescales)
+	fmt.Printf("trace: %d batches, +%d -%d edges, %d freed, %d augments\n",
+		st.Batches, st.Inserted, st.Deleted, st.Freed, st.Augments)
 	fmt.Printf("final: %d edges, size %d, time %v\n", sess.Edges(), sess.Size(), elapsed)
 	if *quality {
 		sp := snap.Sprank()

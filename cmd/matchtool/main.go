@@ -45,7 +45,7 @@ func main() {
 		alg     = flag.String("alg", "twosided", "algorithm: onesided|twosided|ks|ksp|cheap-edge|cheap-vertex|auction|exact")
 		iters   = flag.Int("iters", 5, "Sinkhorn-Knopp scaling iterations (one/two-sided)")
 		workers = flag.Int("workers", 0, "worker count; 0 = all CPUs")
-		seed    = flag.Uint64("seed", 1, "RNG seed")
+		seed    = flag.Uint64("seed", 1, "the Spec's RNG seed; 0 means 1")
 		refine  = flag.String("refine", "none", "refinement: none|exact|pushrelabel|graft (augment the heuristic matching to maximum cardinality; exact auto-selects graft on large instances)")
 		bestOf  = flag.Int("best-of", 1, "ensemble size: run seeds seed..seed+K-1 on one shared scaling and keep the largest matching")
 		target  = flag.Float64("target", 0, "ensemble early-stop: halt once size reaches target*sprank-upper-bound, in (0,1]")
@@ -66,7 +66,7 @@ func main() {
 	fmt.Printf("graph: %d rows, %d cols, %d edges, avg degree %.2f\n",
 		g.Rows(), g.Cols(), g.Edges(), g.AvgDegree())
 
-	opt := &bipartite.Options{ScalingIterations: *iters, Workers: *workers, Seed: *seed}
+	opt := &bipartite.Options{ScalingIterations: *iters, Workers: *workers}
 	var mt *bipartite.Matching
 	start := time.Now()
 	switch *alg {
@@ -89,6 +89,7 @@ func main() {
 		}
 		spec := bipartite.Spec{
 			Algorithm: algorithm,
+			Seed:      *seed,
 			Refine:    refinement,
 			Ensemble:  *bestOf,
 			Target:    *target,

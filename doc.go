@@ -78,7 +78,8 @@
 // RNG stream, so the order changes no choice; FuzzSampleGrouped in
 // internal/core holds the counting draw to the walk row by row.
 //
-// Determinism contract, for a fixed Options.Seed: every Algorithm except
+// Determinism contract, for a fixed seed (Spec.Seed, where 0 means 1, or
+// UndirectedGraph.Match's seed argument): every Algorithm except
 // AlgKarpSipserParallel, and UndirectedGraph.Match, returns the same
 // matching (mates, not only size) and the same scaling vectors at every
 // worker count, scheduling policy and pool width. The heuristics sample
@@ -131,7 +132,8 @@
 //   - Graph.Match(spec, opt) runs one Spec on a throwaway session.
 //   - Matcher.Run(spec) runs Specs on a warm session (resident
 //     workspaces).
-//   - Request.Spec carries Specs through MatchBatch and Server.
+//   - Request.Spec carries Specs through Server.Match and
+//     Server.MatchBatch.
 //   - cmd/matchserve accepts the spec fields ("algorithm", "seed",
 //     "refine", "best_of", "target") on /match and
 //     /match/batch, and reports the result's provenance ("winner_seed",
@@ -224,7 +226,7 @@
 // |M|·ε_abs of the achieved weight — so MatchedWeight/DualBound is a
 // per-run quality certificate at any instance size, no exact solve
 // needed. Provenance (MatchedWeight, Epsilon, Rounds, DualBound) flows
-// through MatchBatch Responses and cmd/matchserve's "matched_weight",
+// through a Server's Responses and cmd/matchserve's "matched_weight",
 // "epsilon" and "rounds" JSON fields. Pattern graphs degrade gracefully:
 // every edge weighs 1.0 and the auction maximizes cardinality.
 //
@@ -282,7 +284,7 @@
 //
 //	sess, _ := g.NewDynSession(bipartite.Spec{Refine: bipartite.RefineExact}, nil)
 //	res, _ := sess.Apply([][2]int{{3, 7}}, [][2]int{{0, 0}})
-//	// res.Freed, res.Augments, res.Rescaled, res.MaintainedSize report
+//	// res.Freed, res.Augments, res.MaintainedSize report
 //	// how the repair unfolded; sess.Size() == sess.Snapshot().Sprank().
 //
 // A batch is atomic: deletions apply before insertions, and a batch
@@ -296,14 +298,13 @@
 // mutated graph's sprank after every batch (the differential fuzz suite
 // gates this over adversarial mutation traces). Heuristic sessions
 // (Refine: None) stop at the targeted repair and keep the heuristic's
-// quality profile; the Sinkhorn–Knopp scaling stays warm via touch-up
-// sweeps restricted to the rows and columns each batch touched, on the
-// session's own copy of the vectors.
+// quality profile. Only the initial run samples, so only it scales; the
+// repairs augment over the mutable adjacency and touch no scaling.
 //
 // The determinism contract is strict: every internal kernel runs at
 // parallel width 1, so the maintained matching is a pure function of
-// (initial graph, Spec, Options.Seed, mutation trace) — bit-identical
-// whatever pool or worker settings the Options carry.
+// (initial graph, Spec, mutation trace) — bit-identical whatever pool or
+// worker settings the Options carry.
 // TestDynFuzzDifferential compares pool widths 1, 2 and 4 after every
 // batch of its mutation traces, and TestAuctionDynDeterminismWidths does
 // the same for weighted sessions; CI's dyn and auction steps run them
@@ -317,15 +318,15 @@
 // the current snapshot and calls Server.DropGraph on the old one exactly
 // when PATCH swaps in a new one; the old snapshot's scaling goes with it.
 //
-// For many small independent requests, MatchBatch executes a whole queue
-// as one pool-wide parallel region — one dispatch for N requests, one warm
-// Matcher arena per worker slot, each request served sequentially so its
-// response is a deterministic function of (Graph, Spec) alone. Server
-// wraps the same engine in a long-lived collector loop that drains
-// concurrent submitters into batches (the arenas stay warm across
-// batches), and cmd/matchserve exposes it over HTTP/JSON; responses are
-// caller-owned copies. See examples/server for the three tiers side by
-// side.
+// For many small independent requests, a Server executes each batch of its
+// queue as one pool-wide parallel region — one dispatch for N requests,
+// one warm Matcher arena per worker slot, each request served sequentially
+// so its response is a deterministic function of (Graph, Spec) alone. Its
+// long-lived collector loop drains concurrent submitters (Server.Match) or
+// a whole slice (Server.MatchBatch) into batches, the arenas stay warm
+// across batches, and cmd/matchserve exposes it over HTTP/JSON. A Response
+// is the run's MatchResult, with a caller-owned Matching, plus its error.
+// See examples/server for the tiers side by side.
 //
 // # Serving contract
 //
@@ -410,8 +411,8 @@
 // capped (K ≤ 2 when degraded, 1 when shedding). A degraded matching
 // still carries the paper's heuristic guarantee — OneSided ≥ (1−1/e)·
 // sprank, TwoSided ≈ 0.866·sprank in the mean — it only loses what the
-// full Spec would have added. Every rewrite is stamped into
-// MatchResult.Degraded / Response.Degraded (e.g.
+// full Spec would have added. Every rewrite is stamped into the
+// Response's MatchResult.Degraded (e.g.
 // "refine:exact->none,best_of:8->2"), so provenance survives end to end:
 // cmd/matchserve forwards it as the "degraded" response field, and
 // ServerStats counts shed, rate-limited, would-miss and degraded

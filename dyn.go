@@ -16,14 +16,6 @@ import (
 // and cmd/matchserve maps the error to HTTP 400.
 var ErrInvalidMutation = errors.New("bipartite: invalid mutation")
 
-// dynTouchUpIters is how many restricted Sinkhorn–Knopp iterations a
-// dirty batch's scaling touch-up runs: the row/col sweeps are applied
-// only to the rows and columns the batch touched, on the warm vectors.
-// Two iterations propagate a local edit to its immediate neighborhood,
-// which is what keeps sampling quality near the fresh scaling without
-// paying full sweeps per batch.
-const dynTouchUpIters = 2
-
 // DynSession is a mutable graph session that maintains its matching
 // incrementally under batched edge mutations — the online form of a
 // Matcher. Where a Matcher binds an immutable Graph and answers
@@ -41,34 +33,29 @@ const dynTouchUpIters = 2
 //     the maintained size equals the mutated graph's sprank after every
 //     batch. Heuristic sessions (Refine: None) stop at the targeted
 //     repair and keep the heuristic's quality profile.
-//   - The Sinkhorn–Knopp scaling stays warm: each dirty batch runs a few
-//     touch-up iterations restricted to the rows/columns it touched
-//     (DynResult.Rescaled reports when that happened).
+//
+// Only the initial run scales: repairs augment over the mutable
+// adjacency and never sample, and a mutated Snapshot is a new Graph that
+// scales itself on its first match.
 //
 // Determinism contract: a DynSession executes every internal kernel at
 // parallel width 1 — repair is inherently small sequential work per
 // batch — so the maintained matching is a pure function of (initial
-// graph, Spec, Options.Seed, mutation trace), bit-identical whatever
-// pool or worker count the Options carry. The differential fuzz suite
-// gates this at pool widths 1/2/4.
+// graph, Spec, mutation trace), bit-identical whatever pool or worker
+// count the Options carry. The differential fuzz suite gates this at
+// pool widths 1/2/4.
 //
 // A DynSession is not safe for concurrent use; the serving layer
 // serializes PATCH batches per graph. Results returned by Matching
 // alias the session and are valid until the next Apply.
 type DynSession struct {
 	spec Spec
-	opt  Options // normalized; internal kernels run at width 1
 
 	exact bool // Spec.Refine != RefineNone: maintain size == sprank
 
 	dg  *dyngraph.Graph
 	rep *dyngraph.Repairer
 	mt  *Matching
-
-	// Warm scaling vectors (nil/false when the Spec's algorithm does not
-	// scale); touched up on dirty rows/cols per batch.
-	dr, dc []float64
-	scaled bool
 
 	// snap is the cached immutable snapshot of the current adjacency;
 	// nil when stale. Matching-neutral batches (nothing applied) keep
@@ -78,10 +65,6 @@ type DynSession struct {
 
 	// Scratch for batch repair (reused across Apply calls).
 	seedRows, seedCols []int32
-	dirtyRows          []int32
-	dirtyCols          []int32
-	dirtyRowMark       []bool
-	dirtyColMark       []bool
 
 	// Auction-session state (Spec.Algorithm == AlgAuction): the repair
 	// re-auctions freed endpoints against the maintained price vector at
@@ -110,8 +93,6 @@ type DynStats struct {
 	Freed int
 	// Augments counts augmenting paths applied during repair.
 	Augments int
-	// Rescales counts scaling touch-up runs (at most one per dirty batch).
-	Rescales int
 }
 
 // DynResult is the outcome of one Apply batch — the repair provenance
@@ -124,9 +105,6 @@ type DynResult struct {
 	Freed int
 	// Augments is the number of augmenting paths the repair applied.
 	Augments int
-	// Rescaled reports whether the scaling touch-up ran (a scaling
-	// session with at least one applied mutation).
-	Rescaled bool
 	// MaintainedSize is the matching cardinality after repair. For exact
 	// sessions it equals the mutated graph's sprank.
 	MaintainedSize int
@@ -141,40 +119,32 @@ type DynResult struct {
 // start from a maximum matching and stay exact under mutation — and the
 // graph is copied into the session's mutable adjacency. The run takes g's
 // own scaling, so a graph a Server or any other caller already scaled at
-// the same iteration count is not scaled again; the session keeps a copy
-// of the vectors to touch up. opt follows the usual defaulting rules; pool
-// and worker settings are ignored (see the determinism contract). g itself
-// is the session's initial Snapshot and is never mutated.
+// the same iteration count is not scaled again. opt follows the usual
+// defaulting rules; pool and worker settings are ignored (see the
+// determinism contract). g itself is the session's initial Snapshot and
+// is never mutated.
 func (g *Graph) NewDynSession(spec Spec, opt *Options) (*DynSession, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if spec.Algorithm == AlgAuction {
+		return g.newDynAuction(spec)
+	}
 	v := opt.normalized()
 	v.Workers = 1
 	v.Pool = nil
-	if spec.Algorithm == AlgAuction {
-		return g.newDynAuction(spec, v)
-	}
 	res, err := g.Match(spec, &v)
 	if err != nil {
 		return nil, err
 	}
 	s := &DynSession{
-		spec:         spec,
-		opt:          v,
-		exact:        spec.Refine != RefineNone,
-		dg:           dyngraph.FromCSR(g.a),
-		mt:           cloneMatching(res.Matching),
-		snap:         g,
-		dirtyRowMark: make([]bool, g.Rows()),
-		dirtyColMark: make([]bool, g.Cols()),
+		spec:  spec,
+		exact: spec.Refine != RefineNone,
+		dg:    dyngraph.FromCSR(g.a),
+		mt:    cloneMatching(res.Matching),
+		snap:  g,
 	}
 	s.rep = dyngraph.NewRepairer(s.dg)
-	if sc := res.Scaling; sc != nil && len(sc.DR) == g.Rows() && len(sc.DC) == g.Cols() {
-		s.dr = append([]float64(nil), sc.DR...)
-		s.dc = append([]float64(nil), sc.DC...)
-		s.scaled = true
-	}
 	return s, nil
 }
 
@@ -185,7 +155,7 @@ func (g *Graph) NewDynSession(spec Spec, opt *Options) (*DynSession, error) {
 // weight guarantee weight ≥ opt − |M|·ε_abs is relative to that slack
 // (mutations that raise Wmax dilute the relative (1−ε) reading, never
 // the absolute one).
-func (g *Graph) newDynAuction(spec Spec, v Options) (*DynSession, error) {
+func (g *Graph) newDynAuction(spec Spec) (*DynSession, error) {
 	eps := spec.Epsilon
 	if eps == 0 {
 		eps = DefaultEpsilon
@@ -196,30 +166,23 @@ func (g *Graph) newDynAuction(spec Spec, v Options) (*DynSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = v.Seed
-	}
-	res, err := auction.Finish(g.a, g.transpose(), aopt, seed, epsAbs, st, ws)
+	res, err := auction.Finish(g.a, g.transpose(), aopt, resolveSeed(spec.Seed), epsAbs, st, ws)
 	if err != nil {
 		return nil, err
 	}
 	s := &DynSession{
-		spec:         spec,
-		opt:          v,
-		dg:           dyngraph.FromCSR(g.a),
-		mt:           res.Matching, // aliases aucSt's mate arrays: Apply's unmatch writes maintain both
-		snap:         g,
-		dirtyRowMark: make([]bool, g.Rows()),
-		dirtyColMark: make([]bool, g.Cols()),
-		auction:      true,
-		weighted:     g.Weighted(),
-		wmap:         make(map[int64]float64, g.Edges()),
-		aucSt:        st,
-		aucWs:        ws,
-		aucOpt:       aopt,
-		aucEpsAbs:    epsAbs,
-		aucWeight:    res.Weight,
+		spec:      spec,
+		dg:        dyngraph.FromCSR(g.a),
+		mt:        res.Matching, // aliases aucSt's mate arrays: Apply's unmatch writes maintain both
+		snap:      g,
+		auction:   true,
+		weighted:  g.Weighted(),
+		wmap:      make(map[int64]float64, g.Edges()),
+		aucSt:     st,
+		aucWs:     ws,
+		aucOpt:    aopt,
+		aucEpsAbs: epsAbs,
+		aucWeight: res.Weight,
 	}
 	a := g.a
 	for i := 0; i < a.RowsN; i++ {
@@ -311,18 +274,14 @@ func (s *DynSession) MaintainedWeight() float64 { return s.aucWeight }
 // followed by a bidding phase for the unassigned rows at the session's
 // creation-time slack. The per-batch tie-break seed advances with the
 // batch counter so the trace stays a pure function of (graph, Spec,
-// Options.Seed, mutations).
+// mutations).
 func (s *DynSession) aucRepair() error {
 	a := s.dg.CSR()
 	if s.weighted {
 		s.fillWeights(a)
 	}
 	at := a.Transpose()
-	seed := s.spec.Seed
-	if seed == 0 {
-		seed = s.opt.Seed
-	}
-	seed += uint64(s.stats.Batches) + 1
+	seed := resolveSeed(s.spec.Seed) + uint64(s.stats.Batches) + 1
 	res, err := auction.Repair(a, at, s.aucOpt, seed, s.aucEpsAbs, s.aucSt, s.aucWs)
 	if err != nil {
 		return err
@@ -333,7 +292,7 @@ func (s *DynSession) aucRepair() error {
 }
 
 // Apply absorbs one mutation batch: deletions first, then insertions,
-// then matching repair, then the scaling touch-up. The batch is
+// then matching repair. The batch is
 // validated whole before any mutation is applied — an out-of-range
 // vertex rejects it with ErrInvalidMutation and the session is
 // unchanged. Duplicate edges inside the batch and mutations that do not
@@ -393,8 +352,6 @@ func (s *DynSession) apply(inserts [][2]int, weights []float64, deletes [][2]int
 	var res DynResult
 	s.seedRows = s.seedRows[:0]
 	s.seedCols = s.seedCols[:0]
-	s.dirtyRows = s.dirtyRows[:0]
-	s.dirtyCols = s.dirtyCols[:0]
 
 	for _, e := range deletes {
 		i, j := e[0], e[1]
@@ -405,7 +362,6 @@ func (s *DynSession) apply(inserts [][2]int, weights []float64, deletes [][2]int
 		if s.auction {
 			delete(s.wmap, edgeKey(i, j))
 		}
-		s.markDirty(i, j)
 		if s.mt.RowMate[i] == int32(j) {
 			s.mt.RowMate[i] = Unmatched
 			s.mt.ColMate[j] = Unmatched
@@ -427,7 +383,6 @@ func (s *DynSession) apply(inserts [][2]int, weights []float64, deletes [][2]int
 			if s.auction && weights != nil && s.wmap[edgeKey(i, j)] != w {
 				s.wmap[edgeKey(i, j)] = w
 				res.Inserted++
-				s.markDirty(i, j)
 				if w != 1 {
 					s.weighted = true
 				}
@@ -441,7 +396,6 @@ func (s *DynSession) apply(inserts [][2]int, weights []float64, deletes [][2]int
 				s.weighted = true
 			}
 		}
-		s.markDirty(i, j)
 		// Augmentation can only start from an exposed endpoint; an edge
 		// between two matched vertices changes nothing for the repair
 		// (exact sessions re-verify maximality below regardless).
@@ -473,17 +427,6 @@ func (s *DynSession) apply(inserts [][2]int, weights []float64, deletes [][2]int
 
 	if changed {
 		s.snap = nil
-		if s.scaled {
-			s.touchUpScaling()
-			res.Rescaled = true
-			s.stats.Rescales++
-		}
-	}
-	for _, i := range s.dirtyRows {
-		s.dirtyRowMark[i] = false
-	}
-	for _, j := range s.dirtyCols {
-		s.dirtyColMark[j] = false
 	}
 	res.MaintainedSize = s.mt.Size
 	s.stats.Batches++
@@ -492,17 +435,6 @@ func (s *DynSession) apply(inserts [][2]int, weights []float64, deletes [][2]int
 	s.stats.Freed += res.Freed
 	s.stats.Augments += res.Augments
 	return &res, nil
-}
-
-func (s *DynSession) markDirty(i, j int) {
-	if !s.dirtyRowMark[i] {
-		s.dirtyRowMark[i] = true
-		s.dirtyRows = append(s.dirtyRows, int32(i))
-	}
-	if !s.dirtyColMark[j] {
-		s.dirtyColMark[j] = true
-		s.dirtyCols = append(s.dirtyCols, int32(j))
-	}
 }
 
 // repairTargeted is the heuristic session's repair: one augmenting DFS
@@ -526,45 +458,6 @@ func (s *DynSession) repairTargeted() int {
 		}
 	}
 	return augments
-}
-
-// touchUpScaling runs dynTouchUpIters restricted Sinkhorn–Knopp
-// iterations on the warm vectors: the usual row sweep (dr_i ←
-// 1/Σ_j dc_j over row i) followed by the column sweep (dc_j ←
-// 1/Σ_i dr_i over column j), each applied only to the batch's dirty
-// rows/columns. Vertices whose degree dropped to zero keep their last
-// scale — their row/column no longer contributes to sampling at all.
-func (s *DynSession) touchUpScaling() {
-	for it := 0; it < dynTouchUpIters; it++ {
-		for _, i := range s.dirtyRows {
-			sum := 0.0
-			for _, j := range s.dg.RowAdj(int(i)) {
-				sum += s.dc[j]
-			}
-			if sum > 0 {
-				s.dr[i] = 1 / sum
-			}
-		}
-		for _, j := range s.dirtyCols {
-			sum := 0.0
-			for _, i := range s.dg.ColAdj(int(j)) {
-				sum += s.dr[i]
-			}
-			if sum > 0 {
-				s.dc[j] = 1 / sum
-			}
-		}
-	}
-}
-
-// ScalingVectors exposes the session's warm scaling (nil slices and
-// false when the Spec's algorithm does not scale). The slices alias the
-// session; do not modify.
-func (s *DynSession) ScalingVectors() (dr, dc []float64, ok bool) {
-	if !s.scaled {
-		return nil, nil, false
-	}
-	return s.dr, s.dc, true
 }
 
 func sortUnique(v *[]int32) {

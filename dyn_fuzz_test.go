@@ -150,12 +150,12 @@ func TestDynFuzzDifferential(t *testing.T) {
 			for _, w := range widths {
 				pool := NewPool(w)
 				defer pool.Close()
-				opt := &Options{Seed: 7, Workers: w, Pool: pool}
-				se, err := g.NewDynSession(Spec{Algorithm: AlgTwoSided, Refine: RefineExact}, opt)
+				opt := &Options{Workers: w, Pool: pool}
+				se, err := g.NewDynSession(Spec{Algorithm: AlgTwoSided, Seed: 7, Refine: RefineExact}, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sh, err := g.NewDynSession(Spec{Algorithm: AlgTwoSided}, opt)
+				sh, err := g.NewDynSession(Spec{Algorithm: AlgTwoSided, Seed: 7}, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,7 +228,8 @@ func TestDynFuzzDifferential(t *testing.T) {
 // seed sweep on total-support families and compares against the static
 // thresholds with mutation slack: the mutated instances are small, and
 // targeted repair is allowed to trail a fresh heuristic run only
-// marginally.
+// marginally. The sessions open with nil Options, so their initial run
+// samples from the default 5-iteration scaling the bounds assume.
 func TestDynFuzzHeuristicQuality(t *testing.T) {
 	seeds := 12
 	batches := 40
@@ -259,7 +260,9 @@ func TestDynFuzzHeuristicQuality(t *testing.T) {
 				qsum := 0.0
 				for s := 1; s <= seeds; s++ {
 					g := fam.make(uint64(s))
-					sess, err := g.NewDynSession(sp.spec, &Options{Seed: uint64(s)})
+					spec := sp.spec
+					spec.Seed = uint64(s)
+					sess, err := g.NewDynSession(spec, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -37,12 +37,12 @@ func main() {
 	// handful of iterations suffice even without total support.
 	fmt.Printf("%6s %12s %12s %14s\n", "iters", "one-sided", "two-sided", "scaling error")
 	for _, iters := range []int{0, 1, 5, 10} {
-		opt := &bipartite.Options{ScalingIterations: iters, Seed: 9}
-		one, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgOneSided}, opt)
+		opt := &bipartite.Options{ScalingIterations: iters}
+		one, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgOneSided, Seed: 9}, opt)
 		if err != nil {
 			panic(err)
 		}
-		two, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgTwoSided}, opt)
+		two, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgTwoSided, Seed: 9}, opt)
 		if err != nil {
 			panic(err)
 		}

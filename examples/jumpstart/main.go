@@ -43,7 +43,7 @@ func main() {
 	// Warm starts of increasing quality, each one Spec run on a shared
 	// session (the two scaled heuristics share one scaling). A result
 	// aliases the session, so each is used before the next Run.
-	m := g.NewMatcher(&bipartite.Options{ScalingIterations: 5, Seed: 7})
+	m := g.NewMatcher(&bipartite.Options{ScalingIterations: 5})
 	for _, h := range []struct {
 		name string
 		alg  bipartite.Algorithm
@@ -53,7 +53,7 @@ func main() {
 		{"one-sided + exact", bipartite.AlgOneSided},
 		{"two-sided + exact", bipartite.AlgTwoSided},
 	} {
-		res, err := m.Run(bipartite.Spec{Algorithm: h.alg})
+		res, err := m.Run(bipartite.Spec{Algorithm: h.alg, Seed: 7})
 		if err != nil {
 			panic(err)
 		}
@@ -63,8 +63,8 @@ func main() {
 	// The declarative form of the whole pipeline: one Spec asks for a
 	// best-of-4 TwoSided ensemble (one shared scaling) refined to maximum
 	// cardinality — heuristic jump-start and exact augmentation in a
-	// single request, the same request type the batch layer and
-	// cmd/matchserve execute.
+	// single request, the same request type Server and cmd/matchserve
+	// execute.
 	start := time.Now()
 	res, err := g.Match(bipartite.Spec{
 		Algorithm: bipartite.AlgTwoSided,

@@ -34,15 +34,15 @@ func main() {
 	fmt.Printf("%8s %12s %12s %10s %10s\n", "threads", "one-sided", "two-sided", "q(one)", "q(two)")
 	var base1, base2 time.Duration
 	for _, w := range []int{1, 2, 4, 8, 16} {
-		opt := &bipartite.Options{ScalingIterations: 1, Workers: w, Seed: 5}
+		opt := &bipartite.Options{ScalingIterations: 1, Workers: w}
 		start := time.Now()
-		one, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgOneSided}, opt)
+		one, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgOneSided, Seed: 5}, opt)
 		if err != nil {
 			panic(err)
 		}
 		t1 := time.Since(start)
 		start = time.Now()
-		two, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgTwoSided}, opt)
+		two, err := g.Match(bipartite.Spec{Algorithm: bipartite.AlgTwoSided, Seed: 5}, opt)
 		if err != nil {
 			panic(err)
 		}

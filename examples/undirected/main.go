@@ -20,7 +20,7 @@ func main() {
 
 	// Random sparse graph.
 	g := bipartite.RandomUndirected(500000, 6, 7)
-	res := g.Match(&bipartite.Options{ScalingIterations: 5, Seed: 1})
+	res := g.Match(1, &bipartite.Options{ScalingIterations: 5})
 	if err := g.Validate(res.Mate); err != nil {
 		panic(err)
 	}
@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	res = ring.Match(&bipartite.Options{ScalingIterations: 2, Seed: 3})
+	res = ring.Match(3, &bipartite.Options{ScalingIterations: 2})
 	if err := ring.Validate(res.Mate); err != nil {
 		panic(err)
 	}
@@ -55,7 +55,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	res = trig.Match(&bipartite.Options{ScalingIterations: 2, Seed: 3})
+	res = trig.Match(3, &bipartite.Options{ScalingIterations: 2})
 	if err := trig.Validate(res.Mate); err != nil {
 		panic(err)
 	}

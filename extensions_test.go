@@ -15,7 +15,7 @@ func TestUndirectedAPI(t *testing.T) {
 	if g.Vertices() != 20000 || g.Edges() == 0 {
 		t.Fatal("accessor sanity")
 	}
-	res := g.Match(&Options{ScalingIterations: 3, Seed: 2})
+	res := g.Match(2, &Options{ScalingIterations: 3})
 	if err := g.Validate(res.Mate); err != nil {
 		t.Fatal(err)
 	}
@@ -25,13 +25,17 @@ func TestUndirectedAPI(t *testing.T) {
 	if res.ScalingError < 0 {
 		t.Fatal("negative scaling error")
 	}
+	// Seed 0 means 1, as for Spec.Seed.
+	if zero, one := g.Match(0, nil), g.Match(1, nil); !slices.Equal(zero.Mate, one.Mate) {
+		t.Fatal("seed 0 does not match seed 1")
+	}
 
 	// A width-4 Pool returns the Workers: 1 matching and scaling error.
 	pool := NewPool(4)
 	defer pool.Close()
 	for seed := uint64(2); seed <= 6; seed++ {
-		one := g.Match(&Options{ScalingIterations: 3, Seed: seed, Workers: 1})
-		wide := g.Match(&Options{ScalingIterations: 3, Seed: seed, Pool: pool})
+		one := g.Match(seed, &Options{ScalingIterations: 3, Workers: 1})
+		wide := g.Match(seed, &Options{ScalingIterations: 3, Pool: pool})
 		if err := g.Validate(wide.Mate); err != nil {
 			t.Fatal(err)
 		}
@@ -62,11 +66,11 @@ func TestUndirectedMatchScalesOnce(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			want := g.g.Match(iters, undirected.Options{Workers: 1, Policy: par.Dynamic, Seed: seed})
 			for _, opt := range []*Options{
-				{ScalingIterations: iters, Seed: seed, Workers: 1},
-				{ScalingIterations: iters, Seed: seed},
-				{ScalingIterations: iters, Seed: seed, Pool: pool},
+				{ScalingIterations: iters, Workers: 1},
+				{ScalingIterations: iters},
+				{ScalingIterations: iters, Pool: pool},
 			} {
-				got := g.Match(opt)
+				got := g.Match(seed, opt)
 				if !slices.Equal(got.Mate, want.Match) || got.Size != want.Size || got.ScalingError != want.ScaleErr {
 					t.Fatalf("iters %d, seed %d, workers %d, pool %v: size %d, scaling error %v; a fresh scaling gives %d, %v",
 						iters, seed, opt.Workers, opt.Pool != nil, got.Size, got.ScalingError, want.Size, want.ScaleErr)
@@ -79,7 +83,7 @@ func TestUndirectedMatchScalesOnce(t *testing.T) {
 	}
 
 	fresh := RandomUndirected(5000, 4, 3)
-	want := g.Match(&Options{ScalingIterations: 5, Seed: 9})
+	want := g.Match(9, &Options{ScalingIterations: 5})
 	runs.Store(0)
 	var wg sync.WaitGroup
 	got := make([]*UndirectedResult, 4)
@@ -87,7 +91,7 @@ func TestUndirectedMatchScalesOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[k] = fresh.Match(&Options{ScalingIterations: 5, Seed: 9, Pool: pool})
+			got[k] = fresh.Match(9, &Options{ScalingIterations: 5, Pool: pool})
 		}()
 	}
 	wg.Wait()
@@ -100,7 +104,7 @@ func TestUndirectedMatchScalesOnce(t *testing.T) {
 	if n < 1 || n > int64(len(got)) {
 		t.Fatalf("%d scaling runs for %d concurrent first calls", n, len(got))
 	}
-	if fresh.Match(&Options{ScalingIterations: 5, Seed: 9}); runs.Load() != n {
+	if fresh.Match(9, &Options{ScalingIterations: 5}); runs.Load() != n {
 		t.Fatal("a call after the first published scaling scaled again")
 	}
 }
@@ -113,7 +117,7 @@ func TestNewUndirectedValidation(t *testing.T) {
 	if g.Edges() != 2 {
 		t.Fatalf("edges %d want 2", g.Edges())
 	}
-	res := g.Match(nil)
+	res := g.Match(1, nil)
 	if err := g.Validate(res.Mate); err != nil {
 		t.Fatal(err)
 	}

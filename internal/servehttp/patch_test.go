@@ -53,8 +53,8 @@ func TestMatchServePatch(t *testing.T) {
 
 	before := snapshotOf(h, id)
 
-	// Isolate row 0 (both its ring edges): structural rank drops to 15,
-	// one matched pair is freed, the batch triggers a scaling touch-up.
+	// Isolate row 0 (both its ring edges): structural rank drops to 15 and
+	// one matched pair is freed.
 	resp, body := patchJSON(t, ts.URL+"/graph/"+id, map[string]any{
 		"delete": [][2]int{{0, 0}, {0, 1}},
 	})
@@ -66,9 +66,6 @@ func TestMatchServePatch(t *testing.T) {
 	}
 	if int(body["freed"].(float64)) < 1 {
 		t.Fatalf("PATCH freed %v, want >= 1 (a matched edge died)", body["freed"])
-	}
-	if body["rescaled"] != true {
-		t.Fatalf("PATCH rescaled %v, want true (dirty batch on a scaling algorithm)", body["rescaled"])
 	}
 	if int(body["edges"].(float64)) != 30 {
 		t.Fatalf("PATCH edges %v, want 30", body["edges"])
@@ -109,8 +106,8 @@ func TestMatchServePatch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("neutral PATCH: status %d body %v", resp.StatusCode, body)
 	}
-	if int(body["inserted"].(float64)) != 0 || int(body["deleted"].(float64)) != 0 || body["rescaled"] != false {
-		t.Fatalf("neutral PATCH body %v, want nothing applied, no rescale", body)
+	if int(body["inserted"].(float64)) != 0 || int(body["deleted"].(float64)) != 0 {
+		t.Fatalf("neutral PATCH body %v, want nothing applied", body)
 	}
 	if after := snapshotOf(h, id); after != mid {
 		t.Fatal("neutral PATCH churned the registry snapshot")

@@ -436,8 +436,7 @@ func (h *Handler) handleGraphPatch(w http.ResponseWriter, r *http.Request) {
 	reply := map[string]any{
 		"id": id, "rows": cur.Rows(), "cols": cur.Cols(), "edges": cur.Edges(),
 		"inserted": res.Inserted, "deleted": res.Deleted, "freed": res.Freed,
-		"augments": res.Augments, "rescaled": res.Rescaled,
-		"maintained_size": res.MaintainedSize,
+		"augments": res.Augments, "maintained_size": res.MaintainedSize,
 	}
 	if auction {
 		reply["maintained_weight"] = res.MaintainedWeight

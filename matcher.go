@@ -36,9 +36,8 @@ var ErrCanceled = errors.New("bipartite: matching canceled")
 // The scaling is the exception: it belongs to the Graph, stays valid as
 // long as the Graph does, and is never to be modified.
 // A Matcher is not safe for concurrent use; for concurrent serving run one
-// Matcher per worker slot (see MatchBatch and Server, which do exactly
-// that) or one-shot Graph.Match calls, which are safe because each builds
-// its own.
+// Matcher per worker slot (see Server, which does exactly that) or
+// one-shot Graph.Match calls, which are safe because each builds its own.
 type Matcher struct {
 	g   *Graph
 	opt Options // normalized
@@ -81,11 +80,11 @@ type Matcher struct {
 }
 
 // NewMatcher creates a matching session on g. opt follows the same
-// defaulting rules as Graph.Match; opt.Seed is the default seed for Specs
-// whose Seed is 0. The session pins its pool and parallel width at
-// construction. The sampling workspaces (and the graph transpose) are
-// built lazily on the first call that needs them, so a Matcher used only
-// for the cheap baselines never pays for either.
+// defaulting rules as Graph.Match; each Spec carries its own seed. The
+// session pins its pool and parallel width at construction. The sampling
+// workspaces (and the graph transpose) are built lazily on the first call
+// that needs them, so a Matcher used only for the cheap baselines never
+// pays for either.
 func (g *Graph) NewMatcher(opt *Options) *Matcher {
 	return &Matcher{g: g, opt: opt.normalized()}
 }
@@ -163,14 +162,6 @@ func (m *Matcher) growEnsembleSlots(width int) {
 	for len(m.ensSlots) < width {
 		m.ensSlots = append(m.ensSlots, arenaCache{})
 	}
-}
-
-// seed resolves a per-call seed: 0 means the session's Options.Seed.
-func (m *Matcher) seed(s uint64) uint64 {
-	if s == 0 {
-		return m.opt.Seed
-	}
-	return s
 }
 
 // Scale returns the scaling of the bound graph: the Graph's own for the

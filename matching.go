@@ -10,11 +10,15 @@ import (
 	"repro/internal/scale"
 )
 
-// Options configures the randomized heuristics. The zero value (or a nil
-// pointer) means: 5 Sinkhorn–Knopp scaling iterations, all CPUs of the
-// process-wide pool, seed 1, the paper's scheduling policies. Scaling is
-// always Sinkhorn–Knopp; the §2.2 alternative, Ruiz, lives in
-// internal/scale for the ablation benchmarks.
+// Options configures how the randomized heuristics execute: the scaling
+// iteration count and the parallel width. A nil pointer means 5
+// Sinkhorn–Knopp scaling iterations on all CPUs of the process-wide pool,
+// with the paper's scheduling policies. A non-nil zero value is not the
+// same: its ScalingIterations of 0 means uniform (unscaled) sampling, so
+// a caller who wants the default scaling passes nil or sets a negative
+// count. The seed is not an option: it is Spec.Seed. Scaling is always
+// Sinkhorn–Knopp; the §2.2 alternative, Ruiz, lives in internal/scale for
+// the ablation benchmarks.
 type Options struct {
 	// ScalingIterations is the number of Sinkhorn–Knopp iterations run
 	// before sampling. 0 means uniform (unscaled) sampling, as in the
@@ -24,8 +28,6 @@ type Options struct {
 	ScalingIterations int
 	// Workers is the parallel width; <= 0 uses all CPUs.
 	Workers int
-	// Seed makes runs reproducible; 0 is replaced by 1.
-	Seed uint64
 	// Pool, when non-nil, is the worker pool every parallel stage of the
 	// call dispatches to — scaling sweeps, sampling and the
 	// AlgKarpSipserParallel baseline reuse its resident workers. Nil uses
@@ -75,9 +77,6 @@ func (o *Options) normalized() Options {
 	if o == nil {
 		v.ScalingIterations = 5
 	}
-	if v.Seed == 0 {
-		v.Seed = 1
-	}
 	return v
 }
 
@@ -86,7 +85,6 @@ func (v Options) coreOptions() core.Options {
 		Workers: v.Workers,
 		Policy:  par.Dynamic,
 		Chunk:   par.DefaultChunk,
-		Seed:    v.Seed,
 		Pool:    v.Pool.inner(),
 	}
 }
@@ -179,7 +177,8 @@ func (g *Graph) scaling(v Options, cancel func() bool) (*Scaling, error) {
 }
 
 // MatchResult is the outcome of a matching run executed by the Spec
-// engine (Matcher.Run, and Graph.Match and the batch layer over it).
+// engine (Matcher.Run, and Graph.Match and Server over it; a Server's
+// Response carries it).
 type MatchResult struct {
 	// Matching is the computed matching (always valid).
 	Matching *Matching
@@ -215,8 +214,10 @@ type MatchResult struct {
 	// cmd/matchserve surfaces it as "refined_with".
 	RefinedWith Refinement
 	// Degraded, when non-empty, records the self-protection downgrades a
-	// serving layer applied to the Spec before this run (see
-	// Response.Degraded for the marker grammar). Direct Matcher.Run and
+	// Server applied to the Spec before this run (e.g.
+	// "refine:exact->none,best_of:8->2"): the result was computed under
+	// load shedding and carries the heuristic's quality bound instead of
+	// whatever the full Spec guaranteed. Direct Matcher.Run and
 	// Graph.Match calls execute exactly the Spec given and always leave it
 	// empty.
 	Degraded string

@@ -57,7 +57,7 @@ func TestDegreeOrderBuiltOncePerGraph(t *testing.T) {
 			Request{Graph: g2, Spec: Spec{Seed: s, Ensemble: 3}},
 			Request{Graph: g4, Spec: Spec{Seed: s}})
 	}
-	for i, resp := range MatchBatch(reqs, opt) {
+	for i, resp := range matchBatch(reqs, opt) {
 		if resp.Err != nil {
 			t.Fatalf("batch request %d: %v", i, resp.Err)
 		}

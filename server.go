@@ -19,15 +19,16 @@ var ErrOverloaded = errors.New("bipartite: server overloaded (admission queue fu
 // ErrServerClosed reports a request submitted after Close.
 var ErrServerClosed = errors.New("bipartite: server closed")
 
-// Server is a long-lived batching front end for matching requests, the
-// serving-loop shape of MatchBatch: callers submit requests from any
-// number of goroutines, a collector drains the queue into batches, and
-// each batch executes as one pool-wide parallel region on per-slot Matcher
-// arenas that stay warm across batches. Under load, many requests ride one
-// dispatch and reuse hot workspaces (and each graph's one scaling), so the
-// per-request overhead approaches the cost of the kernels themselves; an
-// idle server serves a lone request with one dispatch of latency and no
-// batching delay — the collector never waits for a batch to fill.
+// Server is the long-lived batching front end for matching requests, and
+// the one way to serve many of them: callers submit requests from any
+// number of goroutines (Match) or a whole slice at once (MatchBatch), a
+// collector drains the queue into batches, and each batch executes as one
+// pool-wide parallel region on per-slot Matcher arenas that stay warm
+// across batches. Under load, many requests ride one dispatch and reuse
+// hot workspaces (and each graph's one scaling), so the per-request
+// overhead approaches the cost of the kernels themselves; an idle server
+// serves a lone request with one dispatch of latency and no batching
+// delay — the collector never waits for a batch to fill.
 //
 // Admission is bounded: at most Queue requests wait at any moment, and a
 // submission that finds the queue full fails fast with ErrOverloaded
@@ -35,9 +36,12 @@ var ErrServerClosed = errors.New("bipartite: server closed")
 // expired context is answered without running kernels, and one that
 // expires mid-run aborts them at the next cooperative checkpoint.
 //
-// Responses are those of MatchBatch: a function of (Graph, Spec, Options)
-// only — ensemble provenance included — however requests are interleaved
-// or batched.
+// Responses are deterministic: a function of (Graph, Spec, Options) only —
+// ensemble provenance included — however requests are interleaved or
+// batched, whatever the pool width, and equal to the one-shot Graph.Match
+// (for AlgKarpSipserParallel, which a slot runs at width 1, the one-shot
+// call with Workers: 1). Requests that share a *Graph share its one
+// scaling, with every other caller on the Graph.
 //
 // A server with ServerConfig.Watchdog enabled additionally protects
 // itself: a sampler of the process's own CPU and RSS drives a shedding
@@ -252,9 +256,8 @@ func (s *Server) wouldMissDeadline(req Request) error {
 // under a watchdog, priority shedding (*ShedError) and Spec degradation
 // apply per request, and requests that do not fit the admission queue get
 // ErrOverloaded — size the queue at least as large as the biggest burst
-// one caller submits. This is the protected form of the package-level
-// MatchBatch for callers that batch without HTTP. Safe for concurrent
-// use, including with Close, like Match.
+// one caller submits. This is the batch entry point for callers that batch
+// without HTTP. Safe for concurrent use, including with Close, like Match.
 func (s *Server) MatchBatch(reqs []Request) []Response {
 	jobs := make([]serverJob, len(reqs))
 	out := make([]Response, len(reqs))

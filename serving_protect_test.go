@@ -473,7 +473,7 @@ func TestProtectErrorUnwrap(t *testing.T) {
 // itself.
 func TestProtectMatchBatchShedUnderMutationLoad(t *testing.T) {
 	g := RandomER(200, 200, 3, 1)
-	sess, err := g.NewDynSession(Spec{Algorithm: AlgTwoSided, Refine: RefineExact}, &Options{Seed: 3})
+	sess, err := g.NewDynSession(Spec{Algorithm: AlgTwoSided, Seed: 3, Refine: RefineExact}, &Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,14 +188,14 @@ func ParseRefinement(s string) (Refinement, error) {
 
 // Spec is a declarative matching request — the one request type every
 // execution surface understands: Matcher.Run executes it on a session,
-// Graph.Match one-shot, the batch layer and Server run it per Request, and
-// cmd/matchserve accepts its fields on the wire. The zero value is a
-// single TwoSided run with the session's default seed.
+// Graph.Match one-shot, Server runs it per Request, and cmd/matchserve
+// accepts its fields on the wire. The zero value is a
+// single TwoSided run at seed 1.
 type Spec struct {
 	// Algorithm selects the heuristic. Zero value: AlgTwoSided.
 	Algorithm Algorithm
 
-	// Seed is the base RNG seed; 0 means the Options' seed. Ensemble
+	// Seed is the base RNG seed, a run's only seed: 0 means 1. Ensemble
 	// candidate c runs with seed Seed+c.
 	Seed uint64
 
@@ -249,6 +249,11 @@ type Spec struct {
 	// 0 means the default (DefaultEpsilon). Only valid with AlgAuction.
 	Epsilon float64
 }
+
+// resolveSeed resolves a run's base seed: 0 means 1. Every seeded entry
+// point — Matcher.Run, the auction, a dynamic session's initial auction and
+// repairs, and UndirectedGraph.Match — resolves its seed here.
+func resolveSeed(seed uint64) uint64 { return max(seed, 1) }
 
 // DefaultEpsilon is the auction slack used when Spec.Epsilon is zero:
 // matched weight within 5% of optimal, a practical sweet spot between
@@ -365,7 +370,7 @@ func (m *Matcher) Run(spec Spec) (*MatchResult, error) {
 			return nil, err
 		}
 	}
-	base := m.seed(spec.Seed)
+	base := resolveSeed(spec.Seed)
 	if spec.Ensemble <= 1 {
 		return m.runSingle(spec, base, sc)
 	}

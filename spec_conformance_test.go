@@ -272,7 +272,7 @@ func TestSpecValidate(t *testing.T) {
 		if _, err := g.Match(spec, nil); err == nil {
 			t.Fatalf("spec %d (%+v): Match accepted it", i, spec)
 		}
-		resp := MatchBatch([]Request{{Graph: g, Spec: spec}}, nil)
+		resp := matchBatch([]Request{{Graph: g, Spec: spec}}, nil)
 		if resp[0].Err == nil {
 			t.Fatalf("spec %d (%+v): batch accepted it", i, spec)
 		}
@@ -304,7 +304,7 @@ func TestSpecBatchEnsembleRefine(t *testing.T) {
 		{Graph: g, Spec: Spec{Algorithm: AlgTwoSided, Seed: 5, Ensemble: 4}},
 		{Graph: g, Spec: Spec{Algorithm: AlgOneSided, Seed: 9, Refine: RefineExact}},
 	}
-	out := MatchBatch(reqs, &Options{ScalingIterations: 5})
+	out := matchBatch(reqs, &Options{ScalingIterations: 5})
 	for i, resp := range out {
 		if resp.Err != nil {
 			t.Fatalf("req %d: %v", i, resp.Err)

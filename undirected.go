@@ -130,11 +130,12 @@ type UndirectedResult struct {
 // Match runs the undirected 1-out heuristic: symmetric doubly stochastic
 // scaling, one sampled neighbor per vertex, and an exact Karp–Sipser pass
 // over the sampled pseudoforest (odd cycles handled) on the calling
-// goroutine, so the mates are the same at every width. The scaling is
-// the graph's own for the iteration count, computed on the first call.
-func (u *UndirectedGraph) Match(opt *Options) *UndirectedResult {
+// goroutine, so the mates are the same at every width. seed keys the
+// sampling; 0 means 1, as for Spec.Seed. The scaling is the graph's own
+// for the iteration count, computed on the first call.
+func (u *UndirectedGraph) Match(seed uint64, opt *Options) *UndirectedResult {
 	v := opt.normalized()
-	uo := undirected.Options{Workers: v.Workers, Policy: par.Dynamic, Seed: v.Seed, Pool: v.Pool.inner()}
+	uo := undirected.Options{Workers: v.Workers, Policy: par.Dynamic, Seed: resolveSeed(seed), Pool: v.Pool.inner()}
 	var sc symScaling
 	if v.ScalingIterations > 0 {
 		sc = *u.scaling(v.ScalingIterations, uo)

@@ -155,7 +155,7 @@ func (m *Matcher) runAuction(spec Spec) (*MatchResult, error) {
 		eps = DefaultEpsilon
 	}
 	a, at := m.g.a, m.g.transpose()
-	base := m.seed(spec.Seed)
+	base := resolveSeed(spec.Seed)
 	pool, width := m.opt.width()
 	ws := m.aucWorkspace()
 	if m.canceled() {

@@ -346,8 +346,8 @@ func TestAuctionDynDeterminismWidths(t *testing.T) {
 	}
 }
 
-// TestAuctionMatchBatch: AlgAuction specs flow through the batch layer
-// with weighted provenance on the Response.
+// TestAuctionMatchBatch: AlgAuction specs flow through Server.MatchBatch
+// with weighted provenance, the dual bound included, on the Response.
 func TestAuctionMatchBatch(t *testing.T) {
 	g1 := RandomER(40, 40, 4, 1).RandomWeights(WeightUniform, 2)
 	g2 := RandomER(30, 35, 4, 2).RandomWeights(WeightSkewed, 3)
@@ -356,7 +356,7 @@ func TestAuctionMatchBatch(t *testing.T) {
 		{Graph: g2, Spec: Spec{Algorithm: AlgAuction, Epsilon: 0.2, Ensemble: 3}},
 		{Graph: g1, Spec: Spec{}},
 	}
-	resps := MatchBatch(reqs, &Options{Workers: 2})
+	resps := matchBatch(reqs, &Options{Workers: 2})
 	for i, r := range resps[:2] {
 		if r.Err != nil {
 			t.Fatalf("response %d: %v", i, r.Err)
@@ -366,6 +366,9 @@ func TestAuctionMatchBatch(t *testing.T) {
 		}
 		if r.Epsilon == 0 {
 			t.Fatalf("response %d: epsilon not propagated", i)
+		}
+		if r.DualBound < r.MatchedWeight {
+			t.Fatalf("response %d: dual bound %v below matched weight %v", i, r.DualBound, r.MatchedWeight)
 		}
 	}
 	if resps[2].Err != nil {
