@@ -1,327 +1,21 @@
-// Benchmarks regenerating the kernels behind every table and figure of the
-// paper's evaluation. Each benchmark is named after the table or figure it
-// backs; the full reports are produced by cmd/matchbench, these benchmarks
-// measure the kernels with testing.B and record quality via
-// b.ReportMetric where it is the point of the table. BenchmarkRefineHK and
-// BenchmarkServe time the refinement and serving tiers the paper does not
-// tabulate.
+// Microbenchmarks of the root package's own tiers, which use unexported
+// API and have no counterpart in internal/bench: BenchmarkRefineHK times
+// Hopcroft–Karp refinement and BenchmarkServe the ways to serve a request.
+// The paper's tables and figures are cmd/matchbench's experiments
+// (internal/bench), and the kernels they time have benchmarks beside
+// their code in internal/core and internal/scale.
 //
-// Run with: go test -bench=. -benchmem
+// Run with: go test -run '^$' -bench . -benchmem
 package bipartite
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
-	"repro/internal/bench"
-	"repro/internal/cheap"
-	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
-	"repro/internal/ks"
-	"repro/internal/par"
-	"repro/internal/scale"
 	"repro/internal/sparse"
 )
-
-func coreOpts(workers int) core.Options {
-	return core.Options{Workers: workers, Policy: par.Dynamic, KSPolicy: par.Guided, Seed: 1}
-}
-
-func mustScale(b *testing.B, a, at *sparse.CSR, iters, workers int) *scale.Result {
-	b.Helper()
-	res, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: iters, Workers: workers})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-// --- §4.1.1 quality study ---------------------------------------------------
-
-func BenchmarkQualityFI(b *testing.B) {
-	a := gen.FullyIndecomposable(20000, 2, 1)
-	at := a.Transpose()
-	res := mustScale(b, a, at, 10, 0)
-	for _, side := range []string{"OneSided", "TwoSided"} {
-		b.Run(side, func(b *testing.B) {
-			var size int
-			for i := 0; i < b.N; i++ {
-				o := coreOpts(0)
-				o.Seed = uint64(i) + 1
-				if side == "OneSided" {
-					_, size = core.OneSided(a, res.DR, res.DC, o)
-				} else {
-					size = core.TwoSided(a, at, res.DR, res.DC, o).Matching.Size
-				}
-			}
-			b.ReportMetric(float64(size)/float64(a.RowsN), "quality")
-		})
-	}
-}
-
-// --- Table 1 -----------------------------------------------------------------
-
-func BenchmarkTable1(b *testing.B) {
-	a := gen.BadKS(3200, 32)
-	at := a.Transpose()
-	b.Run("KarpSipserBaseline", func(b *testing.B) {
-		var size int
-		for i := 0; i < b.N; i++ {
-			mt, _ := ks.Run(a, at, uint64(i)+1)
-			size = mt.Size
-		}
-		b.ReportMetric(float64(size)/3200.0, "quality")
-	})
-	res := mustScale(b, a, at, 10, 0)
-	b.Run("TwoSidedScaled10", func(b *testing.B) {
-		var size int
-		for i := 0; i < b.N; i++ {
-			o := coreOpts(0)
-			o.Seed = uint64(i) + 1
-			size = core.TwoSided(a, at, res.DR, res.DC, o).Matching.Size
-		}
-		b.ReportMetric(float64(size)/3200.0, "quality")
-	})
-}
-
-// --- Table 2 -----------------------------------------------------------------
-
-func BenchmarkTable2(b *testing.B) {
-	for _, d := range []int{2, 5} {
-		a := gen.ERAvgDeg(50000, 50000, float64(d), uint64(d))
-		at := a.Transpose()
-		sp := exact.HopcroftKarp(a, nil).Size
-		res := mustScale(b, a, at, 5, 0)
-		b.Run(fmt.Sprintf("OneSided/d=%d", d), func(b *testing.B) {
-			var size int
-			for i := 0; i < b.N; i++ {
-				o := coreOpts(0)
-				o.Seed = uint64(i) + 1
-				_, size = core.OneSided(a, res.DR, res.DC, o)
-			}
-			b.ReportMetric(float64(size)/float64(sp), "quality")
-		})
-		b.Run(fmt.Sprintf("TwoSided/d=%d", d), func(b *testing.B) {
-			var size int
-			for i := 0; i < b.N; i++ {
-				o := coreOpts(0)
-				o.Seed = uint64(i) + 1
-				size = core.TwoSided(a, at, res.DR, res.DC, o).Matching.Size
-			}
-			b.ReportMetric(float64(size)/float64(sp), "quality")
-		})
-	}
-}
-
-// --- Table 3 -----------------------------------------------------------------
-
-// BenchmarkTable3 measures the four sequential kernels on every catalog
-// instance (tiny scale so the whole suite stays fast; cmd/matchbench -exp
-// table3 runs the full-size version).
-func BenchmarkTable3(b *testing.B) {
-	for _, inst := range bench.Catalog("tiny") {
-		a := inst.Build()
-		at := a.Transpose()
-		res := mustScale(b, a, at, 1, 1)
-		g := func() *core.ChoiceGraph {
-			r := core.SampleRowChoices(a, res.DR, res.DC, coreOpts(1))
-			c := core.SampleColChoices(at, res.DR, res.DC, coreOpts(1))
-			return core.NewChoiceGraph(a.RowsN, a.ColsN, r, c)
-		}()
-		b.Run("ScaleSK/"+inst.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustScale(b, a, at, 1, 1)
-			}
-		})
-		b.Run("OneSided/"+inst.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := mustScale(b, a, at, 1, 1)
-				core.OneSided(a, r.DR, r.DC, coreOpts(1))
-			}
-		})
-		b.Run("KarpSipserMT/"+inst.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.KarpSipserMT(g, coreOpts(1))
-			}
-		})
-		b.Run("TwoSided/"+inst.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := mustScale(b, a, at, 1, 1)
-				core.TwoSided(a, at, r.DR, r.DC, coreOpts(1))
-			}
-		})
-	}
-}
-
-// --- Figures 3a/3b: thread sweeps for ScaleSK and OneSidedMatch -------------
-
-func fig34Instance() (*sparse.CSR, *sparse.CSR) {
-	a := gen.ERAvgDeg(400000, 400000, 8, 3)
-	return a, a.Transpose()
-}
-
-func BenchmarkFig3aScaleSK(b *testing.B) {
-	a, at := fig34Instance()
-	for _, w := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("threads=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustScale(b, a, at, 1, w)
-			}
-		})
-	}
-}
-
-func BenchmarkFig3bOneSided(b *testing.B) {
-	a, at := fig34Instance()
-	res := mustScale(b, a, at, 1, 0)
-	for _, w := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("threads=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.OneSided(a, res.DR, res.DC, coreOpts(w))
-			}
-		})
-	}
-}
-
-// --- Figures 4a/4b: thread sweeps for KarpSipserMT and TwoSidedMatch --------
-
-func BenchmarkFig4aKarpSipserMT(b *testing.B) {
-	a, at := fig34Instance()
-	res := mustScale(b, a, at, 1, 0)
-	r := core.SampleRowChoices(a, res.DR, res.DC, coreOpts(0))
-	c := core.SampleColChoices(at, res.DR, res.DC, coreOpts(0))
-	g := core.NewChoiceGraph(a.RowsN, a.ColsN, r, c)
-	for _, w := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("threads=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.KarpSipserMT(g, coreOpts(w))
-			}
-		})
-	}
-}
-
-func BenchmarkFig4bTwoSided(b *testing.B) {
-	a, at := fig34Instance()
-	res := mustScale(b, a, at, 1, 0)
-	for _, w := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("threads=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.TwoSided(a, at, res.DR, res.DC, coreOpts(w))
-			}
-		})
-	}
-}
-
-// --- Figure 5: quality vs scaling iterations ---------------------------------
-
-func BenchmarkFig5Quality(b *testing.B) {
-	a := gen.ERAvgDeg(100000, 100000, 4, 7)
-	at := a.Transpose()
-	sp := exact.HopcroftKarp(a, nil).Size
-	for _, iters := range []int{0, 1, 5} {
-		res := mustScale(b, a, at, iters, 0)
-		b.Run(fmt.Sprintf("TwoSided/iters=%d", iters), func(b *testing.B) {
-			var size int
-			for i := 0; i < b.N; i++ {
-				o := coreOpts(0)
-				o.Seed = uint64(i) + 1
-				size = core.TwoSided(a, at, res.DR, res.DC, o).Matching.Size
-			}
-			b.ReportMetric(float64(size)/float64(sp), "quality")
-		})
-	}
-}
-
-// --- Conjecture 1 -------------------------------------------------------------
-
-func BenchmarkConjecture(b *testing.B) {
-	a := gen.Full(4000)
-	at := a.Transpose()
-	res := mustScale(b, a, at, 1, 0)
-	var size int
-	for i := 0; i < b.N; i++ {
-		o := coreOpts(0)
-		o.Seed = uint64(i) + 1
-		size = core.TwoSided(a, at, res.DR, res.DC, o).Matching.Size
-	}
-	b.ReportMetric(float64(size)/4000.0, "quality")
-	b.ReportMetric(bench.ConjectureTarget(), "target")
-}
-
-// --- Ablations ----------------------------------------------------------------
-
-func BenchmarkAblationScaling(b *testing.B) {
-	a := gen.FullyIndecomposable(100000, 3, 1)
-	at := a.Transpose()
-	b.Run("SinkhornKnopp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mustScale(b, a, at, 5, 0)
-		}
-	})
-	b.Run("Ruiz", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := scale.Ruiz(a, at, scale.Options{MaxIters: 5}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkAblationKSVariants(b *testing.B) {
-	a := gen.ERAvgDeg(100000, 100000, 3, 5)
-	at := a.Transpose()
-	b.Run("ExactSequentialKS", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ks.Run(a, at, uint64(i)+1)
-		}
-	})
-	b.Run("ParallelApproxKS", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ks.RunApprox(a, at, uint64(i)+1, 0)
-		}
-	})
-}
-
-func BenchmarkAblationSchedule(b *testing.B) {
-	a := gen.PowerLaw(60000, 15, 1.35, 30000, 1)
-	at := a.Transpose()
-	res := mustScale(b, a, at, 1, 0)
-	for _, pol := range []par.Policy{par.Static, par.Dynamic, par.Guided} {
-		b.Run(pol.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.OneSided(a, res.DR, res.DC, core.Options{
-					Policy: pol, KSPolicy: pol, Seed: 1})
-			}
-		})
-	}
-}
-
-// --- Supporting algorithms (baselines used across experiments) ---------------
-
-func BenchmarkExactSolvers(b *testing.B) {
-	a := gen.ERAvgDeg(100000, 100000, 4, 9)
-	b.Run("HopcroftKarp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			exact.HopcroftKarp(a, nil)
-		}
-	})
-	b.Run("MC21", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			exact.MC21(a, nil)
-		}
-	})
-	at := a.Transpose()
-	res := mustScale(b, a, at, 5, 0)
-	b.Run("MC21WarmStarted", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			o := coreOpts(0)
-			two := core.TwoSided(a, at, res.DR, res.DC, o)
-			exact.MC21(a, two.Matching)
-		}
-	})
-}
 
 // BenchmarkRefineHK times Hopcroft–Karp on the four refine families at
 // offline-exact's size (n = 40k), and on a mesh and an Erdős–Rényi graph
@@ -378,8 +72,6 @@ func BenchmarkRefineHK(b *testing.B) {
 		})
 	}
 }
-
-// --- Serving tiers -------------------------------------------------------------
 
 // BenchmarkServe times TwoSided requests served six ways on two small
 // graphs, where per-request dispatch rivals the kernels: one-shot
@@ -472,49 +164,4 @@ func BenchmarkServe(b *testing.B) {
 			}
 		})
 	}
-}
-
-// --- Extensions (paper future work / ref [31]) -------------------------------
-
-func BenchmarkExtensionUndirected(b *testing.B) {
-	g := RandomUndirected(200000, 6, 7)
-	var size int
-	for i := 0; i < b.N; i++ {
-		res := g.Match(uint64(i)+1, &Options{ScalingIterations: 3})
-		size = res.Size
-	}
-	b.ReportMetric(2*float64(size)/float64(g.Vertices()), "matched-frac")
-}
-
-func BenchmarkExtensionWalkupKOut(b *testing.B) {
-	for _, k := range []int{1, 2} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			var frac float64
-			for i := 0; i < b.N; i++ {
-				a := gen.KOut(8000, k, uint64(i)+1)
-				frac = float64(exact.Sprank(a)) / 8000.0
-			}
-			b.ReportMetric(frac, "sprank-frac")
-		})
-	}
-}
-
-func BenchmarkBaselineHeuristics(b *testing.B) {
-	a := gen.ERAvgDeg(100000, 100000, 4, 9)
-	at := a.Transpose()
-	b.Run("ClassicKarpSipser", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ks.Run(a, at, uint64(i)+1)
-		}
-	})
-	b.Run("CheapRandomEdge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cheap.RandomEdge(a, uint64(i)+1)
-		}
-	})
-	b.Run("CheapRandomVertex", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cheap.RandomVertex(a, uint64(i)+1)
-		}
-	})
 }

@@ -11,17 +11,10 @@
 //	matchbench -exp perf -cpuprofile cpu.prof   # profile an experiment
 //
 // Experiments: qualityfi, table1, table2, table3, fig3, fig4, fig5,
-// conjecture, ablation, extension, perf, refine, dyn, weighted.
-//
-// refine measures the exact-refinement engines (Hopcroft-Karp,
-// push-relabel, and the parallel MS-BFS-Graft engine at 1/2/4 workers)
-// completing one shared cheap warm start on adversarial instances, each
-// engine searching from the side the library's refinements search from
-// (the columns when an instance has fewer non-isolated columns than
-// rows), so push-relabel is timed on every instance. dyn measures
-// batched-mutation throughput of dynamic sessions: incrementally
-// maintained matchings vs a from-scratch recompute after every batch.
-// weighted times the auction and its ensembles.
+// conjecture, ablation, extension, perf, refine, dyn, weighted. Each is
+// defined in internal/bench, whose documentation says what it measures;
+// this command only parses flags and runs the selected ones in that
+// order.
 //
 // Every experiment prints a table. The first line of output names the
 // hardware the tables were measured on: CPU count, GOMAXPROCS and Go
@@ -42,13 +35,45 @@ import (
 	"repro/internal/bench"
 )
 
+// experiments are the -exp names, in the order -exp all runs them.
+var experiments = []struct {
+	name string
+	run  func(bench.Config)
+}{
+	{"qualityfi", func(c bench.Config) { bench.QualityFI(c, nil) }},
+	{"table1", func(c bench.Config) { bench.Table1(c, 0) }},
+	{"table2", func(c bench.Config) { bench.Table2(c, 0) }},
+	{"table3", func(c bench.Config) { bench.Table3(c) }},
+	{"fig3", func(c bench.Config) { bench.Fig3(c) }},
+	{"fig4", func(c bench.Config) { bench.Fig4(c) }},
+	{"fig5", func(c bench.Config) { bench.Fig5(c) }},
+	{"conjecture", func(c bench.Config) { bench.Conjecture(c, nil) }},
+	{"ablation", func(c bench.Config) {
+		bench.AblationScaling(c, 0)
+		bench.AblationSchedule(c, 0)
+		bench.AblationKSVariants(c, 0)
+	}},
+	{"extension", func(c bench.Config) {
+		bench.Walkup(c, nil)
+		bench.Undirected(c, 0)
+	}},
+	{"perf", bench.Perf},
+	{"refine", bench.Refine},
+	{"dyn", func(c bench.Config) { bench.Dyn(c) }},
+	{"weighted", func(c bench.Config) { bench.Weighted(c) }},
+}
+
 func main() { os.Exit(run()) }
 
 // run holds main's body so error exits unwind the deferred CPU-profile
 // stop and file close instead of truncating the profile via os.Exit.
 func run() int {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
 	var (
-		exp     = flag.String("exp", "all", "comma-separated experiments: qualityfi,table1,table2,table3,fig3,fig4,fig5,conjecture,ablation,extension,perf,refine,dyn,weighted")
+		exp     = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(names, ","))
 		scale   = flag.String("scale", "small", "instance scale: tiny | small | paper")
 		runs    = flag.Int("runs", 10, "randomized repetitions for min-quality tables")
 		seed    = flag.Uint64("seed", 1, "base RNG seed")
@@ -96,53 +121,20 @@ func run() int {
 	}
 	all := want["all"]
 	ran := 0
-	runExp := func(name string, f func()) {
-		if !all && !want[name] {
-			return
+	for _, e := range experiments {
+		if !all && !want[e.name] {
+			continue
 		}
 		ran++
 		start := time.Now()
-		fmt.Printf("\n### %s (scale=%s)\n", name, cfg.Scale)
-		f()
-		fmt.Printf("### %s done in %v\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("\n### %s (scale=%s)\n", e.name, cfg.Scale)
+		e.run(cfg)
+		fmt.Printf("### %s done in %v\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	runExp("qualityfi", func() { bench.QualityFI(cfg, nil) })
-	runExp("table1", func() { bench.Table1(cfg, 0) })
-	runExp("table2", func() { bench.Table2(cfg, table2N(cfg.Scale)) })
-	runExp("table3", func() { bench.Table3(cfg) })
-	runExp("fig3", func() { bench.Fig3(cfg) })
-	runExp("fig4", func() { bench.Fig4(cfg) })
-	runExp("fig5", func() { bench.Fig5(cfg) })
-	runExp("conjecture", func() { bench.Conjecture(cfg, nil) })
-	runExp("ablation", func() {
-		bench.AblationScaling(cfg, 0)
-		bench.AblationSchedule(cfg, 0)
-		bench.AblationKSVariants(cfg, 0)
-	})
-	runExp("extension", func() {
-		bench.Walkup(cfg, nil)
-		bench.Undirected(cfg, 0)
-	})
-	runExp("perf", func() { bench.Perf(cfg) })
-	runExp("refine", func() { bench.Refine(cfg) })
-	runExp("dyn", func() { dyn(cfg) })
-	runExp("weighted", func() { weighted(cfg) })
 
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "matchbench: no experiment matched %q\n", *exp)
 		return 2
 	}
 	return 0
-}
-
-func table2N(scale string) int {
-	switch scale {
-	case "tiny":
-		return 5000
-	case "paper":
-		return 100000 // the paper's size
-	default:
-		return 50000
-	}
 }

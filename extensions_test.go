@@ -160,6 +160,14 @@ func TestGuaranteeHelpers(t *testing.T) {
 	}
 }
 
+func TestTwoSidedConjectureMath(t *testing.T) {
+	// rho satisfies rho*e^rho = 1; check the inverse relation.
+	rho := 1 - TwoSidedConjecture()/2
+	if math.Abs(rho*math.Exp(rho)-1) > 1e-10 {
+		t.Fatalf("rho=%v does not solve x*e^x=1", rho)
+	}
+}
+
 func TestCertificateAPI(t *testing.T) {
 	g := RandomER(5000, 6000, 3, 21)
 	mt := g.MaximumMatching(nil)

@@ -3,8 +3,11 @@ package bench
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	bipartite "repro"
 )
 
 func tinyConfig(out *bytes.Buffer) Config {
@@ -126,7 +129,7 @@ func TestConjectureTinyApproachesTarget(t *testing.T) {
 	var out bytes.Buffer
 	cfg := tinyConfig(&out)
 	rows := Conjecture(cfg, []int{2000, 4000})
-	target := ConjectureTarget()
+	target := bipartite.TwoSidedConjecture()
 	if math.Abs(target-0.8656) > 0.001 {
 		t.Fatalf("conjecture target %v want ≈0.8656", target)
 	}
@@ -219,7 +222,7 @@ func TestSpeedupHarnessShape(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	var buf bytes.Buffer
-	tab := Table{Title: "demo", Headers: []string{"a", "bb"}}
+	tab := table{Title: "demo", Headers: []string{"a", "bb"}}
 	tab.AddRow("1", "2")
 	tab.AddRow("333", "4")
 	tab.Write(&buf)
@@ -278,10 +281,47 @@ func TestAblationKSVariantsTiny(t *testing.T) {
 	}
 }
 
-func TestConjectureTargetMath(t *testing.T) {
-	// rho satisfies rho*e^rho = 1; check the inverse relation.
-	rho := 1 - ConjectureTarget()/2
-	if math.Abs(rho*math.Exp(rho)-1) > 1e-10 {
-		t.Fatalf("rho=%v does not solve x*e^x=1", rho)
+func TestDynTraceReproducible(t *testing.T) {
+	g := bipartite.RandomER(500, 500, 4, 7)
+	a, b := dynTrace(g, 40, 6, 3), dynTrace(g, 40, 6, 3)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two traces from the same graph and seed differ")
+	}
+}
+
+func TestDynTiny(t *testing.T) {
+	var out bytes.Buffer
+	cfg := tinyConfig(&out)
+	rows := Dyn(cfg)
+	if len(rows) != 8 {
+		t.Fatalf("rows %d want 8 (2 instances x 2 specs x 2 modes)", len(rows))
+	}
+	again := Dyn(cfg)
+	for k, r := range rows {
+		if strings.HasSuffix(r.Mode, "-exact") && r.Quality != 1 {
+			t.Fatalf("%s %s: quality %v, want 1 on an exact session", r.Instance, r.Mode, r.Quality)
+		}
+		if r.Quality != again[k].Quality {
+			t.Fatalf("%s %s: quality %v, then %v on a second run", r.Instance, r.Mode, r.Quality, again[k].Quality)
+		}
+	}
+}
+
+func TestWeightedTiny(t *testing.T) {
+	var out bytes.Buffer
+	cfg := tinyConfig(&out)
+	rows := Weighted(cfg)
+	eps := map[string]float64{"weighted/auction": 0.05, "weighted/auction-coarse": 0.5, "weighted/auction-best4": 0.05}
+	if len(rows) != 3*len(eps) {
+		t.Fatalf("rows %d want %d (3 instances x %d modes)", len(rows), 3*len(eps), len(eps))
+	}
+	for _, r := range rows {
+		e, ok := eps[r.Mode]
+		if !ok {
+			t.Fatalf("unknown mode %q", r.Mode)
+		}
+		if q := r.Weight / r.DualBound; !(q >= 1-e) {
+			t.Fatalf("%s %s: weight/DualBound %v below 1-ε = %v", r.Instance, r.Mode, q, 1-e)
+		}
 	}
 }

@@ -1,7 +1,10 @@
 // Package bench is the experiment harness that regenerates every table and
 // figure of the paper's evaluation (Tables 1–3, Figures 3–5), the §4.1.1
-// quality study, the Conjecture 1 evidence and the design ablations. It is
-// shared by cmd/matchbench and the root testing.B benchmarks.
+// quality study, the Conjecture 1 evidence and the design ablations, and
+// times the library's other tiers (perf, refine, dyn, weighted) on the
+// same harness. Each experiment is defined here once; cmd/matchbench
+// parses its flags and runs them. Every experiment prints its tables to
+// Config.Out, and all but Perf and Refine also return their rows.
 package bench
 
 import (
@@ -48,11 +51,10 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// TimeBest runs f reps times and returns the fastest wall-clock duration —
+// timeBest runs f reps times and returns the fastest wall-clock duration —
 // the standard way to suppress scheduling noise in speedup measurements.
-// Exported so cmd/matchbench's dyn and weighted experiments share the
-// exact timing policy of the in-package experiments.
-func TimeBest(reps int, f func()) time.Duration {
+// Every experiment times through it.
+func timeBest(reps int, f func()) time.Duration {
 	best := time.Duration(1<<63 - 1)
 	for r := 0; r < reps; r++ {
 		start := time.Now()
@@ -64,18 +66,18 @@ func TimeBest(reps int, f func()) time.Duration {
 	return best
 }
 
-// Table is a simple fixed-width text table used for all reports.
-type Table struct {
+// table is a simple fixed-width text table used for all reports.
+type table struct {
 	Title   string
 	Headers []string
 	Rows    [][]string
 }
 
 // AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+func (t *table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
 // Write renders the table.
-func (t *Table) Write(w io.Writer) {
+func (t *table) Write(w io.Writer) {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
 		widths[i] = len(h)

@@ -1,4 +1,4 @@
-package main
+package bench
 
 import (
 	"fmt"
@@ -6,8 +6,19 @@ import (
 	"time"
 
 	bipartite "repro"
-	"repro/internal/bench"
 )
+
+// DynRow is one row of the dyn experiment: a mutation trace replayed on
+// one instance in one mode.
+type DynRow struct {
+	Instance string
+	Edges    int
+	Mode     string
+	Batches  int
+	Best     time.Duration // fastest replay of the whole trace
+	Quality  float64       // |M|/sprank after the last batch
+	Speedup  float64       // recompute time over this mode's time
+}
 
 // dynInstances are the mutation workloads: mid-sized instances where a
 // full recompute per batch is clearly measurable against incremental
@@ -37,62 +48,61 @@ type dynBatch struct {
 	ins, del [][2]int
 }
 
-// dynTrace pre-generates a deterministic mutation trace outside the timed
-// region: per batch, a few deletions sampled from the live edge set and a
-// few uniform insertions, mirrored so every tier replays the identical
-// trace.
+// dynTrace pre-generates a mutation trace outside the timed region: per
+// batch, a few deletions sampled from the live edge set and a few uniform
+// insertions, so every mode replays the identical trace. The live edges
+// are kept in a slice whose order depends only on the draws (a deletion
+// moves the last edge into its slot, an insertion appends), with a map
+// for membership only, so the trace is a function of (g, seed).
 func dynTrace(g *bipartite.Graph, batches, perBatch int, seed uint64) []dynBatch {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	live := make([][2]int, 0, g.Edges())
-	set := make(map[[2]int]bool, g.Edges())
+	pos := make(map[[2]int]int, g.Edges()) // index of each live edge in live
+	insert := func(e [2]int) {
+		if _, ok := pos[e]; !ok {
+			pos[e] = len(live)
+			live = append(live, e)
+		}
+	}
 	for i := 0; i < g.Rows(); i++ {
 		for _, j := range g.Neighbors(i) {
-			e := [2]int{i, int(j)}
-			live = append(live, e)
-			set[e] = true
+			insert([2]int{i, int(j)})
 		}
 	}
 	trace := make([]dynBatch, batches)
 	for b := range trace {
-		var t dynBatch
+		t := &trace[b]
 		for k := 0; k < perBatch/2; k++ {
-			e := live[rng.Intn(len(live))]
+			p := rng.Intn(len(live))
+			e, last := live[p], live[len(live)-1]
 			t.del = append(t.del, e)
-			delete(set, e)
+			live[p], pos[last] = last, p
+			live = live[:len(live)-1]
+			delete(pos, e)
 		}
 		for k := 0; k < perBatch-perBatch/2; k++ {
 			e := [2]int{rng.Intn(g.Rows()), rng.Intn(g.Cols())}
 			t.ins = append(t.ins, e)
-			set[e] = true
+			insert(e)
 		}
-		// Rebuild the sampling list; correctness only needs it to cover the
-		// live set, and a full rebuild keeps the generator trivially right.
-		live = live[:0]
-		for e := range set {
-			live = append(live, e)
-		}
-		trace[b] = t
 	}
 	return trace
 }
 
-// dyn measures batched mutation throughput two ways per spec tier:
+// Dyn measures batched mutation throughput two ways per spec tier:
 // maintained (one DynSession absorbs the whole trace, repairing
 // incrementally) versus recompute (the mutated snapshot is re-solved from
 // scratch after every batch — the baseline any system without incremental
 // maintenance pays). us/batch is the time per mutation batch; speedup is
 // maintained-vs-recompute within the same spec tier, the number this
 // experiment exists to track.
-func dyn(cfg bench.Config) {
+func Dyn(cfg Config) []DynRow {
 	cfg = cfg.Defaults()
 	batches := 15 * cfg.Runs // 150 at the default 10 runs
 	const perBatch = 6
 	opt := &bipartite.Options{ScalingIterations: 5}
 
-	tbl := &bench.Table{
-		Title:   "dyn: batched mutations, incremental maintenance vs recompute-per-batch",
-		Headers: []string{"instance", "edges", "mode", "batch/s", "us/batch", "quality", "speedup"},
-	}
+	var rows []DynRow
 	for _, inst := range dynInstances(cfg.Scale) {
 		g := inst.g
 		trace := dynTrace(g, batches, perBatch, cfg.Seed)
@@ -140,23 +150,28 @@ func dyn(cfg bench.Config) {
 				}
 			}
 
-			recomputeBest := bench.TimeBest(3, recompute)
-			emitDyn(tbl, inst.name, g.Edges(), "dyn/recompute-"+sp.name,
-				batches, recomputeBest, quality, 1.0)
-			maintainedBest := bench.TimeBest(3, maintained)
-			emitDyn(tbl, inst.name, g.Edges(), "dyn/maintained-"+sp.name,
-				batches, maintainedBest, quality, float64(recomputeBest)/float64(maintainedBest))
+			recomputeBest := timeBest(3, recompute)
+			rows = append(rows, DynRow{Instance: inst.name, Edges: g.Edges(), Mode: "dyn/recompute-" + sp.name,
+				Batches: batches, Best: recomputeBest, Quality: quality, Speedup: 1})
+			maintainedBest := timeBest(3, maintained)
+			rows = append(rows, DynRow{Instance: inst.name, Edges: g.Edges(), Mode: "dyn/maintained-" + sp.name,
+				Batches: batches, Best: maintainedBest, Quality: quality,
+				Speedup: float64(recomputeBest) / float64(maintainedBest)})
 		}
 	}
-	tbl.Write(cfg.Out)
-}
 
-func emitDyn(tbl *bench.Table, inst string, edges int,
-	mode string, batches int, best time.Duration, quality, speedup float64) {
-	perBatch := best / time.Duration(batches)
-	tbl.AddRow(inst, fmt.Sprintf("%d", edges), mode,
-		fmt.Sprintf("%.0f", float64(batches)/best.Seconds()),
-		fmt.Sprintf("%.1f", float64(perBatch.Microseconds())),
-		fmt.Sprintf("%.4f", quality),
-		fmt.Sprintf("%.2f", speedup))
+	t := table{
+		Title:   "dyn: batched mutations, incremental maintenance vs recompute-per-batch",
+		Headers: []string{"instance", "edges", "mode", "batch/s", "us/batch", "quality", "speedup"},
+	}
+	for _, r := range rows {
+		perBatch := r.Best / time.Duration(r.Batches)
+		t.AddRow(r.Instance, itoa(r.Edges), r.Mode,
+			fmt.Sprintf("%.0f", float64(r.Batches)/r.Best.Seconds()),
+			fmt.Sprintf("%.1f", float64(perBatch.Microseconds())),
+			fmt.Sprintf("%.4f", r.Quality),
+			f2(r.Speedup))
+	}
+	t.Write(cfg.Out)
+	return rows
 }

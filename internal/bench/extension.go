@@ -6,7 +6,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/sparse"
 	"repro/internal/undirected"
-	"repro/internal/xrand"
 )
 
 // WalkupRow is one size point of the k-out experiment (paper ref [31]):
@@ -33,7 +32,7 @@ func Walkup(cfg Config, sizes []int) []WalkupRow {
 		row.ThreeOut = float64(exact.Sprank(gen.KOut(n, 3, cfg.Seed))) / float64(n)
 		rows = append(rows, row)
 	}
-	t := Table{
+	t := table{
 		Title:   "Extension: Walkup k-out graphs (1-out -> 0.866, 2-out -> perfect)",
 		Headers: []string{"n", "sprank(1-out)/n", "sprank(2-out)/n", "sprank(3-out)/n"},
 	}
@@ -62,7 +61,7 @@ func Undirected(cfg Config, n int) []UndirectedRow {
 		name  string
 		build func() *sparse.CSR
 	}{
-		{"er-d6", func() *sparse.CSR { return symmetricER(n, 6, cfg.Seed) }},
+		{"er-d6", func() *sparse.CSR { return gen.SymmetricER(n, 6, cfg.Seed) }},
 		{"ring", func() *sparse.CSR { return ring(n) }},
 		{"mesh2d", func() *sparse.CSR { return gen.Mesh2D(isqrt(n), isqrt(n)) }},
 		{"triangles", func() *sparse.CSR { return triangles(n) }},
@@ -80,7 +79,7 @@ func Undirected(cfg Config, n int) []UndirectedRow {
 			Matched: res.Size, Frac: 2 * float64(res.Size) / float64(g.N()),
 		})
 	}
-	t := Table{
+	t := table{
 		Title:   "Extension: undirected 1-out heuristic (conclusion's future work)",
 		Headers: []string{"class", "n", "edges", "matched", "2|M|/n"},
 	}
@@ -89,25 +88,6 @@ func Undirected(cfg Config, n int) []UndirectedRow {
 	}
 	t.Write(cfg.Out)
 	return rows
-}
-
-func symmetricER(n int, avgDeg float64, seed uint64) *sparse.CSR {
-	rng := xrand.New(seed)
-	m := int(avgDeg * float64(n) / 2)
-	entries := make([]sparse.Coord, 0, 2*m)
-	for k := 0; k < m; k++ {
-		u := int32(rng.Intn(n))
-		v := int32(rng.Intn(n))
-		if u == v {
-			continue
-		}
-		entries = append(entries, sparse.Coord{I: u, J: v}, sparse.Coord{I: v, J: u})
-	}
-	a, err := sparse.FromCOO(n, n, entries, false)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 func ring(n int) *sparse.CSR {

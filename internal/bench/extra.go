@@ -1,8 +1,7 @@
 package bench
 
 import (
-	"math"
-
+	bipartite "repro"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
@@ -21,18 +20,6 @@ type ConjectureRow struct {
 	OneFrac    float64
 	TwoFrac    float64
 	TwoIsMaxOf float64 // max matching of the sampled 1-out graph / n
-}
-
-// ConjectureTarget is 2(1-ρ) with ρ the unique root of x e^x = 1.
-func ConjectureTarget() float64 {
-	// Newton iteration for x e^x - 1 = 0.
-	x := 0.5
-	for i := 0; i < 60; i++ {
-		f := x*math.Exp(x) - 1
-		fp := math.Exp(x) * (1 + x)
-		x -= f / fp
-	}
-	return 2 * (1 - x)
 }
 
 // Conjecture runs the experiment over growing n.
@@ -61,9 +48,9 @@ func Conjecture(cfg Config, sizes []int) []ConjectureRow {
 			TwoIsMaxOf: float64(maxOneOut) / float64(n),
 		})
 	}
-	t := Table{
+	t := table{
 		Title: "Conjecture 1: random 1-out graph matching fraction " +
-			"(targets: OneSided 0.632, TwoSided " + f3(ConjectureTarget()) + ")",
+			"(targets: OneSided 0.632, TwoSided " + f3(bipartite.TwoSidedConjecture()) + ")",
 		Headers: []string{"n", "OneSided/n", "TwoSided/n", "max(1-out)/n"},
 	}
 	for _, r := range rows {
@@ -112,7 +99,7 @@ func QualityFI(cfg Config, sizes []int) []QualityFIRow {
 			rows = append(rows, row)
 		}
 	}
-	t := Table{
+	t := table{
 		Title: "§4.1.1: quality on total-support matrices, 10 SK iterations " +
 			"(guarantees 0.632 / 0.866, min of " + itoa(cfg.Runs) + " runs)",
 		Headers: []string{"n", "extras", "OneSided", "TwoSided", "one>=0.632", "two>=0.866"},
@@ -171,7 +158,7 @@ func AblationScaling(cfg Config, n int) []AblationRow {
 			RuizQual: float64(rzTwo.Matching.Size) / float64(n),
 		})
 	}
-	t := Table{
+	t := table{
 		Title:   "Ablation: Sinkhorn-Knopp vs Ruiz at equal iteration budgets (n=" + itoa(n) + ")",
 		Headers: []string{"iters", "SK err", "Ruiz err", "SK two-q", "Ruiz two-q"},
 	}
@@ -215,14 +202,14 @@ func AblationKSVariants(cfg Config, n int) []KSVariantRow {
 		row := KSVariantRow{Name: inst.name}
 
 		var size int
-		d := TimeBest(3, func() {
+		d := timeBest(3, func() {
 			mt, _ := ks.Run(a, at, cfg.Seed)
 			size = mt.Size
 		})
 		row.ExactKSQ = float64(size) / float64(sp)
 		row.ExactKSMs = float64(d.Microseconds()) / 1000
 
-		d = TimeBest(3, func() {
+		d = timeBest(3, func() {
 			size = ks.RunApprox(a, at, cfg.Seed, 0).Size
 		})
 		row.ApproxKSQ = float64(size) / float64(sp)
@@ -232,7 +219,7 @@ func AblationKSVariants(cfg Config, n int) []KSVariantRow {
 		if err != nil {
 			panic(err)
 		}
-		d = TimeBest(3, func() {
+		d = timeBest(3, func() {
 			o := core.Options{Policy: par.Dynamic, KSPolicy: par.Guided, Seed: cfg.Seed}
 			size = core.TwoSided(a, at, res.DR, res.DC, o).Matching.Size
 		})
@@ -240,7 +227,7 @@ func AblationKSVariants(cfg Config, n int) []KSVariantRow {
 		row.TwoMs = float64(d.Microseconds()) / 1000
 		rows = append(rows, row)
 	}
-	t := Table{
+	t := table{
 		Title: "Ablation: Karp-Sipser variants (exact seq. vs lock-free parallel [4] vs TwoSided)",
 		Headers: []string{"instance", "exactKS q", "ms", "parKS q", "ms",
 			"TwoSided q", "ms"},
@@ -268,12 +255,12 @@ func AblationSchedule(cfg Config, n int) map[string]float64 {
 	}
 	w := cfg.Threads[len(cfg.Threads)-1]
 	out := map[string]float64{}
-	t := Table{
+	t := table{
 		Title:   "Ablation: scheduling policy for OneSidedMatch on a skewed instance (threads=" + itoa(w) + ")",
 		Headers: []string{"policy", "time(ms)"},
 	}
 	for _, pol := range []par.Policy{par.Static, par.Dynamic, par.Guided} {
-		d := TimeBest(3, func() {
+		d := timeBest(3, func() {
 			core.OneSided(a, res.DR, res.DC, core.Options{
 				Workers: w, Policy: pol, KSPolicy: pol, Seed: cfg.Seed})
 		})

@@ -41,12 +41,12 @@ func fig3One(cfg Config, inst Instance) (sRow, oRow SpeedupRow) {
 	oRow = sRow
 
 	times := func(w int) (time.Duration, time.Duration) {
-		ts := TimeBest(3, func() {
+		ts := timeBest(3, func() {
 			if _, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 1, Workers: w}); err != nil {
 				panic(err)
 			}
 		})
-		to := TimeBest(3, func() {
+		to := timeBest(3, func() {
 			r, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 1, Workers: w})
 			if err != nil {
 				panic(err)
@@ -89,15 +89,15 @@ func fig4One(cfg Config, inst Instance) (kRow, tRow SpeedupRow) {
 	if err != nil {
 		panic(err)
 	}
-	g := sampleChoiceGraph(a, at, res.DR, res.DC,
-		core.Options{Policy: par.Dynamic, KSPolicy: par.Guided, Seed: cfg.Seed})
+	g := core.TwoSided(a, at, res.DR, res.DC,
+		core.Options{Policy: par.Dynamic, KSPolicy: par.Guided, Seed: cfg.Seed}).Graph
 
 	kRow = SpeedupRow{Name: inst.Name, PaperName: inst.PaperName, Threads: cfg.Threads}
 	tRow = kRow
 	times := func(w int) (time.Duration, time.Duration) {
 		o := core.Options{Workers: w, Policy: par.Dynamic, KSPolicy: par.Guided, Seed: cfg.Seed}
-		tk := TimeBest(3, func() { core.KarpSipserMT(g, o) })
-		tt := TimeBest(3, func() {
+		tk := timeBest(3, func() { core.KarpSipserMT(g, o) })
+		tt := timeBest(3, func() {
 			r, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 1, Workers: w})
 			if err != nil {
 				panic(err)
@@ -121,7 +121,7 @@ func reportSpeedups(cfg Config, title string, rows []SpeedupRow) {
 	for _, w := range cfg.Threads {
 		headers = append(headers, "x"+itoa(w))
 	}
-	t := Table{Title: title, Headers: headers}
+	t := table{Title: title, Headers: headers}
 	for _, r := range rows {
 		cells := []string{r.Name, r.PaperName, ms(r.T1)}
 		for _, s := range r.Speedup {
@@ -164,7 +164,7 @@ func Fig5(cfg Config) []QualityRow {
 		}
 		rows = append(rows, row)
 	}
-	t := Table{
+	t := table{
 		Title: "Figure 5: matching quality vs scaling iterations " +
 			"(guarantees: OneSided 0.632, TwoSided 0.866)",
 		Headers: []string{"instance", "paper",

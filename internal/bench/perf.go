@@ -70,7 +70,7 @@ func Perf(cfg Config) {
 	defer pool.Close()
 
 	reps := 3
-	tbl := &Table{
+	tbl := &table{
 		Title:   "perf: wall clock and quality across the thread sweep",
 		Headers: []string{"instance", "edges", "heuristic", "threads", "ms", "quality", "speedup"},
 	}
@@ -82,7 +82,7 @@ func Perf(cfg Config) {
 			// The speedup denominator is always a measured 1-worker run,
 			// even when the sweep starts higher, so mixed thread lists stay
 			// comparable.
-			anchor := TimeBest(reps, func() { runHeuristic(h, a, at, cfg.Seed, 1, pool, sprank) })
+			anchor := timeBest(reps, func() { runHeuristic(h, a, at, cfg.Seed, 1, pool, sprank) })
 			for _, th := range cfg.Threads {
 				var quality float64
 				run := func() {
@@ -90,7 +90,7 @@ func Perf(cfg Config) {
 				}
 				best := anchor
 				if th != 1 {
-					best = TimeBest(reps, run)
+					best = timeBest(reps, run)
 				} else {
 					run() // one extra pass to fill in the quality
 				}

@@ -65,7 +65,7 @@ func Refine(cfg Config) {
 	defer pool.Close()
 
 	reps := 5
-	tbl := &Table{
+	tbl := &table{
 		Title:   "refine: exact-refinement engines from one cheap warm start",
 		Headers: []string{"instance", "edges", "engine", "threads", "ms", "quality", "speedup", "vs-hk"},
 	}
@@ -83,7 +83,7 @@ func Refine(cfg Config) {
 		var hk time.Duration // Hopcroft–Karp's time on this instance, once measured
 		record := func(engine string, workers int, run func() *exact.Matching, anchor time.Duration) time.Duration {
 			var size int
-			best := TimeBest(reps, func() { size = run().Size })
+			best := timeBest(reps, func() { size = run().Size })
 			if size != sprank {
 				panic(fmt.Sprintf("bench: refine %s/%s reached %d, sprank is %d", tc.name, engine, size, sprank))
 			}

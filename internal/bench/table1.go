@@ -71,7 +71,7 @@ func Table1(cfg Config, n int) []Table1Row {
 }
 
 func report1(cfg Config, n int, rows []Table1Row) {
-	t := Table{
+	t := table{
 		Title: "Table 1: KS vs TwoSidedMatch on the hard family (n=" +
 			itoa(n) + ", min of " + itoa(cfg.Runs) + " runs)",
 		Headers: []string{"k", "KarpSipser",

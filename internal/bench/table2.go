@@ -18,12 +18,20 @@ type Table2Row struct {
 	TwoQ   float64 // min over runs
 }
 
-// Table2 runs the square experiment (paper: n = 100000) and the
-// rectangular follow-up (m = n, n·1.2 columns at 5 iterations).
+// Table2 runs the square experiment and the rectangular follow-up (m = n,
+// n·1.2 columns at 5 iterations). n <= 0 picks the scale's size: 5000 at
+// "tiny", 50000 at "small" and the paper's 100000 at "paper".
 func Table2(cfg Config, n int) (rows []Table2Row, rectOne, rectTwo float64) {
 	cfg = cfg.Defaults()
 	if n <= 0 {
-		n = 100000
+		switch cfg.Scale {
+		case "tiny":
+			n = 5000
+		case "paper":
+			n = 100000
+		default:
+			n = 50000
+		}
 	}
 	iters := []int{0, 1, 5, 10}
 	for _, d := range []int{2, 3, 4, 5} {
@@ -84,7 +92,7 @@ func rectangular(cfg Config, m, n int) (oneQ, twoQ float64) {
 }
 
 func report2(cfg Config, n int, rows []Table2Row, rectOne, rectTwo float64) {
-	t := Table{
+	t := table{
 		Title: "Table 2: quality on sprank-deficient ER matrices (n=" + itoa(n) +
 			", min of " + itoa(cfg.Runs) + " runs)",
 		Headers: []string{"d", "iter", "sprank", "OneSided", "TwoSided"},

@@ -7,7 +7,6 @@ import (
 	"repro/internal/exact"
 	"repro/internal/par"
 	"repro/internal/scale"
-	"repro/internal/sparse"
 )
 
 // Table3Row reproduces one row of Table 3: instance statistics, scaling
@@ -58,24 +57,24 @@ func table3One(cfg Config, inst Instance) Table3Row {
 	}
 
 	// ScaleSK, one iteration, sequential.
-	row.TScale = TimeBest(reps, func() {
+	row.TScale = timeBest(reps, func() {
 		if _, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 1, Workers: 1}); err != nil {
 			panic(err)
 		}
 	})
 	// OneSidedMatch = ScaleSK(1) + sampling + write.
-	row.TOneSided = TimeBest(reps, func() {
+	row.TOneSided = timeBest(reps, func() {
 		r, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 1, Workers: 1})
 		if err != nil {
 			panic(err)
 		}
 		core.OneSided(a, r.DR, r.DC, seq)
 	})
-	// KarpSipserMT alone on a pre-sampled choice graph.
-	g := sampleChoiceGraph(a, at, res.DR, res.DC, seq)
-	row.TKarpSipserMT = TimeBest(reps, func() { core.KarpSipserMT(g, seq) })
+	// KarpSipserMT alone on a choice graph drawn by a TwoSided session.
+	g := core.TwoSided(a, at, res.DR, res.DC, seq).Graph
+	row.TKarpSipserMT = timeBest(reps, func() { core.KarpSipserMT(g, seq) })
 	// TwoSidedMatch = ScaleSK(1) + sampling both sides + KarpSipserMT.
-	row.TTwoSided = TimeBest(reps, func() {
+	row.TTwoSided = timeBest(reps, func() {
 		r, err := scale.SinkhornKnopp(a, at, scale.Options{MaxIters: 1, Workers: 1})
 		if err != nil {
 			panic(err)
@@ -85,14 +84,8 @@ func table3One(cfg Config, inst Instance) Table3Row {
 	return row
 }
 
-func sampleChoiceGraph(a, at *sparse.CSR, dr, dc []float64, o core.Options) *core.ChoiceGraph {
-	r := core.SampleRowChoices(a, dr, dc, o)
-	c := core.SampleColChoices(at, dr, dc, o)
-	return core.NewChoiceGraph(a.RowsN, a.ColsN, r, c)
-}
-
 func report3(cfg Config, rows []Table3Row) {
-	t := Table{
+	t := table{
 		Title: "Table 3: instance statistics, scaling error and sequential times (ms)",
 		Headers: []string{"instance", "paper", "n", "edges", "deg",
 			"sprank/n", "err@1", "err@5", "err@10",

@@ -1,14 +1,26 @@
-package main
+package bench
 
 import (
 	"fmt"
 	"time"
 
 	bipartite "repro"
-	"repro/internal/bench"
 )
 
-// weighted benchmarks the ε-scaling auction tier: matched-weight
+// WeightedRow is one row of the weighted experiment: one auction mode on
+// one weighted instance.
+type WeightedRow struct {
+	Instance  string
+	Edges     int
+	Mode      string
+	Best      time.Duration // fastest solve
+	Weight    float64       // matched weight
+	DualBound float64       // the auction's LP-dual certificate
+	Rounds    int
+	Speedup   float64 // the default single run's time over this mode's
+}
+
+// Weighted benchmarks the ε-scaling auction tier: matched-weight
 // maximization on uniform and heavy-tailed weight assignments, single
 // runs at two slacks plus a best-of-K bidding-seed ensemble. us/solve
 // is the time per full auction solve; quality is the certified ratio
@@ -17,7 +29,7 @@ import (
 // weight/optimal at any instance size (the (1−ε) contract guarantees it
 // ≥ 1−ε; it is typically far closer to 1). speedup is each mode's
 // throughput relative to the default single run on the same instance.
-func weighted(cfg bench.Config) {
+func Weighted(cfg Config) []WeightedRow {
 	cfg = cfg.Defaults()
 	n := 4000
 	switch cfg.Scale {
@@ -44,35 +56,40 @@ func weighted(cfg bench.Config) {
 	}
 	opt := &bipartite.Options{Workers: 1}
 
-	tbl := &bench.Table{
-		Title:   "weighted: ε-scaling auction, matched weight within (1−ε) of optimal",
-		Headers: []string{"instance", "edges", "mode", "us/solve", "weight", "quality", "rounds", "speedup"},
-	}
+	var rows []WeightedRow
 	for _, inst := range instances {
 		var base time.Duration
 		for _, mode := range modes {
 			var res *bipartite.MatchResult
-			best := bench.TimeBest(3, func() {
+			best := timeBest(3, func() {
 				r, err := inst.g.Match(mode.spec, opt)
 				if err != nil {
 					panic(err)
 				}
 				res = r
 			})
-			quality := res.MatchedWeight / res.DualBound
 			speedup := 1.0
 			if mode.name == "weighted/auction" {
 				base = best
 			} else if base > 0 {
 				speedup = float64(base) / float64(best)
 			}
-			tbl.AddRow(inst.name, fmt.Sprintf("%d", inst.g.Edges()), mode.name,
-				fmt.Sprintf("%.0f", float64(best)/float64(time.Microsecond)),
-				fmt.Sprintf("%.1f", res.MatchedWeight),
-				fmt.Sprintf("%.4f", quality),
-				fmt.Sprintf("%d", res.Rounds),
-				fmt.Sprintf("%.2f", speedup))
+			rows = append(rows, WeightedRow{
+				Instance: inst.name, Edges: inst.g.Edges(), Mode: mode.name, Best: best,
+				Weight: res.MatchedWeight, DualBound: res.DualBound, Rounds: res.Rounds, Speedup: speedup,
+			})
 		}
 	}
-	tbl.Write(cfg.Out)
+
+	t := table{
+		Title:   "weighted: ε-scaling auction, matched weight within (1−ε) of optimal",
+		Headers: []string{"instance", "edges", "mode", "us/solve", "weight", "quality", "rounds", "speedup"},
+	}
+	for _, r := range rows {
+		t.AddRow(r.Instance, itoa(r.Edges), r.Mode,
+			fmt.Sprintf("%.0f", float64(r.Best)/float64(time.Microsecond)),
+			f1(r.Weight), fmt.Sprintf("%.4f", r.Weight/r.DualBound), itoa(r.Rounds), f2(r.Speedup))
+	}
+	t.Write(cfg.Out)
+	return rows
 }

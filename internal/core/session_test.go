@@ -51,3 +51,33 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 		cmpMatching(t, fmt.Sprintf("w=%d one-sided", w), s.OneSided(9), CMatchToMatching(a.RowsN, wantC))
 	}
 }
+
+// TestSessionChoiceGraphMatchesSampledChoices holds a TwoSided session's
+// choice graph to the one NewChoiceGraph assembles from SampleRowChoices
+// and SampleColChoices at the same seed: the same draws, and the same
+// self-loop ids for empty rows and columns.
+func TestSessionChoiceGraphMatchesSampledChoices(t *testing.T) {
+	a := gen.ERAvgDeg(300, 400, 1.5, 3)
+	at, dr, dc := scaled(t, a, 3)
+	if a.EmptyRows() == 0 || at.EmptyRows() == 0 {
+		t.Fatal("the instance needs empty rows and empty columns")
+	}
+	for _, sc := range []struct {
+		name   string
+		dr, dc []float64
+	}{{"uniform", nil, nil}, {"scaled", dr, dc}} {
+		for _, w := range []int{1, 3} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				o := opts(w, seed)
+				want := NewChoiceGraph(a.RowsN, a.ColsN,
+					SampleRowChoices(a, sc.dr, sc.dc, o), SampleColChoices(at, sc.dr, sc.dc, o))
+				got := TwoSided(a, at, sc.dr, sc.dc, o).Graph
+				what := fmt.Sprintf("%s w=%d seed %d", sc.name, w, seed)
+				if got.N != want.N || got.M != want.M {
+					t.Fatalf("%s: shape %dx%d want %dx%d", what, got.N, got.M, want.N, want.M)
+				}
+				cmpI32s(t, what+" Choice", got.Choice, want.Choice)
+			}
+		}
+	}
+}

@@ -70,6 +70,29 @@ func ERAvgDeg(rows, cols int, d float64, seed uint64) *sparse.CSR {
 	return ER(rows, cols, int(math.Round(d*float64(rows))), seed)
 }
 
+// SymmetricER returns the symmetric pattern of an undirected Erdős–Rényi
+// graph on n vertices with average degree about avgDeg: avgDeg·n/2
+// uniform vertex pairs, each stored in both directions, with self pairs
+// dropped and duplicates removed.
+func SymmetricER(n int, avgDeg float64, seed uint64) *sparse.CSR {
+	rng := xrand.New(seed)
+	m := int(avgDeg * float64(n) / 2)
+	entries := make([]sparse.Coord, 0, 2*m)
+	for k := 0; k < m; k++ {
+		u := int32(rng.Intn(n))
+		v := int32(rng.Intn(n))
+		if u == v {
+			continue
+		}
+		entries = append(entries, sparse.Coord{I: u, J: v}, sparse.Coord{I: v, J: u})
+	}
+	a, err := sparse.FromCOO(n, n, entries, false)
+	if err != nil {
+		panic("gen: SymmetricER produced invalid matrix: " + err.Error())
+	}
+	return a
+}
+
 // BadKS constructs the Fig. 2 family that defeats the classic Karp–Sipser
 // heuristic. n must be even and k <= n/2. Layout (h = n/2):
 //

@@ -7,11 +7,11 @@
 //
 // Parallel regions do not spawn goroutines: they are dispatched to parked
 // workers of a Pool (see its documentation for the runtime design and
-// lifecycle). The package-level For, Do, ReduceFloat64 and ReduceInt64
-// use the process-wide Default pool; callers that want an isolated or
-// width-limited set of workers create their own Pool with NewPool and use
-// the identically-named methods, reusing the one pool across scaling,
-// sampling and both Karp–Sipser phases.
+// lifecycle). The package-level For uses the process-wide Default pool;
+// callers that want an isolated or width-limited set of workers create
+// their own Pool with NewPool and use its methods (For, ForCancel, Do,
+// ReduceFloat64), reusing the one pool across scaling, sampling and both
+// Karp–Sipser phases.
 package par
 
 import "runtime"
@@ -69,28 +69,4 @@ func Workers(n int) int {
 // keeps sequential baselines free of any dispatch overhead.
 func For(n, workers int, policy Policy, chunk int, body func(worker, lo, hi int)) {
 	Default().For(n, workers, policy, chunk, body)
-}
-
-// Do runs fn once per worker id in [0, workers) concurrently on the
-// Default pool and waits for all of them. It is the building block for
-// loops that need per-worker state such as RNG streams.
-func Do(workers int, fn func(worker int)) {
-	Default().Do(workers, fn)
-}
-
-// ReduceFloat64 runs a parallel-for on the Default pool and combines one
-// float64 partial result per worker with combine (which must be
-// associative and commutative). identity is the initial value of every
-// partial accumulator.
-func ReduceFloat64(n, workers int, policy Policy, chunk int, identity float64,
-	body func(worker, lo, hi int, acc float64) float64,
-	combine func(a, b float64) float64) float64 {
-	return Default().ReduceFloat64(n, workers, policy, chunk, identity, body, combine)
-}
-
-// ReduceInt64 is ReduceFloat64 for int64 accumulators.
-func ReduceInt64(n, workers int, policy Policy, chunk int, identity int64,
-	body func(worker, lo, hi int, acc int64) int64,
-	combine func(a, b int64) int64) int64 {
-	return Default().ReduceInt64(n, workers, policy, chunk, identity, body, combine)
 }

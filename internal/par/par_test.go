@@ -107,7 +107,7 @@ func TestWorkersNormalization(t *testing.T) {
 func TestDoRunsEachWorkerOnce(t *testing.T) {
 	const workers = 9
 	var counts [workers]int32
-	Do(workers, func(w int) { atomic.AddInt32(&counts[w], 1) })
+	Default().Do(workers, func(w int) { atomic.AddInt32(&counts[w], 1) })
 	for w, c := range counts {
 		if c != 1 {
 			t.Fatalf("worker %d ran %d times", w, c)
@@ -117,7 +117,7 @@ func TestDoRunsEachWorkerOnce(t *testing.T) {
 
 func TestReduceFloat64Sum(t *testing.T) {
 	const n = 12345
-	got := ReduceFloat64(n, 8, Dynamic, 64, 0,
+	got := Default().ReduceFloat64(n, 8, Dynamic, 64, 0,
 		func(_, lo, hi int, acc float64) float64 {
 			for i := lo; i < hi; i++ {
 				acc += float64(i)
@@ -132,7 +132,7 @@ func TestReduceFloat64Sum(t *testing.T) {
 
 func TestReduceFloat64Max(t *testing.T) {
 	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	got := ReduceFloat64(len(vals), 4, Guided, 2, 0,
+	got := Default().ReduceFloat64(len(vals), 4, Guided, 2, 0,
 		func(_, lo, hi int, acc float64) float64 {
 			for i := lo; i < hi; i++ {
 				if vals[i] > acc {
@@ -148,15 +148,6 @@ func TestReduceFloat64Max(t *testing.T) {
 		})
 	if got != 9 {
 		t.Fatalf("max = %v want 9", got)
-	}
-}
-
-func TestReduceInt64Count(t *testing.T) {
-	got := ReduceInt64(1000, 6, Static, 1, 0,
-		func(_, lo, hi int, acc int64) int64 { return acc + int64(hi-lo) },
-		func(a, b int64) int64 { return a + b })
-	if got != 1000 {
-		t.Fatalf("count = %d want 1000", got)
 	}
 }
 
@@ -195,7 +186,7 @@ func BenchmarkForDynamic(b *testing.B) {
 	}
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
-		ReduceFloat64(len(data), 0, Dynamic, 512, 0,
+		Default().ReduceFloat64(len(data), 0, Dynamic, 512, 0,
 			func(_, lo, hi int, acc float64) float64 {
 				for i := lo; i < hi; i++ {
 					acc += data[i]

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent set of worker goroutines that For, Do and the
-// reductions dispatch loop bodies to. Creating goroutines and tearing them
+// Pool is a persistent set of worker goroutines that For, Do and
+// ReduceFloat64 dispatch loop bodies to. Creating goroutines and tearing them
 // down on every parallel region (the classic Go idiom) costs a goroutine
 // spawn plus a WaitGroup wake per worker per call; the matching heuristics
 // issue dozens of parallel regions per run (scaling sweeps, sampling,
@@ -33,7 +33,7 @@ import (
 // pool's physical parallelism.
 //
 // The zero value is not usable; use NewPool, or the process-wide Default
-// pool that the package-level functions dispatch to.
+// pool that the package-level For dispatches to.
 type Pool struct {
 	width int
 	chans []chan task
@@ -153,13 +153,10 @@ var loopPool = sync.Pool{New: func() any {
 	return l
 }}
 
-// scratchF64 and scratchI64 recycle the per-slot partial-result slices of
-// the reductions, for the same reason loopPool exists: reductions run on
+// scratchF64 recycles the per-slot partial-result slices of
+// ReduceFloat64, for the same reason loopPool exists: reductions run on
 // the hot path of every scaling sweep.
-var (
-	scratchF64 = sync.Pool{New: func() any { return new([]float64) }}
-	scratchI64 = sync.Pool{New: func() any { return new([]int64) }}
-)
+var scratchF64 = sync.Pool{New: func() any { return new([]float64) }}
 
 func (g *group) finish() {
 	if g.pending.Add(-1) == 0 {
@@ -391,8 +388,9 @@ func (p *Pool) ForCancel(n, workers int, policy Policy, chunk int, cancel func()
 	loopPool.Put(l)
 }
 
-// Do runs fn once per worker id in [0, workers) on the pool and waits for
-// all of them; see the package function Do.
+// Do runs fn once per worker id in [0, workers) concurrently on the pool
+// and waits for all of them. It is the building block for loops that need
+// per-worker state such as RNG streams.
 func (p *Pool) Do(workers int, fn func(worker int)) {
 	workers = p.Workers(workers)
 	if workers == 1 {
@@ -403,7 +401,9 @@ func (p *Pool) Do(workers int, fn func(worker int)) {
 }
 
 // ReduceFloat64 runs a parallel-for on the pool and combines one float64
-// partial result per worker slot; see the package function ReduceFloat64.
+// partial result per worker slot with combine (which must be associative
+// and commutative). identity is the initial value of every partial
+// accumulator.
 func (p *Pool) ReduceFloat64(n, workers int, policy Policy, chunk int, identity float64,
 	body func(worker, lo, hi int, acc float64) float64,
 	combine func(a, b float64) float64) float64 {
@@ -433,44 +433,13 @@ func (p *Pool) ReduceFloat64(n, workers int, policy Policy, chunk int, identity 
 	return out
 }
 
-// ReduceInt64 is ReduceFloat64 for int64 accumulators.
-func (p *Pool) ReduceInt64(n, workers int, policy Policy, chunk int, identity int64,
-	body func(worker, lo, hi int, acc int64) int64,
-	combine func(a, b int64) int64) int64 {
-	workers = p.Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	sp := scratchI64.Get().(*[]int64)
-	if cap(*sp) < workers {
-		*sp = make([]int64, workers)
-	}
-	parts := (*sp)[:workers]
-	for i := range parts {
-		parts[i] = identity
-	}
-	p.For(n, workers, policy, chunk, func(w, lo, hi int) {
-		parts[w] = body(w, lo, hi, parts[w])
-	})
-	out := identity
-	for _, part := range parts {
-		out = combine(out, part)
-	}
-	scratchI64.Put(sp)
-	return out
-}
-
 var (
 	defaultMu   sync.Mutex
 	defaultPool atomic.Pointer[Pool]
 )
 
 // Default returns the process-wide pool, sized to runtime.GOMAXPROCS. The
-// package-level For, Do and reductions dispatch to it. It must never be
-// closed.
+// package-level For dispatches to it. It must never be closed.
 //
 // The width tracks runtime.GOMAXPROCS: when a call observes a changed
 // value, a fresh pool of the new width is built and published, and later

@@ -166,12 +166,6 @@ func TestPoolReduceMatchesSequential(t *testing.T) {
 	if want := float64(n*(n-1)) / 2; got != want {
 		t.Fatalf("sum = %v want %v", got, want)
 	}
-	cnt := p.ReduceInt64(n, 0, Guided, 16, 0,
-		func(_, lo, hi int, acc int64) int64 { return acc + int64(hi-lo) },
-		func(a, b int64) int64 { return a + b })
-	if cnt != n {
-		t.Fatalf("count = %d want %d", cnt, n)
-	}
 }
 
 func TestPoolCloseIdempotent(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cheap"
 	"repro/internal/core"
 	"repro/internal/ks"
+	"repro/internal/par"
 	"repro/internal/scale"
 )
 
@@ -65,8 +66,8 @@ func TestSpecRunsItsKernel(t *testing.T) {
 			wantSc := &Scaling{DR: sk.DR, DC: sk.DC, Iterations: sk.Iters, Error: sk.Err,
 				History: sk.History, RowSums: sk.RSum, ColSums: sk.CSum}
 			for _, seed := range []uint64{1, 7, 42} {
-				co := coreOpts(1)
-				co.Seed, co.RowTotals, co.ColTotals = seed, sk.RSum, sk.CSum
+				co := core.Options{Workers: 1, Policy: par.Dynamic, KSPolicy: par.Guided, Seed: seed,
+					RowTotals: sk.RSum, ColTotals: sk.CSum}
 				cmatch, _ := core.OneSided(a, sk.DR, sk.DC, co)
 				ksMt, ksSt := ks.Run(a, at, seed)
 				for _, c := range []struct {

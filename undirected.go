@@ -3,10 +3,10 @@ package bipartite
 import (
 	"sync"
 
+	"repro/internal/gen"
 	"repro/internal/par"
 	"repro/internal/sparse"
 	"repro/internal/undirected"
-	"repro/internal/xrand"
 )
 
 // UndirectedGraph is a general (non-bipartite) graph on which the 1-out
@@ -89,22 +89,7 @@ func NewUndirected(n int, edges [][2]int) (*UndirectedGraph, error) {
 // RandomUndirected returns a symmetric Erdős–Rényi graph with the given
 // average degree (self loops excluded).
 func RandomUndirected(n int, avgDeg float64, seed uint64) *UndirectedGraph {
-	rng := xrand.New(seed)
-	m := int(avgDeg * float64(n) / 2)
-	coords := make([]sparse.Coord, 0, 2*m)
-	for k := 0; k < m; k++ {
-		u := int32(rng.Intn(n))
-		v := int32(rng.Intn(n))
-		if u == v {
-			continue
-		}
-		coords = append(coords, sparse.Coord{I: u, J: v}, sparse.Coord{I: v, J: u})
-	}
-	a, err := sparse.FromCOO(n, n, coords, false)
-	if err != nil {
-		panic("bipartite: RandomUndirected generated invalid matrix: " + err.Error())
-	}
-	g, err := undirected.New(a)
+	g, err := undirected.New(gen.SymmetricER(n, avgDeg, seed))
 	if err != nil {
 		panic("bipartite: RandomUndirected not symmetric: " + err.Error())
 	}
