@@ -7,8 +7,8 @@ import (
 )
 
 // Pool is a persistent set of worker goroutines that For, Do and
-// ReduceFloat64 dispatch loop bodies to. Creating goroutines and tearing them
-// down on every parallel region (the classic Go idiom) costs a goroutine
+// ReduceFloat64 dispatch loop bodies to. Creating goroutines and tearing
+// them down on every parallel region (the classic Go idiom) costs a goroutine
 // spawn plus a WaitGroup wake per worker per call; the matching heuristics
 // issue dozens of parallel regions per run (scaling sweeps, sampling,
 // Karp–Sipser phases), so that overhead lands squarely on the critical
