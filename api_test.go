@@ -54,6 +54,51 @@ func TestNewGraphValidation(t *testing.T) {
 	}
 }
 
+// TestNewGraphMergesDuplicates checks that NewGraph merges a repeated
+// edge, as FromEdges does, so the edge counts once in the graph and in
+// its scaling; that it leaves unsorted input unchanged; and that rows
+// already strictly increasing are kept without a copy.
+func TestNewGraphMergesDuplicates(t *testing.T) {
+	ptr, idx := []int{0, 3, 4}, []int32{1, 0, 1, 0}
+	g, err := NewGraph(2, 2, ptr, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := FromEdges(2, 2, [][2]int{{0, 1}, {0, 0}, {0, 1}, {1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, gotPtr, gotIdx := g.CSR()
+	_, _, wantPtr, wantIdx := want.CSR()
+	if g.Edges() != 3 || !slices.Equal(gotPtr, wantPtr) || !slices.Equal(gotIdx, wantIdx) {
+		t.Fatalf("NewGraph gave %d edges, ptr %v idx %v; want FromEdges' ptr %v idx %v", g.Edges(), gotPtr, gotIdx, wantPtr, wantIdx)
+	}
+	if !slices.Equal(ptr, []int{0, 3, 4}) || !slices.Equal(idx, []int32{1, 0, 1, 0}) {
+		t.Fatalf("NewGraph changed its input to ptr %v idx %v", ptr, idx)
+	}
+	opt := &Options{ScalingIterations: 5}
+	gs, err := g.NewMatcher(opt).Scale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := want.NewMatcher(opt).Scale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gs.DR, ws.DR) || !slices.Equal(gs.DC, ws.DC) {
+		t.Fatalf("scaling DR %v DC %v, want FromEdges' DR %v DC %v", gs.DR, gs.DC, ws.DR, ws.DC)
+	}
+
+	sortedPtr, sortedIdx := []int{0, 2, 3}, []int32{0, 1, 0}
+	s, err := NewGraph(2, 2, sortedPtr, sortedIdx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, p, i := s.CSR(); &p[0] != &sortedPtr[0] || &i[0] != &sortedIdx[0] {
+		t.Fatal("NewGraph copied rows that were already strictly increasing")
+	}
+}
+
 func TestFromEdges(t *testing.T) {
 	g, err := FromEdges(2, 2, [][2]int{{0, 0}, {1, 1}, {0, 0}})
 	if err != nil {

@@ -28,6 +28,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -35,11 +36,14 @@ import (
 	"repro/internal/bench"
 )
 
-// experiments are the -exp names, in the order -exp all runs them.
-var experiments = []struct {
+// experiment is one -exp name and what it runs.
+type experiment struct {
 	name string
 	run  func(bench.Config)
-}{
+}
+
+// experiments are the -exp names, in the order -exp all runs them.
+var experiments = []experiment{
 	{"qualityfi", func(c bench.Config) { bench.QualityFI(c, nil) }},
 	{"table1", func(c bench.Config) { bench.Table1(c, 0) }},
 	{"table2", func(c bench.Config) { bench.Table2(c, 0) }},
@@ -81,6 +85,11 @@ func run() int {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	)
 	flag.Parse()
+	selected, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "matchbench: -exp: %v\n", err)
+		return 2
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -115,26 +124,41 @@ func run() int {
 
 	fmt.Printf("matchbench: %d CPUs, GOMAXPROCS %d, %s\n", runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version())
 
-	want := map[string]bool{}
-	for _, tok := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(strings.ToLower(tok))] = true
-	}
-	all := want["all"]
-	ran := 0
-	for _, e := range experiments {
-		if !all && !want[e.name] {
-			continue
-		}
-		ran++
+	for _, e := range selected {
 		start := time.Now()
 		fmt.Printf("\n### %s (scale=%s)\n", e.name, cfg.Scale)
 		e.run(cfg)
 		fmt.Printf("### %s done in %v\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "matchbench: no experiment matched %q\n", *exp)
-		return 2
-	}
 	return 0
+}
+
+// selectExperiments returns the experiments a comma-separated -exp list
+// names, in table order; "all" names every one. Names are trimmed and
+// matched without regard to case. The error names every unknown name.
+func selectExperiments(list string) ([]experiment, error) {
+	want := map[string]bool{}
+	var unknown []string
+	for _, tok := range strings.Split(list, ",") {
+		name := strings.TrimSpace(strings.ToLower(tok))
+		known := name == "all" || slices.ContainsFunc(experiments, func(e experiment) bool { return e.name == name })
+		if !known {
+			unknown = append(unknown, strconv.Quote(name))
+		}
+		want[name] = true
+	}
+	switch len(unknown) {
+	case 0:
+	case 1:
+		return nil, fmt.Errorf("unknown experiment %s", unknown[0])
+	default:
+		return nil, fmt.Errorf("unknown experiments %s", strings.Join(unknown, ", "))
+	}
+	var out []experiment
+	for _, e := range experiments {
+		if want["all"] || want[e.name] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }

@@ -66,15 +66,19 @@ type Graph struct {
 func newGraph(a *sparse.CSR) *Graph { return &Graph{a: a} }
 
 // NewGraph builds a graph from raw CSR components: ptr has length rows+1,
-// idx holds the column index of each edge. The input is validated and the
-// rows are sorted if needed.
+// idx holds the column index of each edge. The input is validated. When
+// every row's indices are strictly increasing, the graph keeps ptr and idx
+// as they are, without a copy, so the caller must not change them
+// afterwards. Otherwise the graph gets its own copy with every row sorted
+// and duplicate edges merged, built in O(edges + rows + cols) time, and
+// ptr and idx are left unchanged.
 func NewGraph(rows, cols int, ptr []int, idx []int32) (*Graph, error) {
 	a, err := sparse.New(rows, cols, ptr, idx, nil)
 	if err != nil {
 		return nil, err
 	}
 	if !a.HasSortedRows() {
-		a.SortRows()
+		a = a.Canonical()
 	}
 	return newGraph(a), nil
 }

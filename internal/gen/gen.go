@@ -17,6 +17,11 @@ import (
 	"repro/internal/xrand"
 )
 
+// fromCOO assembles each generator's entries. It is a variable so that
+// tests can hold the assembly to a reference on every generator's own
+// entries.
+var fromCOO = sparse.FromCOO
+
 // Full returns the n×n all-ones matrix. Its scaled form is s_ij = 1/n and
 // the 1-out graph drawn from it is the random 1-out bipartite graph of
 // Walkup used in Conjecture 1.
@@ -57,7 +62,7 @@ func ER(rows, cols, nnz int, seed uint64) *sparse.CSR {
 			J: int32(rng.Intn(cols)),
 		})
 	}
-	a, err := sparse.FromCOO(rows, cols, entries, false)
+	a, err := fromCOO(rows, cols, entries, false)
 	if err != nil {
 		panic("gen: ER produced invalid matrix: " + err.Error())
 	}
@@ -86,7 +91,7 @@ func SymmetricER(n int, avgDeg float64, seed uint64) *sparse.CSR {
 		}
 		entries = append(entries, sparse.Coord{I: u, J: v}, sparse.Coord{I: v, J: u})
 	}
-	a, err := sparse.FromCOO(n, n, entries, false)
+	a, err := fromCOO(n, n, entries, false)
 	if err != nil {
 		panic("gen: SymmetricER produced invalid matrix: " + err.Error())
 	}
@@ -136,7 +141,7 @@ func BadKS(n, k int) *sparse.CSR {
 	for i := 0; i < h; i++ { // R2×C1 diagonal
 		entries = append(entries, sparse.Coord{I: int32(h + i), J: int32(i)})
 	}
-	a, err := sparse.FromCOO(n, n, entries, false)
+	a, err := fromCOO(n, n, entries, false)
 	if err != nil {
 		panic("gen: BadKS produced invalid matrix: " + err.Error())
 	}
@@ -168,7 +173,7 @@ func Grid2D(nx, ny int) *sparse.CSR {
 			}
 		}
 	}
-	a, err := sparse.FromCOO(n, n, entries, false)
+	a, err := fromCOO(n, n, entries, false)
 	if err != nil {
 		panic("gen: Grid2D produced invalid matrix: " + err.Error())
 	}
@@ -226,7 +231,7 @@ func Grid3D(nx, ny, nz int, full27 bool) *sparse.CSR {
 			}
 		}
 	}
-	a, err := sparse.FromCOO(n, n, entries, false)
+	a, err := fromCOO(n, n, entries, false)
 	if err != nil {
 		panic("gen: Grid3D produced invalid matrix: " + err.Error())
 	}
@@ -270,7 +275,7 @@ func KOut(n, k int, seed uint64) *sparse.CSR {
 			entries = append(entries, sparse.Coord{I: i, J: int32(j)})
 		}
 	}
-	a, err := sparse.FromCOO(n, n, entries, false)
+	a, err := fromCOO(n, n, entries, false)
 	if err != nil {
 		panic("gen: KOut produced invalid matrix: " + err.Error())
 	}
@@ -301,7 +306,7 @@ func Mesh2D(nx, ny int) *sparse.CSR {
 			}
 		}
 	}
-	a, err := sparse.FromCOO(n, n, entries, false)
+	a, err := fromCOO(n, n, entries, false)
 	if err != nil {
 		panic("gen: Mesh2D produced invalid matrix: " + err.Error())
 	}
@@ -336,7 +341,7 @@ func RoadLike(n int, avgDeg float64, seed uint64) *sparse.CSR {
 			}
 		}
 	}
-	a, err := sparse.FromCOO(nn, nn, entries, false)
+	a, err := fromCOO(nn, nn, entries, false)
 	if err != nil {
 		panic("gen: RoadLike produced invalid matrix: " + err.Error())
 	}
@@ -367,7 +372,7 @@ func PowerLaw(n int, dmin float64, alpha float64, maxDeg int, seed uint64) *spar
 			entries = append(entries, sparse.Coord{I: int32(i), J: int32(rng.Intn(n))})
 		}
 	}
-	a, err := sparse.FromCOO(n, n, entries, false)
+	a, err := fromCOO(n, n, entries, false)
 	if err != nil {
 		panic("gen: PowerLaw produced invalid matrix: " + err.Error())
 	}
@@ -387,7 +392,7 @@ func Band(n int, offsets ...int) *sparse.CSR {
 			}
 		}
 	}
-	a, err := sparse.FromCOO(n, n, entries, false)
+	a, err := fromCOO(n, n, entries, false)
 	if err != nil {
 		panic("gen: Band produced invalid matrix: " + err.Error())
 	}
@@ -413,7 +418,7 @@ func FullyIndecomposable(n, extras int, seed uint64) *sparse.CSR {
 			entries = append(entries, sparse.Coord{I: int32(i), J: int32(rng.Intn(n))})
 		}
 	}
-	a, err := sparse.FromCOO(n, n, entries, false)
+	a, err := fromCOO(n, n, entries, false)
 	if err != nil {
 		panic("gen: FullyIndecomposable produced invalid matrix: " + err.Error())
 	}
@@ -452,7 +457,7 @@ func KKTLike(nA, nB int, extra int, seed uint64) *sparse.CSR {
 			entries = append(entries, sparse.Coord{I: int32(nA + j), J: int32(i)})
 		}
 	}
-	a, err := sparse.FromCOO(n, n, entries, false)
+	a, err := fromCOO(n, n, entries, false)
 	if err != nil {
 		panic("gen: KKTLike produced invalid matrix: " + err.Error())
 	}
@@ -479,7 +484,7 @@ func RankDeficient(n, def int, avgDeg float64, seed uint64) *sparse.CSR {
 			entries = append(entries, sparse.Coord{I: int32(i), J: int32(rng.Intn(cols))})
 		}
 	}
-	a, err := sparse.FromCOO(n, n, entries, false)
+	a, err := fromCOO(n, n, entries, false)
 	if err != nil {
 		panic("gen: RankDeficient produced invalid matrix: " + err.Error())
 	}
@@ -498,7 +503,7 @@ func LongThinPath(n int) *sparse.CSR {
 			entries = append(entries, sparse.Coord{I: int32(i), J: int32(i + 1)})
 		}
 	}
-	a, err := sparse.FromCOO(n, n, entries, false)
+	a, err := fromCOO(n, n, entries, false)
 	if err != nil {
 		panic("gen: LongThinPath produced invalid matrix: " + err.Error())
 	}
@@ -554,7 +559,7 @@ func SkewedDegree(rows, cols int, avgDeg, skew float64, seed uint64) *sparse.CSR
 			entries = append(entries, sparse.Coord{I: int32(i), J: int32(j)})
 		}
 	}
-	a, err := sparse.FromCOO(rows, cols, entries, false)
+	a, err := fromCOO(rows, cols, entries, false)
 	if err != nil {
 		panic("gen: SkewedDegree produced invalid matrix: " + err.Error())
 	}

@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Coord is a single (row, column) coordinate, optionally weighted.
 type Coord struct {
@@ -11,52 +8,62 @@ type Coord struct {
 	V    float64
 }
 
-// FromCOO builds a CSR from coordinate entries, sorting them and removing
-// duplicates (keeping the last value for a duplicate coordinate, like most
-// assembly conventions). Entries out of range yield an error.
+// FromCOO builds a CSR from coordinate entries, sorting them by (row,
+// column) and merging duplicate coordinates, keeping the last value in
+// input order (like most assembly conventions). weighted keeps the values;
+// otherwise the result is a pattern. Entries out of range yield an error
+// naming the first one.
+//
+// It neither copies nor modifies entries. Entries already in strictly
+// increasing (row, column) order are copied straight into the result;
+// others go through the stable two-pass counting sort described in
+// assemble.go, in O(nnz + rows + cols) time, allocating beyond the result
+// one int per column and one int32 per entry, plus one float64 per entry
+// when weighted.
 func FromCOO(rows, cols int, entries []Coord, weighted bool) (*CSR, error) {
-	for _, e := range entries {
+	ptr := make([]int, rows+1)
+	ordered := true // strictly increasing (row, column) so far
+	for k, e := range entries {
 		if e.I < 0 || int(e.I) >= rows || e.J < 0 || int(e.J) >= cols {
 			return nil, fmt.Errorf("%w: entry (%d,%d) outside %dx%d", ErrInvalid, e.I, e.J, rows, cols)
 		}
-	}
-	sorted := append([]Coord(nil), entries...)
-	sort.Slice(sorted, func(x, y int) bool {
-		if sorted[x].I != sorted[y].I {
-			return sorted[x].I < sorted[y].I
+		ptr[e.I+1]++
+		if ordered && k > 0 {
+			p := entries[k-1]
+			ordered = p.I < e.I || p.I == e.I && p.J < e.J
 		}
-		return sorted[x].J < sorted[y].J
-	})
-	// Dedupe in place, last value wins.
-	w := 0
-	for r := 0; r < len(sorted); r++ {
-		if w > 0 && sorted[w-1].I == sorted[r].I && sorted[w-1].J == sorted[r].J {
-			sorted[w-1].V = sorted[r].V
-			continue
-		}
-		sorted[w] = sorted[r]
-		w++
 	}
-	sorted = sorted[:w]
-
-	a := &CSR{RowsN: rows, ColsN: cols}
-	a.Ptr = make([]int, rows+1)
-	for _, e := range sorted {
-		a.Ptr[e.I+1]++
+	a := &CSR{RowsN: rows, ColsN: cols, Ptr: ptr, Idx: make([]int32, len(entries))}
+	if weighted {
+		a.Val = make([]float64, len(entries))
 	}
 	for i := 0; i < rows; i++ {
 		a.Ptr[i+1] += a.Ptr[i]
 	}
-	a.Idx = make([]int32, len(sorted))
-	if weighted {
-		a.Val = make([]float64, len(sorted))
+	if ordered {
+		for k, e := range entries {
+			a.Idx[k] = e.J
+			if weighted {
+				a.Val[k] = e.V
+			}
+		}
+		return a, nil
 	}
-	for p, e := range sorted {
-		a.Idx[p] = e.J
+	c := newColumns(cols, len(entries), weighted)
+	for _, e := range entries {
+		c.end[e.J]++
+	}
+	c.counted()
+	for _, e := range entries {
+		q := c.end[e.J]
+		c.end[e.J] = q + 1
+		c.row[q] = e.I
 		if weighted {
-			a.Val[p] = e.V
+			c.val[q] = e.V
 		}
 	}
+	c.scatterRows(a)
+	a.mergeDuplicates()
 	return a, nil
 }
 

@@ -11,9 +11,7 @@ package sparse
 import (
 	"errors"
 	"fmt"
-	"sort"
-
-	"repro/internal/par"
+	"slices"
 )
 
 // CSR is a sparse matrix in compressed sparse row format. Val is optional:
@@ -87,15 +85,10 @@ func (a *CSR) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. A weighted matrix stays weighted even when
+// it has no entries.
 func (a *CSR) Clone() *CSR {
-	b := &CSR{RowsN: a.RowsN, ColsN: a.ColsN}
-	b.Ptr = append([]int(nil), a.Ptr...)
-	b.Idx = append([]int32(nil), a.Idx...)
-	if a.Val != nil {
-		b.Val = append([]float64(nil), a.Val...)
-	}
-	return b
+	return &CSR{RowsN: a.RowsN, ColsN: a.ColsN, Ptr: slices.Clone(a.Ptr), Idx: slices.Clone(a.Idx), Val: slices.Clone(a.Val)}
 }
 
 // Transpose returns Aᵀ (the CSC view of A) built with a counting sort. The
@@ -132,36 +125,14 @@ func (a *CSR) Transpose() *CSR {
 	return t
 }
 
-// SortRows sorts the column indices (and values) within every row.
+// SortRows sorts the column indices (and values) within every row. The
+// sort is stable: duplicate entries stay, in their order within the row.
 // Generators and I/O produce sorted rows already; this is exposed for
-// matrices assembled by hand.
-func (a *CSR) SortRows() {
-	par.For(a.RowsN, 0, par.Dynamic, 256, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s, e := a.Ptr[i], a.Ptr[i+1]
-			if a.Val == nil {
-				idx := a.Idx[s:e]
-				sort.Slice(idx, func(x, y int) bool { return idx[x] < idx[y] })
-				continue
-			}
-			idx := a.Idx[s:e]
-			val := a.Val[s:e]
-			ord := make([]int, len(idx))
-			for k := range ord {
-				ord[k] = k
-			}
-			sort.Slice(ord, func(x, y int) bool { return idx[ord[x]] < idx[ord[y]] })
-			ni := make([]int32, len(idx))
-			nv := make([]float64, len(val))
-			for k, o := range ord {
-				ni[k] = idx[o]
-				nv[k] = val[o]
-			}
-			copy(idx, ni)
-			copy(val, nv)
-		}
-	})
-}
+// matrices assembled by hand. It runs the stable two-pass counting sort
+// described in assemble.go, in O(nnz + rows + cols) time, allocating one
+// int per column and one int32 per entry, plus one float64 per entry when
+// a is weighted.
+func (a *CSR) SortRows() { a.columns().scatterRows(a) }
 
 // HasSortedRows reports whether every row's indices are strictly
 // increasing (sorted and duplicate-free).

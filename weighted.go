@@ -19,7 +19,10 @@ import (
 // value array: val[p] is the weight of the p-th stored edge and must have
 // one entry per edge. Weights must be strictly positive and finite for
 // the auction's (1−ε) guarantee; they are validated here rather than at
-// match time so a bad instance fails fast.
+// match time so a bad instance fails fast. As with NewGraph, strictly
+// increasing rows are kept without a copy; otherwise the graph gets its
+// own sorted copy in which duplicate edges are merged, keeping the weight
+// that comes last in the row, and the inputs are left unchanged.
 func NewWeightedGraph(rows, cols int, ptr []int, idx []int32, val []float64) (*Graph, error) {
 	if val == nil {
 		return NewGraph(rows, cols, ptr, idx)
@@ -29,7 +32,7 @@ func NewWeightedGraph(rows, cols int, ptr []int, idx []int32, val []float64) (*G
 		return nil, err
 	}
 	if !a.HasSortedRows() {
-		a.SortRows()
+		a = a.Canonical()
 	}
 	if _, err := auction.Validate(a); err != nil {
 		return nil, err

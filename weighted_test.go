@@ -1,8 +1,15 @@
 package bipartite
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // weightedFamilies builds the three instance families the auction quality
@@ -215,6 +222,88 @@ func TestAuctionWeightedConstructors(t *testing.T) {
 	}
 	if p.Weighted() {
 		t.Fatal("nil val built a weighted graph")
+	}
+}
+
+// edgeWeights returns g's weight of every edge.
+func edgeWeights(g *Graph) map[[2]int]float64 {
+	out := map[[2]int]float64{}
+	rows, _, ptr, idx := g.CSR()
+	w := g.Weights()
+	for i := 0; i < rows; i++ {
+		for p := ptr[i]; p < ptr[i+1]; p++ {
+			out[[2]int{i, int(idx[p])}] = w[p]
+		}
+	}
+	return out
+}
+
+// TestWeightedDuplicatesKeepLastWeight holds FromWeightedEdges and a
+// weighted Matrix Market file read by ReadMatrixMarket to their duplicate
+// rule, on 60 edges over a 3×3 grid: each merged edge keeps the weight
+// that comes last in the input.
+func TestWeightedDuplicatesKeepLastWeight(t *testing.T) {
+	rng := xrand.New(3)
+	edges := make([][2]int, 60)
+	weights := make([]float64, len(edges))
+	last := map[[2]int]float64{}
+	var mtx strings.Builder
+	fmt.Fprintf(&mtx, "%%%%MatrixMarket matrix coordinate real general\n3 3 %d\n", len(edges))
+	for k := range edges {
+		edges[k] = [2]int{rng.Intn(3), rng.Intn(3)}
+		weights[k] = float64(k + 1)
+		last[edges[k]] = weights[k]
+		fmt.Fprintf(&mtx, "%d %d %g\n", edges[k][0]+1, edges[k][1]+1, weights[k])
+	}
+	path := filepath.Join(t.TempDir(), "dup.mtx")
+	if err := os.WriteFile(path, []byte(mtx.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromEdges, err := FromWeightedEdges(3, 3, edges, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := ReadMatrixMarket(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"FromWeightedEdges": fromEdges, "ReadMatrixMarket": fromFile} {
+		got := edgeWeights(g)
+		if len(got) != len(last) || g.Edges() != len(last) {
+			t.Fatalf("%s: %d edges, want %d", name, g.Edges(), len(last))
+		}
+		for e, w := range last {
+			if got[e] != w {
+				t.Errorf("%s: edge %v has weight %v, want the last one, %v", name, e, got[e], w)
+			}
+		}
+	}
+}
+
+// TestNewWeightedGraphMergesDuplicates checks that NewWeightedGraph
+// merges a repeated edge, keeping the weight that comes last in its row,
+// leaves unsorted input unchanged and keeps strictly increasing rows
+// without a copy.
+func TestNewWeightedGraphMergesDuplicates(t *testing.T) {
+	ptr, idx, val := []int{0, 3, 4}, []int32{1, 0, 1, 0}, []float64{1, 2, 3, 4}
+	g, err := NewWeightedGraph(2, 2, ptr, idx, val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]int]float64{{0, 0}: 2, {0, 1}: 3, {1, 0}: 4}
+	if got := edgeWeights(g); g.Edges() != 3 || len(got) != 3 || got[[2]int{0, 0}] != 2 || got[[2]int{0, 1}] != 3 || got[[2]int{1, 0}] != 4 {
+		t.Fatalf("NewWeightedGraph gave %d edges with weights %v, want %v", g.Edges(), got, want)
+	}
+	if !slices.Equal(ptr, []int{0, 3, 4}) || !slices.Equal(idx, []int32{1, 0, 1, 0}) || !slices.Equal(val, []float64{1, 2, 3, 4}) {
+		t.Fatalf("NewWeightedGraph changed its input to ptr %v idx %v val %v", ptr, idx, val)
+	}
+	sortedVal := []float64{5, 6, 7}
+	s, err := NewWeightedGraph(2, 2, []int{0, 2, 3}, []int32{0, 1, 0}, sortedVal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &s.Weights()[0] != &sortedVal[0] {
+		t.Fatal("NewWeightedGraph copied rows that were already strictly increasing")
 	}
 }
 
