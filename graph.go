@@ -70,8 +70,9 @@ func newGraph(a *sparse.CSR) *Graph { return &Graph{a: a} }
 // every row's indices are strictly increasing, the graph keeps ptr and idx
 // as they are, without a copy, so the caller must not change them
 // afterwards. Otherwise the graph gets its own copy with every row sorted
-// and duplicate edges merged, built in O(edges + rows + cols) time, and
-// ptr and idx are left unchanged.
+// and duplicate edges merged, built in O(edges + rows + cols) time with a
+// scratch of one int per column and one int32 per edge, and ptr and idx
+// are left unchanged.
 func NewGraph(rows, cols int, ptr []int, idx []int32) (*Graph, error) {
 	a, err := sparse.New(rows, cols, ptr, idx, nil)
 	if err != nil {
@@ -100,6 +101,7 @@ func FromEdges(rows, cols int, edges [][2]int) (*Graph, error) {
 }
 
 // ReadMatrixMarket loads a graph from a Matrix Market coordinate file.
+// An entry the file repeats is one edge, with the value that comes last.
 func ReadMatrixMarket(path string) (*Graph, error) {
 	a, err := mmio.ReadFile(path)
 	if err != nil {

@@ -20,7 +20,8 @@ import (
 // ErrFormat reports an unsupported or malformed Matrix Market file.
 var ErrFormat = errors.New("mmio: bad MatrixMarket file")
 
-// Read parses a Matrix Market stream into a CSR.
+// Read parses a Matrix Market stream into a CSR. Entries are assembled by
+// sparse.FromCOO, so a repeated entry keeps the value that comes last.
 func Read(r io.Reader) (*sparse.CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

@@ -16,7 +16,8 @@ import "slices"
 // Both passes take O(nnz + rows + cols) time. Beyond the output they
 // allocate one int per column and one int32 per entry, plus one float64
 // per entry for a weighted matrix; the output's Ptr serves as the row
-// cursors.
+// cursors. The output's Idx and Val are sized for every entry, and
+// merging duplicates shortens them in place.
 
 // columns holds entries grouped by column: the first pass's result.
 type columns struct {
@@ -90,9 +91,9 @@ func (c *columns) scatterRows(a *CSR) {
 }
 
 // mergeDuplicates merges each run of equal column indices within a row
-// into its first slot, keeping the run's last value. Rows must be in
-// column order. When it merges any, it moves the entries it keeps into
-// arrays of their own size.
+// into its first slot, keeping the run's last value, and shortens Idx
+// (and Val) to the entries kept. Rows must be in column order. It copies
+// nothing: each merged entry leaves one slot of unused capacity.
 func (a *CSR) mergeDuplicates() {
 	w, start := 0, 0
 	for i := 0; i < a.RowsN; i++ {
@@ -114,11 +115,9 @@ func (a *CSR) mergeDuplicates() {
 		a.Ptr[i+1] = w
 		start = end
 	}
-	if w < len(a.Idx) {
-		a.Idx = slices.Clone(a.Idx[:w])
-		if a.Val != nil {
-			a.Val = slices.Clone(a.Val[:w])
-		}
+	a.Idx = a.Idx[:w]
+	if a.Val != nil {
+		a.Val = a.Val[:w]
 	}
 }
 
@@ -127,7 +126,8 @@ func (a *CSR) mergeDuplicates() {
 // the rows of the result are strictly increasing (HasSortedRows holds).
 // It leaves a unchanged and takes O(nnz + rows + cols) time; beyond the
 // result it allocates one int per column and one int32 per entry, plus one
-// float64 per entry when a is weighted.
+// float64 per entry when a is weighted. The result's Idx and Val have
+// capacity for all of a's entries.
 func (a *CSR) Canonical() *CSR {
 	b := &CSR{RowsN: a.RowsN, ColsN: a.ColsN, Ptr: slices.Clone(a.Ptr), Idx: make([]int32, len(a.Idx))}
 	if a.Val != nil {

@@ -3,6 +3,8 @@ package sparse
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -84,25 +86,55 @@ func TestFromCOOLastValueWins(t *testing.T) {
 	}
 }
 
-// TestFromCOOLeavesEntries checks that FromCOO neither reorders nor
-// rewrites its input, on the ordered path and on the sorting one.
-func TestFromCOOLeavesEntries(t *testing.T) {
-	rng := xrand.New(5)
-	shuffled := make([]Coord, 400)
-	for k := range shuffled {
-		shuffled[k] = Coord{I: int32(rng.Intn(20)), J: int32(rng.Intn(30)), V: float64(k)}
+// allocated returns the fewest bytes f allocated over three calls.
+func allocated(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for k := 0; k < 3; k++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	a, err := FromCOO(20, 30, shuffled, true)
-	if err != nil {
-		t.Fatal(err)
+	return least
+}
+
+// TestAssemblyScratchBytes holds the assembly to its memory bound: beyond
+// its result, one int per column and one int32 per entry, plus one
+// float64 per entry when weighted. FromCOO and Canonical also allocate the
+// result, with room for every entry; FromCOO on entries already in order
+// allocates only that, and SortRows only the scratch. The random entries
+// hold a few duplicates.
+func TestAssemblyScratchBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed under -race")
 	}
-	for _, entries := range [][]Coord{shuffled, a.ToCOO()} {
-		before := slices.Clone(entries)
-		if _, err := FromCOO(20, 30, entries, true); err != nil {
-			t.Fatal(err)
+	const rows, cols, nnz, slack = 50000, 40000, 200000, 64 << 10
+	random, rowMajor := benchEntries(rows, cols, nnz)
+	byRow := slices.SortedStableFunc(slices.Values(random), func(x, y Coord) int { return cmp.Compare(x.I, y.I) })
+	for _, weighted := range []bool{false, true} {
+		entryBytes := uint64(4) // an int32 index
+		if weighted {
+			entryBytes += 8 // and a float64 value
 		}
-		if !slices.Equal(entries, before) {
-			t.Fatal("FromCOO changed its entries")
+		result := 8*(rows+1) + entryBytes*nnz + slack
+		scratch := 8*cols + entryBytes*nnz
+		raw := referenceCSR(rows, cols, byRow, weighted)
+		sorted := raw.Clone()
+		sorted.SortRows() // sorting it again takes the same scratch
+		for _, c := range []struct {
+			name  string
+			limit uint64
+			f     func()
+		}{
+			{"FromCOO/random", result + scratch, func() { FromCOO(rows, cols, random, weighted) }},
+			{"FromCOO/rowmajor", result, func() { FromCOO(rows, cols, rowMajor, weighted) }},
+			{"Canonical", result + scratch, func() { raw.Canonical() }},
+			{"SortRows", scratch + slack, func() { sorted.SortRows() }},
+		} {
+			if got := allocated(c.f); got > c.limit {
+				t.Errorf("%s weighted=%v: allocated %d bytes, want at most %d", c.name, weighted, got, c.limit)
+			}
 		}
 	}
 }
@@ -266,7 +298,7 @@ func BenchmarkFromCOO(b *testing.B) {
 				name = in.name + "/weighted"
 			}
 			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
+				for b.Loop() {
 					if _, err := FromCOO(n, n, in.entries, weighted); err != nil {
 						b.Fatal(err)
 					}

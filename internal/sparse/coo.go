@@ -15,11 +15,12 @@ type Coord struct {
 // naming the first one.
 //
 // It neither copies nor modifies entries. Entries already in strictly
-// increasing (row, column) order are copied straight into the result;
+// increasing (row, column) order are written straight into the result;
 // others go through the stable two-pass counting sort described in
 // assemble.go, in O(nnz + rows + cols) time, allocating beyond the result
 // one int per column and one int32 per entry, plus one float64 per entry
-// when weighted.
+// when weighted. The result's Idx and Val have capacity for every entry,
+// duplicates included.
 func FromCOO(rows, cols int, entries []Coord, weighted bool) (*CSR, error) {
 	ptr := make([]int, rows+1)
 	ordered := true // strictly increasing (row, column) so far

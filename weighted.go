@@ -22,7 +22,8 @@ import (
 // match time so a bad instance fails fast. As with NewGraph, strictly
 // increasing rows are kept without a copy; otherwise the graph gets its
 // own sorted copy in which duplicate edges are merged, keeping the weight
-// that comes last in the row, and the inputs are left unchanged.
+// that comes last in the row (its scratch holds one float64 per edge
+// more), and the inputs are left unchanged.
 func NewWeightedGraph(rows, cols int, ptr []int, idx []int32, val []float64) (*Graph, error) {
 	if val == nil {
 		return NewGraph(rows, cols, ptr, idx)
