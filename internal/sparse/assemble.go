@@ -4,90 +4,44 @@ import "slices"
 
 // Entries in arbitrary order reach a CSR through one assembly, shared by
 // FromCOO, CSR.SortRows and CSR.Canonical: a least-significant-digit radix
-// sort on (row, column) made of two stable counting passes.
+// sort on (row, column) made of two stable counting passes, which are two
+// transposes.
 //
-//  1. By column: each entry's row (and value) goes to the next free slot of
-//     its column in a scratch copy, so columns keep their entries in input
-//     order.
-//  2. By row: walking that copy column by column, each entry goes to the
-//     next free slot of its row in the output, so every row comes out in
-//     column order with duplicates in input order.
+//  1. By column: the entries become the rows of the transpose, each row
+//     holding its entries in input order (Transpose, or FromCOO's own pass
+//     over its entries).
+//  2. By row: transposeInto walks the transpose row by row and puts each
+//     entry in the next free slot of its row in the output, so every row
+//     comes out in column order with duplicates in input order.
 //
 // Both passes take O(nnz + rows + cols) time. Beyond the output they
-// allocate one int per column and one int32 per entry, plus one float64
-// per entry for a weighted matrix; the output's Ptr serves as the row
-// cursors. The output's Idx and Val are sized for every entry, and
-// merging duplicates shortens them in place.
+// allocate only the transpose: one int per column and one int32 per entry,
+// plus one float64 per entry for a weighted matrix. Each pass uses its
+// result's Ptr as the cursors. The output's Idx and Val are sized for
+// every entry, and merging duplicates shortens them in place.
 
-// columns holds entries grouped by column: the first pass's result.
-type columns struct {
-	// end[j] is one past column j's last entry; column j starts at
-	// end[j-1], and column 0 at 0. Before the pass it counts column j's
-	// entries, then holds its first slot.
-	end []int
-	row []int32   // each entry's row, column by column
-	val []float64 // each entry's value, in the same order; nil for a pattern
-}
-
-func newColumns(cols, nnz int, weighted bool) *columns {
-	c := &columns{end: make([]int, cols), row: make([]int32, nnz)}
-	if weighted {
-		c.val = make([]float64, nnz)
-	}
-	return c
-}
-
-// counted turns the per-column counts in end into each column's first slot.
-func (c *columns) counted() {
-	sum := 0
-	for j, n := range c.end {
-		c.end[j] = sum
-		sum += n
-	}
-}
-
-// columns runs the first pass over a's entries, row by row.
-func (a *CSR) columns() *columns {
-	c := newColumns(a.ColsN, len(a.Idx), a.Val != nil)
-	for _, j := range a.Idx {
-		c.end[j]++
-	}
-	c.counted()
-	for i := 0; i < a.RowsN; i++ {
-		for p := a.Ptr[i]; p < a.Ptr[i+1]; p++ {
-			j := a.Idx[p]
-			q := c.end[j]
-			c.end[j] = q + 1
-			c.row[q] = int32(i)
-			if c.val != nil {
-				c.val[q] = a.Val[p]
-			}
-		}
-	}
-	return c
-}
-
-// scatterRows runs the second pass into a, whose Ptr must already hold the
-// row pointers of c's entries and whose Idx (and Val, when c is weighted)
-// must have one slot per entry. Ptr serves as the row cursors and holds
-// the row pointers again on return.
-func (c *columns) scatterRows(a *CSR) {
-	next := a.Ptr[:a.RowsN] // next[i] is row i's next free slot
+// transposeInto writes aᵀ into t, whose Ptr must already hold aᵀ's row
+// pointers and whose Idx (and Val, when a is weighted) must have one slot
+// per entry. Each row of t lists its entries in a's row order, so its
+// indices come out sorted, with duplicates in a's order. t's Ptr serves as
+// the row cursors and holds the row pointers again on return.
+func (a *CSR) transposeInto(t *CSR) {
+	next := t.Ptr[:t.RowsN] // next[j] is row j's next free slot
 	p := 0
-	for j, end := range c.end {
+	for i, end := range a.Ptr[1:] {
 		for ; p < end; p++ {
-			i := c.row[p]
-			q := next[i]
-			next[i] = q + 1
-			a.Idx[q] = int32(j)
-			if c.val != nil {
-				a.Val[q] = c.val[p]
+			j := a.Idx[p]
+			q := next[j]
+			next[j] = q + 1
+			t.Idx[q] = int32(i)
+			if a.Val != nil {
+				t.Val[q] = a.Val[p]
 			}
 		}
 	}
 	// Each cursor stopped at the end of its row, the next row's start.
-	copy(a.Ptr[1:], next)
-	a.Ptr[0] = 0
+	copy(t.Ptr[1:], next)
+	t.Ptr[0] = 0
 }
 
 // mergeDuplicates merges each run of equal column indices within a row
@@ -133,7 +87,7 @@ func (a *CSR) Canonical() *CSR {
 	if a.Val != nil {
 		b.Val = make([]float64, len(a.Val))
 	}
-	a.columns().scatterRows(b)
+	a.Transpose().transposeInto(b)
 	b.mergeDuplicates()
 	return b
 }

@@ -16,10 +16,10 @@ type Coord struct {
 //
 // It neither copies nor modifies entries. Entries already in strictly
 // increasing (row, column) order are written straight into the result;
-// others go through the stable two-pass counting sort described in
-// assemble.go, in O(nnz + rows + cols) time, allocating beyond the result
-// one int per column and one int32 per entry, plus one float64 per entry
-// when weighted. The result's Idx and Val have capacity for every entry,
+// others are transposed twice, as assemble.go describes, in
+// O(nnz + rows + cols) time, allocating beyond the result one int per
+// column and one int32 per entry, plus one float64 per entry when
+// weighted. The result's Idx and Val have capacity for every entry,
 // duplicates included.
 func FromCOO(rows, cols int, entries []Coord, weighted bool) (*CSR, error) {
 	ptr := make([]int, rows+1)
@@ -39,7 +39,7 @@ func FromCOO(rows, cols int, entries []Coord, weighted bool) (*CSR, error) {
 		a.Val = make([]float64, len(entries))
 	}
 	for i := 0; i < rows; i++ {
-		a.Ptr[i+1] += a.Ptr[i]
+		ptr[i+1] += ptr[i]
 	}
 	if ordered {
 		for k, e := range entries {
@@ -50,20 +50,30 @@ func FromCOO(rows, cols int, entries []Coord, weighted bool) (*CSR, error) {
 		}
 		return a, nil
 	}
-	c := newColumns(cols, len(entries), weighted)
-	for _, e := range entries {
-		c.end[e.J]++
+	// The first pass: the transpose, its rows filled in input order.
+	t := &CSR{RowsN: cols, ColsN: rows, Ptr: make([]int, cols+1), Idx: make([]int32, len(entries))}
+	if weighted {
+		t.Val = make([]float64, len(entries))
 	}
-	c.counted()
+	tPtr, tIdx, tVal := t.Ptr, t.Idx, t.Val
 	for _, e := range entries {
-		q := c.end[e.J]
-		c.end[e.J] = q + 1
-		c.row[q] = e.I
+		tPtr[e.J+1]++
+	}
+	for j := 0; j < cols; j++ {
+		tPtr[j+1] += tPtr[j]
+	}
+	next := tPtr[:cols] // next[j] is column j's next free slot
+	for _, e := range entries {
+		q := next[e.J]
+		next[e.J] = q + 1
+		tIdx[q] = e.I
 		if weighted {
-			c.val[q] = e.V
+			tVal[q] = e.V
 		}
 	}
-	c.scatterRows(a)
+	copy(tPtr[1:], next)
+	tPtr[0] = 0
+	t.transposeInto(a)
 	a.mergeDuplicates()
 	return a, nil
 }

@@ -91,48 +91,33 @@ func (a *CSR) Clone() *CSR {
 	return &CSR{RowsN: a.RowsN, ColsN: a.ColsN, Ptr: slices.Clone(a.Ptr), Idx: slices.Clone(a.Idx), Val: slices.Clone(a.Val)}
 }
 
-// Transpose returns Aᵀ (the CSC view of A) built with a counting sort. The
-// result has sorted indices within each row. Workers > 1 parallelizes the
-// scatter phase over rows of the result.
+// Transpose returns Aᵀ (the CSC view of A), built with a counting sort in
+// O(nnz + rows + cols) time. Each row of the result lists its entries in
+// A's row order, so its indices are sorted and duplicates keep their
+// order.
 func (a *CSR) Transpose() *CSR {
-	t := &CSR{RowsN: a.ColsN, ColsN: a.RowsN}
-	t.Ptr = make([]int, a.ColsN+1)
-	t.Idx = make([]int32, len(a.Idx))
+	t := &CSR{RowsN: a.ColsN, ColsN: a.RowsN, Ptr: make([]int, a.ColsN+1), Idx: make([]int32, len(a.Idx))}
 	if a.Val != nil {
 		t.Val = make([]float64, len(a.Val))
 	}
-	// Count column degrees.
 	for _, j := range a.Idx {
 		t.Ptr[j+1]++
 	}
 	for j := 0; j < a.ColsN; j++ {
 		t.Ptr[j+1] += t.Ptr[j]
 	}
-	// Scatter. next[j] is the write cursor for output row j.
-	next := make([]int, a.ColsN)
-	copy(next, t.Ptr[:a.ColsN])
-	for i := 0; i < a.RowsN; i++ {
-		for p := a.Ptr[i]; p < a.Ptr[i+1]; p++ {
-			j := a.Idx[p]
-			q := next[j]
-			next[j]++
-			t.Idx[q] = int32(i)
-			if a.Val != nil {
-				t.Val[q] = a.Val[p]
-			}
-		}
-	}
+	a.transposeInto(t)
 	return t
 }
 
 // SortRows sorts the column indices (and values) within every row. The
 // sort is stable: duplicate entries stay, in their order within the row.
 // Generators and I/O produce sorted rows already; this is exposed for
-// matrices assembled by hand. It runs the stable two-pass counting sort
-// described in assemble.go, in O(nnz + rows + cols) time, allocating one
-// int per column and one int32 per entry, plus one float64 per entry when
-// a is weighted.
-func (a *CSR) SortRows() { a.columns().scatterRows(a) }
+// matrices assembled by hand. It transposes a twice (see assemble.go), in
+// O(nnz + rows + cols) time, allocating only the transpose: one int per
+// column and one int32 per entry, plus one float64 per entry when a is
+// weighted.
+func (a *CSR) SortRows() { a.Transpose().transposeInto(a) }
 
 // HasSortedRows reports whether every row's indices are strictly
 // increasing (sorted and duplicate-free).
